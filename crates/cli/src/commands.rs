@@ -612,10 +612,11 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
     use leaksig_device::{
         CollectionServer, FaultyTransport, InProcessTransport, IngestConfig, RateLimit,
         RegenerateOutcome, RegenerationSupervisor, RetryPolicy, SignatureServer, SignatureStore,
-        SupervisorConfig, SyncClient, SyncEventKind,
+        SnapshotVault, SupervisorConfig, SyncClient, SyncEventKind,
     };
     use leaksig_faults::{
-        apply_ingest_fault, CrashPoint, FaultKind, FaultPlan, IngestFaultKind, IngestFaultPlan,
+        apply_ingest_fault, CrashFlavor, FaultKind, FaultPlan, FaultyDisk, IngestFaultKind,
+        IngestFaultPlan, RealDisk,
     };
 
     let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
@@ -775,15 +776,20 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         );
     }
 
-    // Crash-safe persistence demo: snapshot, tear a write mid-flight,
-    // and show the restore rolling back to the last good generation.
+    // Crash-safe persistence demo: snapshot, kill the next save with a
+    // torn write, and show the restore landing on the last good
+    // generation.
     let dir = std::env::temp_dir().join(format!("leaksig-chaos-{seed}-{}", std::process::id()));
-    let vault = leaksig_device::SnapshotVault::new(&dir).map_err(|e| e.to_string())?;
-    let saved = vault.save_store(&store).map_err(|e| e.to_string())?;
-    vault
-        .save_store_with_crash(&store, Some(CrashPoint::TornWrite { keep_permille: 400 }))
+    let saved = SnapshotVault::new(&dir)
+        .and_then(|mut vault| vault.save_store(&store))
         .map_err(|e| e.to_string())?;
-    let (restored, report) = vault.restore_store();
+    let (disk, ctl) = FaultyDisk::new(RealDisk);
+    let mut vault = SnapshotVault::open(&dir, Box::new(disk)).map_err(|e| e.to_string())?;
+    ctl.arm_crash(ctl.mutations(), CrashFlavor::Torn);
+    let crashed = vault.save_store(&store).is_err();
+    let (restored, report) = SnapshotVault::new(&dir)
+        .map_err(|e| e.to_string())?
+        .restore_store();
     println!(
         "\npersistence: saved gen {saved}, tore gen {} mid-write; restore picked gen {:?} \
          ({} corrupt skipped), health {}",
@@ -792,7 +798,7 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         report.skipped_corrupt,
         report.health
     );
-    let intact = restored.version() == store.version();
+    let intact = crashed && restored.version() == store.version();
     let _ = std::fs::remove_dir_all(&dir);
 
     if let Some(plan) = &ingest_plan {

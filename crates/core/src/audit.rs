@@ -604,7 +604,7 @@ pub fn wire_round_trip(set: &SignatureSet) -> Vec<Diagnostic> {
                     "signature does not survive encode/decode unchanged".to_string(),
                 )
                 .on_signature(orig.id)
-                .suggest("hosts with whitespace and other uncodable content are lossy"),
+                .suggest("the set holds content the wire format cannot carry"),
             );
         }
     }
@@ -1111,12 +1111,17 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip_flags_uncodable_hosts() {
-        let mut lossy = sig(
+    fn wire_round_trip_flags_uncodable_content() {
+        // Any host is codable, including empty and spaced ones.
+        let mut odd_hosts = sig(
             5,
             vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
         );
-        lossy.hosts = vec!["two words".to_string()];
+        odd_hosts.hosts = vec![String::new(), "two words".to_string()];
+        assert!(wire_round_trip(&set_of(vec![odd_hosts])).is_empty());
+
+        // A token-less signature is not: its encoding fails to decode.
+        let lossy = sig(5, Vec::new());
         let diags = wire_round_trip(&set_of(vec![lossy]));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::WireRoundTripLoss);

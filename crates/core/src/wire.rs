@@ -12,6 +12,12 @@
 //! tok rline 616e64726f696469643d
 //! end
 //! ```
+//!
+//! A host the whitespace-split `host` line cannot carry — the empty host
+//! of a request without a `Host` header, or one containing whitespace —
+//! is hex-encoded like a token instead (`hosthex 6164206d616b6572`, or a
+//! bare `hosthex` for the empty host). Every other host keeps its plain
+//! line, so sets without such hosts encode exactly as before.
 
 use crate::signature::{ConjunctionSignature, Field, FieldToken, SignatureSet};
 use leaksig_hash::{decode_hex, encode_hex};
@@ -53,7 +59,12 @@ pub fn encode(set: &SignatureSet) -> String {
     for sig in &set.signatures {
         out.push_str(&format!("sig {} {}\n", sig.id, sig.cluster_size));
         for host in &sig.hosts {
-            out.push_str(&format!("host {host}\n"));
+            if host.is_empty() || host.contains(char::is_whitespace) {
+                out.push_str(format!("hosthex {}", encode_hex(host.as_bytes())).trim_end());
+                out.push('\n');
+            } else {
+                out.push_str(&format!("host {host}\n"));
+            }
         }
         for tok in &sig.tokens {
             out.push_str(&format!(
@@ -108,6 +119,11 @@ pub fn decode(text: &str) -> Result<SignatureSet, WireError> {
                     .ok_or_else(bad)?
                     .hosts
                     .push(host.to_string());
+            }
+            Some("hosthex") => {
+                let bytes = decode_hex(parts.next().unwrap_or("")).map_err(|_| bad())?;
+                let host = String::from_utf8(bytes).map_err(|_| bad())?;
+                current.as_mut().ok_or_else(bad)?.hosts.push(host);
             }
             Some("tok") => {
                 let field = parts.next().and_then(Field::from_tag).ok_or_else(bad)?;

@@ -49,7 +49,9 @@ fn arb_wire_set() -> impl Strategy<Value = SignatureSet> {
         (
             any::<u32>(),
             1usize..50,
-            proptest::collection::vec("[a-z0-9.-]{1,16}", 0..3),
+            // Empty and whitespace-bearing hosts included: they take
+            // the hex-encoded host line.
+            proptest::collection::vec("[a-z0-9. \t-]{0,16}", 0..3),
             proptest::collection::vec(arb_token(), 1..5),
         ),
         0..6,

@@ -21,7 +21,9 @@
 //!   block, or park behind a prompt, with a full audit log and
 //!   configurable fail-open/fail-closed degraded modes ([`GateConfig`]);
 //! * [`persist`] — reboot-safe snapshots, including the crash-safe
-//!   checksummed [`SnapshotVault`](persist::SnapshotVault);
+//!   checksummed [`SnapshotVault`](persist::SnapshotVault), which keeps
+//!   its generations with the same commit/recover protocol (and on the
+//!   same [`DiskIo`](leaksig_faults::DiskIo) boundary) as [`WalStore`];
 //! * [`state`] / [`wal`] — the collection server's durable core behind
 //!   the [`StateStore`] trait: classification decisions journaled as
 //!   [`StateOp`]s, with the in-memory [`MemoryStore`] and the WAL-backed
@@ -42,6 +44,7 @@
 //! is exactly what such a loop would hand it.
 
 mod gate;
+mod generations;
 pub mod persist;
 mod policy;
 mod server;

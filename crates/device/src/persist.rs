@@ -20,20 +20,20 @@
 //! ```
 //!
 //! On-disk durability is handled by [`SnapshotVault`]: checksummed,
-//! generation-numbered snapshot files (`LEAKSNAP/1` header) written
-//! temp-then-rename so a crash at any point leaves either the old or the
-//! new snapshot fully intact, and a restore path that walks generations
-//! newest-first, discarding anything the checksum disowns, until it finds
-//! the last known good state.
+//! generation-numbered `LEAKFRAME/1` snapshot files written
+//! temp-then-fsync-then-rename so a crash at any point leaves either the
+//! old or the new snapshot fully intact, and a restore path that walks
+//! generations newest-first, discarding anything the checksum disowns,
+//! until it finds the last known good state.
 
+use crate::generations::GenerationDir;
 use crate::policy::{PolicyEngine, UserChoice};
 use crate::store::{SignatureStore, StoreHealth};
-use leaksig_faults::CrashPoint;
-use std::path::{Path, PathBuf};
+use leaksig_faults::{DiskIo, RealDisk};
+use std::path::PathBuf;
 
 const POLICY_MAGIC: &str = "LEAKPOLICY/1";
 const STORE_MAGIC: &str = "LEAKSTORE/1";
-const SNAP_MAGIC: &str = "LEAKSNAP/1";
 
 /// Persistence failure with a user-facing message.
 #[derive(Debug)]
@@ -115,28 +115,33 @@ pub fn decode_store(text: &str) -> Result<SignatureStore, PersistError> {
     Ok(store)
 }
 
+/// Good generations a vault retains after a save (older ones are pruned).
+const VAULT_KEEP: usize = 3;
+
 /// Checksummed, generation-numbered, crash-safe snapshot storage for the
 /// signature store.
 ///
-/// Each save writes `store.<generation>.snap`:
+/// Each save commits `store.<generation>.snap`, one `LEAKFRAME/1` frame
+/// (length + SHA-1) whose payload echoes the generation ahead of the
+/// store snapshot:
 ///
 /// ```text
-/// LEAKSNAP/1 <generation> <body-byte-length> <sha1-hex-of-body>
+/// LEAKFRAME/1 <payload-byte-length> <sha1-hex-of-payload>
+/// <generation>
 /// LEAKSTORE/1 <version>
 /// LEAKSIG/1
 /// ...
 /// ```
 ///
-/// via a temp file renamed into place, so the final path only ever holds
-/// a complete snapshot on a POSIX filesystem. Restore walks generations
-/// newest-first and verifies length + checksum + decode before trusting
-/// one; a torn or bit-rotted newest snapshot therefore *rolls back* to
-/// the previous generation instead of corrupting the device.
-#[derive(Debug)]
+/// The commit writes a temp file, fsyncs it and renames it into place,
+/// so the final path only ever holds a complete snapshot. Restore walks
+/// generations newest-first and verifies frame + generation echo +
+/// decode before trusting one; a damaged newest snapshot therefore
+/// *rolls back* to the previous generation instead of corrupting the
+/// device. The collection server's [`WalStore`](crate::WalStore) keeps
+/// its snapshots with the same protocol.
 pub struct SnapshotVault {
-    dir: PathBuf,
-    /// Good generations retained after a save (older ones are pruned).
-    keep: usize,
+    gens: GenerationDir,
 }
 
 /// What [`SnapshotVault::restore_store`] found on disk.
@@ -159,233 +164,84 @@ impl RestoreReport {
 }
 
 impl SnapshotVault {
-    /// A vault rooted at `dir` (created if absent), retaining the 3 most
-    /// recent good generations.
+    /// A vault rooted at `dir` (created if absent) on the real disk.
     pub fn new(dir: impl Into<PathBuf>) -> Result<SnapshotVault, PersistError> {
-        Self::with_retention(dir, 3)
+        Self::open(dir, Box::new(RealDisk))
     }
 
-    /// A vault retaining `keep` generations (minimum 1).
-    pub fn with_retention(dir: impl Into<PathBuf>, keep: usize) -> Result<SnapshotVault, PersistError> {
+    /// A vault rooted at `dir` doing all I/O through `disk`. Orphaned
+    /// `*.tmp` files from interrupted saves are swept here, so a process
+    /// that crashes on every save cannot grow the directory unboundedly.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        disk: Box<dyn DiskIo>,
+    ) -> Result<SnapshotVault, PersistError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| PersistError(format!("cannot create {}: {e}", dir.display())))?;
-        let vault = SnapshotVault {
-            dir,
-            keep: keep.max(1),
-        };
-        vault.sweep_temps();
-        Ok(vault)
-    }
-
-    /// Remove orphaned `*.tmp` files (crashes between temp-write and
-    /// rename). `prune` only runs after a *successful* save, so a
-    /// process that crashes on every save attempt would otherwise leave
-    /// one orphan per attempt and grow the directory without bound;
-    /// sweeping on open caps the debris at one crash-loop's worth.
-    /// Best-effort: an unremovable orphan is harmless to restore, which
-    /// never reads `.tmp` files.
-    fn sweep_temps(&self) {
-        let Ok(rd) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in rd.filter_map(|e| e.ok()) {
-            let path = entry.path();
-            if path.extension().is_some_and(|ext| ext == "tmp") {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-    }
-
-    fn snap_path(&self, generation: u64) -> PathBuf {
-        self.dir.join(format!("store.{generation}.snap"))
+        let (gens, _) = GenerationDir::open(dir.clone(), disk, "store", None)
+            .map_err(|e| PersistError(format!("cannot open {}: {e}", dir.display())))?;
+        Ok(SnapshotVault { gens })
     }
 
     /// Generations currently on disk, ascending (content unverified).
-    pub fn generations(&self) -> Vec<u64> {
-        let mut gens: Vec<u64> = match std::fs::read_dir(&self.dir) {
-            Err(_) => return Vec::new(),
-            Ok(rd) => rd
-                .filter_map(|e| e.ok())
-                .filter_map(|e| parse_generation(&e.path()))
-                .collect(),
-        };
-        gens.sort_unstable();
-        gens.dedup();
-        gens
+    pub fn generations(&mut self) -> Vec<u64> {
+        self.gens.list().unwrap_or_default()
     }
 
-    /// Persist `store` as the next generation. Returns the generation
-    /// written.
-    pub fn save_store(&self, store: &SignatureStore) -> Result<u64, PersistError> {
-        self.save_store_with_crash(store, None)
-            .map(|g| g.expect("no crash injected"))
-    }
-
-    /// [`SnapshotVault::save_store`] with an injected crash for chaos
-    /// testing. Returns `Ok(None)` when the simulated power loss struck
-    /// (the vault may now hold a torn file for restore to reject).
-    pub fn save_store_with_crash(
-        &self,
-        store: &SignatureStore,
-        crash: Option<CrashPoint>,
-    ) -> Result<Option<u64>, PersistError> {
-        let generation = self.generations().last().copied().unwrap_or(0) + 1;
-        let body = encode_store(store);
-        let mut snap = format!(
-            "{SNAP_MAGIC} {generation} {} {}\n",
-            body.len(),
-            leaksig_hash::sha1_hex(body.as_bytes())
-        );
-        snap.push_str(&body);
-
-        let final_path = self.snap_path(generation);
-        let tmp_path = self.dir.join(format!("store.{generation}.snap.tmp"));
-        let write = |path: &Path, bytes: &[u8]| {
-            std::fs::write(path, bytes)
-                .map_err(|e| PersistError(format!("cannot write {}: {e}", path.display())))
-        };
-
-        match crash {
-            Some(CrashPoint::BeforeWrite) => return Ok(None),
-            Some(CrashPoint::TornWrite { keep_permille }) => {
-                // A non-atomic writer died mid-flush: partial bytes in
-                // the final path. Restore must catch this via checksum.
-                let mut torn = snap.into_bytes();
-                leaksig_faults::truncate_bytes(&mut torn, keep_permille);
-                write(&final_path, &torn)?;
-                return Ok(None);
-            }
-            Some(CrashPoint::BeforeRename) => {
-                // Crash between temp write and rename: orphan temp only.
-                write(&tmp_path, snap.as_bytes())?;
-                return Ok(None);
-            }
-            None => {}
-        }
-
-        write(&tmp_path, snap.as_bytes())?;
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|e| PersistError(format!("cannot rename into {}: {e}", final_path.display())))?;
-        self.prune(generation);
-        Ok(Some(generation))
-    }
-
-    /// Drop generations older than the retention window, plus any orphan
-    /// temp files from interrupted saves.
-    fn prune(&self, newest: u64) {
-        for gen in self.generations() {
-            if gen + self.keep as u64 <= newest {
-                let _ = std::fs::remove_file(self.snap_path(gen));
-            }
-        }
-        if let Ok(rd) = std::fs::read_dir(&self.dir) {
-            for entry in rd.filter_map(|e| e.ok()) {
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == "tmp") {
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
+    /// Persist `store` as the next generation and prune generations
+    /// outside the retention window. Returns the generation written; on
+    /// error nothing newer than the previous generation is on disk.
+    pub fn save_store(&mut self, store: &SignatureStore) -> Result<u64, PersistError> {
+        let dir = self.gens.dir().display().to_string();
+        let listed = self
+            .gens
+            .list()
+            .map_err(|e| PersistError(format!("cannot list {dir}: {e}")))?;
+        let generation = listed.last().copied().unwrap_or(0) + 1;
+        let payload = format!("{generation}\n{}", encode_store(store));
+        self.gens
+            .commit(generation, payload.as_bytes())
+            .map_err(|e| {
+                PersistError(format!("cannot save generation {generation} in {dir}: {e}"))
+            })?;
+        self.gens.prune(generation, VAULT_KEEP);
+        Ok(generation)
     }
 
     /// Restore the newest verifiable snapshot.
     ///
     /// Walks generations newest-first; each candidate must pass the
-    /// `LEAKSNAP/1` header check, the length + SHA-1 verification, and
+    /// frame's length + SHA-1 check, echo its own generation, and pass
     /// [`decode_store`] (which includes the deploy gate). The first
     /// survivor wins. When nothing on disk is usable the device restarts
     /// on an empty store — marked [`StoreHealth::Corrupt`] if damaged
     /// snapshots were present (so the gate can fail closed), or
     /// [`StoreHealth::Empty`] on a genuinely fresh device.
-    pub fn restore_store(&self) -> (SignatureStore, RestoreReport) {
-        let mut skipped = 0usize;
-        for gen in self.generations().into_iter().rev() {
-            let path = self.snap_path(gen);
-            let Ok(bytes) = std::fs::read(&path) else {
-                skipped += 1;
-                continue;
-            };
-            match verify_snapshot(&bytes, gen) {
-                Ok(body) => match decode_store(body) {
-                    Ok(store) => {
-                        let report = RestoreReport {
-                            generation: Some(gen),
-                            skipped_corrupt: skipped,
-                            health: store.health(),
-                        };
-                        return (store, report);
-                    }
-                    Err(_) => skipped += 1,
-                },
-                Err(_) => skipped += 1,
+    pub fn restore_store(&mut self) -> (SignatureStore, RestoreReport) {
+        let listed = self.generations();
+        let loaded = self.gens.load_newest(&listed, |g, payload| {
+            let (echo, body) = std::str::from_utf8(payload).ok()?.split_once('\n')?;
+            if echo.parse::<u64>().ok()? != g {
+                return None;
             }
-        }
-        let store = SignatureStore::new();
-        if skipped > 0 {
-            store.mark_corrupt();
-        }
+            decode_store(body).ok()
+        });
+        let (generation, store) = match loaded.newest {
+            Some((g, store)) => (Some(g), store),
+            None => {
+                let store = SignatureStore::new();
+                if loaded.skipped > 0 {
+                    store.mark_corrupt();
+                }
+                (None, store)
+            }
+        };
         let report = RestoreReport {
-            generation: None,
-            skipped_corrupt: skipped,
+            generation,
+            skipped_corrupt: loaded.skipped,
             health: store.health(),
         };
         (store, report)
     }
-}
-
-/// `store.<gen>.snap` → `gen`.
-fn parse_generation(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let rest = name.strip_prefix("store.")?;
-    let gen = rest.strip_suffix(".snap")?;
-    gen.parse().ok()
-}
-
-/// Verify a `LEAKSNAP/1` file: header shape, generation echo, declared
-/// length, SHA-1. Returns the trusted body text.
-fn verify_snapshot(bytes: &[u8], expect_gen: u64) -> Result<&str, PersistError> {
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| PersistError("snapshot has no header line".to_string()))?;
-    let header = std::str::from_utf8(&bytes[..newline])
-        .map_err(|_| PersistError("snapshot header is not UTF-8".to_string()))?;
-    let body = &bytes[newline + 1..];
-
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some(SNAP_MAGIC) {
-        return Err(PersistError(format!("missing {SNAP_MAGIC} header")));
-    }
-    let gen: u64 = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| PersistError("bad generation in snapshot header".to_string()))?;
-    if gen != expect_gen {
-        return Err(PersistError(format!(
-            "snapshot header claims generation {gen}, file name says {expect_gen}"
-        )));
-    }
-    let len: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| PersistError("bad length in snapshot header".to_string()))?;
-    let digest = parts
-        .next()
-        .ok_or_else(|| PersistError("missing digest in snapshot header".to_string()))?;
-    if parts.next().is_some() {
-        return Err(PersistError("trailing junk in snapshot header".to_string()));
-    }
-    if body.len() != len {
-        return Err(PersistError(format!(
-            "snapshot body length {} does not match declared {len} (torn write?)",
-            body.len()
-        )));
-    }
-    if !leaksig_hash::verify_sha1_hex(body, digest) {
-        return Err(PersistError("snapshot checksum mismatch".to_string()));
-    }
-    std::str::from_utf8(body).map_err(|_| PersistError("snapshot body is not UTF-8".to_string()))
 }
 
 #[cfg(test)]
@@ -393,6 +249,7 @@ mod tests {
     use super::*;
     use crate::store::SignatureServer;
     use leaksig_core::prelude::*;
+    use leaksig_faults::{CrashFlavor, DiskFaultControls, FaultyDisk};
     use leaksig_http::RequestBuilder;
     use std::net::Ipv4Addr;
 
@@ -487,10 +344,27 @@ mod tests {
         dir
     }
 
+    /// A vault on a fault-injecting disk, plus the mutation index of the
+    /// next save's first I/O (its temp-file write).
+    fn faulty_vault(dir: &std::path::Path) -> (SnapshotVault, DiskFaultControls, u64) {
+        let (disk, ctl) = FaultyDisk::new(RealDisk);
+        let vault = SnapshotVault::open(dir, Box::new(disk)).unwrap();
+        let first = ctl.mutations();
+        (vault, ctl, first)
+    }
+
+    fn tmp_files(dir: &std::path::Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+            .count()
+    }
+
     #[test]
     fn vault_round_trip_and_retention() {
         let dir = temp_vault_dir("roundtrip");
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
 
         // No snapshots yet: a fresh device, not a corrupt one.
         let (empty, report) = vault.restore_store();
@@ -516,20 +390,31 @@ mod tests {
 
     #[test]
     fn torn_write_rolls_back_to_last_known_good() {
-        use leaksig_faults::CrashPoint;
         let dir = temp_vault_dir("torn");
-        let vault = SnapshotVault::new(&dir).unwrap();
-        vault.save_store(&armed_store(1)).unwrap();
-
-        // Power loss mid-write: half the bytes of generation 2 land in
-        // the final path.
-        let crashed = vault
-            .save_store_with_crash(
-                &armed_store(2),
-                Some(CrashPoint::TornWrite { keep_permille: 500 }),
-            )
+        SnapshotVault::new(&dir)
+            .unwrap()
+            .save_store(&armed_store(1))
             .unwrap();
-        assert_eq!(crashed, None);
+
+        // Power loss mid-write of generation 2: only its temp file is
+        // torn, so restore finds generation 1 with nothing to skip.
+        let (mut vault, ctl, first) = faulty_vault(&dir);
+        ctl.arm_crash(first, CrashFlavor::Torn);
+        assert!(vault.save_store(&armed_store(2)).is_err());
+        assert!(ctl.crashed());
+        let mut vault = SnapshotVault::new(&dir).unwrap();
+        let (restored, report) = vault.restore_store();
+        assert_eq!((report.generation, report.skipped_corrupt), (Some(1), 0));
+        assert_eq!(restored.version(), 1);
+
+        // A disk that tears the *renamed* file (non-atomic filesystem,
+        // lying firmware): the checksum catches it and restore rolls
+        // back past it.
+        vault.save_store(&armed_store(2)).unwrap();
+        let newest = dir.join("store.2.snap");
+        let mut bytes = std::fs::read(&newest).unwrap();
+        leaksig_faults::truncate_bytes(&mut bytes, 500);
+        std::fs::write(&newest, &bytes).unwrap();
         assert_eq!(vault.generations(), vec![1, 2], "torn file is present");
 
         let (restored, report) = vault.restore_store();
@@ -543,51 +428,45 @@ mod tests {
 
     #[test]
     fn crash_before_rename_preserves_old_state() {
-        use leaksig_faults::CrashPoint;
         let dir = temp_vault_dir("prerename");
-        let vault = SnapshotVault::new(&dir).unwrap();
-        vault.save_store(&armed_store(1)).unwrap();
+        SnapshotVault::new(&dir)
+            .unwrap()
+            .save_store(&armed_store(1))
+            .unwrap();
 
-        for crash in [CrashPoint::BeforeWrite, CrashPoint::BeforeRename] {
-            let crashed = vault
-                .save_store_with_crash(&armed_store(9), Some(crash))
-                .unwrap();
-            assert_eq!(crashed, None);
-            let (restored, report) = vault.restore_store();
+        // A save's mutating I/O: 0 = temp write, 1 = fsync, 2 = rename.
+        // Dying before the write or before the rename leaves the final
+        // path untouched.
+        for at in [0, 2] {
+            let (mut vault, ctl, first) = faulty_vault(&dir);
+            ctl.arm_crash(first + at, CrashFlavor::Before);
+            assert!(vault.save_store(&armed_store(9)).is_err());
+            // Only the crash before the rename strands a temp file.
+            assert_eq!(tmp_files(&dir), (at == 2) as usize);
+            let (restored, report) = SnapshotVault::new(&dir).unwrap().restore_store();
             assert_eq!(report.generation, Some(1));
             assert_eq!(report.skipped_corrupt, 0, "atomic protocol: no damage");
             assert_eq!(restored.version(), 1);
+            assert_eq!(tmp_files(&dir), 0, "reopening swept the orphan temp file");
         }
-        // The next clean save sweeps the orphan temp file.
-        vault.save_store(&armed_store(2)).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "orphan temp files pruned");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn crash_loop_does_not_grow_the_vault_unboundedly() {
-        use leaksig_faults::CrashPoint;
         let dir = temp_vault_dir("crashloop");
         // A process that dies between temp-write and rename on *every*
         // save, restarting (reopening the vault) each time. Without the
         // open-time sweep each round would strand one more `.tmp`.
         for round in 0..20 {
-            let vault = SnapshotVault::new(&dir).unwrap();
-            let crashed = vault
-                .save_store_with_crash(&armed_store(round), Some(CrashPoint::BeforeRename))
-                .unwrap();
-            assert_eq!(crashed, None);
+            let (mut vault, ctl, first) = faulty_vault(&dir);
+            ctl.arm_crash(first + 2, CrashFlavor::Before);
+            assert!(vault.save_store(&armed_store(round)).is_err());
             let files = std::fs::read_dir(&dir).unwrap().count();
             assert!(files <= 1, "round {round}: {files} files on disk");
         }
         // And the debris never confuses restore.
-        let vault = SnapshotVault::new(&dir).unwrap();
-        let (_, report) = vault.restore_store();
+        let (_, report) = SnapshotVault::new(&dir).unwrap().restore_store();
         assert_eq!(report.generation, None);
         assert_eq!(report.skipped_corrupt, 0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -596,7 +475,7 @@ mod tests {
     #[test]
     fn all_generations_corrupt_restores_empty_and_flags_it() {
         let dir = temp_vault_dir("allbad");
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
         vault.save_store(&armed_store(1)).unwrap();
         vault.save_store(&armed_store(2)).unwrap();
         // Bit-rot both snapshots on disk.
@@ -619,13 +498,12 @@ mod tests {
     #[test]
     fn snapshot_header_lies_are_rejected() {
         let dir = temp_vault_dir("lies");
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
         vault.save_store(&armed_store(1)).unwrap();
-        let path = dir.join("store.1.snap");
-        let original = std::fs::read_to_string(&path).unwrap();
+        let original = std::fs::read(dir.join("store.1.snap")).unwrap();
 
         // A file renamed to masquerade as a different generation fails
-        // the generation echo check.
+        // the generation echo check even though its frame verifies.
         std::fs::write(dir.join("store.7.snap"), &original).unwrap();
         let (restored, report) = vault.restore_store();
         assert_eq!(report.generation, Some(1), "impostor generation skipped");

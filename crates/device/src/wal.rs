@@ -23,12 +23,13 @@
 //! barrier.
 //!
 //! **Compaction.** Every `compact_every` applied ops (or on an explicit
-//! [`StateStore::compact`]) the current state is written to
-//! `state.<g+1>.snap.tmp`, fsynced, then renamed into place — the same
-//! temp-then-rename protocol as [`crate::persist::SnapshotVault`]. Only
-//! after the rename does the store switch appends to `wal.<g+1>.log`,
-//! clear its buffer, and prune generations older than `keep`. A crash at
-//! any point leaves either the old generation intact or the new snapshot
+//! [`StateStore::compact`]) the current state is committed as
+//! `state.<g+1>.snap` through the generation directory the device's
+//! [`crate::persist::SnapshotVault`] also uses: written to a `.tmp`,
+//! fsynced, then renamed into place. Only after the rename does the
+//! store switch appends to `wal.<g+1>.log`, clear its buffer, and prune
+//! generations (snapshot and WAL) older than `keep`. A crash at any
+//! point leaves either the old generation intact or the new snapshot
 //! fully in place; the `.tmp` is debris swept by the next open.
 //!
 //! **Recovery.** [`WalStore::open`] sweeps `.tmp` files, picks the
@@ -56,6 +57,7 @@ use std::path::{Path, PathBuf};
 use leaksig_core::wire::{frame_bytes, unframe_bytes_partial, BytesProgress};
 use leaksig_faults::DiskIo;
 
+use crate::generations::GenerationDir;
 use crate::state::{
     apply_op, decode_ops, decode_state, encode_op, encode_state, ApplyOutcome, Durability,
     DurableState, StateOp, StateStore,
@@ -144,8 +146,7 @@ pub struct WalRecoveryReport {
 /// protocol can be driven against `leaksig-faults`'
 /// [`FaultyDisk`](leaksig_faults::FaultyDisk).
 pub struct WalStore {
-    dir: PathBuf,
-    disk: Box<dyn DiskIo>,
+    gens: GenerationDir,
     config: WalConfig,
     state: DurableState,
     /// Current generation: appends go to `wal.<generation>.log`.
@@ -155,22 +156,6 @@ pub struct WalStore {
     pending_ops: usize,
     ops_since_compact: u64,
     degraded: bool,
-}
-
-fn snap_name(generation: u64) -> String {
-    format!("state.{generation}.snap")
-}
-
-fn wal_name(generation: u64) -> String {
-    format!("wal.{generation}.log")
-}
-
-/// Parse `state.<g>.snap` / `wal.<g>.log` names back to generations.
-fn parse_gen(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(suffix)?
-        .parse()
-        .ok()
 }
 
 impl WalStore {
@@ -195,69 +180,28 @@ impl WalStore {
     /// described in the report.
     pub fn open(
         dir: impl Into<PathBuf>,
-        mut disk: Box<dyn DiskIo>,
+        disk: Box<dyn DiskIo>,
         config: WalConfig,
     ) -> io::Result<(Self, WalRecoveryReport)> {
-        let dir = dir.into();
-        let mut report = WalRecoveryReport::default();
-        disk.create_dir_all(&dir)?;
-
-        let mut snapshots: Vec<(u64, PathBuf)> = Vec::new();
-        let mut temps: Vec<PathBuf> = Vec::new();
-        for path in disk.read_dir(&dir)? {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.ends_with(".tmp") {
-                temps.push(path.clone());
-            } else if let Some(g) = parse_gen(name, "state.", ".snap") {
-                snapshots.push((g, path.clone()));
-            }
-        }
-
-        // Crash debris from interrupted compactions: sweep it so a
-        // crash loop cannot grow the directory unboundedly. Best-effort
-        // (a failed sweep never blocks recovery).
-        for tmp in &temps {
-            if disk.remove(tmp).is_ok() {
-                report.swept_temps += 1;
-            }
-        }
-
-        // Newest snapshot whose frame verifies and whose payload
-        // decodes wins; anything newer that fails is skipped (an
-        // interrupted run can leave at most debris, but a dying disk
-        // can hand back corrupt bytes).
-        snapshots.sort_by_key(|(g, _)| std::cmp::Reverse(*g));
-        let mut state = DurableState::default();
-        let mut generation = 0u64;
-        for (g, path) in &snapshots {
-            let Ok(bytes) = disk.read(path) else {
-                report.skipped_snapshots += 1;
-                continue;
-            };
-            match unframe_bytes_partial(&bytes) {
-                Ok(BytesProgress::Complete { payload, consumed }) if consumed == bytes.len() => {
-                    match decode_state(payload) {
-                        Ok(decoded) => {
-                            state = decoded;
-                            generation = *g;
-                            report.snapshot_generation = Some(*g);
-                            break;
-                        }
-                        Err(_) => report.skipped_snapshots += 1,
-                    }
-                }
-                _ => report.skipped_snapshots += 1,
-            }
-        }
+        let (mut gens, listing) = GenerationDir::open(dir.into(), disk, "state", Some("wal"))?;
+        let loaded = gens.load_newest(&listing.generations, |_, payload| {
+            decode_state(payload).ok()
+        });
+        let mut report = WalRecoveryReport {
+            snapshot_generation: loaded.newest.as_ref().map(|(g, _)| *g),
+            skipped_snapshots: loaded.skipped,
+            swept_temps: listing.swept,
+            ..WalRecoveryReport::default()
+        };
+        let (generation, mut state) = loaded.newest.unwrap_or_default();
 
         // Replay the paired WAL frame by frame. A torn final frame is
         // the normal crash-mid-append signature; a corrupt one means the
         // disk lied. Either way the tail is discarded and the file
         // truncated back to its valid prefix so later appends land after
         // good bytes.
-        let wal_path = dir.join(wal_name(generation));
+        let wal_path = gens.companion_path(generation);
+        let disk = gens.disk();
         let mut degraded = false;
         if let Ok(bytes) = disk.read(&wal_path) {
             let mut offset = 0usize;
@@ -301,8 +245,7 @@ impl WalStore {
         }
         Ok((
             WalStore {
-                dir,
-                disk,
+                gens,
                 config: WalConfig {
                     group_ops: config.group_ops.max(1),
                     compact_every: config.compact_every.max(1),
@@ -322,7 +265,7 @@ impl WalStore {
 
     /// The directory this store persists into.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.gens.dir()
     }
 
     /// Current snapshot/WAL generation.
@@ -345,8 +288,8 @@ impl WalStore {
             return;
         }
         let framed = frame_bytes(&self.pending);
-        let path = self.dir.join(wal_name(self.generation));
-        match self.disk.append(&path, &framed) {
+        let path = self.gens.companion_path(self.generation);
+        match self.gens.disk().append(&path, &framed) {
             Ok(()) => {
                 self.pending.clear();
                 self.pending_ops = 0;
@@ -360,24 +303,13 @@ impl WalStore {
         }
     }
 
-    /// Write `state.<g+1>.snap` via temp-then-rename, switch appends to
-    /// `wal.<g+1>.log`, prune old generations. On any failure the store
-    /// keeps its previous durability level (a failed compaction while
-    /// healthy does not degrade: the current WAL is still good) and the
-    /// temp file is best-effort removed.
+    /// Commit `state.<g+1>.snap`, switch appends to `wal.<g+1>.log`,
+    /// prune old generations. On failure the store keeps its previous
+    /// durability level: a failed compaction while healthy does not
+    /// degrade, because the current WAL is still good.
     fn compact_inner(&mut self) {
         let next = self.generation + 1;
-        let final_path = self.dir.join(snap_name(next));
-        let tmp_path = self.dir.join(format!("{}.tmp", snap_name(next)));
-        let bytes = frame_bytes(&encode_state(&self.state));
-
-        let landed = self
-            .disk
-            .write(&tmp_path, &bytes)
-            .and_then(|()| self.disk.sync(&tmp_path))
-            .and_then(|()| self.disk.rename(&tmp_path, &final_path));
-        if landed.is_err() {
-            let _ = self.disk.remove(&tmp_path);
+        if self.gens.commit(next, &encode_state(&self.state)).is_err() {
             return;
         }
 
@@ -388,31 +320,7 @@ impl WalStore {
         self.pending_ops = 0;
         self.ops_since_compact = 0;
         self.degraded = false;
-
-        // Retention: keep the newest `keep` generations (snapshot + its
-        // paired WAL) as recovery fallbacks, sweep everything older and
-        // any `.tmp` debris. Best-effort — leftover files only cost
-        // bytes, never correctness.
-        let cutoff = next.saturating_sub(self.config.keep as u64 - 1);
-        if let Ok(entries) = self.disk.read_dir(&self.dir) {
-            for path in entries {
-                let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                    continue;
-                };
-                let stale = if name.ends_with(".tmp") {
-                    !name.starts_with(&snap_name(next))
-                } else if let Some(g) = parse_gen(name, "state.", ".snap") {
-                    g < cutoff
-                } else if let Some(g) = parse_gen(name, "wal.", ".log") {
-                    g < cutoff
-                } else {
-                    false
-                };
-                if stale {
-                    let _ = self.disk.remove(&path);
-                }
-            }
-        }
+        self.gens.prune(next, self.config.keep);
     }
 }
 

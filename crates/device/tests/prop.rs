@@ -8,7 +8,7 @@ use leaksig_core::signature::{ConjunctionSignature, Field, FieldToken};
 use leaksig_core::wire;
 use leaksig_device::persist::{decode_policy, decode_store, encode_store, SnapshotVault};
 use leaksig_device::{SignatureStore, StoreHealth};
-use leaksig_faults::CrashPoint;
+use leaksig_faults::{CrashFlavor, FaultyDisk, RealDisk};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -59,12 +59,12 @@ fn installable(set: &SignatureSet) -> bool {
     SignatureStore::new().install(1, &wire::encode(set)).is_ok()
 }
 
-fn arb_crash() -> impl Strategy<Value = Option<CrashPoint>> {
+/// No crash, or a crash at one of a save's mutating I/O points (0 =
+/// temp write, 1 = fsync, 2 = rename, 3.. = pruning) with any flavor.
+fn arb_crash() -> impl Strategy<Value = Option<(u64, CrashFlavor)>> {
     prop_oneof![
         Just(None),
-        Just(Some(CrashPoint::BeforeWrite)),
-        (0u16..1000).prop_map(|keep_permille| Some(CrashPoint::TornWrite { keep_permille })),
-        Just(Some(CrashPoint::BeforeRename)),
+        (0u64..5, 0..CrashFlavor::ALL.len()).prop_map(|(at, f)| Some((at, CrashFlavor::ALL[f]))),
     ]
 }
 
@@ -124,7 +124,7 @@ proptest! {
         prop_assume!(installable(&set));
         let dir = scratch_dir();
         let store = stored(version, &set);
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
         vault.save_store(&store).unwrap();
         let (restored, report) = vault.restore_store();
         std::fs::remove_dir_all(&dir).ok();
@@ -144,29 +144,33 @@ proptest! {
     ) {
         prop_assume!(installable(&old) && installable(&new));
         let dir = scratch_dir();
-        let vault = SnapshotVault::new(&dir).unwrap();
         let store = stored(1, &old);
-        vault.save_store(&store).unwrap();
+        SnapshotVault::new(&dir).unwrap().save_store(&store).unwrap();
         store.install_unchecked(2, &wire::encode(&new)).unwrap();
-        let saved = vault.save_store_with_crash(&store, crash).unwrap();
+        let (disk, ctl) = FaultyDisk::new(RealDisk);
+        let mut vault = SnapshotVault::open(&dir, Box::new(disk)).unwrap();
+        if let Some((at, flavor)) = crash {
+            ctl.arm_crash(ctl.mutations() + at, flavor);
+        }
+        let saved = vault.save_store(&store).ok();
 
-        let (restored, report) = vault.restore_store();
+        let (restored, report) = SnapshotVault::new(&dir).unwrap().restore_store();
         std::fs::remove_dir_all(&dir).ok();
 
-        match crash {
-            None => {
-                prop_assert_eq!(saved, Some(2));
-                prop_assert_eq!(restored.version(), 2);
-                prop_assert_eq!(restored.wire_text(), wire::encode(&new));
-            }
-            Some(_) => {
-                // The crashed save persisted nothing trustworthy: restore
-                // rolls back to generation 1 in full.
-                prop_assert_eq!(saved, None);
-                prop_assert_eq!(restored.version(), 1);
+        if crash.is_none() {
+            prop_assert_eq!(saved, Some(2));
+        }
+        // Either generation, in full — never a blend. A crash after the
+        // rename may fail the save yet leave generation 2 in place.
+        match restored.version() {
+            2 => prop_assert_eq!(restored.wire_text(), wire::encode(&new)),
+            v => {
+                prop_assert_eq!(v, 1);
+                prop_assert_eq!(saved, None, "a successful save must restore as generation 2");
                 prop_assert_eq!(restored.wire_text(), wire::encode(&old));
             }
         }
+        prop_assert_eq!(report.skipped_corrupt, 0);
         prop_assert_eq!(restored.health(), StoreHealth::Fresh);
         prop_assert!(report.generation.is_some());
     }

@@ -1,9 +1,10 @@
 //! The *storage-level* fault taxonomy: what a real filesystem does to a
 //! durable state store.
 //!
-//! `leaksig-device`'s WAL-backed [`StateStore`] backend performs every
+//! `leaksig-device`'s durable stores (the WAL-backed [`StateStore`]
+//! backend and the device's signature snapshot vault) perform every
 //! I/O operation through the [`DiskIo`] trait, so the whole persistence
-//! protocol — append, compaction snapshot, temp-then-rename, recovery
+//! protocol — append, snapshot commit, temp-sync-rename, recovery
 //! scan — can be driven against a disk that misbehaves on schedule:
 //!
 //! * **short write** — an append persists only a prefix of its bytes and
@@ -139,10 +140,10 @@ impl CrashFlavor {
     }
 }
 
-/// The I/O boundary of the durable state backend.
+/// The I/O boundary of the durable stores.
 ///
-/// Every filesystem touch the WAL store makes goes through one of these
-/// methods, so a fault wrapper observes (and can interrupt) the complete
+/// Every filesystem touch they make goes through one of these methods,
+/// so a fault wrapper observes (and can interrupt) the complete
 /// persistence protocol. Implementations are free to buffer internally;
 /// [`DiskIo::sync`] is the durability barrier.
 pub trait DiskIo: Send {

@@ -16,14 +16,15 @@
 //! * [`FaultAction`] — one concrete injected fault;
 //! * byte-mangling helpers ([`truncate_bytes`], [`flip_bytes`]) shared by
 //!   the transport wrapper and the tests;
-//! * [`CrashPoint`] — where a simulated power loss interrupts a
-//!   persistence write (see `leaksig-device::persist`);
 //! * [`ingest`] — the *inbound* taxonomy: what raw mobile traffic does to
 //!   a collection server's intake (garbage bytes, oversized declarations,
 //!   header bombs, duplicate floods, slow-drip truncation);
 //! * [`socket`] — the *connection-level* taxonomy: what a real TCP peer
 //!   does to a listening collection server (chopped writes, mid-frame
 //!   stalls, abrupt resets, garbage preambles, half-frame disconnects).
+//! * [`disk`] — the *storage-level* taxonomy: what a real filesystem
+//!   does to the durable stores (short writes, torn records, fsync
+//!   failure, ENOSPC, a crash at any mutating I/O point).
 //!
 //! Everything here is *logical*: delays are millisecond numbers carried in
 //! the result, never real sleeps, so chaos tests run at full speed and
@@ -261,26 +262,6 @@ pub fn flip_bytes(data: &mut [u8], seed: u64, flips: usize) {
         let mask = rng.random_range(1u8..=255);
         data[pos] ^= mask;
     }
-}
-
-/// Where a simulated power loss interrupts a persistence write.
-///
-/// `leaksig-device::persist` accepts one of these to model the three
-/// interesting crash windows of a write-temp-then-rename protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CrashPoint {
-    /// Crash before any byte reaches disk: nothing changes.
-    BeforeWrite,
-    /// A torn write lands `keep_permille`/1000 of the snapshot bytes in
-    /// the *final* path (models a non-atomic filesystem or a torn
-    /// rename): restore must detect this via the checksum and roll back.
-    TornWrite {
-        /// Surviving fraction of the snapshot, in permille.
-        keep_permille: u16,
-    },
-    /// Crash after the temp file is fully written but before the rename:
-    /// the final path is untouched; the orphan temp must be ignored.
-    BeforeRename,
 }
 
 #[cfg(test)]

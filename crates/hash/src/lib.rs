@@ -72,9 +72,10 @@ pub fn sha1_hex(data: &[u8]) -> String {
 
 /// Check `data` against an expected SHA-1 hex digest (case-insensitive).
 ///
-/// This is the integrity primitive behind the `LEAKFRAME/1` transport
-/// envelope and the `LEAKSNAP/1` persistence snapshots: a digest mismatch
-/// means the bytes were truncated or corrupted in flight or on disk.
+/// This is the integrity primitive behind the `LEAKFRAME/1` envelope,
+/// which frames both transport payloads and persisted snapshots: a
+/// digest mismatch means the bytes were truncated or corrupted in flight
+/// or on disk.
 /// Malformed `expected` strings (wrong length, non-hex) simply verify as
 /// `false` — a mangled header must never pass.
 ///

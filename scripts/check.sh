@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# benchmark/ is its own cargo workspace, so the workspace build above
+# never compiles it; build it here so a crate API change cannot break
+# the benchmark unnoticed.
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
@@ -32,10 +38,12 @@ CHAOS_SEEDS="$CHAOS_SEEDS" cargo test --quiet --test ingest_chaos
 echo "==> net chaos soak (seeds ${CHAOS_SEEDS})"
 CHAOS_SEEDS="$CHAOS_SEEDS" cargo test --quiet --test net_chaos
 
-# Crash-recovery soak: the WAL-backed state store against the full
-# disk-fault taxonomy — seeded sick-disk runs plus the crash matrix
-# (every mutating I/O point x before/torn/after), with recovered state
-# required to be an exact prefix of the applied operation stream.
+# Crash-recovery soak: the WAL-backed state store and the device's
+# snapshot vault against the full disk-fault taxonomy — seeded sick-disk
+# runs plus the crash matrix (every mutating I/O point x
+# before/torn/after), with recovered WAL state required to be an exact
+# prefix of the applied operation stream and a restored vault to hold
+# the old generation or the new one in full.
 DISK_SEEDS="${DISK_SEEDS:-1,2,3,4,5}"
 echo "==> disk crash-recovery soak (seeds ${DISK_SEEDS})"
 DISK_SEEDS="$DISK_SEEDS" cargo test --quiet --test disk_chaos

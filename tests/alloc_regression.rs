@@ -11,27 +11,41 @@
 //! per packet, so any per-packet `String`/`Vec` sneaking back into the
 //! hot path fails loudly.
 //!
-//! The counter is process-global, so this file holds exactly one test;
-//! Rust runs each integration-test binary in its own process.
+//! Arming and counting are per thread: the scan under test runs on the
+//! test's own thread, and allocations made meanwhile by the test
+//! harness's other threads must not count against its budget.
 
 use leaksig_core::prelude::*;
 use leaksig_http::{ParseLimits, RequestBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// System allocator wrapper that counts allocation events (alloc,
-/// realloc, alloc_zeroed — frees are not interesting here) while armed.
+/// realloc, alloc_zeroed — frees are not interesting here) made by a
+/// thread while that thread is armed.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so reading them from inside the
+    // allocator never allocates or registers a destructor.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    // `try_with`: a thread's locals are gone while it tears down, and
+    // its final frees/allocations must not panic inside the allocator.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -40,16 +54,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 }
@@ -57,13 +67,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Count allocation events during `f`.
+/// Count allocation events this thread makes during `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     let r = f();
-    ARMED.store(false, Ordering::Relaxed);
-    (ALLOCS.load(Ordering::Relaxed), r)
+    ARMED.with(|armed| armed.set(false));
+    (ALLOCS.with(Cell::get), r)
 }
 
 fn sig_for(module: u32) -> ConjunctionSignature {

@@ -12,7 +12,7 @@ use leaksig::device::{
     PacketGate, RetryPolicy, SignatureServer, SignatureStore, SnapshotVault, StoreHealth,
     SyncClient,
 };
-use leaksig::faults::{CrashPoint, FaultKind, FaultPlan};
+use leaksig::faults::{truncate_bytes, CrashFlavor, FaultKind, FaultPlan, FaultyDisk, RealDisk};
 use leaksig::netsim::{Dataset, MarketConfig, SensitiveKind};
 
 fn seeds() -> Vec<u64> {
@@ -117,17 +117,28 @@ fn chaos_soak_converges_across_seeds() {
         assert_eq!(store.version(), 2, "seed {seed}");
         assert_wire_integrity(&store, &publisher);
 
-        // Crash mid-persist: the torn newest generation rolls back to the
-        // last verified snapshot instead of corrupting the restart.
-        let dir = std::env::temp_dir().join(format!(
-            "leaksig-chaos-soak-{seed}-{}",
-            std::process::id()
-        ));
-        let vault = SnapshotVault::new(&dir).unwrap();
-        let saved = vault.save_store(&store).unwrap();
-        vault
-            .save_store_with_crash(&store, Some(CrashPoint::TornWrite { keep_permille: 500 }))
+        // Crash mid-persist: a save torn mid-write leaves the last
+        // verified snapshot in place, and a newest generation damaged on
+        // disk rolls back to it instead of corrupting the restart.
+        let dir =
+            std::env::temp_dir().join(format!("leaksig-chaos-soak-{seed}-{}", std::process::id()));
+        let saved = SnapshotVault::new(&dir)
+            .unwrap()
+            .save_store(&store)
             .unwrap();
+        let (disk, ctl) = FaultyDisk::new(RealDisk);
+        let mut vault = SnapshotVault::open(&dir, Box::new(disk)).unwrap();
+        ctl.arm_crash(ctl.mutations(), CrashFlavor::Torn);
+        assert!(vault.save_store(&store).is_err(), "seed {seed}");
+        let mut vault = SnapshotVault::new(&dir).unwrap();
+        let (_, report) = vault.restore_store();
+        assert_eq!(report.generation, Some(saved), "seed {seed}");
+
+        let newest = vault.save_store(&store).unwrap();
+        let newest = dir.join(format!("store.{newest}.snap"));
+        let mut bytes = std::fs::read(&newest).unwrap();
+        truncate_bytes(&mut bytes, 500);
+        std::fs::write(&newest, bytes).unwrap();
         let (restored, restore_report) = vault.restore_store();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(restore_report.generation, Some(saved), "seed {seed}");

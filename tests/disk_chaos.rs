@@ -12,6 +12,11 @@
 //! injected crash point, and each recovered state must be byte-identical
 //! to one of the recorded prefixes.
 //!
+//! The device's signature [`SnapshotVault`] keeps its generations with
+//! the same commit protocol, and faces the same matrix: a save killed
+//! at any of its mutating I/O points restores the old generation or the
+//! new one, in full.
+//!
 //! Also here: the sick-disk (non-fatal) taxonomy — ENOSPC, short writes,
 //! fsync failures — must *degrade* the store (counted in `ServerStats`)
 //! rather than panic the pipeline, with a successful compaction
@@ -25,8 +30,8 @@ use leaksig::core::prelude::*;
 use leaksig::device::state::encode_state;
 use leaksig::device::{
     ApplyOutcome, CollectionServer, Durability, DurabilityMode, DurableState, IngestConfig,
-    IngestOutcome, MemoryStore, RegenerateOutcome, SignatureServer, StateOp, StateStore, WalConfig,
-    WalStore,
+    IngestOutcome, MemoryStore, RegenerateOutcome, SignatureServer, SignatureStore, SnapshotVault,
+    StateOp, StateStore, WalConfig, WalStore,
 };
 use leaksig::faults::{CrashFlavor, DiskFaultControls, FaultyDisk, RealDisk};
 use leaksig::netsim::{Dataset, MarketConfig, SensitiveKind};
@@ -406,5 +411,139 @@ fn fail_closed_refuses_sensitive_packets_while_degraded() {
     let s = collector.stats();
     assert_eq!(s.durability_refused, 8, "{s:?}");
     assert_eq!(s.normal, 8, "benign counting still flows: {s:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The vault's crash matrix: a save that also prunes (three generations
+/// already on disk) killed at every one of its mutating I/O points ×
+/// every flavor restores either the previous generation or the new one,
+/// byte-identical, with nothing skipped as corrupt.
+#[test]
+fn vault_crash_matrix_restores_old_or_new_generation() {
+    for seed in seeds() {
+        let data = Dataset::generate(MarketConfig::scaled(seed, 0.01));
+        let collector = collector_on(&data, seed, Box::new(MemoryStore::new()));
+        let publisher = SignatureServer::new();
+        let (old, new) = (SignatureStore::new(), SignatureStore::new());
+        let half = data.packets.len() / 2;
+        for (store, packets) in [(&old, &data.packets[..half]), (&new, &data.packets[half..])] {
+            for p in packets {
+                collector.ingest(&p.packet);
+            }
+            let outcome = collector.regenerate(60, &publisher);
+            assert!(
+                matches!(outcome, RegenerateOutcome::Published { .. }),
+                "seed {seed}: {outcome:?}"
+            );
+            store.sync(&publisher).expect("published set installs");
+        }
+        assert_ne!(
+            old.wire_text(),
+            new.wire_text(),
+            "seed {seed}: generations must differ"
+        );
+
+        // Three generations of `old` on disk; returns the fault handle
+        // and the mutation index of the next save's first I/O.
+        let setup = |dir: &Path| {
+            let mut honest = SnapshotVault::new(dir).expect("open vault");
+            for _ in 0..3 {
+                honest.save_store(&old).expect("honest save");
+            }
+            let (disk, ctl) = FaultyDisk::new(RealDisk);
+            let vault = SnapshotVault::open(dir, Box::new(disk)).expect("open vault");
+            let first = ctl.mutations();
+            (vault, ctl, first)
+        };
+
+        let dir = scratch(&format!("vault-calib-{seed}"));
+        let (mut vault, ctl, first) = setup(&dir);
+        assert_eq!(vault.save_store(&new).expect("uninjured save"), 4);
+        let total = ctl.mutations() - first;
+        assert!(
+            total >= 4,
+            "seed {seed}: write, sync, rename, prune ({total} mutations)"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
+        for flavor in CrashFlavor::ALL {
+            for at in 0..total {
+                let dir = scratch(&format!("vault-{seed}-{}-{at}", flavor.label()));
+                let (mut vault, ctl, first) = setup(&dir);
+                ctl.arm_crash(first + at, flavor);
+                let saved = vault.save_store(&new);
+                assert!(
+                    ctl.crashed(),
+                    "seed {seed}, crash-{} at op {at}",
+                    flavor.label()
+                );
+                drop(vault);
+
+                let (restored, report) = SnapshotVault::new(&dir).expect("reopen").restore_store();
+                let want = match report.generation {
+                    Some(3) => &old,
+                    Some(4) => &new,
+                    other => panic!(
+                        "seed {seed}, crash-{} at op {at}: restored {other:?}",
+                        flavor.label()
+                    ),
+                };
+                assert!(
+                    saved.is_err() || report.generation == Some(4),
+                    "seed {seed}, crash-{} at op {at}: a reported save must survive",
+                    flavor.label()
+                );
+                assert_eq!(
+                    report.skipped_corrupt,
+                    0,
+                    "seed {seed}, crash-{} at op {at}",
+                    flavor.label()
+                );
+                assert_eq!(restored.version(), want.version());
+                assert_eq!(restored.wire_text(), want.wire_text());
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+/// A vault save whose fsync fails must report the error and leave the
+/// previous generation as the one restore returns.
+#[test]
+fn vault_failed_fsync_keeps_previous_generation() {
+    let data = Dataset::generate(MarketConfig::scaled(5, 0.01));
+    let collector = collector_on(&data, 5, Box::new(MemoryStore::new()));
+    let publisher = SignatureServer::new();
+    for p in &data.packets {
+        collector.ingest(&p.packet);
+    }
+    collector.regenerate(60, &publisher);
+    let store = SignatureStore::new();
+    store.sync(&publisher).expect("published set installs");
+
+    let dir = scratch("vault-fsync");
+    let (disk, ctl) = FaultyDisk::new(RealDisk);
+    let mut vault = SnapshotVault::open(&dir, Box::new(disk)).expect("open vault");
+    assert_eq!(vault.save_store(&store).expect("healthy save"), 1);
+    ctl.set_fail_sync(true);
+    assert!(
+        vault.save_store(&store).is_err(),
+        "an unsynced save must fail"
+    );
+    drop(vault);
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(
+        names,
+        ["store.1.snap"],
+        "no new generation, no temp file left"
+    );
+
+    let (restored, report) = SnapshotVault::new(&dir).expect("reopen").restore_store();
+    assert_eq!(report.generation, Some(1));
+    assert_eq!(report.skipped_corrupt, 0);
+    assert_eq!(restored.wire_text(), store.wire_text());
     let _ = std::fs::remove_dir_all(&dir);
 }

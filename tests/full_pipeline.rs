@@ -120,3 +120,64 @@ fn same_seed_same_wire_text() {
     };
     assert_eq!(run(), run());
 }
+
+/// A suspicious request whose host the plain `host <fqdn>` wire line
+/// cannot carry — no `Host` header at all (HTTP/1.0) or a host with a
+/// space — must not make the deploy gate refuse the whole generation.
+#[test]
+fn hosts_without_a_plain_wire_form_still_publish() {
+    use leaksig::device::{CollectionServer, RegenerateOutcome};
+    use leaksig::http::RequestBuilder;
+    use std::net::Ipv4Addr;
+
+    const IMEI: &str = "355195000000017";
+    let check = PayloadCheck::new([("imei", IMEI)]);
+    for (case, odd_host) in [
+        ("no Host header", None),
+        ("spaced host", Some("ad maker.info")),
+    ] {
+        let collector = CollectionServer::new(check.clone(), PipelineConfig::default(), 64, 7);
+        let ip = Ipv4Addr::new(203, 0, 113, 3);
+        for slot in 0..8 {
+            let raw = RequestBuilder::get("/getad")
+                .query("imei", IMEI)
+                .query("slot", &slot.to_string())
+                .destination(ip, 80, "ad-maker.info")
+                .build()
+                .to_bytes();
+            let raw = String::from_utf8(raw).expect("builder emits text");
+            // Half the traffic is odd, so the odd requests form a
+            // cluster of their own and reach a signature.
+            let raw = match (slot % 2, odd_host) {
+                (0, None) => raw
+                    .replace("HTTP/1.1", "HTTP/1.0")
+                    .replace("Host: ad-maker.info\r\n", ""),
+                (0, Some(host)) => raw.replace("Host: ad-maker.info", &format!("Host: {host}")),
+                _ => raw,
+            };
+            collector.ingest_raw(raw.as_bytes(), ip, 80);
+        }
+        collector.pump_all();
+        assert_eq!(collector.reservoir_len(), 8, "{case}");
+
+        let publisher = SignatureServer::new();
+        let outcome = collector.regenerate(8, &publisher);
+        assert!(
+            matches!(outcome, RegenerateOutcome::Published { .. }),
+            "{case}: {outcome:?}"
+        );
+        let store = SignatureStore::new();
+        assert!(
+            store.sync(&publisher).expect("published set installs"),
+            "{case}"
+        );
+        let want = odd_host.unwrap_or("");
+        let set = leaksig::core::wire::decode(&store.wire_text()).expect("wire decodes");
+        assert!(
+            set.signatures
+                .iter()
+                .any(|s| s.hosts.iter().any(|h| h == want)),
+            "{case}: host {want:?} survives the wire"
+        );
+    }
+}
