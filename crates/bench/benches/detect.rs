@@ -13,7 +13,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use leaksig_compress::{ncd, Lzss};
 use leaksig_core::prelude::*;
 use leaksig_http::{
-    parse_request_view, HttpPacket, ParseArena, ParseLimits, RequestBuilder, ViewOutcome,
+    parse_request_limited, parse_request_view, HttpPacket, ParseArena, ParseLimits, RequestBuilder,
+    ViewOutcome,
 };
 use leaksig_netsim::{Dataset, MarketConfig};
 use std::hint::black_box;
@@ -165,6 +166,23 @@ fn bench_detect(c: &mut Criterion) {
             let mut hits = 0usize;
             for v in &views {
                 if scanner.scan_view(v).matched.is_some() {
+                    hits += 1;
+                }
+            }
+            black_box(hits)
+        })
+    });
+    g.bench_function(&label("owned_parse_scan_1thread"), |b| {
+        // The same raw records through the owned parser and the owned
+        // match: the raw→verdict counterpart of the zero-copy row below.
+        let engine = detector.engine();
+        let mut scratch = engine.scratch();
+        b.iter(|| {
+            let mut hits = 0usize;
+            for r in &records {
+                let packet = parse_request_limited(r.raw, r.ip, r.port, &limits)
+                    .expect("builder wire images must parse");
+                if engine.match_first(&mut scratch, &packet).is_some() {
                     hits += 1;
                 }
             }

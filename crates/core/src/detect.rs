@@ -7,8 +7,8 @@
 //! large batch out across cores with scoped threads (mirroring
 //! [`crate::matrix::pairwise`]), one scratch per worker.
 
-use crate::engine::{CompiledDetector, FieldBytes, ScanScratch, SensitiveProbe};
-use crate::signature::{rline_view, ConjunctionSignature, SignatureSet};
+use crate::engine::{CompiledDetector, EngineVerdict, FieldBytes, ScanScratch, SensitiveProbe};
+use crate::signature::{ConjunctionSignature, SignatureSet};
 use leaksig_http::{
     parse_request_limited, HttpPacket, PacketView, ParseArena, ParseLimits, ViewOutcome,
 };
@@ -127,6 +127,10 @@ impl PacketScanner<'_> {
     /// Scan pre-extracted field bytes. Allocation-free.
     pub fn scan_fields(&mut self, fields: FieldBytes<'_>) -> ScanVerdict {
         let ev = self.engine.verdict(&mut self.scratch, fields);
+        self.verdict(ev)
+    }
+
+    fn verdict(&self, ev: EngineVerdict) -> ScanVerdict {
         ScanVerdict {
             matched: ev.first.map(|i| self.engine.wire_id(i as usize)),
             tags: ev.tags,
@@ -134,15 +138,11 @@ impl PacketScanner<'_> {
         }
     }
 
-    /// Scan an owned packet (pays one request-line formatting allocation;
-    /// the borrowed entry points are the hot path).
+    /// Scan an owned packet. Allocation-free once warm, like the borrowed
+    /// entry points.
     pub fn scan_packet(&mut self, packet: &HttpPacket) -> ScanVerdict {
-        let rline = rline_view(packet);
-        self.scan_fields(FieldBytes {
-            rline: rline.as_bytes(),
-            cookie: packet.cookie(),
-            body: &packet.body,
-        })
+        let ev = self.engine.packet_verdict(&mut self.scratch, packet);
+        self.verdict(ev)
     }
 
     /// Parse raw wire bytes with the zero-copy parser and scan the view.
@@ -236,27 +236,40 @@ impl Detector {
     /// worker — the verdict vector is deterministic whatever the thread
     /// count).
     pub fn scan_batch(&self, records: &[RawPacket<'_>], limits: &ParseLimits) -> Vec<ScanVerdict> {
+        self.chunked(records, ScanVerdict::PARSE_FAILED, |scanner, r| {
+            scanner.scan_raw(r.raw, r.ip, r.port, limits)
+        })
+    }
+
+    /// Map `scan` over `items` with one [`PacketScanner`] per worker:
+    /// serially for small inputs or a single core, otherwise in
+    /// contiguous chunks across all available cores (results in input
+    /// order whatever the thread count).
+    fn chunked<T: Sync, R: Copy + Send>(
+        &self,
+        items: &[T],
+        fill: R,
+        scan: impl Fn(&mut PacketScanner<'_>, &T) -> R + Sync,
+    ) -> Vec<R> {
         /// Below this, thread spawn overhead beats the win.
         const PAR_THRESHOLD: usize = 256;
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        if records.len() < PAR_THRESHOLD || threads < 2 {
+        if items.len() < PAR_THRESHOLD || threads < 2 {
             let mut scanner = self.scanner();
-            return records
-                .iter()
-                .map(|r| scanner.scan_raw(r.raw, r.ip, r.port, limits))
-                .collect();
+            return items.iter().map(|it| scan(&mut scanner, it)).collect();
         }
-        let mut out = vec![ScanVerdict::PARSE_FAILED; records.len()];
-        let chunk = records.len().div_ceil(threads);
+        let mut out = vec![fill; items.len()];
+        let chunk = items.len().div_ceil(threads);
+        let scan = &scan;
         crossbeam::scope(|scope| {
             let mut handles = Vec::new();
-            for (rec_chunk, out_chunk) in records.chunks(chunk).zip(out.chunks_mut(chunk)) {
+            for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
                 handles.push(scope.spawn(move |_| {
                     let mut scanner = self.scanner();
-                    for (r, slot) in rec_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = scanner.scan_raw(r.raw, r.ip, r.port, limits);
+                    for (it, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
+                        *slot = scan(&mut scanner, it);
                     }
                 }));
             }
@@ -330,39 +343,9 @@ impl Detector {
 
     /// [`Detector::scan`] over an already-collected slice.
     pub fn scan_refs(&self, packets: &[&HttpPacket]) -> Vec<bool> {
-        /// Below this, thread spawn overhead beats the win.
-        const PAR_THRESHOLD: usize = 256;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if packets.len() < PAR_THRESHOLD || threads < 2 {
-            let mut scratch = self.engine.scratch();
-            return packets
-                .iter()
-                .map(|p| self.engine.match_first(&mut scratch, p).is_some())
-                .collect();
-        }
-
-        let mut mask = vec![false; packets.len()];
-        let chunk = packets.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for (packet_chunk, mask_chunk) in
-                packets.chunks(chunk).zip(mask.chunks_mut(chunk))
-            {
-                handles.push(scope.spawn(move |_| {
-                    let mut scratch = self.engine.scratch();
-                    for (p, m) in packet_chunk.iter().zip(mask_chunk.iter_mut()) {
-                        *m = self.engine.match_first(&mut scratch, p).is_some();
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("scan worker panicked");
-            }
+        self.chunked(packets, false, |scanner, p| {
+            scanner.scan_packet(p).matched.is_some()
         })
-        .expect("crossbeam scope");
-        mask
     }
 }
 

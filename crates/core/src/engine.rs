@@ -11,11 +11,19 @@
 //!
 //! * a **token registry**: distinct `(field, bytes)` patterns, shared
 //!   across signatures;
-//! * per field, an **Aho–Corasick automaton** over that field's patterns
-//!   (byte-level trie + failure links, dense root row so the common
-//!   at-root case is a single table load), or a **single-needle fallback**
+//! * per field, an **Aho–Corasick automaton** over that field's patterns,
+//!   compiled to a DFA over byte classes, or a **single-needle fallback**
 //!   with a hand-rolled memchr-style skip loop when the field holds
-//!   exactly one pattern;
+//!   exactly one pattern. The DFA gives every distinct pattern byte its
+//!   own class and sends every other byte to class 0; the failure links
+//!   are resolved at build time into a premultiplied `u32` transition
+//!   table (one row per state, one entry per class, the high bit flagging
+//!   states that emit hits), so a scan step is one class lookup and one
+//!   table load, and a dense 256-entry root row serves the common at-root
+//!   position with a single load. Memory is states × classes × 4 B:
+//!   about 1.8 MB for a 129-signature device generation, about 16 MB for
+//!   the transient engine that prunes an N = 2000 regeneration's ~3,000
+//!   candidates;
 //! * an **inverted index** from pattern → owning signatures with
 //!   per-signature token multiplicities (weights), driving per-packet hit
 //!   counters: a signature's counter reaching its total token count is a
@@ -43,7 +51,7 @@
 //! crate::signature::ConjunctionSignature::matches_ordered
 
 use crate::detect::MatchMode;
-use crate::signature::{rline_view, Field, SignatureSet};
+use crate::signature::{Field, SignatureSet};
 use leaksig_http::{HttpPacket, PacketView};
 use std::collections::HashMap;
 
@@ -141,24 +149,28 @@ fn rarest_byte(needle: &[u8]) -> (usize, u8) {
 }
 
 // ---------------------------------------------------------------------------
-// Aho–Corasick automaton (byte-level, failure links, dense root row).
+// Aho–Corasick automaton, compiled to a byte-class DFA.
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Default)]
-struct AcNode {
+/// Flag bit of a transition-table entry: the target state emits pattern
+/// hits. The low bits are the target's premultiplied row offset.
+const OUT: u32 = 1 << 31;
+
+/// A build-time trie node. Only [`Automaton::build`] sees these: once the
+/// transition table is filled they are dropped.
+#[derive(Debug, Default)]
+struct TrieNode {
     /// Outgoing edges, sorted by byte.
     edges: Vec<(u8, u32)>,
-    /// Failure link (longest proper suffix state).
-    fail: u32,
     /// Pattern ids ending at this state, including those reachable via
-    /// failure links (flattened at build time).
+    /// failure links (flattened during the BFS).
     outputs: Vec<u32>,
 }
 
 /// Disjoint `&mut` / `&` access to two distinct nodes of the arena-style
-/// node vector (the BFS fail-link pass writes the child while reading its
-/// fail target).
-fn two_nodes(nodes: &mut [AcNode], dst: usize, src: usize) -> (&mut AcNode, &AcNode) {
+/// node vector (the BFS pass writes the child while reading its fail
+/// target).
+fn two_nodes(nodes: &mut [TrieNode], dst: usize, src: usize) -> (&mut TrieNode, &TrieNode) {
     debug_assert_ne!(dst, src);
     if dst < src {
         let (lo, hi) = nodes.split_at_mut(src);
@@ -169,13 +181,29 @@ fn two_nodes(nodes: &mut [AcNode], dst: usize, src: usize) -> (&mut AcNode, &AcN
     }
 }
 
-/// A multi-pattern matcher over one field's patterns.
+/// A multi-pattern matcher over one field's patterns: the Aho–Corasick
+/// automaton with every failure transition resolved ahead of time, so a
+/// scan step is one table load whatever the state.
 #[derive(Debug, Clone)]
 struct Automaton {
-    nodes: Vec<AcNode>,
-    /// Dense transition row for the root: most scan positions sit at the
-    /// root (no partial match in flight), so this is the hot lookup.
+    /// Byte → class. Each distinct pattern byte has its own class; every
+    /// byte no pattern contains shares class 0.
+    classes: Box<[u8; 256]>,
+    /// Classes per state: the row stride of `table`.
+    stride: u32,
+    /// Transitions, one row of `stride` entries per state (root first).
+    /// An entry is the target's row offset (`state × stride`,
+    /// premultiplied so a step needs no multiply), with [`OUT`] set when
+    /// the target emits hits.
+    table: Vec<u32>,
+    /// The root row indexed by raw byte: most scan positions sit at the
+    /// root, where this skips the class lookup.
     root: Box<[u32; 256]>,
+    /// Per state: start of its hits in `outputs` (one extra closing
+    /// entry), so state `i` emits `outputs[out_start[i]..out_start[i + 1]]`.
+    out_start: Vec<u32>,
+    /// Pattern ids of every state's hits, flat.
+    outputs: Vec<u32>,
 }
 
 impl Automaton {
@@ -183,7 +211,10 @@ impl Automaton {
     /// non-empty (the signature layer guarantees this: `Needle` refuses
     /// empty tokens).
     fn build(patterns: &[(&[u8], u32)]) -> Self {
-        let mut nodes = vec![AcNode::default()];
+        // 1. The trie. Each pattern's new states are allocated
+        // consecutively, and rows keep this numbering, so a scan walking
+        // down one pattern reads neighbouring rows.
+        let mut nodes = vec![TrieNode::default()];
         for &(pat, pid) in patterns {
             debug_assert!(!pat.is_empty());
             let mut state = 0u32;
@@ -194,7 +225,7 @@ impl Automaton {
                     Err(i) => {
                         let next = nodes.len() as u32;
                         nodes[state as usize].edges.insert(i, (b, next));
-                        nodes.push(AcNode::default());
+                        nodes.push(TrieNode::default());
                         next
                     }
                 };
@@ -202,93 +233,134 @@ impl Automaton {
             nodes[state as usize].outputs.push(pid);
         }
 
-        // BFS failure links; flatten suffix outputs as we go (parents are
-        // finalized before children). Index-based traversal with split
-        // borrows: no per-node clones of edge or output vectors, so build
-        // cost stays linear in automaton size.
-        let mut queue = std::collections::VecDeque::new();
-        for &(_, child) in &nodes[0].edges {
-            queue.push_back(child);
+        // 2. Byte classes.
+        let mut used = [false; 256];
+        for &(pat, _) in patterns {
+            for &b in pat {
+                used[b as usize] = true;
+            }
         }
+        let distinct = used.iter().filter(|&&u| u).count();
+        let mut classes = Box::new([0u8; 256]);
+        let stride = if distinct == 256 {
+            // No byte is left over for a shared class 0.
+            for (b, c) in classes.iter_mut().enumerate() {
+                *c = b as u8;
+            }
+            256
+        } else {
+            let mut next = 0u8;
+            for (c, _) in classes.iter_mut().zip(used).filter(|(_, u)| *u) {
+                next += 1;
+                *c = next;
+            }
+            distinct + 1
+        };
+
+        // 3. The table, filled in BFS order: a state's row is its fail
+        // state's row (already filled: it is shallower) overridden by its
+        // own goto edges, so every failure walk is resolved here, once.
+        // The copied row also yields each child's fail state (the target
+        // of the child's byte from the parent's fail state), and the
+        // child's outputs are flattened before any row points at it.
+        let n = nodes.len();
+        assert!(
+            (n as u64) * (stride as u64) < u64::from(OUT),
+            "automaton too large for 31-bit row offsets"
+        );
+        let mut table = vec![0u32; n * stride];
+        let mut fail = vec![0u32; n];
+        let mut queue = std::collections::VecDeque::from([0u32]);
         while let Some(state) = queue.pop_front() {
+            let row = state as usize * stride;
+            if state != 0 {
+                let fail_row = fail[state as usize] as usize * stride;
+                table.copy_within(fail_row..fail_row + stride, row);
+            }
             for ei in 0..nodes[state as usize].edges.len() {
                 let (b, child) = nodes[state as usize].edges[ei];
-                // Walk fail links of `state` looking for a `b` edge.
-                let mut f = nodes[state as usize].fail;
-                let fail_of_child = loop {
-                    let node = &nodes[f as usize];
-                    match node.edges.binary_search_by_key(&b, |e| e.0) {
-                        Ok(i) => break node.edges[i].1,
-                        Err(_) if f == 0 => break 0,
-                        Err(_) => f = node.fail,
+                let slot = row + classes[b as usize] as usize;
+                if state != 0 {
+                    // A proper suffix of `child`, so strictly shallower:
+                    // the split borrow is safe.
+                    let f = (table[slot] & !OUT) / stride as u32;
+                    fail[child as usize] = f;
+                    if f != 0 {
+                        let (dst, src) = two_nodes(&mut nodes, child as usize, f as usize);
+                        dst.outputs.extend_from_slice(&src.outputs);
                     }
+                }
+                let flag = if nodes[child as usize].outputs.is_empty() {
+                    0
+                } else {
+                    OUT
                 };
-                nodes[child as usize].fail = fail_of_child;
-                // `fail_of_child` is a strictly shallower state than
-                // `child` (a proper suffix), so the two indices always
-                // differ and a split borrow is safe.
-                debug_assert_ne!(fail_of_child, child);
-                let (dst, src) = two_nodes(&mut nodes, child as usize, fail_of_child as usize);
-                dst.outputs.extend_from_slice(&src.outputs);
+                table[slot] = (child * stride as u32) | flag;
                 queue.push_back(child);
             }
         }
-
         let mut root = Box::new([0u32; 256]);
-        for &(b, child) in &nodes[0].edges {
-            root[b as usize] = child;
+        for (b, slot) in root.iter_mut().enumerate() {
+            *slot = table[classes[b] as usize];
         }
-        Automaton { nodes, root }
-    }
-
-    #[inline]
-    fn step(&self, mut state: u32, b: u8) -> u32 {
-        loop {
-            if state == 0 {
-                return self.root[b as usize];
-            }
-            let node = &self.nodes[state as usize];
-            match node.edges.binary_search_by_key(&b, |e| e.0) {
-                Ok(i) => return node.edges[i].1,
-                Err(_) => state = node.fail,
-            }
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut outputs = Vec::new();
+        for node in &nodes {
+            out_start.push(outputs.len() as u32);
+            outputs.extend_from_slice(&node.outputs);
+        }
+        out_start.push(outputs.len() as u32);
+        Automaton {
+            classes,
+            stride: stride as u32,
+            table,
+            root,
+            out_start,
+            outputs,
         }
     }
 
     /// One linear pass over `hay`; `on_hit(pid, end_pos)` fires for every
     /// occurrence of every pattern (end position = index of its last byte).
     ///
-    /// The root state carries no outputs (patterns are non-empty), so the
-    /// common no-partial-match position costs exactly one dense-table load
-    /// — the root-resident fast path below skips the node fetch and output
-    /// check entirely while transitions stay at the root.
+    /// The root carries no outputs (patterns are non-empty), so a byte
+    /// that leaves the scan at the root costs one load from the dense
+    /// root row; elsewhere a step is a class lookup plus one table load.
     fn scan(&self, hay: &[u8], mut on_hit: impl FnMut(u32, usize)) {
         let mut state = 0u32;
         for (pos, &b) in hay.iter().enumerate() {
-            state = if state == 0 {
+            let next = if state == 0 {
                 let next = self.root[b as usize];
                 if next == 0 {
                     continue;
                 }
                 next
             } else {
-                self.step(state, b)
+                self.table[(state + u32::from(self.classes[b as usize])) as usize]
             };
-            let node = &self.nodes[state as usize];
-            for &pid in &node.outputs {
-                on_hit(pid, pos);
+            state = next & !OUT;
+            if next & OUT != 0 {
+                let i = (state / self.stride) as usize;
+                let hits = self.out_start[i] as usize..self.out_start[i + 1] as usize;
+                for &pid in &self.outputs[hits] {
+                    on_hit(pid, pos);
+                }
             }
         }
     }
 
     fn state_count(&self) -> usize {
-        self.nodes.len()
+        self.out_start.len() - 1
     }
 
     /// Largest output set of any state: the worst-case number of pattern
     /// hits a single scan position can emit.
     fn max_outputs(&self) -> usize {
-        self.nodes.iter().map(|n| n.outputs.len()).max().unwrap_or(0)
+        self.out_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -491,6 +563,9 @@ pub struct ScanScratch {
     pos_epoch: Vec<u32>,
     /// Sensitive-probe tag bits collected this packet.
     tag_mask: u64,
+    /// Owned-packet entry points: the request-line view, rebuilt in
+    /// place for every packet.
+    rline: Vec<u8>,
 }
 
 impl ScanScratch {
@@ -656,10 +731,7 @@ impl CompiledDetector {
             Vec::new()
         };
 
-        let pattern_lens = pattern_bytes
-            .iter()
-            .map(|(_, b)| b.len() as u32)
-            .collect();
+        let pattern_lens = pattern_bytes.iter().map(|(_, b)| b.len() as u32).collect();
         CompiledDetector {
             mode,
             matchers,
@@ -737,25 +809,38 @@ impl CompiledDetector {
             } else {
                 Vec::new()
             },
-            pos_epoch: vec![0; if self.mode == MatchMode::Ordered { n_pat } else { 0 }],
+            pos_epoch: vec![
+                0;
+                if self.mode == MatchMode::Ordered {
+                    n_pat
+                } else {
+                    0
+                }
+            ],
             tag_mask: 0,
+            rline: Vec::new(),
         }
     }
 
-    /// Run the per-field matchers over `packet`, filling counters and (in
-    /// ordered mode) position lists. Owned-path wrapper: formats the
-    /// request-line view (one allocation) and delegates to the borrowed
-    /// core.
-    fn scan_fields(&self, s: &mut ScanScratch, packet: &HttpPacket) {
-        let rline = rline_view(packet);
+    /// Run the per-field matchers over an owned `packet`. The request-line
+    /// view (`METHOD SP target`) is assembled in the scratch's reusable
+    /// buffer, so once that buffer has grown to the longest request line
+    /// seen this allocates nothing either.
+    fn scan_packet(&self, s: &mut ScanScratch, packet: &HttpPacket) {
+        let mut rline = std::mem::take(&mut s.rline);
+        rline.clear();
+        rline.extend_from_slice(packet.request_line.method.as_str().as_bytes());
+        rline.push(b' ');
+        rline.extend_from_slice(packet.request_line.target.as_bytes());
         self.scan_field_bytes(
             s,
             FieldBytes {
-                rline: rline.as_bytes(),
+                rline: &rline,
                 cookie: packet.cookie(),
                 body: &packet.body,
             },
         );
+        s.rline = rline;
     }
 
     /// The allocation-free scan core: run the per-field matchers over
@@ -958,24 +1043,43 @@ impl CompiledDetector {
         self.ids[set_idx]
     }
 
+    /// The verdict for an owned packet: [`CompiledDetector::verdict`]
+    /// over its fields. Allocation-free once the scratch is warm.
+    pub(crate) fn packet_verdict(&self, s: &mut ScanScratch, packet: &HttpPacket) -> EngineVerdict {
+        self.scan_packet(s, packet);
+        EngineVerdict {
+            first: self.first_match(s),
+            tags: s.tag_mask,
+        }
+    }
+
+    /// Set indices of all matching signatures, ascending.
+    fn matched(&self, s: &mut ScanScratch, packet: &HttpPacket) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.scan_packet(s, packet);
+        self.collect_matches(s, &mut out);
+        out
+    }
+
     /// Indices (set positions) of all matching signatures, ascending.
     pub fn matched_indices(&self, s: &mut ScanScratch, packet: &HttpPacket) -> Vec<usize> {
-        self.scan_fields(s, packet);
-        let mut out: Vec<u32> = Vec::new();
-        self.collect_matches(s, &mut out);
-        out.into_iter().map(|i| i as usize).collect()
+        self.matched(s, packet)
+            .into_iter()
+            .map(|i| i as usize)
+            .collect()
     }
 
     /// Index of the first matching signature (set order), if any.
+    /// Allocation-free once the scratch is warm.
     pub fn match_first(&self, s: &mut ScanScratch, packet: &HttpPacket) -> Option<usize> {
-        self.matched_indices(s, packet).into_iter().next()
+        self.packet_verdict(s, packet).first.map(|i| i as usize)
     }
 
     /// Wire ids of all matching signatures, in set order.
     pub fn matched_ids(&self, s: &mut ScanScratch, packet: &HttpPacket) -> Vec<u32> {
-        self.matched_indices(s, packet)
+        self.matched(s, packet)
             .into_iter()
-            .map(|i| self.ids[i])
+            .map(|i| self.ids[i as usize])
             .collect()
     }
 }
@@ -1029,12 +1133,7 @@ mod tests {
     #[test]
     fn automaton_finds_overlapping_and_nested_patterns() {
         // "he", "she", "his", "hers" — the textbook AC set.
-        let pats: Vec<(&[u8], u32)> = vec![
-            (b"he", 0),
-            (b"she", 1),
-            (b"his", 2),
-            (b"hers", 3),
-        ];
+        let pats: Vec<(&[u8], u32)> = vec![(b"he", 0), (b"she", 1), (b"his", 2), (b"hers", 3)];
         let a = Automaton::build(&pats);
         let mut hits: Vec<(u32, usize)> = Vec::new();
         a.scan(b"ushers", |pid, pos| hits.push((pid, pos)));
@@ -1066,7 +1165,9 @@ mod tests {
             engine.matched_ids(&mut s, &mk(b"alphaalpha123betabeta")),
             vec![7]
         );
-        assert!(engine.matched_ids(&mut s, &mk(b"alphaalpha only")).is_empty());
+        assert!(engine
+            .matched_ids(&mut s, &mk(b"alphaalpha only"))
+            .is_empty());
         // Scratch reuse across packets must not leak counters.
         assert_eq!(
             engine.matched_ids(&mut s, &mk(b"betabeta999alphaalpha")),

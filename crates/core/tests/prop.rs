@@ -364,6 +364,94 @@ proptest! {
         prop_assert_eq!(needle.is_in(&hay), oracle);
     }
 
+    /// The compiled automaton finds exactly the substring occurrences a
+    /// brute-force search finds. Patterns over `{a, b, 0x00, 0xFF}` nest
+    /// and overlap, so failure chains run deep; haystacks add bytes no
+    /// pattern contains (the shared class 0). Each pattern is a
+    /// single-token signature, so `matched_into` over a window reports
+    /// which patterns occur in it; a pattern occurs ending at `e` with
+    /// length `L` exactly when it is reported for the window `[e+1-L, e]`
+    /// but for neither of that window's one-byte-shorter sub-windows. The
+    /// `(pattern, end)` multiset read off that way over every window must
+    /// equal the brute-force one, and so must each window's match list
+    /// (every prefix window replays the one-pass state sequence of a
+    /// long scan).
+    #[test]
+    fn automaton_hits_equal_brute_force(
+        patterns in proptest::collection::vec(
+            (
+                0usize..3,
+                proptest::collection::vec(
+                    prop_oneof![Just(b'a'), Just(b'b'), Just(0x00u8), Just(0xFFu8)],
+                    1..7,
+                ),
+            ),
+            1..14,
+        ),
+        hay in proptest::collection::vec(
+            prop_oneof![
+                Just(b'a'), Just(b'b'), Just(0x00u8), Just(0xFFu8),
+                Just(b'c'), Just(0x7Fu8), Just(b'\n'), Just(0x80u8),
+            ],
+            0..28,
+        ),
+    ) {
+        let set = SignatureSet {
+            signatures: patterns
+                .iter()
+                .enumerate()
+                .map(|(i, (field, bytes))| ConjunctionSignature {
+                    id: i as u32,
+                    tokens: vec![FieldToken::new(Field::ALL[*field], bytes.clone())],
+                    cluster_size: 2,
+                    hosts: vec![],
+                })
+                .collect(),
+        };
+        let engine = leaksig_core::engine::CompiledDetector::compile(&set, MatchMode::Conjunction);
+        let mut scratch = engine.scratch();
+        let mut out = Vec::new();
+        let n = hay.len();
+        // present[s][e]: signatures reported for the window hay[s..e]
+        // (end exclusive; empty windows report nothing).
+        let mut present = vec![vec![Vec::new(); n + 1]; n + 1];
+        for s in 0..n {
+            for e in s + 1..=n {
+                let w = &hay[s..e];
+                engine.matched_into(&mut scratch, FieldBytes { rline: w, cookie: w, body: w }, &mut out);
+                let naive: Vec<u32> = (0..patterns.len() as u32)
+                    .filter(|&i| {
+                        let pat = &patterns[i as usize].1;
+                        w.windows(pat.len()).any(|x| x == &pat[..])
+                    })
+                    .collect();
+                prop_assert_eq!(&out, &naive, "window {}..{}", s, e);
+                present[s][e] = out.clone();
+            }
+        }
+        let mut hits = Vec::new();
+        for s in 0..n {
+            for e in s + 1..=n {
+                for &i in &present[s][e] {
+                    if !present[s + 1][e].contains(&i) && !present[s][e - 1].contains(&i) {
+                        hits.push((i, e - 1));
+                    }
+                }
+            }
+        }
+        let mut brute = Vec::new();
+        for (i, (_, pat)) in patterns.iter().enumerate() {
+            for end in pat.len() - 1..n {
+                if hay[end + 1 - pat.len()..=end] == pat[..] {
+                    brute.push((i as u32, end));
+                }
+            }
+        }
+        hits.sort_unstable();
+        brute.sort_unstable();
+        prop_assert_eq!(hits, brute);
+    }
+
     /// Compiled engine vs naive token matching, Conjunction mode: the
     /// automaton must agree with `ConjunctionSignature::matches` on every
     /// (set, packet) pair — including the first-match id and the full

@@ -17,6 +17,8 @@ use crate::policy::{PolicyEngine, UserChoice, Verdict};
 use crate::store::{SignatureStore, StoreHealth};
 use leaksig_http::HttpPacket;
 use parking_lot::Mutex;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Outcome of one interception.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,26 +98,31 @@ impl GateConfig {
     }
 }
 
+/// Capacity of the audit log: the gate keeps the newest this many
+/// records and counts every older one it overwrites in
+/// [`GateStats::audit_overwritten`].
+pub const AUDIT_CAPACITY: usize = 4096;
+
 /// One audit-log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditRecord {
     /// Monotone record sequence number.
     pub seq: u64,
-    /// Package id of the sending app.
-    pub app: String,
-    /// Destination host (FQDN).
-    pub host: String,
+    /// Package id of the sending app (interned: shared with the policy).
+    pub app: Arc<str>,
+    /// Destination host (FQDN, interned).
+    pub host: Arc<str>,
     /// Id of the matching signature.
     pub signature_id: Option<u32>,
     /// What the gate did (text tag).
-    pub action: String,
+    pub action: &'static str,
 }
 
 /// A parked packet awaiting a user decision.
 #[derive(Debug)]
 struct Pending {
     prompt_id: u64,
-    app: String,
+    app: Arc<str>,
     signature_id: u32,
     packet: HttpPacket,
 }
@@ -131,6 +138,68 @@ pub struct GateStats {
     pub prompted: u64,
     /// Packets dropped by fail-closed degraded mode.
     pub degraded_blocked: u64,
+    /// Audit records evicted from the full ring by newer ones.
+    pub audit_overwritten: u64,
+}
+
+/// The audit log: a ring of the newest [`AUDIT_CAPACITY`] records and
+/// the host interner they share. Once warm, recording allocates nothing.
+#[derive(Debug, Default)]
+struct AuditLog {
+    ring: Vec<AuditRecord>,
+    /// Once the ring is full: the slot of the oldest record, which the
+    /// next one overwrites.
+    oldest: usize,
+    next_seq: u64,
+    /// Interned hosts. Pruned to the ones still referenced once it
+    /// reaches twice the ring's capacity, so it stays bounded too.
+    hosts: HashSet<Arc<str>>,
+}
+
+impl AuditLog {
+    /// Append a record; returns whether it overwrote the oldest one.
+    fn record(
+        &mut self,
+        app: &Arc<str>,
+        host: &str,
+        signature_id: Option<u32>,
+        action: &'static str,
+    ) -> bool {
+        let record = AuditRecord {
+            seq: self.next_seq,
+            app: app.clone(),
+            host: self.intern_host(host),
+            signature_id,
+            action,
+        };
+        self.next_seq += 1;
+        if self.ring.len() < AUDIT_CAPACITY {
+            self.ring.push(record);
+            return false;
+        }
+        self.ring[self.oldest] = record;
+        self.oldest = (self.oldest + 1) % AUDIT_CAPACITY;
+        true
+    }
+
+    fn intern_host(&mut self, host: &str) -> Arc<str> {
+        if let Some(h) = self.hosts.get(host) {
+            return h.clone();
+        }
+        if self.hosts.len() >= 2 * AUDIT_CAPACITY {
+            // Only the set itself holds a host no record refers to.
+            self.hosts.retain(|h| Arc::strong_count(h) > 1);
+        }
+        let h: Arc<str> = host.into();
+        self.hosts.insert(h.clone());
+        h
+    }
+
+    /// The records, oldest first.
+    fn records(&self) -> Vec<AuditRecord> {
+        let (newer, older) = self.ring.split_at(self.oldest);
+        older.iter().chain(newer).cloned().collect()
+    }
 }
 
 /// The information-flow-control gate.
@@ -144,10 +213,17 @@ pub struct PacketGate<'a> {
 struct GateState {
     policy: PolicyEngine,
     pending: Vec<Pending>,
-    audit: Vec<AuditRecord>,
+    audit: AuditLog,
     next_prompt: u64,
-    next_seq: u64,
     stats: GateStats,
+}
+
+impl GateState {
+    fn log(&mut self, app: &Arc<str>, host: &str, sig: Option<u32>, action: &'static str) {
+        if self.audit.record(app, host, sig, action) {
+            self.stats.audit_overwritten += 1;
+        }
+    }
 }
 
 impl<'a> PacketGate<'a> {
@@ -171,18 +247,6 @@ impl<'a> PacketGate<'a> {
         self.config
     }
 
-    fn log(state: &mut GateState, app: &str, host: &str, sig: Option<u32>, action: &str) {
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        state.audit.push(AuditRecord {
-            seq,
-            app: app.to_string(),
-            host: host.to_string(),
-            signature_id: sig,
-            action: action.to_string(),
-        });
-    }
-
     /// Intercept an outgoing packet from `app`.
     ///
     /// When the store's health puts the gate in fail-closed degraded
@@ -190,38 +254,40 @@ impl<'a> PacketGate<'a> {
     /// without consulting signatures or policy — an untrusted set must
     /// not get a vote. Fail-open states fall through to normal
     /// enforcement with whatever is installed.
+    ///
+    /// Once every app and host has been seen, a forwarded or blocked
+    /// packet costs no allocation (only a prompt parks a copy).
     pub fn intercept(&self, app: &str, packet: &HttpPacket) -> GateAction {
-        let health = self.store.health();
-        if self.config.mode_for(health) == Some(DegradedMode::FailClosed) {
-            let mut state = self.state.lock();
-            state.stats.degraded_blocked += 1;
-            Self::log(
-                &mut state,
-                app,
-                &packet.destination.host,
-                None,
-                "degraded-block",
-            );
-            return GateAction::DegradedBlocked { health };
-        }
-        let matched = self.store.match_packet(packet).map(|d| d.signature_id);
-        let mut state = self.state.lock();
-        match state.policy.decide(app, matched) {
+        let screened = self.store.read(|health, detector| {
+            if self.config.mode_for(health) == Some(DegradedMode::FailClosed) {
+                Err(health)
+            } else {
+                Ok(detector.match_packet(packet).map(|d| d.signature_id))
+            }
+        });
+        let host = packet.destination.host.as_str();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let id = state.policy.intern(app);
+        let app = state.policy.name(id).clone();
+        let matched = match screened {
+            Ok(matched) => matched,
+            Err(health) => {
+                state.stats.degraded_blocked += 1;
+                state.log(&app, host, None, "degraded-block");
+                return GateAction::DegradedBlocked { health };
+            }
+        };
+        match state.policy.decide_for(id, matched) {
             Verdict::Forward => {
                 state.stats.forwarded += 1;
-                Self::log(
-                    &mut state,
-                    app,
-                    &packet.destination.host,
-                    matched,
-                    "forward",
-                );
+                state.log(&app, host, matched, "forward");
                 GateAction::Forwarded
             }
             Verdict::Block => {
                 let sig = matched.expect("block implies a match");
                 state.stats.blocked += 1;
-                Self::log(&mut state, app, &packet.destination.host, matched, "block");
+                state.log(&app, host, matched, "block");
                 GateAction::Blocked { signature_id: sig }
             }
             Verdict::Prompt => {
@@ -229,13 +295,13 @@ impl<'a> PacketGate<'a> {
                 let prompt_id = state.next_prompt;
                 state.next_prompt += 1;
                 state.stats.prompted += 1;
+                state.log(&app, host, matched, "prompt");
                 state.pending.push(Pending {
                     prompt_id,
-                    app: app.to_string(),
+                    app,
                     signature_id: sig,
                     packet: packet.clone(),
                 });
-                Self::log(&mut state, app, &packet.destination.host, matched, "prompt");
                 GateAction::PendingPrompt {
                     prompt_id,
                     signature_id: sig,
@@ -266,8 +332,7 @@ impl<'a> PacketGate<'a> {
             state.stats.blocked += 1;
             "prompt-block"
         };
-        Self::log(
-            &mut state,
+        state.log(
             &pending.app,
             &pending.packet.destination.host,
             Some(pending.signature_id),
@@ -282,7 +347,7 @@ impl<'a> PacketGate<'a> {
             .lock()
             .pending
             .iter()
-            .map(|p| (p.prompt_id, p.app.clone(), p.signature_id))
+            .map(|p| (p.prompt_id, p.app.to_string(), p.signature_id))
             .collect()
     }
 
@@ -291,9 +356,10 @@ impl<'a> PacketGate<'a> {
         self.state.lock().stats
     }
 
-    /// Copy of the audit log.
+    /// Copy of the audit log: the newest [`AUDIT_CAPACITY`] records (or
+    /// all of them, before the ring first fills), oldest first.
     pub fn audit_log(&self) -> Vec<AuditRecord> {
-        self.state.lock().audit.clone()
+        self.state.lock().audit.records()
     }
 
     /// Snapshot the remembered policy (see [`crate::persist`]).
@@ -417,6 +483,73 @@ mod tests {
     }
 
     #[test]
+    fn remembered_block_survives_export_and_import_for_any_app_id() {
+        let store = armed_store();
+        for app in ["jp.co.x.game", "my app", "app ", "line\napp"] {
+            let gate = PacketGate::new(&store);
+            let GateAction::PendingPrompt {
+                prompt_id,
+                signature_id,
+            } = gate.intercept(app, &leak("1"))
+            else {
+                panic!("expected a prompt for {app:?}");
+            };
+            gate.answer(prompt_id, UserChoice::BlockAlways).unwrap();
+            let restored = PacketGate::new(&store);
+            restored
+                .import_policy(&gate.export_policy())
+                .unwrap_or_else(|e| panic!("{app:?}: {e}"));
+            assert_eq!(
+                restored.intercept(app, &leak("2")),
+                GateAction::Blocked { signature_id },
+                "{app:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn audit_log_is_a_bounded_ring() {
+        let store = armed_store();
+        let gate = PacketGate::new(&store);
+        let extra = 10;
+        for _ in 0..AUDIT_CAPACITY + extra {
+            assert_eq!(gate.intercept("app.x", &clean()), GateAction::Forwarded);
+        }
+        let log = gate.audit_log();
+        assert_eq!(log.len(), AUDIT_CAPACITY);
+        assert_eq!(gate.stats().audit_overwritten, extra as u64);
+        // The newest records survive, oldest first.
+        assert_eq!(log[0].seq, extra as u64);
+        assert_eq!(
+            log[AUDIT_CAPACITY - 1].seq,
+            (AUDIT_CAPACITY + extra - 1) as u64
+        );
+        assert!(log.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        // One host, interned once, shared by every record.
+        assert!(log.iter().all(|r| Arc::ptr_eq(&r.host, &log[0].host)));
+        assert!(log.iter().all(|r| Arc::ptr_eq(&r.app, &log[0].app)));
+    }
+
+    #[test]
+    fn host_interner_stays_bounded() {
+        let store = armed_store();
+        let gate = PacketGate::new(&store);
+        for i in 0..3 * AUDIT_CAPACITY {
+            let p = RequestBuilder::get("/x")
+                .destination(
+                    Ipv4Addr::new(198, 51, 100, 8),
+                    80,
+                    &format!("h{i}.example.jp"),
+                )
+                .build();
+            gate.intercept("app.x", &p);
+        }
+        let state = gate.state.lock();
+        assert!(state.audit.hosts.len() <= 2 * AUDIT_CAPACITY);
+        assert_eq!(state.audit.ring.len(), AUDIT_CAPACITY);
+    }
+
+    #[test]
     fn unknown_prompt_id_is_an_error() {
         let store = armed_store();
         let gate = PacketGate::new(&store);
@@ -499,7 +632,10 @@ mod tests {
         }
         // Default: stale fails open — enforcement continues on the old set.
         let open_gate = PacketGate::new(&store);
-        assert_eq!(open_gate.intercept("app.x", &clean()), GateAction::Forwarded);
+        assert_eq!(
+            open_gate.intercept("app.x", &clean()),
+            GateAction::Forwarded
+        );
         assert!(matches!(
             open_gate.intercept("app.x", &leak("1")),
             GateAction::PendingPrompt { .. }
@@ -522,7 +658,10 @@ mod tests {
 
         // One successful sync generation reopens the strict gate.
         store.note_sync_success();
-        assert_eq!(closed_gate.intercept("app.x", &clean()), GateAction::Forwarded);
+        assert_eq!(
+            closed_gate.intercept("app.x", &clean()),
+            GateAction::Forwarded
+        );
     }
 
     #[test]
@@ -568,7 +707,7 @@ mod tests {
         };
         gate.answer(prompt_id, UserChoice::AllowOnce).unwrap();
         let log = gate.audit_log();
-        let actions: Vec<&str> = log.iter().map(|r| r.action.as_str()).collect();
+        let actions: Vec<&str> = log.iter().map(|r| r.action).collect();
         assert_eq!(actions, vec!["forward", "prompt", "prompt-allow"]);
         // Sequence numbers are strictly increasing.
         for w in log.windows(2) {

@@ -54,12 +54,14 @@ mod supervise;
 pub mod transport;
 pub mod wal;
 
-pub use gate::{AuditRecord, DegradedMode, GateAction, GateConfig, GateStats, PacketGate};
+pub use gate::{
+    AuditRecord, DegradedMode, GateAction, GateConfig, GateStats, PacketGate, AUDIT_CAPACITY,
+};
 pub use persist::{
     decode_policy, decode_store, encode_policy, encode_store, PersistError, RestoreReport,
     SnapshotVault,
 };
-pub use policy::{FlowKey, PolicyEngine, UserChoice, Verdict};
+pub use policy::{PolicyEngine, UserChoice, Verdict};
 pub use server::{
     CollectionServer, IngestConfig, IngestOutcome, QuarantineReason, QuarantineRecord, RateLimit,
     RegenerateOutcome, ServerStats, Shed,

@@ -8,7 +8,10 @@
 //! LEAKPOLICY/1
 //! allow jp.co.mobika.puzzle 3
 //! block com.zemi.news 7
+//! blockhex 6d7920617070 2
 //! ```
+//!
+//! (an app id containing whitespace — here `my app` — is hex-encoded)
 //!
 //! and the signature store snapshot, which is the `leaksig-core` wire
 //! format prefixed by a version line:
@@ -30,6 +33,7 @@ use crate::generations::GenerationDir;
 use crate::policy::{PolicyEngine, UserChoice};
 use crate::store::{SignatureStore, StoreHealth};
 use leaksig_faults::{DiskIo, RealDisk};
+use leaksig_hash::{decode_hex, encode_hex};
 use std::path::PathBuf;
 
 const POLICY_MAGIC: &str = "LEAKPOLICY/1";
@@ -48,18 +52,22 @@ impl std::fmt::Display for PersistError {
 impl std::error::Error for PersistError {}
 
 /// Serialize remembered decisions. Only `*Always` choices persist; `Once`
-/// answers were never remembered to begin with.
+/// answers were never remembered to begin with. An app id containing
+/// whitespace cannot sit in a space-separated line, so it travels
+/// hex-encoded under the verb's `hex` form (`blockhex 6d7920617070 7`);
+/// every other id is written as is.
 pub fn encode_policy(policy: &PolicyEngine) -> String {
     let mut out = String::from(POLICY_MAGIC);
     out.push('\n');
     let mut rows = policy.remembered_rows();
     rows.sort();
     for (app, sig, allow) in rows {
-        out.push_str(if allow { "allow " } else { "block " });
-        out.push_str(&app);
-        out.push(' ');
-        out.push_str(&sig.to_string());
-        out.push('\n');
+        let verb = if allow { "allow" } else { "block" };
+        if app.contains(char::is_whitespace) {
+            out.push_str(&format!("{verb}hex {} {sig}\n", encode_hex(app.as_bytes())));
+        } else {
+            out.push_str(&format!("{verb} {app} {sig}\n"));
+        }
     }
     out
 }
@@ -84,12 +92,22 @@ pub fn decode_policy(text: &str) -> Result<PolicyEngine, PersistError> {
         let sig: u32 = sig
             .parse()
             .map_err(|_| PersistError(format!("bad signature id in {line:?}")))?;
-        let choice = match verb {
-            "allow" => UserChoice::AllowAlways,
-            "block" => UserChoice::BlockAlways,
+        let (choice, hex) = match verb {
+            "allow" => (UserChoice::AllowAlways, false),
+            "block" => (UserChoice::BlockAlways, false),
+            "allowhex" => (UserChoice::AllowAlways, true),
+            "blockhex" => (UserChoice::BlockAlways, true),
             other => return Err(PersistError(format!("unknown verb {other:?}"))),
         };
-        policy.resolve(app, sig, choice);
+        if hex {
+            let app = decode_hex(app)
+                .ok()
+                .and_then(|bytes| String::from_utf8(bytes).ok())
+                .ok_or_else(|| PersistError(format!("bad hex app id in {line:?}")))?;
+            policy.resolve(&app, sig, choice);
+        } else {
+            policy.resolve(app, sig, choice);
+        }
     }
     Ok(policy)
 }
@@ -269,6 +287,41 @@ mod tests {
         assert_eq!(back.decide("jp.co.a.game", Some(2)), Verdict::Block);
         assert_eq!(back.decide("com.b.news", Some(1)), Verdict::Block);
         assert_eq!(back.decide("com.c.memo", Some(9)), Verdict::Prompt);
+        // Whitespace-free ids keep their plain lines.
+        assert_eq!(
+            text,
+            "LEAKPOLICY/1\nblock com.b.news 1\nallow jp.co.a.game 1\nblock jp.co.a.game 2\n"
+        );
+    }
+
+    #[test]
+    fn whitespace_app_ids_round_trip_hex_encoded() {
+        use crate::policy::Verdict;
+        let apps = [
+            "my app",
+            "app ",
+            "line\napp",
+            "tab\tapp",
+            "cr\r",
+            "plain.app",
+        ];
+        let mut p = PolicyEngine::new();
+        for app in apps {
+            p.resolve(app, 4, UserChoice::BlockAlways);
+        }
+        let text = encode_policy(&p);
+        assert!(text.contains("\nblock plain.app 4\n"), "{text}");
+        assert!(text.contains("\nblockhex 6d7920617070 4\n"), "{text}");
+        let back = decode_policy(&text).unwrap();
+        assert_eq!(back.remembered_count(), apps.len());
+        for app in apps {
+            assert_eq!(back.decide(app, Some(4)), Verdict::Block, "{app:?}");
+        }
+        assert!(decode_policy("LEAKPOLICY/1\nblockhex zz 3\n").is_err());
+        assert!(
+            decode_policy("LEAKPOLICY/1\nallowhex ff 3\n").is_err(),
+            "not UTF-8"
+        );
     }
 
     #[test]
@@ -336,10 +389,7 @@ mod tests {
     }
 
     fn temp_vault_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "leaksig-vault-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("leaksig-vault-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -6,6 +6,7 @@
 //! be remembered per `(app, signature)`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// What the gate should do with a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +39,28 @@ enum Remembered {
     Block,
 }
 
-/// Key of the decision cache: which app triggered which signature.
-pub type FlowKey = (String, u32);
+/// An app id interned by [`PolicyEngine::intern`]: an index into the
+/// engine's app table, valid for that engine only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AppId(u32);
+
+/// One interned app and its remembered decisions.
+#[derive(Debug)]
+struct App {
+    name: Arc<str>,
+    /// `(signature, decision)`, sorted by signature.
+    decisions: Vec<(u32, Remembered)>,
+}
 
 /// The policy engine: decision cache plus defaults.
+///
+/// App ids are interned: each distinct app is stored once, as an
+/// `Arc<str>` the gate's audit log shares, so a lookup hashes the app id
+/// once and allocates nothing.
 #[derive(Debug, Default)]
 pub struct PolicyEngine {
-    remembered: HashMap<FlowKey, Remembered>,
+    ids: HashMap<Arc<str>, AppId>,
+    apps: Vec<App>,
 }
 
 impl PolicyEngine {
@@ -53,55 +69,98 @@ impl PolicyEngine {
         PolicyEngine::default()
     }
 
+    /// The id of `app`, interning it on first sight (the only allocation
+    /// the policy makes per app).
+    pub(crate) fn intern(&mut self, app: &str) -> AppId {
+        if let Some(&id) = self.ids.get(app) {
+            return id;
+        }
+        let id = AppId(self.apps.len() as u32);
+        let name: Arc<str> = app.into();
+        self.ids.insert(name.clone(), id);
+        self.apps.push(App {
+            name,
+            decisions: Vec::new(),
+        });
+        id
+    }
+
+    /// The interned name of `app`.
+    pub(crate) fn name(&self, app: AppId) -> &Arc<str> {
+        &self.apps[app.0 as usize].name
+    }
+
     /// Decide for a packet from `app` that matched `signature_id`
-    /// (`None` = no match).
+    /// (`None` = no match). Allocation-free.
     pub fn decide(&self, app: &str, signature_id: Option<u32>) -> Verdict {
+        match self.ids.get(app) {
+            Some(&id) => self.decide_for(id, signature_id),
+            None if signature_id.is_some() => Verdict::Prompt,
+            None => Verdict::Forward,
+        }
+    }
+
+    /// [`PolicyEngine::decide`] for an interned app.
+    pub(crate) fn decide_for(&self, app: AppId, signature_id: Option<u32>) -> Verdict {
         let Some(sig) = signature_id else {
             return Verdict::Forward;
         };
-        match self.remembered.get(&(app.to_string(), sig)) {
-            Some(Remembered::Allow) => Verdict::Forward,
-            Some(Remembered::Block) => Verdict::Block,
-            None => Verdict::Prompt,
+        let decisions = &self.apps[app.0 as usize].decisions;
+        match decisions.binary_search_by_key(&sig, |d| d.0) {
+            Ok(i) if decisions[i].1 == Remembered::Allow => Verdict::Forward,
+            Ok(_) => Verdict::Block,
+            Err(_) => Verdict::Prompt,
         }
     }
 
     /// Record the user's answer to a prompt for `(app, signature_id)`.
     /// Returns whether the pending packet should be forwarded.
     pub fn resolve(&mut self, app: &str, signature_id: u32, choice: UserChoice) -> bool {
-        let key = (app.to_string(), signature_id);
-        match choice {
-            UserChoice::AllowOnce => true,
-            UserChoice::BlockOnce => false,
-            UserChoice::AllowAlways => {
-                self.remembered.insert(key, Remembered::Allow);
-                true
-            }
-            UserChoice::BlockAlways => {
-                self.remembered.insert(key, Remembered::Block);
-                false
-            }
+        let (remembered, forward) = match choice {
+            UserChoice::AllowOnce => return true,
+            UserChoice::BlockOnce => return false,
+            UserChoice::AllowAlways => (Remembered::Allow, true),
+            UserChoice::BlockAlways => (Remembered::Block, false),
+        };
+        let id = self.intern(app);
+        let decisions = &mut self.apps[id.0 as usize].decisions;
+        match decisions.binary_search_by_key(&signature_id, |d| d.0) {
+            Ok(i) => decisions[i].1 = remembered,
+            Err(i) => decisions.insert(i, (signature_id, remembered)),
         }
+        forward
     }
 
     /// Forget one remembered decision (the user changed their mind).
     pub fn forget(&mut self, app: &str, signature_id: u32) -> bool {
-        self.remembered
-            .remove(&(app.to_string(), signature_id))
-            .is_some()
+        let Some(&id) = self.ids.get(app) else {
+            return false;
+        };
+        let decisions = &mut self.apps[id.0 as usize].decisions;
+        match decisions.binary_search_by_key(&signature_id, |d| d.0) {
+            Ok(i) => {
+                decisions.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Number of remembered decisions.
     pub fn remembered_count(&self) -> usize {
-        self.remembered.len()
+        self.apps.iter().map(|a| a.decisions.len()).sum()
     }
 
     /// Snapshot of remembered decisions as `(app, signature, allow)` rows
     /// (persistence support).
     pub fn remembered_rows(&self) -> Vec<(String, u32, bool)> {
-        self.remembered
+        self.apps
             .iter()
-            .map(|((app, sig), r)| (app.clone(), *sig, matches!(r, Remembered::Allow)))
+            .flat_map(|a| {
+                a.decisions
+                    .iter()
+                    .map(|&(sig, r)| (a.name.to_string(), sig, r == Remembered::Allow))
+            })
             .collect()
     }
 

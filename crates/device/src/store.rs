@@ -186,6 +186,22 @@ struct StoreState {
     corrupt: bool,
 }
 
+impl StoreState {
+    fn health(&self) -> StoreHealth {
+        if self.corrupt {
+            StoreHealth::Corrupt
+        } else if self.version == 0 {
+            StoreHealth::Empty
+        } else if self.stale_rounds > 0 {
+            StoreHealth::Stale {
+                rounds: self.stale_rounds,
+            }
+        } else {
+            StoreHealth::Fresh
+        }
+    }
+}
+
 impl Default for SignatureStore {
     fn default() -> Self {
         SignatureStore {
@@ -219,18 +235,15 @@ impl SignatureStore {
 
     /// Current health (see [`StoreHealth`]).
     pub fn health(&self) -> StoreHealth {
+        self.inner.read().health()
+    }
+
+    /// Run `f` on the health and the installed detector under one read
+    /// of the store, so both describe the same generation (the gate's
+    /// per-packet path).
+    pub(crate) fn read<R>(&self, f: impl FnOnce(StoreHealth, &Detector) -> R) -> R {
         let st = self.inner.read();
-        if st.corrupt {
-            StoreHealth::Corrupt
-        } else if st.version == 0 {
-            StoreHealth::Empty
-        } else if st.stale_rounds > 0 {
-            StoreHealth::Stale {
-                rounds: st.stale_rounds,
-            }
-        } else {
-            StoreHealth::Fresh
-        }
+        f(st.health(), &st.detector)
     }
 
     /// Record a successful sync round that confirmed the installed set is
@@ -389,7 +402,9 @@ mod tests {
 
         let set = one_signature_set();
         server.publish(&set).unwrap();
-        let d1 = server.take_last_diff().expect("first publish diffs vs empty");
+        let d1 = server
+            .take_last_diff()
+            .expect("first publish diffs vs empty");
         assert_eq!(d1.added.len(), set.len(), "everything is new");
         assert!(d1.removed.is_empty());
         assert!(server.take_last_diff().is_none(), "consumed on read");
@@ -533,7 +548,11 @@ mod tests {
     fn engine_compiles_once_per_generation_not_per_packet() {
         let server = SignatureServer::new();
         let store = SignatureStore::new();
-        assert_eq!(store.compilations(), 1, "construction compiles the empty set");
+        assert_eq!(
+            store.compilations(),
+            1,
+            "construction compiles the empty set"
+        );
 
         server.publish(&one_signature_set()).unwrap();
         store.sync(&server).unwrap();

@@ -6,8 +6,10 @@
 use leaksig_core::prelude::*;
 use leaksig_core::signature::{ConjunctionSignature, Field, FieldToken};
 use leaksig_core::wire;
-use leaksig_device::persist::{decode_policy, decode_store, encode_store, SnapshotVault};
-use leaksig_device::{SignatureStore, StoreHealth};
+use leaksig_device::persist::{
+    decode_policy, decode_store, encode_policy, encode_store, SnapshotVault,
+};
+use leaksig_device::{PolicyEngine, SignatureStore, StoreHealth, UserChoice};
 use leaksig_faults::{CrashFlavor, FaultyDisk, RealDisk};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,10 +75,7 @@ fn arb_crash() -> impl Strategy<Value = Option<(u64, CrashFlavor)>> {
 fn scratch_dir() -> std::path::PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "leaksig-device-prop-{}-{n}",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("leaksig-device-prop-{}-{n}", std::process::id()))
 }
 
 fn stored(version: u64, set: &SignatureSet) -> SignatureStore {
@@ -87,8 +86,46 @@ fn stored(version: u64, set: &SignatureSet) -> SignatureStore {
     store
 }
 
+/// App ids of any shape: printable ASCII, arbitrary Unicode scalars, and
+/// ASCII and Unicode whitespace, including newlines.
+fn arb_app_id() -> impl Strategy<Value = String> {
+    const SPACES: [char; 8] = [
+        ' ', '\t', '\n', '\r', '\u{b}', '\u{85}', '\u{a0}', '\u{3000}',
+    ];
+    proptest::collection::vec((0u8..4, any::<char>(), any::<u32>()), 0..16).prop_map(|cs| {
+        cs.into_iter()
+            .map(|(kind, ascii, raw)| match kind {
+                0 => SPACES[raw as usize % SPACES.len()],
+                1 => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+                _ => ascii,
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every remembered decision survives a policy snapshot, whatever
+    /// its app id.
+    #[test]
+    fn policy_snapshots_round_trip_any_app_id(
+        rows in proptest::collection::vec((arb_app_id(), any::<u32>(), any::<bool>()), 0..8),
+    ) {
+        let mut policy = PolicyEngine::new();
+        for (app, sig, allow) in &rows {
+            let choice = if *allow { UserChoice::AllowAlways } else { UserChoice::BlockAlways };
+            policy.resolve(app, *sig, choice);
+        }
+        let text = encode_policy(&policy);
+        let back = decode_policy(&text).map_err(|e| TestCaseError::fail(format!("{e}: {text:?}")))?;
+        let mut want = policy.remembered_rows();
+        let mut got = back.remembered_rows();
+        want.sort();
+        got.sort();
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(encode_policy(&back), text);
+    }
 
     /// The persistence decoders never panic on arbitrary text.
     #[test]

