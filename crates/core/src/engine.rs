@@ -183,9 +183,10 @@ fn two_nodes(nodes: &mut [TrieNode], dst: usize, src: usize) -> (&mut TrieNode, 
 
 /// A multi-pattern matcher over one field's patterns: the Aho–Corasick
 /// automaton with every failure transition resolved ahead of time, so a
-/// scan step is one table load whatever the state.
+/// scan step is one table load whatever the state. The payload check
+/// ([`crate::payload::PayloadCheck`]) compiles its needles into one too.
 #[derive(Debug, Clone)]
-struct Automaton {
+pub(crate) struct Automaton {
     /// Byte → class. Each distinct pattern byte has its own class; every
     /// byte no pattern contains shares class 0.
     classes: Box<[u8; 256]>,
@@ -210,7 +211,7 @@ impl Automaton {
     /// Build from `(pattern bytes, pattern id)` pairs. Patterns must be
     /// non-empty (the signature layer guarantees this: `Needle` refuses
     /// empty tokens).
-    fn build(patterns: &[(&[u8], u32)]) -> Self {
+    pub(crate) fn build(patterns: &[(&[u8], u32)]) -> Self {
         // 1. The trie. Each pattern's new states are allocated
         // consecutively, and rows keep this numbering, so a scan walking
         // down one pattern reads neighbouring rows.
@@ -326,7 +327,7 @@ impl Automaton {
     /// The root carries no outputs (patterns are non-empty), so a byte
     /// that leaves the scan at the root costs one load from the dense
     /// root row; elsewhere a step is a class lookup plus one table load.
-    fn scan(&self, hay: &[u8], mut on_hit: impl FnMut(u32, usize)) {
+    pub(crate) fn scan(&self, hay: &[u8], mut on_hit: impl FnMut(u32, usize)) {
         let mut state = 0u32;
         for (pos, &b) in hay.iter().enumerate() {
             let next = if state == 0 {
@@ -347,6 +348,24 @@ impl Automaton {
                 }
             }
         }
+    }
+
+    /// Whether any pattern occurs in `hay`: the [`Automaton::scan`] loop,
+    /// stopping at the first state that emits a hit.
+    pub(crate) fn contains_any(&self, hay: &[u8]) -> bool {
+        let mut state = 0u32;
+        for &b in hay {
+            let next = if state == 0 {
+                self.root[b as usize]
+            } else {
+                self.table[(state + u32::from(self.classes[b as usize])) as usize]
+            };
+            if next & OUT != 0 {
+                return true;
+            }
+            state = next;
+        }
+        false
     }
 
     fn state_count(&self) -> usize {

@@ -7,10 +7,13 @@
 //! encoded form (`NTT DOCOMO` → `NTT+DOCOMO`); hex digests and numeric
 //! identifiers are encoding-invariant but carrier names are not.
 //!
-//! Matching uses Boyer–Moore–Horspool with precomputed skip tables: the
-//! check runs over the whole 107k-packet dataset, so the naive scan's
-//! constant factor matters.
+//! Every needle, encoded variants included, compiles into one
+//! Aho–Corasick automaton — the detection engine's byte-class DFA — so a
+//! verdict is one pass over the bytes whatever the needle count. The
+//! check runs over the whole 107k-packet dataset and on every record the
+//! collection server admits, so that pass is a hot path.
 
+use crate::engine::Automaton;
 use leaksig_http::{query, HttpPacket};
 
 /// A compiled search needle (Boyer–Moore–Horspool).
@@ -65,6 +68,9 @@ impl Needle {
 #[derive(Debug, Clone)]
 pub struct PayloadCheck<T> {
     needles: Vec<(T, Needle)>,
+    /// Every needle's pattern, with its index in `needles` as the
+    /// pattern id.
+    automaton: Automaton,
 }
 
 impl<T: Copy + Eq> PayloadCheck<T> {
@@ -84,7 +90,13 @@ impl<T: Copy + Eq> PayloadCheck<T> {
             }
             needles.push((tag, Needle::new(raw)));
         }
-        PayloadCheck { needles }
+        let patterns: Vec<(&[u8], u32)> = needles
+            .iter()
+            .enumerate()
+            .map(|(i, (_, n))| (n.pattern(), i as u32))
+            .collect();
+        let automaton = Automaton::build(&patterns);
+        PayloadCheck { needles, automaton }
     }
 
     /// Number of compiled needles (including encoded variants).
@@ -94,9 +106,12 @@ impl<T: Copy + Eq> PayloadCheck<T> {
 
     /// Tags found in `bytes`, deduplicated, in needle order.
     pub fn scan_bytes(&self, bytes: &[u8]) -> Vec<T> {
+        let mut hit = vec![false; self.needles.len()];
+        self.automaton
+            .scan(bytes, |pid, _| hit[pid as usize] = true);
         let mut found: Vec<T> = Vec::new();
-        for (tag, needle) in &self.needles {
-            if !found.contains(tag) && needle.is_in(bytes) {
+        for ((tag, _), hit) in self.needles.iter().zip(hit) {
+            if hit && !found.contains(tag) {
                 found.push(*tag);
             }
         }
@@ -111,8 +126,15 @@ impl<T: Copy + Eq> PayloadCheck<T> {
     /// The §IV-A binary verdict: does the packet belong to the suspicious
     /// group?
     pub fn is_suspicious(&self, packet: &HttpPacket) -> bool {
-        let bytes = packet.to_bytes();
-        self.needles.iter().any(|(_, n)| n.is_in(&bytes))
+        self.is_suspicious_bytes(&packet.to_bytes())
+    }
+
+    /// [`is_suspicious`](Self::is_suspicious) over a wire image the
+    /// caller already holds (e.g. from
+    /// [`PacketView::write_wire`](leaksig_http::PacketView::write_wire)):
+    /// one automaton pass that stops at the first needle. Allocation-free.
+    pub fn is_suspicious_bytes(&self, bytes: &[u8]) -> bool {
+        self.automaton.contains_any(bytes)
     }
 
     /// The distinct tags in this check, in first-appearance order. Index

@@ -364,6 +364,52 @@ proptest! {
         prop_assert_eq!(needle.is_in(&hay), oracle);
     }
 
+    /// The payload check's one-automaton scan agrees with checking each
+    /// needle on its own. Values over a tiny alphabet nest and overlap
+    /// (`a`, `aa`, `a a`), and the space and `0xFF` bytes give them
+    /// form-urlencoded variants (`a+a`, `%FF`) that become needles too;
+    /// tags repeat, so deduplication in needle order is exercised.
+    #[test]
+    fn payload_check_agrees_with_per_needle_oracle(
+        values in proptest::collection::vec(
+            (
+                0u8..4,
+                proptest::collection::vec(
+                    prop_oneof![Just(b'a'), Just(b'b'), Just(b' '), Just(0xFFu8)],
+                    1..6,
+                ),
+            ),
+            0..8,
+        ),
+        hay in proptest::collection::vec(
+            prop_oneof![
+                Just(b'a'), Just(b'b'), Just(b' '), Just(0xFFu8),
+                Just(b'+'), Just(b'%'), Just(b'F'), Just(b'x'),
+            ],
+            0..40,
+        ),
+    ) {
+        let check = PayloadCheck::new(values.iter().map(|(t, v)| (*t, v.clone())));
+        let mut oracle: Vec<u8> = Vec::new();
+        let mut needles = 0usize;
+        for (tag, value) in &values {
+            let encoded = leaksig_http::query::encode_component(value).into_bytes();
+            let mut variants = vec![value.clone()];
+            if encoded != *value {
+                variants.insert(0, encoded);
+            }
+            for pattern in variants {
+                needles += 1;
+                if Needle::new(pattern).is_in(&hay) && !oracle.contains(tag) {
+                    oracle.push(*tag);
+                }
+            }
+        }
+        prop_assert_eq!(check.needle_count(), needles);
+        prop_assert_eq!(check.scan_bytes(&hay), oracle.clone());
+        prop_assert_eq!(check.is_suspicious_bytes(&hay), !oracle.is_empty());
+    }
+
     /// The compiled automaton finds exactly the substring occurrences a
     /// brute-force search finds. Patterns over `{a, b, 0x00, 0xFF}` nest
     /// and overlap, so failure chains run deep; haystacks add bytes no

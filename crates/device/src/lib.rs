@@ -63,8 +63,8 @@ pub use persist::{
 };
 pub use policy::{PolicyEngine, UserChoice, Verdict};
 pub use server::{
-    CollectionServer, IngestConfig, IngestOutcome, QuarantineReason, QuarantineRecord, RateLimit,
-    RegenerateOutcome, ServerStats, Shed,
+    BatchVerdicts, CollectionServer, IngestConfig, IngestOutcome, QuarantineReason,
+    QuarantineRecord, RateLimit, RegenerateOutcome, ServerStats, Shed,
 };
 pub use state::{
     ApplyOutcome, Durability, DurableState, MemoryStore, StateOp, StateStore,

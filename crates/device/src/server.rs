@@ -7,26 +7,34 @@
 //! §IV pipeline over the current reservoir and publishes the result to a
 //! [`SignatureServer`] that devices sync from.
 //!
-//! Two intake paths exist. [`CollectionServer::ingest`] takes pre-parsed
-//! packets and trusts them — the in-process path for tests and replay
-//! tools. [`CollectionServer::ingest_raw`] is the hardened frontier for
-//! raw network bytes: a per-source token bucket sheds floods before any
-//! parsing work, [`leaksig_http::parse_request_limited`] enforces hard
-//! resource limits, rejects land in a bounded reason-tagged quarantine
-//! ledger, and admitted packets flow through a bounded queue with an
-//! explicit [`Shed`] policy so overload degrades *recall* (some packets
-//! lost) rather than latency or memory.
+//! Raw network bytes take one admission step, record by record: a
+//! per-source token bucket sheds floods before any parsing work, the
+//! zero-copy [`leaksig_http::parse_request_view`] enforces hard resource
+//! limits, rejects land in a bounded reason-tagged quarantine ledger, and
+//! admitted packets flow through a bounded queue with an explicit
+//! [`Shed`] policy so overload degrades *recall* (some packets lost)
+//! rather than latency or memory. [`CollectionServer::ingest_batch`] runs
+//! that step over a whole batch under one lock and records it as one
+//! durable op slice — the socket frontier's path;
+//! [`CollectionServer::ingest_raw`] runs it for a single offer.
+//! [`CollectionServer::ingest`] takes pre-parsed packets and trusts them
+//! (the in-process path for tests and replay tools): it skips admission
+//! and enters the same classification step [`CollectionServer::pump`]
+//! drains the queue through.
 //!
 //! The reservoir uses classic reservoir sampling so the retained sample
 //! stays uniform over everything seen, no matter how long the server
 //! runs — matching the paper's "select N HTTP packets at random out of
 //! the suspicious group".
 
-use crate::state::{Durability, MemoryStore, StateOp, StateStore};
+use crate::state::{ApplyOutcome, Durability, MemoryStore, StateOp, StateStore};
 use crate::store::SignatureServer;
 use leaksig_core::payload::PayloadCheck;
 use leaksig_core::prelude::*;
-use leaksig_http::{parse_request_limited, HttpPacket, ParseError, ParseLimits};
+use leaksig_http::{
+    parse_request_limited, parse_request_view, HttpPacket, ParseArena, ParseError, ParseLimits,
+    ViewOutcome,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -53,7 +61,8 @@ pub struct ServerStats {
     pub regenerations: u64,
     /// Regenerations whose result the publisher's deploy gate refused.
     pub rejected_publishes: u64,
-    /// Raw wire images offered to `ingest_raw` (admitted or not).
+    /// Raw wire images offered to `ingest_raw` / `ingest_batch`
+    /// (admitted or not).
     pub raw_seen: u64,
     /// Raw images the limited parser refused.
     pub parse_rejects: u64,
@@ -231,9 +240,9 @@ pub struct QuarantineRecord {
     pub summary: String,
 }
 
-/// Verdict of one [`CollectionServer::ingest_raw`] call for the
-/// *incoming* wire image. Queue-overflow evictions of previously-queued
-/// packets are reported through [`ServerStats::shed`], not here.
+/// Verdict of one raw offer for the *incoming* wire image.
+/// Queue-overflow evictions of previously-queued packets are reported
+/// through [`ServerStats::shed`], not here.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IngestOutcome {
     /// Parsed, admitted, and queued.
@@ -247,6 +256,20 @@ pub enum IngestOutcome {
     Quarantined(QuarantineReason),
     /// The queue was full and the shed policy sacrificed this packet.
     Shed,
+}
+
+/// Verdict tallies of one [`CollectionServer::ingest_batch`] call: each
+/// incoming record counts under exactly one of the four.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BatchVerdicts {
+    /// Records parsed, admitted and queued.
+    pub admitted: u64,
+    /// Records refused by the per-source token bucket.
+    pub rate_limited: u64,
+    /// Records refused into the quarantine ledger.
+    pub quarantined: u64,
+    /// Records the shed policy sacrificed on arrival.
+    pub shed: u64,
 }
 
 /// The collection + generation server.
@@ -284,10 +307,15 @@ struct ServerState {
     /// Hashes of packets with a poison verdict: re-ingests are refused.
     /// Volatile: the supervisor re-derives verdicts after a restart.
     poisoned: HashSet<u64>,
-    /// Logical intake clock in milliseconds; `ingest_raw` advances it by
-    /// one per call, `ingest_raw_at` pins it explicitly.
+    /// Logical intake clock in milliseconds; `ingest_raw` and
+    /// `ingest_batch` advance it by one per record, `ingest_raw_at` pins
+    /// it explicitly.
     clock_ms: u64,
     rng: StdRng,
+    /// Header spans of the record being admitted (reset per record).
+    arena: ParseArena,
+    /// Wire image of the record being admitted, for the payload check.
+    wire: Vec<u8>,
 }
 
 fn packet_key(p: &HttpPacket) -> u64 {
@@ -370,6 +398,8 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
                 poisoned: HashSet::new(),
                 clock_ms: 0,
                 rng,
+                arena: ParseArena::new(),
+                wire: Vec::new(),
             }),
         }
     }
@@ -379,153 +409,183 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// This is the **trusted** in-process path: no limits, no admission
     /// control, no quarantine — the packet goes straight to
     /// classification. Raw network bytes must go through
+    /// [`CollectionServer::ingest_batch`] or
     /// [`CollectionServer::ingest_raw`] instead.
     pub fn ingest(&self, packet: &HttpPacket) -> bool {
         let suspicious = self.check.is_suspicious(packet);
         let mut st = self.state.lock();
-        st.classify(packet.clone(), suspicious, self.capacity);
+        st.route(std::iter::once((packet.clone(), suspicious)), self.capacity);
         suspicious
+    }
+
+    /// Ingest a batch of raw request captures — the socket frontier's
+    /// path. Each record takes the same admission step as
+    /// [`CollectionServer::ingest_raw`] and advances the intake clock by
+    /// one logical millisecond, so verdicts, queue order and rate
+    /// limiting are exactly those of offering the records one by one.
+    /// The batch takes the state lock once and records one durable op
+    /// slice: a single summed [`StateOp::Intake`], then the batch's
+    /// quarantine records in record order.
+    pub fn ingest_batch<'a>(
+        &self,
+        records: impl IntoIterator<Item = RawPacket<'a>>,
+    ) -> BatchVerdicts {
+        self.admit(&mut self.state.lock(), records, true, |_| {})
     }
 
     /// Ingest raw request bytes captured toward `ip:port`, advancing the
     /// intake clock by one logical millisecond.
     ///
-    /// The full admission path: per-source token bucket (cheapest, runs
-    /// first), limited parse, poison filter, then the bounded queue with
-    /// the configured shed policy. Use
+    /// One record through the admission step of
+    /// [`CollectionServer::ingest_batch`]: per-source token bucket
+    /// (cheapest, runs first), limited parse, poison filter, then the
+    /// bounded queue with the configured shed policy. The offer is
+    /// recorded as its own op slice. Use
     /// [`CollectionServer::ingest_raw_at`] to pin logical time
     /// explicitly (deterministic rate-limit tests, replaying timestamped
     /// captures).
     pub fn ingest_raw(&self, raw: &[u8], ip: Ipv4Addr, port: u16) -> IngestOutcome {
-        let now = {
-            let mut st = self.state.lock();
-            st.clock_ms += 1;
-            st.clock_ms
-        };
-        self.ingest_raw_at(raw, ip, port, now)
+        let mut outcome = None;
+        let record = RawPacket { raw, ip, port };
+        self.admit(&mut self.state.lock(), [record], true, |o| outcome = Some(o));
+        outcome.expect("one record, one verdict")
     }
 
     /// [`CollectionServer::ingest_raw`] at an explicit logical time in
     /// milliseconds. Time never runs backwards: a `now_ms` older than
     /// the clock is clamped forward.
     pub fn ingest_raw_at(&self, raw: &[u8], ip: Ipv4Addr, port: u16, now_ms: u64) -> IngestOutcome {
-        // Offer accounting is deferred to the outcome point so each
-        // offer costs exactly one `StateOp::Intake` (possibly sharing a
-        // batch with its quarantine record) — one WAL record per offer,
-        // not one per counter.
-        let intake_op = |rate_limited: u64, shed: u64, admitted: u64| StateOp::Intake {
-            raw_seen: 1,
-            rate_limited,
-            shed,
-            admitted,
-        };
-
-        // Admission gate (locked, cheap): charge the source's bucket
-        // before spending any parsing work on the bytes.
-        {
-            let mut st = self.state.lock();
-            st.clock_ms = st.clock_ms.max(now_ms);
-            let now = st.clock_ms;
-            if let Some(rate) = self.intake.rate {
-                if !st.charge_bucket(ip, now, rate) {
-                    st.store.apply(&[intake_op(1, 0, 0)]);
-                    return IngestOutcome::RateLimited;
-                }
-            }
-        }
-
-        // Parse + classify (unlocked: the expensive part must not stall
-        // concurrent intake).
-        let packet = match parse_request_limited(raw, ip, port, &self.intake.limits) {
-            Ok(p) => p,
-            Err(e) => {
-                let reason = QuarantineReason::Malformed(e);
-                let record = QuarantineRecord {
-                    reason: reason.clone(),
-                    source: ip,
-                    port,
-                    bytes: raw.len(),
-                    summary: summarize(raw),
-                };
-                let mut st = self.state.lock();
-                st.store.apply(&[
-                    intake_op(0, 0, 0),
-                    StateOp::Quarantine {
-                        cap: self.intake.quarantine_capacity,
-                        parse_reject: true,
-                        record,
-                    },
-                ]);
-                return IngestOutcome::Quarantined(reason);
-            }
-        };
-        let suspicious = self.check.is_suspicious(&packet);
-
-        // Enqueue (locked): poison filter, then the shed policy.
         let mut st = self.state.lock();
-        if st.poisoned.contains(&packet_key(&packet)) {
-            let record = QuarantineRecord {
-                reason: QuarantineReason::PoisonReingest,
-                source: ip,
-                port,
-                bytes: raw.len(),
-                summary: summarize(raw),
-            };
-            st.store.apply(&[
-                intake_op(0, 0, 0),
-                StateOp::Quarantine {
-                    cap: self.intake.quarantine_capacity,
-                    parse_reject: false,
-                    record,
-                },
-            ]);
-            return IngestOutcome::Quarantined(QuarantineReason::PoisonReingest);
-        }
+        st.clock_ms = st.clock_ms.max(now_ms);
+        let mut outcome = None;
+        let record = RawPacket { raw, ip, port };
+        self.admit(&mut st, [record], false, |o| outcome = Some(o));
+        outcome.expect("one record, one verdict")
+    }
+
+    /// Run `records` through the admission step — advancing the clock one
+    /// tick per record when `tick` — and record them as one op slice:
+    /// the summed [`StateOp::Intake`], then the quarantine records in
+    /// record order. `verdict` sees each record's outcome in order.
+    fn admit<'a>(
+        &self,
+        st: &mut ServerState,
+        records: impl IntoIterator<Item = RawPacket<'a>>,
+        tick: bool,
+        mut verdict: impl FnMut(IngestOutcome),
+    ) -> BatchVerdicts {
+        let mut tally = BatchVerdicts::default();
         let mut evicted = 0u64;
-        if st.queue.len() >= self.intake.queue_capacity {
-            let shed_incoming = match self.intake.shed {
-                Shed::Newest => true,
-                Shed::Oldest => {
-                    st.queue.pop_front();
-                    false
-                }
+        let mut ops = vec![];
+        for r in records {
+            st.clock_ms += u64::from(tick);
+            let now = st.clock_ms;
+            let (outcome, eviction) = self.offer(st, r, now, &mut ops);
+            evicted += u64::from(eviction);
+            match outcome {
+                IngestOutcome::Admitted { .. } => tally.admitted += 1,
+                IngestOutcome::RateLimited => tally.rate_limited += 1,
+                IngestOutcome::Quarantined(_) => tally.quarantined += 1,
+                IngestOutcome::Shed => tally.shed += 1,
+            }
+            verdict(outcome);
+        }
+        let offered = tally.admitted + tally.rate_limited + tally.quarantined + tally.shed;
+        if offered > 0 {
+            let intake = StateOp::Intake {
+                raw_seen: offered,
+                rate_limited: tally.rate_limited,
+                shed: tally.shed + evicted,
+                admitted: tally.admitted,
+            };
+            ops.insert(0, intake);
+            st.store.apply(&ops);
+        }
+        tally
+    }
+
+    /// The admission step for one record, under the state lock at
+    /// logical time `now`: token bucket, parse + classify, poison filter,
+    /// shed policy. A quarantine record goes onto `ops`; the flag says
+    /// whether admitting the record evicted a queued packet.
+    fn offer(
+        &self,
+        st: &mut ServerState,
+        r: RawPacket<'_>,
+        now: u64,
+        ops: &mut Vec<StateOp>,
+    ) -> (IngestOutcome, bool) {
+        // Charge the source's bucket before spending any parsing work on
+        // the bytes.
+        if let Some(rate) = self.intake.rate {
+            if !st.charge_bucket(r.ip, now, rate) {
+                return (IngestOutcome::RateLimited, false);
+            }
+        }
+        let reason = match st.parse(r, &self.intake.limits, &self.check) {
+            Ok((packet, suspicious))
+                if st.poisoned.is_empty() || !st.poisoned.contains(&packet_key(&packet)) =>
+            {
+                return self.enqueue(st, packet, suspicious);
+            }
+            Ok(_) => QuarantineReason::PoisonReingest,
+            Err(e) => QuarantineReason::Malformed(e),
+        };
+        ops.push(StateOp::Quarantine {
+            cap: self.intake.quarantine_capacity,
+            parse_reject: matches!(reason, QuarantineReason::Malformed(_)),
+            record: QuarantineRecord {
+                reason: reason.clone(),
+                source: r.ip,
+                port: r.port,
+                bytes: r.raw.len(),
+                summary: summarize(r.raw),
+            },
+        });
+        (IngestOutcome::Quarantined(reason), false)
+    }
+
+    /// Queue an admitted packet under the shed policy; the flag says
+    /// whether a queued packet was evicted to make room.
+    fn enqueue(
+        &self,
+        st: &mut ServerState,
+        packet: HttpPacket,
+        suspicious: bool,
+    ) -> (IngestOutcome, bool) {
+        let full = st.queue.len() >= self.intake.queue_capacity;
+        if full {
+            let victim = match self.intake.shed {
+                Shed::Newest => None,
+                Shed::Oldest => Some(0),
+                // The oldest benign entry, else the oldest suspicious one
+                // unless the newcomer is benign itself.
                 Shed::SensitiveLast => {
-                    if let Some(pos) = st.queue.iter().position(|(_, s)| !s) {
-                        st.queue.remove(pos);
-                        false
-                    } else if !suspicious {
-                        true
-                    } else {
-                        st.queue.pop_front();
-                        false
-                    }
+                    st.queue.iter().position(|(_, s)| !s).or(suspicious.then_some(0))
                 }
             };
-            if shed_incoming {
-                st.store.apply(&[intake_op(0, 1, 0)]);
-                return IngestOutcome::Shed;
-            }
-            evicted = 1;
+            let Some(pos) = victim else {
+                return (IngestOutcome::Shed, false);
+            };
+            st.queue.remove(pos);
         }
-        st.store.apply(&[intake_op(0, evicted, 1)]);
         st.queue.push_back((packet, suspicious));
-        IngestOutcome::Admitted { suspicious }
+        (IngestOutcome::Admitted { suspicious }, full)
     }
 
     /// Drain up to `max` packets from the admission queue into the
-    /// reservoir / normal ring. Returns how many were processed.
-    /// [`CollectionServer::regenerate`] (and the supervisor) drain the
-    /// whole queue before sampling, so calling this explicitly is only
-    /// needed to smooth latency or to observe mid-flood state.
+    /// reservoir / normal ring, recorded as one op slice. Returns how
+    /// many were processed. [`CollectionServer::regenerate`] (and the
+    /// supervisor) drain the whole queue before sampling, so calling this
+    /// explicitly is only needed to smooth latency or to observe
+    /// mid-flood state.
     pub fn pump(&self, max: usize) -> usize {
         let mut st = self.state.lock();
-        let mut n = 0;
-        while n < max {
-            let Some((packet, suspicious)) = st.queue.pop_front() else {
-                break;
-            };
-            st.classify(packet, suspicious, self.capacity);
-            n += 1;
+        let n = max.min(st.queue.len());
+        if n > 0 {
+            let mut queue = std::mem::take(&mut st.queue);
+            st.route(queue.drain(..n), self.capacity);
+            st.queue = queue;
         }
         n
     }
@@ -676,7 +736,8 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     ///
     /// Counter lifecycle: all counters start at zero, only ever
     /// increase, and survive regenerations. `raw_seen` bumps on every
-    /// `ingest_raw` offer; exactly one of `rate_limited`,
+    /// raw offer (an `ingest_raw` call or one `ingest_batch` record);
+    /// exactly one of `rate_limited`,
     /// `parse_rejects` (+`quarantined`), `shed`, or `admitted` bumps for
     /// that same offer — except under [`Shed::Oldest`] /
     /// [`Shed::SensitiveLast`], where an overflow bumps `shed` for a
@@ -685,7 +746,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// classification: immediately for trusted [`CollectionServer::ingest`],
     /// at queue-drain time (`pump`/`regenerate`) for raw intake.
     /// `quarantined` also bumps for supervisor poison verdicts, which do
-    /// not originate from an `ingest_raw` offer.
+    /// not originate from a raw offer.
     ///
     /// Restart lifecycle (durable backends): **every** `ServerStats`
     /// counter is part of the durable state and survives recovery as of
@@ -748,49 +809,93 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
 }
 
 impl ServerState {
-    /// Route one classified packet into the reservoir or normal ring.
+    /// Parse `raw` into an owned packet and classify it. The zero-copy
+    /// view parse runs in the state's arena, and the payload check scans
+    /// its rebuilt wire image — the same bytes
+    /// [`PayloadCheck::is_suspicious`] scans on the materialised packet.
+    /// A request line that is not UTF-8 (`Opaque`) takes the owned
+    /// parser, whose lossy decode a view cannot represent.
+    fn parse<T: Copy + Eq>(
+        &mut self,
+        r: RawPacket<'_>,
+        limits: &ParseLimits,
+        check: &PayloadCheck<T>,
+    ) -> Result<(HttpPacket, bool), ParseError> {
+        self.arena.reset();
+        match parse_request_view(r.raw, r.ip, r.port, limits, &mut self.arena)? {
+            ViewOutcome::View(view) => {
+                view.write_wire(&self.arena, &mut self.wire);
+                let suspicious = check.is_suspicious_bytes(&self.wire);
+                Ok((view.to_packet(&self.arena), suspicious))
+            }
+            ViewOutcome::Opaque => {
+                let packet = parse_request_limited(r.raw, r.ip, r.port, limits)?;
+                let suspicious = check.is_suspicious(&packet);
+                Ok((packet, suspicious))
+            }
+        }
+    }
+
+    /// Route classified packets into the reservoir or normal ring,
+    /// recorded as one op slice: a `Suspect`, `SuspectDropped` or
+    /// `Normal` op per packet in order, then one [`StateOp::Rng`]
+    /// checkpoint when a sampling draw advanced the generator.
     ///
-    /// The reservoir decision (including the sampling draw) is made
-    /// *here* and recorded in the op, so replaying a durable log never
-    /// consults an RNG; a [`StateOp::Rng`] checkpoint rides along
-    /// whenever a draw advanced the generator.
-    fn classify(&mut self, packet: HttpPacket, suspicious: bool, capacity: usize) {
-        if suspicious {
-            // Reservoir sampling: keep each suspicious packet with
-            // probability capacity / seen-so-far.
-            let len = self.store.state().reservoir.len();
-            if len < capacity {
-                self.store
-                    .apply(&[StateOp::Suspect { packet, slot: len }]);
-            } else {
-                let seen = self.store.state().stats.suspicious + 1;
-                let j = self.rng.random_range(0..seen);
-                let op = if (j as usize) < capacity {
-                    StateOp::Suspect {
-                        packet,
-                        slot: j as usize,
-                    }
+    /// The reservoir decisions (including the draws) are made *here* and
+    /// recorded in the ops, so replaying a durable log never consults an
+    /// RNG. The reservoir length and suspicious count advance locally as
+    /// the slice grows, so each packet draws exactly what it would as a
+    /// slice of its own.
+    fn route(&mut self, packets: impl IntoIterator<Item = (HttpPacket, bool)>, capacity: usize) {
+        let state = self.store.state();
+        let mut len = state.reservoir.len();
+        let mut seen = state.stats.suspicious;
+        let mut drew = false;
+        let mut ops = Vec::new();
+        for (packet, suspicious) in packets {
+            if suspicious {
+                // Reservoir sampling: keep each suspicious packet with
+                // probability capacity / seen-so-far.
+                seen += 1;
+                if len < capacity {
+                    ops.push(StateOp::Suspect { packet, slot: len });
+                    len += 1;
                 } else {
-                    StateOp::SuspectDropped
-                };
-                self.store.apply(&[
-                    op,
-                    StateOp::Rng {
-                        state: self.rng.state(),
-                    },
-                ]);
-            }
-        } else {
-            self.store.apply(&[StateOp::Normal]);
-            // Bounded ring of recent normal traffic for FP validation —
-            // volatile by design (it is a cache of ambient traffic).
-            if self.normal_ring.len() < 2048 {
-                self.normal_ring.push(packet);
+                    drew = true;
+                    let j = self.rng.random_range(0..seen) as usize;
+                    ops.push(if j < capacity {
+                        StateOp::Suspect { packet, slot: j }
+                    } else {
+                        StateOp::SuspectDropped
+                    });
+                }
             } else {
-                let pos = self.normal_pos;
-                self.normal_ring[pos] = packet;
-                self.normal_pos = (pos + 1) % 2048;
+                ops.push(StateOp::Normal);
+                // Bounded ring of recent normal traffic for FP validation —
+                // volatile by design (it is a cache of ambient traffic).
+                if self.normal_ring.len() < 2048 {
+                    self.normal_ring.push(packet);
+                } else {
+                    let pos = self.normal_pos;
+                    self.normal_ring[pos] = packet;
+                    self.normal_pos = (pos + 1) % 2048;
+                }
             }
+        }
+        if drew {
+            ops.push(StateOp::Rng {
+                state: self.rng.state(),
+            });
+        }
+        if ops.is_empty() || self.store.apply(&ops) == ApplyOutcome::Applied {
+            return;
+        }
+        // A fail-closed degraded store refuses slices carrying reservoir
+        // evidence. Re-apply the rest (counters and the RNG checkpoint)
+        // so benign traffic keeps counting while the reservoir is shut.
+        ops.retain(|op| !matches!(op, StateOp::Suspect { .. }));
+        if !ops.is_empty() {
+            self.store.apply(&ops);
         }
     }
 

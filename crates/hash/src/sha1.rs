@@ -1,7 +1,8 @@
 //! SHA-1 message digest (FIPS 180-4).
 //!
 //! Same block/padding structure as MD5 but big-endian, with an 80-round
-//! compression over a 160-bit state and a 16→80 word message schedule.
+//! compression over a 160-bit state and a 16→80 word message schedule
+//! (computed in a rolling 16-word window).
 
 use crate::Digest;
 
@@ -15,35 +16,49 @@ pub struct Sha1 {
 }
 
 impl Sha1 {
+    /// One 64-byte block. The message schedule is a rolling 16-word
+    /// window (`w[t mod 16]` is rewritten in place as round `t` needs
+    /// it), and each 20-round stage runs as its own loop, so no round
+    /// branches on its index.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+        let mut w = [0u32; 16];
+        for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes(chunk.try_into().unwrap());
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
         let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | (!b & d), 0x5a827999),
-                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
+        macro_rules! stage {
+            ($range:expr, $k:expr, $f:expr) => {
+                for t in $range {
+                    let wt = if t < 16 {
+                        w[t]
+                    } else {
+                        let x = (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t & 15])
+                            .rotate_left(1);
+                        w[t & 15] = x;
+                        x
+                    };
+                    let f: u32 = $f(b, c, d);
+                    let tmp = a
+                        .rotate_left(5)
+                        .wrapping_add(f)
+                        .wrapping_add(e)
+                        .wrapping_add($k)
+                        .wrapping_add(wt);
+                    e = d;
+                    d = c;
+                    c = b.rotate_left(30);
+                    b = a;
+                    a = tmp;
+                }
             };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
         }
+        stage!(0..20, 0x5a827999, |b: u32, c: u32, d: u32| (b & c)
+            | (!b & d));
+        stage!(20..40, 0x6ed9eba1, |b: u32, c: u32, d: u32| b ^ c ^ d);
+        stage!(40..60, 0x8f1bbcdc, |b: u32, c: u32, d: u32| (b & c)
+            | (b & d)
+            | (c & d));
+        stage!(60..80, 0xca62c1d6, |b: u32, c: u32, d: u32| b ^ c ^ d);
 
         self.state[0] = self.state[0].wrapping_add(a);
         self.state[1] = self.state[1].wrapping_add(b);
@@ -121,6 +136,62 @@ impl Digest for Sha1 {
 mod tests {
     use super::*;
     use crate::sha1_hex;
+    use proptest::prelude::*;
+
+    /// The textbook compression — the full 80-word schedule and a
+    /// per-round `match` on the stage — kept as the oracle for the
+    /// rolling-schedule one.
+    fn compress_reference(state: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [0u32; 80];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i {
+                0..=19 => ((b & c) | (!b & d), 0x5a827999),
+                20..=39 => (b ^ c ^ d, 0x6ed9eba1),
+                40..=59 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
+                _ => (b ^ c ^ d, 0xca62c1d6),
+            };
+            let tmp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = tmp;
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    proptest! {
+        /// The rolling-schedule compression equals the reference on
+        /// arbitrary chaining states and blocks.
+        #[test]
+        fn compress_matches_reference(
+            state in proptest::collection::vec(any::<u32>(), 5),
+            block in proptest::collection::vec(any::<u8>(), 64),
+        ) {
+            let state: [u32; 5] = state.try_into().unwrap();
+            let block: [u8; 64] = block.try_into().unwrap();
+            let mut h = Sha1::new();
+            h.state = state;
+            h.compress(&block);
+            let mut want = state;
+            compress_reference(&mut want, &block);
+            prop_assert_eq!(h.state, want);
+        }
+    }
 
     /// FIPS 180-4 / RFC 3174 test vectors.
     #[test]

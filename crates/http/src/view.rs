@@ -212,6 +212,29 @@ impl<'a> PacketView<'a> {
             body: self.body().to_vec(),
         }
     }
+
+    /// Write the wire image of [`PacketView::to_packet`] into `out`
+    /// (cleared first): byte-identical to `to_packet(arena).to_bytes()`,
+    /// without materialising the packet. Allocates nothing once `out`
+    /// has grown to the largest image seen. Requires the parse-time
+    /// arena, un-reset since.
+    pub fn write_wire(&self, arena: &ParseArena, out: &mut Vec<u8>) {
+        out.clear();
+        // The method token round-trips through `Method::from_token`
+        // unchanged, so the request line is the raw bytes up to the CRLF.
+        out.extend_from_slice(self.rline());
+        out.push(b' ');
+        out.extend_from_slice(self.version.get(self.raw));
+        out.extend_from_slice(b"\r\n");
+        for (name, value) in self.headers(arena) {
+            out.extend_from_slice(name);
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value);
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.body());
+    }
 }
 
 /// Result of a view parse that did not reject the input.

@@ -199,7 +199,10 @@ proptest! {
         let owned = parse_request_limited(&raw, Ipv4Addr::LOCALHOST, 80, &limits);
         match parse_request_view(&raw, Ipv4Addr::LOCALHOST, 80, &limits, &mut arena) {
             Ok(ViewOutcome::View(v)) => {
+                let mut wire = Vec::new();
+                v.write_wire(&arena, &mut wire);
                 prop_assert_eq!(Ok(v.to_packet(&arena)), owned);
+                prop_assert_eq!(wire, v.to_packet(&arena).to_bytes());
             }
             Ok(ViewOutcome::Opaque) => {
                 let first_line = raw.split(|&b| b == b'\n').next().unwrap_or(&raw);
@@ -247,6 +250,48 @@ proptest! {
                 prop_assert_eq!(v.host_bytes(), pkt.destination.host.as_bytes());
             }
             other => prop_assert!(false, "well-formed image must view-parse, got {:?}", other),
+        }
+    }
+
+    /// `write_wire` rebuilds the materialised packet's wire image byte
+    /// for byte over every input the view parser accepts: well-formed
+    /// images with free-form headers (padded values, duplicates, odd
+    /// methods and versions), then mangled by the fault crate's bit
+    /// flips. One output buffer serves every case, so a stale tail from
+    /// a longer earlier image would show.
+    #[test]
+    fn write_wire_matches_materialised_bytes(
+        method in "[A-Z]{1,7}",
+        version in "HTTP/[0-9]\\.[0-9]",
+        headers in proptest::collection::vec((free_header_name(), header_value()), 0..6),
+        padded in any::<bool>(),
+        body in proptest::option::of(proptest::collection::vec(any::<u8>(), 1..96)),
+        seed in any::<u64>(),
+        flips in 0usize..6,
+    ) {
+        let mut raw = format!("{method} /w?x=1 {version}\r\nHost: wire.example\r\n").into_bytes();
+        for (name, value) in &headers {
+            raw.extend_from_slice(name.as_bytes());
+            raw.extend_from_slice(if padded { b":  \t" } else { b":" });
+            raw.extend_from_slice(value);
+            raw.extend_from_slice(if padded { b" \r\n" } else { b"\r\n" });
+        }
+        if let Some(body) = &body {
+            raw.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+        }
+        raw.extend_from_slice(b"\r\n");
+        if let Some(body) = &body {
+            raw.extend_from_slice(body);
+        }
+        flip_bytes(&mut raw, seed, flips);
+
+        let mut arena = ParseArena::new();
+        let mut wire = b"stale bytes from an earlier, longer image".repeat(8);
+        if let Ok(ViewOutcome::View(v)) =
+            parse_request_view(&raw, Ipv4Addr::LOCALHOST, 80, &ParseLimits::intake(), &mut arena)
+        {
+            v.write_wire(&arena, &mut wire);
+            prop_assert_eq!(wire, v.to_packet(&arena).to_bytes());
         }
     }
 }

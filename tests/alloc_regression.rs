@@ -24,7 +24,9 @@ use leaksig_core::prelude::*;
 use leaksig_device::{
     decode_policy, GateAction, PacketGate, SignatureStore, UserChoice, AUDIT_CAPACITY,
 };
-use leaksig_http::{HttpPacket, ParseLimits, RequestBuilder};
+use leaksig_http::{
+    parse_request_view, HttpPacket, ParseArena, ParseLimits, RequestBuilder, ViewOutcome,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -185,6 +187,65 @@ fn steady_state_scan_batch_is_allocation_free_per_packet() {
     assert_eq!(
         clean_allocs, 0,
         "well-formed steady-state batches must not allocate at all"
+    );
+}
+
+/// The collection server's per-record classification, once warm: view
+/// parse into a reused arena, the wire image rebuilt into a reused
+/// buffer, and the payload check's automaton pass over it allocate
+/// nothing at all over a well-formed batch.
+#[test]
+fn steady_state_intake_classification_allocates_nothing() {
+    let check = PayloadCheck::new([
+        ("udid", format!("{:032x}", 7u128 * 3 + 1)),
+        ("carrier", "NTT DOCOMO".to_string()),
+    ]);
+    let raws: Vec<Vec<u8>> = (0..256usize)
+        .map(|i| {
+            let leak = i % 2 == 0;
+            RequestBuilder::post(&format!("/m{}/report", i % 8))
+                .query(
+                    "udid",
+                    &format!("{:032x}", if leak { 7u128 * 3 + 1 } else { i as u128 }),
+                )
+                .cookie(&format!("sid={i}"))
+                .header("X-Request-Id", format!("req-{i}"))
+                .body(
+                    format!("carrier={}&n={i}", if leak { "NTT+DOCOMO" } else { "none" })
+                        .into_bytes(),
+                )
+                .destination(Ipv4Addr::new(203, 0, 113, 9), 80, "ad.example.net")
+                .build()
+                .to_bytes()
+        })
+        .collect();
+    let limits = ParseLimits::intake();
+    let mut arena = ParseArena::new();
+    let mut wire = Vec::new();
+    let classify = |arena: &mut ParseArena, wire: &mut Vec<u8>| {
+        let mut suspicious = 0usize;
+        for raw in &raws {
+            arena.reset();
+            match parse_request_view(raw, Ipv4Addr::new(203, 0, 113, 9), 80, &limits, arena) {
+                Ok(ViewOutcome::View(view)) => {
+                    view.write_wire(arena, wire);
+                    suspicious += usize::from(check.is_suspicious_bytes(wire));
+                }
+                other => panic!("well-formed record must view-parse, got {other:?}"),
+            }
+        }
+        suspicious
+    };
+    assert_eq!(classify(&mut arena, &mut wire), raws.len() / 2);
+    let (allocs, suspicious) = count_allocs(|| {
+        (0..5)
+            .map(|_| classify(&mut arena, &mut wire))
+            .sum::<usize>()
+    });
+    assert_eq!(suspicious, 5 * raws.len() / 2);
+    assert_eq!(
+        allocs, 0,
+        "steady-state intake classification allocated {allocs} times"
     );
 }
 

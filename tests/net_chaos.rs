@@ -612,6 +612,39 @@ fn shutdown_drains_the_inflight_batch_before_closing() {
     assert_eq!(stats.accepted, stats.closed_total(), "{stats:?}");
 }
 
+/// A graceful shutdown pumps every record it ACKed as admitted: none
+/// may die in the admission queue. Pumping one record per sweep leaves
+/// most of three 64-record batches queued when the stop arrives.
+#[test]
+fn shutdown_pumps_every_acked_record() {
+    let data = Dataset::generate(MarketConfig::scaled(9, 0.01));
+    let collector = Arc::new(collector_for(&data, 9));
+    let publisher = Arc::new(SignatureServer::new());
+    let config = NetConfig {
+        pump_per_tick: 1,
+        ..tuned_config()
+    };
+    let server = NetServer::spawn(collector.clone(), publisher, "127.0.0.1:0", config)
+        .expect("bind loopback");
+    let client = NetClient::new(server.addr());
+    let mut admitted = 0;
+    for batch in batches_of(&data, 3 * 64, 64, 0) {
+        match client.send_batch(&batch, None).expect("upload") {
+            BatchOutcome::Acked(ack) => admitted += ack.admitted,
+            other => panic!("an honest batch must be acked, got {other:?}"),
+        }
+    }
+    assert_eq!(admitted, 3 * 64);
+    server.shutdown();
+    let stats = collector.stats();
+    assert_eq!(collector.queue_len(), 0, "{stats:?}");
+    assert_eq!(stats.admitted, admitted, "{stats:?}");
+    assert_eq!(
+        stats.ingested, admitted,
+        "ACKed records were lost: {stats:?}"
+    );
+}
+
 #[test]
 fn ack_reports_rate_limited_records() {
     let data = Dataset::generate(MarketConfig::scaled(9, 0.01));
