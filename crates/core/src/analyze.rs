@@ -721,9 +721,8 @@ pub fn dead_signatures(set: &SignatureSet, mode: MatchMode) -> Vec<DeadSignature
 
 /// Remove every proved-dead signature ([`dead_signatures`]) from the set,
 /// returning how many were dropped. Complements the pipeline's
-/// syntactic [`crate::pipeline::drop_dominated`], whose token-count
-/// prescreen misses dominators with more tokens than the dominated
-/// signature.
+/// syntactic [`crate::pipeline::drop_dominated`], which by definition
+/// skips dominators with more tokens than the dominated signature.
 pub fn drop_dead(set: &mut SignatureSet, mode: MatchMode) -> usize {
     let dead = dead_signatures(set, mode);
     if dead.is_empty() {
@@ -1453,7 +1452,7 @@ mod tests {
     #[test]
     fn dominated_by_larger_dominator_is_caught() {
         // Dominator has MORE tokens than the dominated signature — the
-        // pipeline's syntactic prescreen misses this shape.
+        // pipeline's syntactic dominance test skips this shape.
         let a = sig(
             1,
             vec![tok(Field::Body, b"id="), tok(Field::Body, b"id=")],

@@ -97,27 +97,44 @@ impl Dendrogram {
     /// whose merge distance is ≤ `threshold`. Returns leaf partitions,
     /// largest first.
     pub fn cut(&self, threshold: f64) -> Vec<Vec<usize>> {
+        self.cut_nodes(threshold)
+            .into_iter()
+            .map(|id| self.members(id))
+            .collect()
+    }
+
+    /// The node ids behind [`Dendrogram::cut`], in the same order: largest
+    /// first, then by member list. The clusters of a cut are disjoint, so
+    /// their sorted member lists compare as their smallest members do.
+    pub fn cut_nodes(&self, threshold: f64) -> Vec<usize> {
         if self.n == 0 {
             return Vec::new();
         }
         // A node survives the cut if it is a leaf or its merge distance is
         // within threshold; clusters are survivor nodes whose parent (if
-        // any) does not survive.
+        // any) does not survive. A merge's children are earlier nodes, so
+        // one pass in id order finds every node's smallest leaf.
         let total = self.n + self.merges.len();
         let mut parent = vec![usize::MAX; total];
+        let mut first: Vec<usize> = (0..total).collect();
         for (m, merge) in self.merges.iter().enumerate() {
             parent[merge.a] = self.n + m;
             parent[merge.b] = self.n + m;
+            first[self.n + m] = first[merge.a].min(first[merge.b]);
         }
-        let survives = |id: usize| id < self.n || self.merges[id - self.n].distance <= threshold;
-        let mut clusters = Vec::new();
-        for (id, &par) in parent.iter().enumerate() {
-            if survives(id) && (par == usize::MAX || !survives(par)) {
-                clusters.push(self.members(id));
+        let size = |id: usize| {
+            if id < self.n {
+                1
+            } else {
+                self.merges[id - self.n].size
             }
-        }
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-        clusters
+        };
+        let survives = |id: usize| id < self.n || self.merges[id - self.n].distance <= threshold;
+        let mut nodes: Vec<usize> = (0..total)
+            .filter(|&id| survives(id) && (parent[id] == usize::MAX || !survives(parent[id])))
+            .collect();
+        nodes.sort_by_key(|&id| (std::cmp::Reverse(size(id)), first[id]));
+        nodes
     }
 
     /// Cut into (at most) `k` clusters by undoing the last merges.

@@ -866,18 +866,26 @@ impl CompiledDetector {
     /// borrowed field bytes, filling counters, the probe tag mask, and
     /// (in ordered mode) position lists.
     fn scan_field_bytes(&self, s: &mut ScanScratch, fields: FieldBytes<'_>) {
+        self.scan_segments(s, [(0, fields.rline), (1, fields.cookie), (2, fields.body)]);
+    }
+
+    /// [`CompiledDetector::scan_field_bytes`] over any number of haystacks
+    /// per field, given as `(field index, bytes)`: one scan, so a pattern
+    /// found in any segment of its field counts, but no match spans two
+    /// segments. Position lists record offsets within each segment.
+    fn scan_segments<'h>(
+        &self,
+        s: &mut ScanScratch,
+        segments: impl IntoIterator<Item = (usize, &'h [u8])>,
+    ) {
         s.begin();
         let record_positions = self.mode == MatchMode::Ordered;
         let probe_base = self.probe_base;
-        for (f, matcher) in self.matchers.iter().enumerate() {
+        for (f, hay) in segments {
+            let matcher = &self.matchers[f];
             if matches!(matcher, FieldMatcher::Empty) {
                 continue;
             }
-            let hay: &[u8] = match f {
-                0 => fields.rline,
-                1 => fields.cookie,
-                _ => fields.body,
-            };
             let epoch = s.epoch;
             // Split-borrow the scratch so the closure can touch every
             // component without aliasing `self`.
@@ -1055,6 +1063,21 @@ impl CompiledDetector {
         self.scan_field_bytes(s, fields);
         self.collect_matches(s, out);
         s.tag_mask
+    }
+
+    /// Every matching set index (ascending, deduped) into `out` for a
+    /// "packet" made of `(field, bytes)` segments (see
+    /// [`CompiledDetector::scan_segments`]). Under
+    /// [`MatchMode::Conjunction`] a signature matches exactly when each of
+    /// its tokens occurs inside some segment of its field.
+    pub(crate) fn matched_segments_into<'h>(
+        &self,
+        s: &mut ScanScratch,
+        segments: impl IntoIterator<Item = (Field, &'h [u8])>,
+        out: &mut Vec<u32>,
+    ) {
+        self.scan_segments(s, segments.into_iter().map(|(f, b)| (field_index(f), b)));
+        self.collect_matches(s, out);
     }
 
     /// Wire id of the signature at `set_idx` (set order).

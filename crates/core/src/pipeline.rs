@@ -1,14 +1,18 @@
 //! The end-to-end pipeline of Fig. 3a: payload check → sample → cluster →
 //! signature generation → detection → evaluation.
 
-use crate::cluster::agglomerate;
+use crate::cluster::{agglomerate, Dendrogram};
 use crate::detect::Detector;
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
 use crate::matrix::pairwise;
-use crate::signature::{signature_from_cluster, SignatureConfig, SignatureSet};
+use crate::signature::{
+    assemble_signature, field_views, rline_view, ConjunctionSignature, Field, SignatureConfig,
+    SignatureSet,
+};
 use leaksig_compress::Lzss;
 use leaksig_http::HttpPacket;
+use leaksig_textdist::{common_tokens, fold_common_tokens, TokenConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -275,56 +279,62 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
     let dendrogram = agglomerate(&matrix);
     timings.cluster_ms = ms_since(t);
     let t = Instant::now();
-    let clusters: Vec<Vec<usize>> = match config.selection {
-        ClusterSelection::Cut(threshold) => dendrogram.cut(threshold),
-        ClusterSelection::AllNodes { max_distance } => {
-            let n = dendrogram.leaves();
-            let mut nodes: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-            for (m, merge) in dendrogram.merges().iter().enumerate() {
-                if merge.distance <= max_distance {
-                    nodes.push(dendrogram.members(n + m));
-                }
-            }
-            nodes
+    // Candidate nodes in emission order. The diagnostic cluster count is
+    // the cut size under `Cut` and the full dendrogram node count under
+    // `AllNodes` (a fixed cut is not meaningful there).
+    let n = dendrogram.leaves();
+    let (nodes, cluster_count): (Vec<usize>, usize) = match config.selection {
+        ClusterSelection::Cut(threshold) => {
+            let nodes = dendrogram.cut_nodes(threshold);
+            let count = nodes.len();
+            (nodes, count)
         }
-    };
-    // The diagnostic cluster count: the cut size under `Cut`, the full
-    // dendrogram node count under `AllNodes` (a fixed cut is not
-    // meaningful there).
-    let cluster_count = match config.selection {
-        ClusterSelection::Cut(_) => clusters.len(),
-        ClusterSelection::AllNodes { .. } => 2 * packets.len() - 1,
+        ClusterSelection::AllNodes { max_distance } => {
+            let internal = dendrogram
+                .merges()
+                .iter()
+                .enumerate()
+                .filter(|(_, merge)| merge.distance <= max_distance)
+                .map(|(m, _)| n + m);
+            ((0..n).chain(internal).collect(), 2 * n - 1)
+        }
     };
 
     // Token extraction is per content field, so a cluster mixing GET and
     // POST members of one module would lose the identifier token (it sits
-    // in the request line for GETs but the body for POSTs). Partition each
-    // cluster by method before extraction.
-    let mut signatures: Vec<crate::signature::ConjunctionSignature> = Vec::new();
+    // in the request line for GETs but the body for POSTs). Each node is
+    // partitioned by method, and each partition's tokens are folded up
+    // from its children's.
+    let rlines: Vec<String> = packets.iter().map(|p| rline_view(p)).collect();
+    let min_len = config.signature.token.min_len;
+    let mut fold = NodeFold::new(packets, &rlines, &dendrogram, min_len);
+    let mut signatures: Vec<ConjunctionSignature> = Vec::new();
     let mut seen_token_sets: std::collections::HashSet<Vec<(u8, Vec<u8>)>> =
         std::collections::HashSet::new();
-    let mut next_id = 0u32;
-    for cluster in &clusters {
-        let mut by_method: std::collections::BTreeMap<&str, Vec<&HttpPacket>> =
-            std::collections::BTreeMap::new();
-        for &i in cluster {
-            by_method
-                .entry(packets[i].request_line.method.as_str())
-                .or_default()
-                .push(packets[i]);
-        }
-        for members in by_method.values() {
-            if let Some(sig) = signature_from_cluster(next_id, members, &config.signature) {
-                // Overlapping dendrogram nodes produce many duplicates.
-                let key: Vec<(u8, Vec<u8>)> = sig
-                    .tokens
-                    .iter()
-                    .map(|t| (t.field as u8, t.bytes().to_vec()))
-                    .collect();
-                if seen_token_sets.insert(key) {
-                    signatures.push(sig);
-                    next_id += 1;
-                }
+    for node in nodes {
+        for part in fold.state(node) {
+            if part.size == 1 && !config.signature.include_singletons {
+                continue;
+            }
+            let first = part.first;
+            let Some(sig) = assemble_signature(
+                signatures.len() as u32,
+                &part.tokens,
+                field_views(&rlines[first], packets[first]),
+                part.size,
+                &part.hosts,
+                &config.signature,
+            ) else {
+                continue;
+            };
+            // Overlapping dendrogram nodes produce many duplicates.
+            let key: Vec<(u8, Vec<u8>)> = sig
+                .tokens
+                .iter()
+                .map(|t| (t.field as u8, t.bytes().to_vec()))
+                .collect();
+            if seen_token_sets.insert(key) {
+                signatures.push(sig);
             }
         }
     }
@@ -351,6 +361,123 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
         set,
         clusters: cluster_count,
         timings,
+    }
+}
+
+/// One method partition of a dendrogram node: what signature extraction
+/// needs of its members, without the member list.
+struct Partition<'p> {
+    method: &'p str,
+    /// Untruncated common tokens per field, in [`Field::ALL`] order.
+    tokens: [Vec<Vec<u8>>; 3],
+    size: usize,
+    /// Smallest member index: the reference member for order hints.
+    first: usize,
+    /// Distinct destination hosts, sorted.
+    hosts: Vec<&'p str>,
+}
+
+/// Per-node extraction state over one dendrogram, computed bottom-up on
+/// demand: a leaf's tokens are its whole fields, and an internal node's
+/// are folded from its two children's ([`fold_common_tokens`]), which it
+/// takes over. Each node holds its partitions sorted by method.
+struct NodeFold<'p> {
+    packets: &'p [&'p HttpPacket],
+    rlines: &'p [String],
+    dendrogram: &'p Dendrogram,
+    min_len: usize,
+    slots: Vec<Option<Vec<Partition<'p>>>>,
+}
+
+impl<'p> NodeFold<'p> {
+    fn new(
+        packets: &'p [&'p HttpPacket],
+        rlines: &'p [String],
+        dendrogram: &'p Dendrogram,
+        min_len: usize,
+    ) -> Self {
+        let total = dendrogram.leaves() + dendrogram.merges().len();
+        NodeFold {
+            packets,
+            rlines,
+            dendrogram,
+            min_len,
+            slots: (0..total).map(|_| None).collect(),
+        }
+    }
+
+    /// The partitions of `node`, computing it (and any child not yet
+    /// computed) first. A child's state moves into its parent, so ask for
+    /// a node before its parent.
+    fn state(&mut self, node: usize) -> &[Partition<'p>] {
+        let n = self.dendrogram.leaves();
+        let mut stack = vec![node];
+        while let Some(&id) = stack.last() {
+            if self.slots[id].is_some() {
+                stack.pop();
+            } else if id < n {
+                self.slots[id] = Some(vec![self.leaf(id)]);
+                stack.pop();
+            } else {
+                let merge = self.dendrogram.merges()[id - n];
+                let depth = stack.len();
+                let slots = &self.slots;
+                stack.extend([merge.a, merge.b].into_iter().filter(|&c| slots[c].is_none()));
+                if stack.len() == depth {
+                    let a = self.slots[merge.a].take().expect("child computed");
+                    let b = self.slots[merge.b].take().expect("child computed");
+                    self.slots[id] = Some(self.merge(a, b));
+                    stack.pop();
+                }
+            }
+        }
+        self.slots[node].as_deref().expect("node computed")
+    }
+
+    fn leaf(&self, i: usize) -> Partition<'p> {
+        let packet = self.packets[i];
+        let whole = TokenConfig {
+            min_len: self.min_len,
+            max_tokens: usize::MAX,
+        };
+        Partition {
+            method: packet.request_line.method.as_str(),
+            tokens: field_views(&self.rlines[i], packet).map(|f| common_tokens(&[f], whole)),
+            size: 1,
+            first: i,
+            hosts: vec![packet.destination.host.as_str()],
+        }
+    }
+
+    /// Union two nodes' partitions; a method both sides hold folds.
+    fn merge(&self, a: Vec<Partition<'p>>, b: Vec<Partition<'p>>) -> Vec<Partition<'p>> {
+        let mut out: Vec<Partition<'p>> = Vec::with_capacity(a.len() + b.len());
+        let mut b = b.into_iter().peekable();
+        for pa in a {
+            while let Some(pb) = b.next_if(|pb| pb.method < pa.method) {
+                out.push(pb);
+            }
+            match b.next_if(|pb| pb.method == pa.method) {
+                Some(pb) => {
+                    let mut hosts = pa.hosts;
+                    hosts.extend(pb.hosts);
+                    hosts.sort_unstable();
+                    hosts.dedup();
+                    out.push(Partition {
+                        method: pa.method,
+                        tokens: std::array::from_fn(|f| {
+                            fold_common_tokens(&pa.tokens[f], &pb.tokens[f], self.min_len)
+                        }),
+                        size: pa.size + pb.size,
+                        first: pa.first.min(pb.first),
+                        hosts,
+                    });
+                }
+                None => out.push(pa),
+            }
+        }
+        out.extend(b);
+        out
     }
 }
 
@@ -382,9 +509,10 @@ pub fn regeneration_pass(
         retain_structurally_clean(&mut set);
     }
     drop_dominated(&mut set);
-    // The syntactic prescreen above misses dominators with more tokens
-    // than the dominated signature; the analyzer's proved verdicts catch
-    // the remainder, so the published artifact clears the A001/A002 gate.
+    // The syntactic dominance test above skips dominators with more
+    // tokens than the dominated signature; the analyzer's proved verdicts
+    // catch the remainder, so the published artifact clears the A001/A002
+    // gate.
     crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
     timings.prune_ms = ms_since(t);
     *LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()) = Some(timings);
@@ -410,69 +538,40 @@ fn retain_structurally_clean(set: &mut SignatureSet) {
 /// collapses the leaf-level singleton explosion under
 /// [`ClusterSelection::AllNodes`].
 ///
+/// A dominates B when A ≠ B, A has no more tokens than B, their token
+/// lists differ, and every token of A lies inside some token of B in the
+/// same field. The set is compiled once as a conjunction engine and each
+/// B's tokens are scanned as that engine's haystacks, one segment per
+/// token: the signatures it reports are exactly those whose every token
+/// occurs in some token of B.
+///
 /// Run this **after** [`prune_against_normal`]: a general signature that
 /// validation later rejects must not have swallowed its specific children
 /// first.
 pub fn drop_dominated(set: &mut SignatureSet) {
-    let signatures = &mut set.signatures;
-    let n = signatures.len();
-    // Token views are borrowed, not re-allocated per comparison; alongside
-    // each signature's tokens we precompute per-field token counts and the
-    // per-field maximum token length, which give two O(1) rejections
-    // before any substring work:
-    //   * a token of A in a field where B has none can never be contained;
-    //   * a token of length L only fits inside a token of length ≥ L.
-    let token_sets: Vec<Vec<(u8, &[u8])>> = signatures
+    let engine =
+        crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
+    let mut scratch = engine.scratch();
+    let mut hits: Vec<u32> = Vec::new();
+    fn token_list(s: &ConjunctionSignature) -> impl Iterator<Item = (Field, &[u8])> {
+        s.tokens.iter().map(|t| (t.field, t.bytes()))
+    }
+    let signatures = &set.signatures;
+    let dominated: Vec<bool> = signatures
         .iter()
-        .map(|s| {
-            s.tokens
-                .iter()
-                .map(|t| (t.field as u8, t.bytes()))
-                .collect()
-        })
-        .collect();
-    let field_stats: Vec<[(u32, u32); 3]> = token_sets
-        .iter()
-        .map(|toks| {
-            let mut stats = [(0u32, 0u32); 3]; // (count, max_len) per field
-            for &(f, bytes) in toks {
-                let slot = &mut stats[f as usize];
-                slot.0 += 1;
-                slot.1 = slot.1.max(bytes.len() as u32);
-            }
-            stats
-        })
-        .collect();
-    // Only signatures with ≤ |B| tokens can dominate B: iterate potential
-    // dominators in ascending token count and stop early.
-    let mut by_len: Vec<usize> = (0..n).collect();
-    by_len.sort_by_key(|&i| token_sets[i].len());
-
-    // A dominates B when every token of A is contained in some token of B
-    // with the same field (so B's constraints imply A's).
-    let dominated: Vec<bool> = (0..n)
-        .map(|b| {
-            by_len
-                .iter()
-                .take_while(|&&a| token_sets[a].len() <= token_sets[b].len())
-                .any(|&a| {
-                    a != b
-                        && (0..3).all(|f| {
-                            field_stats[a][f].0 == 0
-                                || (field_stats[b][f].0 > 0
-                                    && field_stats[a][f].1 <= field_stats[b][f].1)
-                        })
-                        && token_sets[a] != token_sets[b]
-                        && token_sets[a].iter().all(|&(fa, ta)| {
-                            token_sets[b]
-                                .iter()
-                                .any(|&(fb, tb)| fa == fb && crate::engine::contains_bytes(tb, ta))
-                        })
-                })
+        .enumerate()
+        .map(|(b, sig_b)| {
+            engine.matched_segments_into(&mut scratch, token_list(sig_b), &mut hits);
+            hits.iter().any(|&a| {
+                let sig_a = &signatures[a as usize];
+                a as usize != b
+                    && sig_a.tokens.len() <= sig_b.tokens.len()
+                    && token_list(sig_a).ne(token_list(sig_b))
+            })
         })
         .collect();
     let mut keep = dominated.iter().map(|d| !d);
-    signatures.retain(|_| keep.next().unwrap());
+    set.signatures.retain(|_| keep.next().unwrap());
 }
 
 /// Outcome of one experiment run.
@@ -743,7 +842,7 @@ mod tests {
 
     /// The regeneration pass leaves no signature the analyzer can prove
     /// dead: the published artifact clears the semantic A001/A002 gate,
-    /// including dominators the syntactic prescreen cannot see.
+    /// including dominators the syntactic dominance test skips.
     #[test]
     fn regeneration_output_has_no_proved_dead_signatures() {
         let (packets, sensitive) = mini_dataset();
@@ -759,11 +858,10 @@ mod tests {
         assert!(dead.is_empty(), "proved-dead survivors: {dead:?}");
     }
 
-    /// The prescreened [`drop_dominated`] keeps exactly the signatures
-    /// the naive O(S²·T²) definition keeps — pinned on a set engineered
-    /// to hit every prescreen branch: equal sets (kept), field-mismatch
-    /// (kept), shorter-token containment (dropped), and a longer-set
-    /// non-dominator.
+    /// The engine-scan [`drop_dominated`] keeps exactly the signatures
+    /// the naive O(S²·T²) definition keeps — pinned on a hand-built set:
+    /// equal sets (kept), field-mismatch (kept), shorter-token
+    /// containment (dropped), and a longer-set non-dominator.
     #[test]
     fn drop_dominated_matches_naive_definition() {
         use crate::signature::{ConjunctionSignature, Field, FieldToken};

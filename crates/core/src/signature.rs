@@ -277,23 +277,60 @@ pub fn signature_from_cluster(
     if packets.is_empty() || (packets.len() == 1 && !config.include_singletons) {
         return None;
     }
-
-    let mut tokens: Vec<FieldToken> = Vec::new();
     // Request-line strings must outlive the &[u8] views.
     let rlines: Vec<String> = packets.iter().map(|p| rline_view(p)).collect();
-    for field in Field::ALL {
-        let views: Vec<&[u8]> = match field {
+    let views = |field: Field| -> Vec<&[u8]> {
+        match field {
             Field::RequestLine => rlines.iter().map(|s| s.as_bytes()).collect(),
             Field::Cookie => packets.iter().map(|p| p.cookie()).collect(),
             Field::Body => packets.iter().map(|p| p.body.as_slice()).collect(),
-        };
-        for tok in common_tokens(&views, config.token) {
-            let generic = config.boilerplate.iter().any(|b| contains_sub(b, &tok));
+        }
+    };
+    let tokens = Field::ALL.map(|field| common_tokens(&views(field), config.token));
+    let mut hosts: Vec<&str> = packets
+        .iter()
+        .map(|p| p.destination.host.as_str())
+        .collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    assemble_signature(
+        id,
+        &tokens,
+        field_views(&rlines[0], packets[0]),
+        packets.len(),
+        &hosts,
+        config,
+    )
+}
+
+/// A packet's three content fields in [`Field::ALL`] order, with `rline`
+/// its [`rline_view`].
+pub(crate) fn field_views<'a>(rline: &'a str, packet: &'a HttpPacket) -> [&'a [u8]; 3] {
+    [rline.as_bytes(), packet.cookie(), &packet.body]
+}
+
+/// Build a cluster's signature from its per-field common tokens (each in
+/// [`common_tokens`] order, truncated or not): cap each field at
+/// `max_tokens`, drop boilerplate, and apply the anchor requirement.
+/// `reference` holds the fields of the cluster's first member, where the
+/// order hints are taken; `hosts` is sorted and deduplicated.
+pub(crate) fn assemble_signature(
+    id: u32,
+    field_tokens: &[Vec<Vec<u8>>; 3],
+    reference: [&[u8]; 3],
+    cluster_size: usize,
+    hosts: &[&str],
+    config: &SignatureConfig,
+) -> Option<ConjunctionSignature> {
+    let mut tokens: Vec<FieldToken> = Vec::new();
+    for (i, field) in Field::ALL.into_iter().enumerate() {
+        for tok in field_tokens[i].iter().take(config.token.max_tokens) {
+            let generic = config.boilerplate.iter().any(|b| contains_sub(b, tok));
             if !generic {
                 // Emission order = first occurrence in the reference
                 // (first) member.
-                let hint = find_from(views[0], &tok, 0).unwrap_or(0) as u32;
-                tokens.push(FieldToken::with_hint(field, tok, hint));
+                let hint = find_from(reference[i], tok, 0).unwrap_or(0) as u32;
+                tokens.push(FieldToken::with_hint(field, tok.clone(), hint));
             }
         }
     }
@@ -312,15 +349,11 @@ pub fn signature_from_cluster(
             .then_with(|| (a.field, a.bytes()).cmp(&(b.field, b.bytes())))
     });
 
-    let mut hosts: Vec<String> = packets.iter().map(|p| p.destination.host.clone()).collect();
-    hosts.sort();
-    hosts.dedup();
-
     Some(ConjunctionSignature {
         id,
         tokens,
-        cluster_size: packets.len(),
-        hosts,
+        cluster_size,
+        hosts: hosts.iter().map(|h| h.to_string()).collect(),
     })
 }
 

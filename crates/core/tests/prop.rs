@@ -120,6 +120,112 @@ fn arb_collision_set() -> impl Strategy<Value = SignatureSet> {
     })
 }
 
+/// Signature sets built to stress dominance: fresh token lists over a
+/// two-letter alphabet, plus signatures derived from an earlier one —
+/// an equal copy, every token nested inside a longer one (dominated),
+/// the same tokens moved to the next field (not dominated), or the
+/// earlier tokens with extra ones appended (dominated by it, and a
+/// would-be dominator with more tokens of the rest).
+fn arb_dominance_set() -> impl Strategy<Value = SignatureSet> {
+    let field = || {
+        prop_oneof![
+            Just(Field::RequestLine),
+            Just(Field::Cookie),
+            Just(Field::Body),
+        ]
+    };
+    let token = (field(), "[ab]{1,5}")
+        .prop_map(|(field, bytes)| FieldToken::new(field, bytes.into_bytes()));
+    let spec = (
+        proptest::collection::vec(token, 0..4),
+        0usize..5,
+        0usize..16,
+        "[ab]{0,2}",
+        "[ab]{0,2}",
+    );
+    proptest::collection::vec(spec, 1..12).prop_map(|specs| {
+        let mut sigs: Vec<Vec<FieldToken>> = Vec::new();
+        for (fresh, derive, pick, pre, post) in specs {
+            let tokens = if sigs.is_empty() || derive == 0 {
+                fresh
+            } else {
+                let base = sigs[pick % sigs.len()].clone();
+                match derive {
+                    1 => base,
+                    2 => base
+                        .iter()
+                        .map(|t| {
+                            let bytes = [pre.as_bytes(), t.bytes(), post.as_bytes()].concat();
+                            FieldToken::new(t.field, bytes)
+                        })
+                        .collect(),
+                    3 => base
+                        .iter()
+                        .map(|t| {
+                            let next = Field::ALL[(t.field as usize + 1) % 3];
+                            FieldToken::new(next, t.bytes())
+                        })
+                        .collect(),
+                    _ => base.into_iter().chain(fresh).collect(),
+                }
+            };
+            sigs.push(tokens);
+        }
+        SignatureSet {
+            signatures: sigs
+                .into_iter()
+                .enumerate()
+                .map(|(id, tokens)| ConjunctionSignature {
+                    id: id as u32,
+                    tokens,
+                    cluster_size: 2,
+                    hosts: Vec::new(),
+                })
+                .collect(),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The engine-scan `drop_dominated` keeps exactly the signatures the
+    /// naive O(S²·T²) definition keeps: A drops B when A ≠ B, A has no
+    /// more tokens, the token lists differ, and every token of A lies in
+    /// some same-field token of B.
+    #[test]
+    fn drop_dominated_equals_naive_definition(set in arb_dominance_set()) {
+        let naive_survivors = |set: &SignatureSet| -> Vec<u32> {
+            let contains = |hay: &[u8], nee: &[u8]| hay.windows(nee.len()).any(|w| w == nee);
+            let views: Vec<Vec<(u8, &[u8])>> = set
+                .signatures
+                .iter()
+                .map(|s| s.tokens.iter().map(|t| (t.field as u8, t.bytes())).collect())
+                .collect();
+            set.signatures
+                .iter()
+                .enumerate()
+                .filter(|&(b, _)| {
+                    !(0..views.len()).any(|a| {
+                        a != b
+                            && views[a].len() <= views[b].len()
+                            && views[a] != views[b]
+                            && views[a].iter().all(|&(fa, ta)| {
+                                views[b].iter().any(|&(fb, tb)| fa == fb && contains(tb, ta))
+                            })
+                    })
+                })
+                .map(|(_, s)| s.id)
+                .collect()
+        };
+        let expected = naive_survivors(&set);
+        let mut pruned = set;
+        drop_dominated(&mut pruned);
+        let got: Vec<u32> = pruned.signatures.iter().map(|s| s.id).collect();
+        prop_assert_eq!(got, expected);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -10,7 +10,8 @@
 //!   by every member. [`common_tokens`] computes the maximal substrings (of
 //!   a configurable minimum length) present in *all* of a set of strings,
 //!   using a [`SuffixAutomaton`] per refinement step so the whole
-//!   extraction is near-linear in total input size.
+//!   extraction is near-linear in total input size; [`fold_common_tokens`]
+//!   derives a union's tokens from its two halves' tokens.
 //!
 //! Everything operates on `&[u8]`: HTTP payloads are byte strings and the
 //! paper's distances are defined on raw packet content.
@@ -21,7 +22,7 @@ mod tokens;
 
 pub use levenshtein::{levenshtein, levenshtein_bounded, normalized_levenshtein};
 pub use sam::SuffixAutomaton;
-pub use tokens::{common_tokens, longest_common_substring, TokenConfig};
+pub use tokens::{common_tokens, fold_common_tokens, longest_common_substring, TokenConfig};
 
 #[cfg(test)]
 mod tests {

@@ -90,10 +90,61 @@ pub fn common_tokens(strings: &[&[u8]], config: TokenConfig) -> Vec<Vec<u8>> {
         }
     }
 
-    drop_contained(&mut tokens);
-    tokens.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    finish(&mut tokens);
     tokens.truncate(config.max_tokens);
     tokens
+}
+
+/// The untruncated [`common_tokens`] of a union of two string sets, from
+/// the untruncated token sets of each side (`max_tokens` large enough to
+/// keep everything).
+///
+/// Let C(X) be the substrings of length ≥ `min_len` every member of X
+/// contains, and M(X) its maximal elements (what [`common_tokens`]
+/// returns). C(A∪B) = C(A) ∩ C(B), and every element of C(A) lies in some
+/// element of M(A), so M(A∪B) is the maximal set of the maximal common
+/// substrings of every pair a ∈ M(A), b ∈ M(B). A dendrogram walk can thus
+/// derive each node's tokens from its two children's instead of
+/// re-reading every member.
+///
+/// Both inputs are token sets of non-empty string sets, as these two
+/// functions return them: in canonical order (longest first, then
+/// lexicographic). So is the output.
+///
+/// ```
+/// use leaksig_textdist::{common_tokens, fold_common_tokens, TokenConfig};
+/// let all = TokenConfig { min_len: 4, max_tokens: usize::MAX };
+/// let a = common_tokens(&[b"id=1234&x", b"id=1234&y"], all);
+/// let b = common_tokens(&[b"zid=1234&"], all);
+/// assert_eq!(fold_common_tokens(&a, &b, 4), vec![b"id=1234&".to_vec()]);
+/// ```
+pub fn fold_common_tokens(a: &[Vec<u8>], b: &[Vec<u8>], min_len: usize) -> Vec<Vec<u8>> {
+    if a.is_empty() || b.is_empty() || min_len == 0 {
+        return Vec::new();
+    }
+    if a == b {
+        return a.to_vec();
+    }
+    // One automaton per token of the side with fewer tokens.
+    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
+    let mut tokens: Vec<Vec<u8>> = Vec::new();
+    for tb in b {
+        let sam = SuffixAutomaton::new(tb);
+        for ta in a {
+            refine_token(ta, &sam, min_len, &mut tokens);
+        }
+    }
+    tokens.sort();
+    tokens.dedup();
+    finish(&mut tokens);
+    tokens
+}
+
+/// Drop contained tokens from a deduplicated set and put it in canonical
+/// order: longest first, ties lexicographic.
+fn finish(tokens: &mut Vec<Vec<u8>>) {
+    drop_contained(tokens);
+    tokens.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
 }
 
 /// Push the maximal substrings of `t` that occur in `sam` onto `out`.

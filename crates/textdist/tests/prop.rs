@@ -1,7 +1,7 @@
 //! Property tests for distances and token extraction.
 
 use leaksig_textdist::{
-    common_tokens, levenshtein, levenshtein_bounded, longest_common_substring,
+    common_tokens, fold_common_tokens, levenshtein, levenshtein_bounded, longest_common_substring,
     normalized_levenshtein, SuffixAutomaton, TokenConfig,
 };
 use proptest::prelude::*;
@@ -123,5 +123,38 @@ proptest! {
             tokens.iter().any(|t| is_sub(t, &lcs) || is_sub(&lcs, t)),
             "lcs {:?} unrepresented in {:?}", lcs, tokens
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Folding two sides' untruncated token sets gives exactly the
+    /// untruncated tokens of their union, also when a folded result is
+    /// folded again (a dendrogram grandparent). Small alphabets make
+    /// shared, nested and overlapping substrings common; members shorter
+    /// than `min_len`, empty members and duplicates all occur.
+    #[test]
+    fn fold_equals_union_extraction(
+        a in proptest::collection::vec("[ab]{0,14}", 1..4),
+        b in proptest::collection::vec("[abc]{0,14}", 1..4),
+        c in proptest::collection::vec("[ab]{0,10}", 1..3),
+        copies in proptest::collection::vec(0usize..16, 0..3),
+        min_len in 1usize..5,
+    ) {
+        let mut b = b;
+        let pool: Vec<String> = a.iter().chain(&b).cloned().collect();
+        for k in copies {
+            b.push(pool[k % pool.len()].clone());
+        }
+        let all = TokenConfig { min_len, max_tokens: usize::MAX };
+        let tokens = |sides: &[&Vec<String>]| {
+            let members: Vec<&[u8]> = sides.iter().flat_map(|s| s.iter().map(|m| m.as_bytes())).collect();
+            common_tokens(&members, all)
+        };
+        let ab = fold_common_tokens(&tokens(&[&a]), &tokens(&[&b]), min_len);
+        prop_assert_eq!(&ab, &tokens(&[&a, &b]));
+        let abc = fold_common_tokens(&ab, &tokens(&[&c]), min_len);
+        prop_assert_eq!(abc, tokens(&[&a, &b, &c]));
     }
 }
