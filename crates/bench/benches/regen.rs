@@ -3,11 +3,11 @@
 //! rising sample sizes. `scripts/bench.sh` runs these groups and writes
 //! the `BENCH_regen.json` baseline from their `CRITERION_JSON` output.
 //!
-//! The naive matrix compresses `x`, `y`, and `x ⊕ y` from scratch for
-//! every cell (the per-pair cost is dominated by re-encoding the row
-//! packet and re-allocating the encoder's 144 KB hash chains); the
-//! resumable build snapshots each row packet's encoder state once and
-//! continues it per cell. Both rows at the smallest size come from the
+//! The naive matrix compresses `x ⊕ y` from scratch for every cell (the
+//! per-pair cost is dominated by re-indexing and re-encoding the row
+//! packet's field); the resumable build snapshots each row packet's
+//! encoder state once and continues it per cell, walking the hash-chain
+//! indexes every field received once at feature extraction. Both rows at the smallest size come from the
 //! same run, so the baseline file itself documents the speedup — and the
 //! harness asserts bit-identical matrices before timing anything.
 //!

@@ -13,9 +13,9 @@
 //! compressors with full round-trip decoding:
 //!
 //! * [`Lzss`] — an LZ77-family sliding-window compressor (hash-chain match
-//!   finder, 12-bit offsets, 4-bit lengths). This is the same algorithmic
-//!   core as gzip's first stage and is the default compressor everywhere in
-//!   `leaksig`.
+//!   finder over a per-string index, [`IndexedBytes`]; 12-bit offsets,
+//!   4-bit lengths). This is the same algorithmic core as gzip's first
+//!   stage and is the default compressor everywhere in `leaksig`.
 //! * [`Lzw`] — a dictionary compressor with 12-bit codes, kept as an
 //!   alternative for the ablation experiments (compressor choice is a knob
 //!   the paper leaves implicit).
@@ -35,7 +35,7 @@ mod lzw;
 mod ncd;
 
 pub use huffman::{Huffman, Lzh};
-pub use lzss::{Lzss, LzssPrefix};
+pub use lzss::{IndexedBytes, Lzss, LzssPrefix};
 pub use lzw::Lzw;
 pub use ncd::{ncd, ncd_from_lens, ncd_with_lens, NcdComputer};
 
@@ -89,14 +89,16 @@ pub trait Compressor {
     /// Begin a resumable "compress `x` once, then measure `C(x ⊕ y)` for
     /// many `y`" computation — the access pattern of a row of the NCD
     /// distance matrix, where one `x` is concatenated against every other
-    /// packet's field.
+    /// packet's field. Operands arrive indexed ([`IndexedBytes`]), so each
+    /// string is indexed once however many pairs it joins.
     ///
     /// Whatever the implementation, `concat_len(y)` must equal
     /// [`Compressor::compressed_len`] of the concatenation *exactly* —
     /// callers cache and compare these counts. The default re-compresses
-    /// the concatenation per call (reusing one buffer); [`Lzss`] overrides
-    /// it with a true encoder-state snapshot.
-    fn begin_prefix<'a>(&'a self, x: &'a [u8]) -> Box<dyn PrefixState + 'a>
+    /// the concatenation per call (reusing one buffer and reading only the
+    /// bytes); [`Lzss`] overrides it with a true encoder-state snapshot
+    /// that walks both operands' indexes.
+    fn begin_prefix<'a>(&'a self, x: &'a IndexedBytes) -> Box<dyn PrefixState + 'a>
     where
         Self: Sized,
     {
@@ -114,7 +116,7 @@ pub trait PrefixState {
     /// `C(x ⊕ y)` — exactly [`Compressor::compressed_len`] of the
     /// concatenation. `&mut self` only for internal scratch reuse; calls
     /// are independent and repeatable.
-    fn concat_len(&mut self, y: &[u8]) -> usize;
+    fn concat_len(&mut self, y: &IndexedBytes) -> usize;
 }
 
 /// [`Compressor::begin_prefix`]'s fallback: re-compress `x ⊕ y` from
@@ -126,7 +128,7 @@ struct NaivePrefix<'a, C: Compressor> {
 }
 
 impl<C: Compressor> PrefixState for NaivePrefix<'_, C> {
-    fn concat_len(&mut self, y: &[u8]) -> usize {
+    fn concat_len(&mut self, y: &IndexedBytes) -> usize {
         self.buf.truncate(self.x_len);
         self.buf.extend_from_slice(y);
         self.compressor.compressed_len(&self.buf)

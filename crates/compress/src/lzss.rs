@@ -9,11 +9,23 @@
 //! Long matches therefore cost ~1 byte per extra 255 matched bytes, which
 //! keeps `C(xx) ≈ C(x)` — the NCD normality property clustering depends on.
 //!
-//! Matches are found with a hash-chain searcher over 3-byte prefixes — the
-//! same structure zlib uses — bounded by `max_chain` probes so compression
-//! stays near-linear on pathological inputs.
+//! Matches are found by walking hash chains over 3-byte prefixes — the
+//! structure zlib uses — bounded by `max_chain` probes so compression stays
+//! near-linear on pathological inputs. Where zlib inserts each position
+//! into its tables as the encoder advances, here every position of a
+//! string is linked once, up front, to the previous position with the same
+//! hash ([`IndexedBytes`]). The chain searched at position `i` is exactly
+//! the positions `p < i` with `p + 3 ≤ len` and the same hash, newest
+//! first, so walking the links finds the candidates insertion would, in
+//! the same order. For a concatenation `x ⊕ y` that
+//! chain is three segments, in order: `y`'s own links, the at most two
+//! positions of `x` whose 3-byte window crosses into `y`, and `x`'s links.
+//! Only the middle segment depends on the pair, which is what lets
+//! [`LzssPrefix`] measure `C(x ⊕ y)` for many `y` from indexes built once
+//! per string.
 
 use crate::{Compressor, DecodeError};
+use std::cell::RefCell;
 
 /// Smallest match worth encoding: a match token costs 2 bytes + 1/8 flag,
 /// so 3 bytes is the break-even point.
@@ -25,9 +37,239 @@ const LEN_EXTENDED: u16 = 15;
 const MAX_MATCH: usize = 8192;
 /// Window size implied by the 12-bit offset field.
 const WINDOW: usize = 1 << 12;
+/// "No position": the end of a link chain, or a hash a string lacks.
+const NONE: u32 = u32::MAX;
 
-/// Number of hash-table heads (3-byte prefix hash, 15 bits).
-const HASH_SIZE: usize = 1 << 15;
+/// 15-bit hash of the 3 bytes at `data[i..i + 3]`.
+fn hash3(data: &[u8], i: usize) -> u16 {
+    let h = (data[i] as u32)
+        .wrapping_mul(506_832_829)
+        .wrapping_add((data[i + 1] as u32).wrapping_mul(2_654_435_761))
+        .wrapping_add((data[i + 2] as u32).wrapping_mul(2_246_822_519));
+    (h >> 17) as u16
+}
+
+/// The newest position per hash among one string's positions: open
+/// addressing sized to the string, behind a 4 KB presence bitmap (one bit
+/// per 15-bit hash) so a hash the string lacks costs one bit test.
+struct Heads {
+    present: [u64; 512],
+    /// `(hash, newest position)`; a free slot holds [`Heads::FREE`].
+    slots: Vec<(u16, u32)>,
+}
+
+impl Heads {
+    /// Never a 15-bit hash.
+    const FREE: (u16, u32) = (u16::MAX, NONE);
+
+    const fn new() -> Heads {
+        Heads {
+            present: [0; 512],
+            slots: Vec::new(),
+        }
+    }
+
+    /// Empty the table and size it for up to `n` distinct hashes, in time
+    /// linear in the old and new sizes.
+    fn reset(&mut self, n: usize) {
+        for &(h, _) in &self.slots {
+            if h != Self::FREE.0 {
+                self.present[h as usize >> 6] = 0;
+            }
+        }
+        self.slots.clear();
+        self.slots.resize((2 * n).next_power_of_two(), Self::FREE);
+    }
+
+    /// The slot holding `h`, or the free slot where it belongs.
+    fn slot(&self, h: u16) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut k = h as usize & mask;
+        while self.slots[k].0 != h && self.slots[k].0 != Self::FREE.0 {
+            k = (k + 1) & mask;
+        }
+        k
+    }
+
+    /// Make `p` the newest position of `h`, returning the previous one.
+    fn insert(&mut self, h: u16, p: u32) -> u32 {
+        self.present[h as usize >> 6] |= 1 << (h & 63);
+        let k = self.slot(h);
+        std::mem::replace(&mut self.slots[k], (h, p)).1
+    }
+
+    /// The newest position of `h`, or [`NONE`] when the string lacks it.
+    fn newest(&self, h: u16) -> u32 {
+        if self.present[h as usize >> 6] & (1 << (h & 63)) == 0 {
+            return NONE;
+        }
+        self.slots[self.slot(h)].1
+    }
+}
+
+thread_local! {
+    /// Scratch for [`Chains::build`], so indexing a string allocates only
+    /// the string's own arrays.
+    static BUILD_HEADS: RefCell<Heads> = const { RefCell::new(Heads::new()) };
+}
+
+/// Hash-chain index of one string: for every position `p` with a full
+/// 3-byte window (`p + 3 ≤ len`), its hash and a link to the previous
+/// position with the same hash ([`NONE`] for the first).
+#[derive(Clone, PartialEq, Eq)]
+struct Chains {
+    hash: Vec<u16>,
+    link: Vec<u32>,
+}
+
+impl Chains {
+    fn build(data: &[u8]) -> Chains {
+        // Positions are stored as `u32`, with `NONE` reserved.
+        assert!(data.len() < NONE as usize, "LZSS input over 4 GiB");
+        let hash: Vec<u16> = (0..data.len().saturating_sub(MIN_MATCH - 1))
+            .map(|p| hash3(data, p))
+            .collect();
+        let link = BUILD_HEADS.with(|heads| {
+            let mut heads = heads.borrow_mut();
+            heads.reset(hash.len());
+            hash.iter()
+                .enumerate()
+                .map(|(p, &h)| heads.insert(h, p as u32))
+                .collect()
+        });
+        Chains { hash, link }
+    }
+}
+
+/// A byte string together with its hash-chain index, built once in time
+/// linear in its length: the operand [`Lzss::prefix`] and
+/// [`LzssPrefix::concat_len`] take, so that measuring `C(x ⊕ y)` for many
+/// pairs never re-indexes either side. Dereferences to the bytes.
+#[derive(Clone, PartialEq, Eq)]
+pub struct IndexedBytes {
+    bytes: Vec<u8>,
+    chains: Chains,
+}
+
+impl IndexedBytes {
+    /// Take ownership of `bytes` and index them.
+    pub fn new(bytes: impl Into<Vec<u8>>) -> Self {
+        let bytes = bytes.into();
+        let chains = Chains::build(&bytes);
+        IndexedBytes { bytes, chains }
+    }
+}
+
+impl std::ops::Deref for IndexedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl std::fmt::Debug for IndexedBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("IndexedBytes").field(&self.bytes).finish()
+    }
+}
+
+/// What one encode searches: the string `x ⊕ y`, through `x`'s and `y`'s
+/// indexes. A plain encode is the case of an empty `x`.
+struct Operands<'a> {
+    x: &'a Chains,
+    x_len: usize,
+    /// Newest position of `x` per hash, where a chain enters `x` from a
+    /// position that has no link into it.
+    x_heads: &'a Heads,
+    y: &'a Chains,
+    /// The positions of `x` whose 3-byte window crosses into `y`, newest
+    /// first, with their hashes.
+    cross: [Option<(usize, u16)>; 2],
+}
+
+/// [`Operands`]'s `x_heads` when `x` is empty.
+static NO_HEADS: Heads = Heads::new();
+
+impl<'a> Operands<'a> {
+    fn alone(y: &'a Chains) -> Self {
+        const EMPTY: &Chains = &Chains {
+            hash: Vec::new(),
+            link: Vec::new(),
+        };
+        Operands {
+            x: EMPTY,
+            x_len: 0,
+            x_heads: &NO_HEADS,
+            y,
+            cross: [None; 2],
+        }
+    }
+}
+
+/// The running best of one match search at position `i`.
+struct Search<'d> {
+    data: &'d [u8],
+    i: usize,
+    max_len: usize,
+    end_limited: bool,
+    probes: usize,
+    best_len: usize,
+    best_off: usize,
+    capped: bool,
+}
+
+impl Search<'_> {
+    /// Compare candidate `j < i`; false once the search is over (probes
+    /// spent, `j` outside the window, or a longest possible match found).
+    fn probe(&mut self, j: usize) -> bool {
+        let (data, i) = (self.data, self.i);
+        if self.probes == 0 || i - j > WINDOW {
+            return false;
+        }
+        self.probes -= 1;
+        // Check the byte just past the current best first: cheap filter.
+        if data[j + self.best_len] != data[i + self.best_len] {
+            return true;
+        }
+        let l = common_len(data, j, i, self.max_len);
+        if l == self.max_len && self.end_limited {
+            self.capped = true;
+        }
+        if l > self.best_len {
+            self.best_len = l;
+            self.best_off = i - j;
+            if l == self.max_len {
+                return false;
+            }
+        }
+        true
+    }
+
+    fn result(&self) -> (Option<(usize, usize)>, bool) {
+        let m = (self.best_len >= MIN_MATCH).then_some((self.best_off, self.best_len));
+        (m, self.capped)
+    }
+}
+
+/// Length of the common prefix of `data[j..]` and `data[i..]`, at most
+/// `max_len` (`j < i`, `i + max_len ≤ data.len()`), eight bytes a step.
+fn common_len(data: &[u8], j: usize, i: usize, max_len: usize) -> usize {
+    let (a, b) = (&data[j..j + max_len], &data[i..i + max_len]);
+    let word = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
+    let mut l = 0;
+    while l + 8 <= max_len {
+        let diff = word(a, l) ^ word(b, l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < max_len && a[l] == b[l] {
+        l += 1;
+    }
+    l
+}
 
 /// LZSS compressor configuration.
 #[derive(Debug, Clone)]
@@ -51,78 +293,106 @@ impl Lzss {
         }
     }
 
-    fn hash(data: &[u8], i: usize) -> usize {
-        let h = (data[i] as u32)
-            .wrapping_mul(506_832_829)
-            .wrapping_add((data[i + 1] as u32).wrapping_mul(2_654_435_761))
-            .wrapping_add((data[i + 2] as u32).wrapping_mul(2_246_822_519));
-        (h >> 17) as usize & (HASH_SIZE - 1)
-    }
-
-    /// Longest match for position `i`, returning `(offset, len)`.
+    /// Longest match for position `i` of `data = x ⊕ y` (`i + 3 ≤
+    /// data.len()`), returning `(offset, len)`, and whether the search was
+    /// *end-capped*: some candidate comparison ran into the end of `data`
+    /// before [`MAX_MATCH`], so appending more bytes could change the
+    /// outcome. A non-capped result is final under any extension of `data`
+    /// — every comparison stopped at a byte mismatch strictly inside
+    /// `data` (or at the extension-independent [`MAX_MATCH`] cap), which is
+    /// the invariant the resumable [`LzssPrefix`] snapshot rests on.
+    ///
+    /// The candidates are `i`'s hash chain: every earlier position with
+    /// the same hash and a full 3-byte window, newest first — `y`'s part,
+    /// then the positions crossing the boundary, then `x`'s part.
     fn find_match(
         &self,
         data: &[u8],
         i: usize,
-        head: &[i32],
-        prev: &[i32],
-    ) -> Option<(usize, usize)> {
-        self.find_match_capped(data, i, head, prev).0
+        ops: &Operands<'_>,
+    ) -> (Option<(usize, usize)>, bool) {
+        let mut s = Search {
+            data,
+            i,
+            max_len: MAX_MATCH.min(data.len() - i),
+            end_limited: data.len() - i < MAX_MATCH,
+            probes: self.max_chain,
+            best_len: MIN_MATCH - 1,
+            best_off: 0,
+            capped: false,
+        };
+        let x_len = ops.x_len;
+        let (h, x_first) = if i >= x_len {
+            let k = i - x_len;
+            let mut q = ops.y.link[k];
+            while q != NONE {
+                if !s.probe(x_len + q as usize) {
+                    return s.result();
+                }
+                q = ops.y.link[q as usize];
+            }
+            (ops.y.hash[k], None)
+        } else if i + MIN_MATCH <= x_len {
+            (ops.x.hash[i], Some(ops.x.link[i]))
+        } else {
+            (hash3(data, i), None)
+        };
+        for &(p, ph) in ops.cross.iter().flatten() {
+            if p < i && ph == h && !s.probe(p) {
+                return s.result();
+            }
+        }
+        let mut p = x_first.unwrap_or_else(|| ops.x_heads.newest(h));
+        while p != NONE && s.probe(p as usize) {
+            p = ops.x.link[p as usize];
+        }
+        s.result()
     }
 
-    /// [`Lzss::find_match`] that additionally reports whether the search
-    /// was *end-capped*: some candidate comparison ran into the end of
-    /// `data` before [`MAX_MATCH`], so appending more bytes could change
-    /// the outcome. A non-capped result is final under any extension of
-    /// `data` — every comparison stopped at a byte mismatch strictly
-    /// inside `data` (or at the extension-independent [`MAX_MATCH`] cap),
-    /// which is the invariant the resumable [`LzssPrefix`] snapshot rests
-    /// on.
-    fn find_match_capped(
+    /// The one encode loop: tokens for `data[from..]` into `sink`, where
+    /// `data` is `ops`'s `x ⊕ y`. With `freeze`, it stops before the first
+    /// position whose token is not final under extension of `data` (an
+    /// end-capped search, or fewer than 3 bytes left). Returns the
+    /// position it stopped at.
+    fn encode_from<S: TokenSink>(
         &self,
         data: &[u8],
-        i: usize,
-        head: &[i32],
-        prev: &[i32],
-    ) -> (Option<(usize, usize)>, bool) {
-        if i + MIN_MATCH > data.len() {
-            // Too close to the end to match now, but an extension could
-            // make this position matchable: capped by definition.
-            return (None, true);
-        }
-        let mut best_len = MIN_MATCH - 1;
-        let mut best_off = 0usize;
-        let max_len = MAX_MATCH.min(data.len() - i);
-        let end_limited = data.len() - i < MAX_MATCH;
-        let mut capped = false;
-        let mut cand = head[Self::hash(data, i)];
-        let mut probes = self.max_chain;
-        while cand >= 0 && probes > 0 {
-            let j = cand as usize;
-            if i - j > WINDOW {
+        from: usize,
+        ops: &Operands<'_>,
+        sink: &mut S,
+        freeze: bool,
+    ) -> usize {
+        let mut i = from;
+        while i < data.len() {
+            let (m, capped) = if i + MIN_MATCH > data.len() {
+                // Too close to the end to match now, but an extension
+                // could make this position matchable: capped.
+                (None, true)
+            } else {
+                self.find_match(data, i, ops)
+            };
+            if freeze && capped {
                 break;
             }
-            // Check the byte just past the current best first: cheap filter.
-            if data[j + best_len] == data[i + best_len] {
-                let mut l = 0;
-                while l < max_len && data[j + l] == data[i + l] {
-                    l += 1;
+            match m {
+                Some((off, len)) => {
+                    sink.back_ref(off, len);
+                    i += len;
                 }
-                if l == max_len && end_limited {
-                    capped = true;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_off = i - j;
-                    if l == max_len {
-                        break;
-                    }
+                None => {
+                    sink.literal(data[i]);
+                    i += 1;
                 }
             }
-            cand = prev[j & (WINDOW - 1)];
-            probes -= 1;
         }
-        ((best_len >= MIN_MATCH).then_some((best_off, best_len)), capped)
+        i
+    }
+
+    /// Encode `data` from scratch: [`Compressor::compress`] materializes,
+    /// [`Compressor::compressed_len`] counts.
+    fn encode<S: TokenSink>(&self, data: &[u8], sink: &mut S) {
+        let chains = Chains::build(data);
+        self.encode_from(data, 0, &Operands::alone(&chains), sink, false);
     }
 }
 
@@ -231,93 +501,39 @@ impl TokenSink for TokenCounter {
     }
 }
 
-impl Lzss {
-    /// The encode loop, parameterized over the sink: [`Compressor::compress`]
-    /// materializes, [`Compressor::compressed_len`] counts.
-    fn encode<S: TokenSink>(&self, data: &[u8], w: &mut S) {
-        if data.len() < MIN_MATCH {
-            for &b in data {
-                w.literal(b);
-            }
-            return;
-        }
-
-        let mut head = vec![-1i32; HASH_SIZE];
-        let mut prev = vec![-1i32; WINDOW];
-        let insert = |head: &mut [i32], prev: &mut [i32], pos: usize| {
-            let h = Self::hash(data, pos);
-            prev[pos & (WINDOW - 1)] = head[h];
-            head[h] = pos as i32;
-        };
-
-        let mut i = 0usize;
-        while i < data.len() {
-            match self.find_match(data, i, &head, &prev) {
-                Some((off, len)) => {
-                    w.back_ref(off, len);
-                    // Index every covered position so later matches can
-                    // reference the interior of this one.
-                    let stop = (i + len).min(data.len().saturating_sub(MIN_MATCH - 1));
-                    for p in i..stop {
-                        insert(&mut head, &mut prev, p);
-                    }
-                    i += len;
-                }
-                None => {
-                    w.literal(data[i]);
-                    if i + MIN_MATCH <= data.len() {
-                        insert(&mut head, &mut prev, i);
-                    }
-                    i += 1;
-                }
-            }
-        }
-    }
-}
-
-/// One hash-chain insertion recorded for undo, so a single prefix
-/// snapshot can serve many `concat_len` calls without cloning the
-/// ~144 KB `head`/`prev` tables per call.
-struct InsertUndo {
-    hash_slot: u32,
-    old_head: i32,
-    prev_slot: u16,
-    old_prev: i32,
-}
-
 /// Resumable count-only encoder state: `x` compressed once, then
 /// `C(x ⊕ y)` for any number of `y` continuations without re-encoding
 /// the prefix.
 ///
 /// The snapshot stops at the first position whose token is *not* final
-/// under extension (see [`Lzss::find_match_capped`]): a token emitted for
-/// `x` alone survives into the encoding of `x ⊕ y` exactly when its match
-/// search never ran into the end of `x`. Everything before that point —
-/// token count, control-byte phase, and hash-chain insertions — is frozen;
+/// under extension: a token emitted for `x` alone survives into the
+/// encoding of `x ⊕ y` exactly when its match search never ran into the
+/// end of `x`. Everything before that point —
+/// token count and control-byte phase — is frozen;
 /// [`LzssPrefix::concat_len`] re-encodes only the unsafe tail of `x` plus
-/// `y`, journaling its hash-chain insertions and undoing them afterwards,
-/// so the result is byte-for-byte equal to
-/// [`Compressor::compressed_len`]`(x ⊕ y)` (proven by proptest).
-pub struct LzssPrefix {
+/// `y`, walking chains from `x`'s and `y`'s prebuilt indexes, so it writes
+/// no table and the result is byte-for-byte equal to
+/// [`Compressor::compressed_len`]`(x ⊕ y)` (proven by proptest against
+/// the insertion-based encoder).
+pub struct LzssPrefix<'a> {
     cfg: Lzss,
+    x: &'a IndexedBytes,
+    /// Newest position of `x` per hash.
+    x_heads: Heads,
     /// `x` followed by the current `y` (truncated back to `x` between calls).
     buf: Vec<u8>,
-    x_len: usize,
-    head: Vec<i32>,
-    prev: Vec<i32>,
     /// First position not covered by a frozen token.
     resume_at: usize,
     /// Byte count of the frozen tokens.
     count: usize,
     /// Control-byte phase after the frozen tokens.
     ctrl_used: u8,
-    journal: Vec<InsertUndo>,
 }
 
-impl std::fmt::Debug for LzssPrefix {
+impl std::fmt::Debug for LzssPrefix<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LzssPrefix")
-            .field("x_len", &self.x_len)
+            .field("x_len", &self.x.len())
             .field("resume_at", &self.resume_at)
             .field("count", &self.count)
             .finish()
@@ -327,137 +543,66 @@ impl std::fmt::Debug for LzssPrefix {
 impl Lzss {
     /// Snapshot the count-only encoder after compressing `x`, for
     /// repeated [`LzssPrefix::concat_len`] queries.
-    pub fn prefix(&self, x: &[u8]) -> LzssPrefix {
-        let mut head = vec![-1i32; HASH_SIZE];
-        let mut prev = vec![-1i32; WINDOW];
+    pub fn prefix<'a>(&self, x: &'a IndexedBytes) -> LzssPrefix<'a> {
         let mut counter = TokenCounter::default();
-        let mut i = 0usize;
-        // Freeze tokens while they are final under extension. The loop
-        // bound also stops before the trailing `MIN_MATCH − 1` bytes,
-        // whose literal-vs-match decision depends on what follows `x`.
-        // (For `x.len() < MIN_MATCH` nothing freezes and `concat_len`
-        // re-encodes from position 0 — including `encode`'s all-literal
-        // special case for tiny totals.)
-        while i + MIN_MATCH <= x.len() {
-            let (m, capped) = self.find_match_capped(x, i, &head, &prev);
-            if capped {
-                break;
-            }
-            match m {
-                Some((off, len)) => {
-                    counter.back_ref(off, len);
-                    // Mirror `encode`: index covered positions whose full
-                    // 3-byte hash window lies inside `x`. Positions whose
-                    // window crosses into `y` are caught up per call.
-                    let stop = (i + len).min(x.len() - (MIN_MATCH - 1));
-                    for p in i..stop {
-                        let h = Self::hash(x, p);
-                        prev[p & (WINDOW - 1)] = head[h];
-                        head[h] = p as i32;
-                    }
-                    i += len;
-                }
-                None => {
-                    counter.literal(x[i]);
-                    let h = Self::hash(x, i);
-                    prev[i & (WINDOW - 1)] = head[h];
-                    head[h] = i as i32;
-                    i += 1;
-                }
-            }
+        // Freeze tokens while they are final under extension. (For
+        // `x.len() < MIN_MATCH` nothing freezes and `concat_len`
+        // re-encodes from position 0.)
+        let resume_at = self.encode_from(x, 0, &Operands::alone(&x.chains), &mut counter, true);
+        let mut x_heads = Heads::new();
+        x_heads.reset(x.chains.hash.len());
+        for (p, &h) in x.chains.hash.iter().enumerate() {
+            x_heads.insert(h, p as u32);
         }
+        let mut buf = Vec::with_capacity(2 * x.len());
+        buf.extend_from_slice(x);
         LzssPrefix {
             cfg: self.clone(),
-            buf: x.to_vec(),
-            x_len: x.len(),
-            head,
-            prev,
-            resume_at: i,
+            x,
+            x_heads,
+            buf,
+            resume_at,
             count: counter.len,
             ctrl_used: counter.ctrl_used,
-            journal: Vec::new(),
         }
     }
 }
 
-impl LzssPrefix {
-    fn insert_journaled(&mut self, pos: usize) {
-        let h = Lzss::hash(&self.buf, pos);
-        let slot = pos & (WINDOW - 1);
-        self.journal.push(InsertUndo {
-            hash_slot: h as u32,
-            old_head: self.head[h],
-            prev_slot: slot as u16,
-            old_prev: self.prev[slot],
-        });
-        self.prev[slot] = self.head[h];
-        self.head[h] = pos as i32;
-    }
-
+impl LzssPrefix<'_> {
     /// `C(x ⊕ y)`: byte-for-byte what [`Compressor::compressed_len`]
     /// returns for the concatenation, re-encoding only from the snapshot's
     /// resume point.
-    pub fn concat_len(&mut self, y: &[u8]) -> usize {
-        self.buf.truncate(self.x_len);
+    pub fn concat_len(&mut self, y: &IndexedBytes) -> usize {
+        let x_len = self.x.len();
+        self.buf.truncate(x_len);
         self.buf.extend_from_slice(y);
         let total = self.buf.len();
-        if total < MIN_MATCH {
-            // `encode`'s all-literal special case: one control byte plus
-            // the raw bytes (x.len() < MIN_MATCH here, so nothing froze).
-            return if total == 0 { 0 } else { total + 1 };
-        }
-        debug_assert!(self.journal.is_empty());
-
-        // Catch-up insertions: positions before the resume point that a
-        // from-scratch encode of x ⊕ y would have indexed but the snapshot
-        // could not (their 3-byte hash window crosses into y). They come
-        // after every snapshot insertion in position order, so appending
-        // them preserves the from-scratch hash-chain ordering.
-        let lo = self.x_len.saturating_sub(MIN_MATCH - 1);
-        let hi = self.resume_at.min(total - (MIN_MATCH - 1));
-        for p in lo..hi {
-            self.insert_journaled(p);
-        }
-
-        // Resume the count-only encode loop — a journaled mirror of
-        // `Lzss::encode` — from the first unfrozen position.
+        let buf = &self.buf;
+        let cross = [1, 2].map(|back| {
+            (back <= x_len && x_len - back + MIN_MATCH <= total).then(|| {
+                let p = x_len - back;
+                (p, hash3(buf, p))
+            })
+        });
+        let ops = Operands {
+            x: &self.x.chains,
+            x_len,
+            x_heads: &self.x_heads,
+            y: &y.chains,
+            cross,
+        };
         let mut counter = TokenCounter {
             len: self.count,
             ctrl_used: self.ctrl_used,
         };
-        let mut i = self.resume_at;
-        while i < total {
-            match self.cfg.find_match(&self.buf, i, &self.head, &self.prev) {
-                Some((off, len)) => {
-                    counter.back_ref(off, len);
-                    let stop = (i + len).min(total - (MIN_MATCH - 1));
-                    for p in i..stop {
-                        self.insert_journaled(p);
-                    }
-                    i += len;
-                }
-                None => {
-                    counter.literal(self.buf[i]);
-                    if i + MIN_MATCH <= total {
-                        self.insert_journaled(i);
-                    }
-                    i += 1;
-                }
-            }
-        }
-
-        // Roll the hash chains back to the snapshot (reverse order undoes
-        // repeated writes to the same slot correctly).
-        while let Some(u) = self.journal.pop() {
-            self.head[u.hash_slot as usize] = u.old_head;
-            self.prev[u.prev_slot as usize] = u.old_prev;
-        }
+        self.cfg
+            .encode_from(buf, self.resume_at, &ops, &mut counter, false);
         counter.len
     }
 }
 
-impl crate::PrefixState for LzssPrefix {
-    fn concat_len(&mut self, y: &[u8]) -> usize {
+impl crate::PrefixState for LzssPrefix<'_> {
+    fn concat_len(&mut self, y: &IndexedBytes) -> usize {
         LzssPrefix::concat_len(self, y)
     }
 }
@@ -469,8 +614,8 @@ impl Compressor for Lzss {
         w.out
     }
 
-    /// `C(data)` without materializing the stream: the same hash-chain
-    /// encode drives a byte counter instead of an output buffer.
+    /// `C(data)` without materializing the stream: the same encode loop
+    /// drives a byte counter instead of an output buffer.
     fn compressed_len(&self, data: &[u8]) -> usize {
         let mut c = TokenCounter::default();
         self.encode(data, &mut c);
@@ -479,7 +624,7 @@ impl Compressor for Lzss {
 
     /// Resumable prefix: snapshot the encoder state after `x` instead of
     /// re-compressing the concatenation per query.
-    fn begin_prefix<'a>(&'a self, x: &'a [u8]) -> Box<dyn crate::PrefixState + 'a> {
+    fn begin_prefix<'a>(&'a self, x: &'a IndexedBytes) -> Box<dyn crate::PrefixState + 'a> {
         Box::new(self.prefix(x))
     }
 
@@ -663,7 +808,8 @@ mod tests {
             let mut xy = x.to_vec();
             xy.extend_from_slice(y);
             assert_eq!(
-                c.prefix(x).concat_len(y),
+                c.prefix(&IndexedBytes::new(*x))
+                    .concat_len(&IndexedBytes::new(*y)),
                 c.compressed_len(&xy),
                 "x={x:?} y={y:?}"
             );
@@ -674,12 +820,14 @@ mod tests {
     fn prefix_is_reusable_across_many_continuations() {
         let c = Lzss::default();
         let x = b"GET /getad?androidid=f3a9c1d200b14e77&carrier=NTTDOCOMO HTTP/1.1";
-        let mut p = c.prefix(x);
+        let indexed = IndexedBytes::new(&x[..]);
+        let mut p = c.prefix(&indexed);
         for i in 0..50 {
             let y = format!("GET /getad?androidid=f3a9c1d200b14e77&slot={i} HTTP/1.1");
             let mut xy = x.to_vec();
             xy.extend_from_slice(y.as_bytes());
-            assert_eq!(p.concat_len(y.as_bytes()), c.compressed_len(&xy), "i={i}");
+            let y = IndexedBytes::new(y);
+            assert_eq!(p.concat_len(&y), c.compressed_len(&xy), "i={i}");
         }
     }
 

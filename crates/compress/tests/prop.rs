@@ -1,6 +1,8 @@
 //! Property tests for compressors and NCD.
 
-use leaksig_compress::{ncd, ncd_from_lens, ncd_with_lens, Compressor, Huffman, Lzh, Lzss, Lzw};
+use leaksig_compress::{
+    ncd, ncd_from_lens, ncd_with_lens, Compressor, Huffman, IndexedBytes, Lzh, Lzss, Lzw,
+};
 use proptest::prelude::*;
 
 /// Byte strings biased toward the repetitive, ASCII-ish content HTTP
@@ -137,22 +139,24 @@ proptest! {
 
     /// Resumable-prefix exactness: the snapshot-and-continue count equals
     /// the from-scratch `C(x ⊕ y)` byte-for-byte, and one prefix serves
-    /// many `y` in any order without drifting (the journal undo restores
-    /// the snapshot exactly). This is the invariant the whole row-major
-    /// NCD matrix build rests on.
+    /// many `y` in any order without drifting (a call leaves no state
+    /// behind). This is the invariant the whole row-major NCD matrix build
+    /// rests on.
     #[test]
     fn lzss_prefix_concat_len_is_exact(
         x in payload(),
         ys in proptest::collection::vec(payload(), 1..6),
     ) {
         let c = Lzss::default();
-        let mut prefix = c.prefix(&x);
+        let indexed_x = IndexedBytes::new(x.clone());
+        let mut prefix = c.prefix(&indexed_x);
         let mut expected = Vec::with_capacity(ys.len());
         for y in &ys {
             let mut xy = x.clone();
             xy.extend_from_slice(y);
             expected.push(c.compressed_len(&xy));
         }
+        let ys: Vec<IndexedBytes> = ys.into_iter().map(IndexedBytes::new).collect();
         for (y, &want) in ys.iter().zip(&expected) {
             prop_assert_eq!(prefix.concat_len(y), want);
         }
@@ -171,7 +175,10 @@ proptest! {
         let c = Lzss::with_max_chain(chain);
         let mut xy = x.clone();
         xy.extend_from_slice(&y);
-        prop_assert_eq!(c.prefix(&x).concat_len(&y), c.compressed_len(&xy));
+        prop_assert_eq!(
+            c.prefix(&IndexedBytes::new(x)).concat_len(&IndexedBytes::new(y)),
+            c.compressed_len(&xy)
+        );
     }
 
     /// The trait-object path (`begin_prefix`) is the same computation,
@@ -181,11 +188,12 @@ proptest! {
         let c = Lzss::default();
         let (cx, cy) = (c.compressed_len(&x), c.compressed_len(&y));
         let direct = ncd_with_lens(&c, &x, cx, &y, cy);
-        let mut p = c.begin_prefix(&x);
+        let indexed_x = IndexedBytes::new(x.clone());
+        let mut p = c.begin_prefix(&indexed_x);
         let resumed = if x.is_empty() && y.is_empty() {
             0.0
         } else {
-            ncd_from_lens(cx, cy, p.concat_len(&y))
+            ncd_from_lens(cx, cy, p.concat_len(&IndexedBytes::new(y)))
         };
         prop_assert_eq!(resumed, direct);
     }
@@ -207,6 +215,9 @@ proptest! {
         y.extend_from_slice(extra.as_bytes());
         let mut xy = x.clone();
         xy.extend_from_slice(&y);
-        prop_assert_eq!(c.prefix(&x).concat_len(&y), c.compressed_len(&xy));
+        prop_assert_eq!(
+            c.prefix(&IndexedBytes::new(x)).concat_len(&IndexedBytes::new(y)),
+            c.compressed_len(&xy)
+        );
     }
 }

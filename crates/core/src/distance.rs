@@ -22,7 +22,7 @@
 //!   printed, kept for the ablation benchmark, which shows the literal
 //!   form degrades cluster purity.
 
-use leaksig_compress::{Compressor, Lzss};
+use leaksig_compress::{Compressor, IndexedBytes, Lzss, PrefixState};
 use leaksig_http::HttpPacket;
 use leaksig_textdist::normalized_levenshtein;
 use std::net::Ipv4Addr;
@@ -148,9 +148,11 @@ pub fn d_ip_verified<O: OrgOracle + ?Sized>(
     }
 }
 
-/// The three content fields with their cached compressed lengths: the unit
-/// the O(n²) distance matrix is computed over. Building features once per
-/// packet means each pairwise NCD only compresses the concatenation.
+/// The three content fields, indexed for the match finder, with their
+/// cached compressed lengths: the unit the O(n²) distance matrix is
+/// computed over. Building features once per packet means each pairwise
+/// NCD only compresses the concatenation, through indexes that are built
+/// once per field rather than once per pair.
 #[derive(Debug, Clone)]
 pub struct PacketFeatures {
     /// Destination IPv4 address.
@@ -165,11 +167,11 @@ pub struct PacketFeatures {
     /// prefix — the §VI refinement.
     pub org: Option<u32>,
     /// Request-line bytes.
-    pub rline: Vec<u8>,
+    pub rline: IndexedBytes,
     /// Cookie header bytes.
-    pub cookie: Vec<u8>,
+    pub cookie: IndexedBytes,
     /// Message-body bytes.
-    pub body: Vec<u8>,
+    pub body: IndexedBytes,
     c_rline: usize,
     c_cookie: usize,
     c_body: usize,
@@ -186,8 +188,9 @@ impl PacketFeatures {
     /// applies).
     pub fn extract_with_org<C: Compressor>(packet: &HttpPacket, c: &C, org: Option<u32>) -> Self {
         let (rline, cookie, body) = packet.content_fields();
-        let cookie = cookie.to_vec();
-        let body = body.to_vec();
+        let rline = IndexedBytes::new(rline);
+        let cookie = IndexedBytes::new(cookie);
+        let body = IndexedBytes::new(body);
         PacketFeatures {
             ip: packet.destination.ip,
             port: packet.destination.port,
@@ -230,8 +233,8 @@ impl<C: Compressor> PacketDistance<C> {
     }
 
     /// The IP and port terms of `d_dst` — the host edit-distance term is
-    /// added by the caller ([`destination`], or [`RowDistance::packet`]
-    /// through its per-row host cache). Split out so both paths share one
+    /// added by the caller ([`destination`], or [`RowDistance`], which can
+    /// cache it per host). Split out so both paths share one
     /// definition and, summing in the same order, stay bit-identical.
     ///
     /// [`destination`]: PacketDistance::destination
@@ -282,9 +285,22 @@ impl<C: Compressor> PacketDistance<C> {
             rline: c.begin_prefix(&x.rline),
             cookie: c.begin_prefix(&x.cookie),
             body: c.begin_prefix(&x.body),
-            host_d: std::collections::HashMap::new(),
+            host_d: Vec::new(),
         }
     }
+}
+
+/// A dense id per distinct destination host of `features` (first
+/// appearance first), for [`RowDistance::packet_with_host`].
+pub(crate) fn host_ids(features: &[PacketFeatures]) -> Vec<usize> {
+    let mut ids = std::collections::HashMap::new();
+    features
+        .iter()
+        .map(|f| {
+            let next = ids.len();
+            *ids.entry(f.host.as_str()).or_insert(next)
+        })
+        .collect()
 }
 
 /// One row of the pairwise distance computation: see
@@ -292,15 +308,16 @@ impl<C: Compressor> PacketDistance<C> {
 pub struct RowDistance<'a, C: Compressor> {
     dist: &'a PacketDistance<C>,
     x: &'a PacketFeatures,
-    rline: Box<dyn leaksig_compress::PrefixState + 'a>,
-    cookie: Box<dyn leaksig_compress::PrefixState + 'a>,
-    body: Box<dyn leaksig_compress::PrefixState + 'a>,
-    /// `d_host(x.host, ·)` per distinct column host. Market traffic
-    /// concentrates on a small destination set, so the O(|a|·|b|) edit
-    /// distance would otherwise be the largest non-NCD cost in every one
-    /// of the row's n−1 cells. `d_host` is a pure function of the two
-    /// strings, so caching cannot change a single bit of the result.
-    host_d: std::collections::HashMap<String, f64>,
+    rline: Box<dyn PrefixState + 'a>,
+    cookie: Box<dyn PrefixState + 'a>,
+    body: Box<dyn PrefixState + 'a>,
+    /// `d_host(x.host, ·)` by host id ([`host_ids`]), NaN until first
+    /// needed. Market traffic concentrates on a small destination set, so
+    /// the O(|a|·|b|) edit distance would otherwise be the largest non-NCD
+    /// cost in every one of the row's n−1 cells. `d_host` is a pure
+    /// function of the two strings, so caching cannot change a single bit
+    /// of the result.
+    host_d: Vec<f64>,
 }
 
 impl<C: Compressor> RowDistance<'_, C> {
@@ -310,11 +327,11 @@ impl<C: Compressor> RowDistance<'_, C> {
     /// mirror `content` exactly so the results are bit-identical.
     pub fn content(&mut self, y: &PacketFeatures) -> f64 {
         let x = self.x;
-        let term = |p: &mut Box<dyn leaksig_compress::PrefixState + '_>,
-                        xb: &[u8],
-                        cx: usize,
-                        yb: &[u8],
-                        cy: usize| {
+        let term = |p: &mut Box<dyn PrefixState + '_>,
+                    xb: &IndexedBytes,
+                    cx: usize,
+                    yb: &IndexedBytes,
+                    cy: usize| {
             // Mirrors `ncd_with_lens`'s two-empty-strings convention.
             if xb.is_empty() && yb.is_empty() {
                 return 0.0;
@@ -340,15 +357,25 @@ impl<C: Compressor> RowDistance<'_, C> {
 
     /// `d_pkt(x, y)` — bit-identical to [`PacketDistance::packet`].
     pub fn packet(&mut self, y: &PacketFeatures) -> f64 {
+        let host = d_host(&self.x.host, &y.host);
+        self.packet_given_host(y, host)
+    }
+
+    /// [`RowDistance::packet`] with `d_host` cached by `y`'s host id from
+    /// [`host_ids`] over the features this row is compared against.
+    pub(crate) fn packet_with_host(&mut self, y: &PacketFeatures, host_id: usize) -> f64 {
+        if host_id >= self.host_d.len() {
+            self.host_d.resize(host_id + 1, f64::NAN);
+        }
+        if self.host_d[host_id].is_nan() {
+            self.host_d[host_id] = d_host(&self.x.host, &y.host);
+        }
+        let host = self.host_d[host_id];
+        self.packet_given_host(y, host)
+    }
+
+    fn packet_given_host(&mut self, y: &PacketFeatures, host: f64) -> f64 {
         let content = self.content(y);
-        let host = match self.host_d.get(&y.host) {
-            Some(&v) => v,
-            None => {
-                let v = d_host(&self.x.host, &y.host);
-                self.host_d.insert(y.host.clone(), v);
-                v
-            }
-        };
         let destination = self.dist.destination_sans_host(self.x, y) + host;
         self.dist.config.destination_weight * destination
             + self.dist.config.content_weight * content
@@ -559,11 +586,13 @@ mod tests {
                 .build(),
         );
         let feats: Vec<_> = packets.iter().map(|p| d.features(p)).collect();
+        let ids = host_ids(&feats);
         for x in &feats {
             let mut row = d.row(x);
-            for y in &feats {
+            for (y, &id) in feats.iter().zip(&ids) {
                 assert_eq!(row.content(y), d.content(x, y));
                 assert_eq!(row.packet(y), d.packet(x, y));
+                assert_eq!(row.packet_with_host(y, id), d.packet(x, y));
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Condensed pairwise distance matrices, computed in parallel.
 
-use crate::distance::{PacketDistance, PacketFeatures};
+use crate::distance::{host_ids, PacketDistance, PacketFeatures};
 use leaksig_compress::Compressor;
 
 /// A symmetric zero-diagonal matrix stored as the strict upper triangle.
@@ -119,9 +119,10 @@ where
 /// Each worker claims whole rows from a shared atomic queue and computes
 /// row `i` through [`PacketDistance::row`]: the three content fields of
 /// packet `i` are compressed once into resumable encoder snapshots, and
-/// every cell resumes those snapshots with packet `j`'s fields — O(n)
-/// prefix compressions instead of O(n²), with the per-pair cost reduced
-/// to the `y`-side continuation.
+/// every cell resumes those snapshots with packet `j`'s indexed fields —
+/// O(n) prefix compressions instead of O(n²), with the per-pair cost
+/// reduced to the `y`-side continuation. Destination hosts are numbered
+/// once per call, so each row caches `d_host` in a vector by host id.
 pub fn pairwise<C: Compressor + Sync>(
     dist: &PacketDistance<C>,
     features: &[PacketFeatures],
@@ -135,11 +136,12 @@ pub fn pairwise<C: Compressor + Sync>(
         .map(|p| p.get())
         .unwrap_or(1)
         .min(n - 1);
+    let hosts = host_ids(features);
     for_each_row_dynamic(n, &mut matrix.data, threads, |i, row| {
         let mut rd = dist.row(&features[i]);
         for (off, cell) in row.iter_mut().enumerate() {
             let j = i + 1 + off;
-            *cell = rd.packet(&features[j]);
+            *cell = rd.packet_with_host(&features[j], hosts[j]);
         }
     });
     matrix

@@ -79,10 +79,12 @@ pub fn take_last_timings() -> Option<StageTimings> {
 
 /// Extract [`PacketFeatures`] for every packet across all cores.
 ///
-/// Feature extraction self-compresses three content fields per packet, so
-/// at regeneration scale it costs O(n) compressor runs — embarrassingly
-/// parallel, and before this ran serially it was the second-largest slice
-/// of a pass after the matrix. Contiguous chunks keep cache locality and
+/// Feature extraction indexes and self-compresses three content fields
+/// per packet, so at regeneration scale it costs O(n) compressor runs —
+/// embarrassingly parallel, and before this ran serially it was the
+/// second-largest slice of a pass after the matrix. Each field is indexed
+/// here once ([`leaksig_compress::IndexedBytes`]) and every matrix cell
+/// walks those indexes. Contiguous chunks keep cache locality and
 /// the join re-assembles in order, so output order (and therefore every
 /// downstream id) is identical to the serial map.
 fn extract_features<C: leaksig_compress::Compressor + Sync>(
