@@ -14,7 +14,6 @@ use leaksig_compress::{ncd, Lzss};
 use leaksig_core::prelude::*;
 use leaksig_http::{
     parse_request_limited, parse_request_view, HttpPacket, ParseArena, ParseLimits, RequestBuilder,
-    ViewOutcome,
 };
 use leaksig_netsim::{Dataset, MarketConfig};
 use std::hint::black_box;
@@ -156,9 +155,9 @@ fn bench_detect(c: &mut Criterion) {
         let mut arena = ParseArena::new();
         let views: Vec<_> = records
             .iter()
-            .map(|r| match parse_request_view(r.raw, r.ip, r.port, &limits, &mut arena) {
-                Ok(ViewOutcome::View(v)) => v,
-                other => panic!("expected view, got {other:?}"),
+            .map(|r| {
+                parse_request_view(r.raw, r.ip, r.port, &limits, &mut arena)
+                    .expect("builder wire images must parse")
             })
             .collect();
         let mut scanner = detector.scanner();
@@ -173,8 +172,10 @@ fn bench_detect(c: &mut Criterion) {
         })
     });
     g.bench_function(&label("owned_parse_scan_1thread"), |b| {
-        // The same raw records through the owned parser and the owned
-        // match: the raw→verdict counterpart of the zero-copy row below.
+        // The same raw records materialised into owned packets
+        // (`parse_request_limited`: a view parse plus `to_packet`) and
+        // the owned match: the raw→verdict counterpart of the zero-copy
+        // row below.
         let engine = detector.engine();
         let mut scratch = engine.scratch();
         b.iter(|| {

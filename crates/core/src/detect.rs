@@ -9,9 +9,7 @@
 
 use crate::engine::{CompiledDetector, EngineVerdict, FieldBytes, ScanScratch, SensitiveProbe};
 use crate::signature::{ConjunctionSignature, SignatureSet};
-use leaksig_http::{
-    parse_request_limited, HttpPacket, PacketView, ParseArena, ParseLimits, ViewOutcome,
-};
+use leaksig_http::{HttpPacket, PacketView, ParseArena, ParseLimits};
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
 
@@ -120,6 +118,10 @@ pub struct PacketScanner<'d> {
 
 impl PacketScanner<'_> {
     /// Scan a borrowed packet view (already parsed). Allocation-free.
+    /// Reads the raw request-line bytes, so for a view whose line is not
+    /// UTF-8 ([`PacketView::is_utf8_line`]) the verdict can differ from
+    /// its materialised packet's; [`PacketScanner::scan_raw`] handles
+    /// that case.
     pub fn scan_view(&mut self, view: &PacketView<'_>) -> ScanVerdict {
         self.scan_fields(FieldBytes::from_view(view))
     }
@@ -146,20 +148,18 @@ impl PacketScanner<'_> {
     }
 
     /// Parse raw wire bytes with the zero-copy parser and scan the view.
-    /// Falls back to the owned parser when the view parser reports an
-    /// opaque input (non-UTF-8 request line) — verdicts stay identical to
-    /// the owned path by construction. Parser rejects yield a
+    /// A request line that is not UTF-8 is scanned as its lossy-decoded
+    /// packet instead, because signature tokens are cut from packets and
+    /// so hold U+FFFD where the raw line holds invalid bytes. Verdicts
+    /// therefore equal the owned path's. Parser rejects yield a
     /// `parse_failed` verdict.
     pub fn scan_raw(&mut self, raw: &[u8], ip: Ipv4Addr, port: u16, limits: &ParseLimits) -> ScanVerdict {
         // Views are transient here (dead before the next parse), so the
         // arena is recycled per call and never grows past one packet.
         self.arena.reset();
         match leaksig_http::parse_request_view(raw, ip, port, limits, &mut self.arena) {
-            Ok(ViewOutcome::View(view)) => self.scan_view(&view),
-            Ok(ViewOutcome::Opaque) => match parse_request_limited(raw, ip, port, limits) {
-                Ok(packet) => self.scan_packet(&packet),
-                Err(_) => ScanVerdict::PARSE_FAILED,
-            },
+            Ok(view) if view.is_utf8_line() => self.scan_view(&view),
+            Ok(view) => self.scan_packet(&view.to_packet(&self.arena)),
             Err(_) => ScanVerdict::PARSE_FAILED,
         }
     }

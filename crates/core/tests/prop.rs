@@ -708,14 +708,10 @@ proptest! {
                 prop_assert!(!v.parse_failed);
                 prop_assert_eq!(v.matched, owned_first, "{:?}", mode);
                 arena.reset();
-                let view = match leaksig_http::parse_request_view(
+                let view = leaksig_http::parse_request_view(
                     &raw, p.destination.ip, p.destination.port, &limits, &mut arena,
-                ).unwrap() {
-                    leaksig_http::ViewOutcome::View(view) => view,
-                    leaksig_http::ViewOutcome::Opaque => {
-                        return Err(TestCaseError::fail("builder output must view-parse"));
-                    }
-                };
+                ).unwrap();
+                prop_assert!(view.is_utf8_line(), "builder output has a UTF-8 request line");
                 prop_assert_eq!(scanner.scan_view(&view).matched, owned_first, "{:?}", mode);
                 detector.engine().matched_into(
                     &mut scratch,
@@ -794,9 +790,11 @@ proptest! {
 }
 
 /// `Detector::scan_batch` above the parallel threshold produces the same
-/// verdict vector as a single serial scanner, and classifies malformed
-/// and opaque (non-UTF-8 request line) records exactly like the owned
-/// parser would.
+/// verdict vector as a single serial scanner, flags malformed records,
+/// and scans a request line that is not UTF-8 as its lossy-decoded
+/// packet: a signature cut from packets whose target holds U+FFFD
+/// matches the raw `\xff` record, as `match_packet(parse_request(raw))`
+/// does.
 #[test]
 fn scan_batch_parallel_matches_serial_and_flags_rejects() {
     use leaksig_core::signature::{signature_from_cluster, SignatureConfig};
@@ -810,8 +808,17 @@ fn scan_batch_parallel_matches_serial_and_flags_rejects() {
     };
     let (a, b) = (mk("1"), mk("2"));
     let sig = signature_from_cluster(42, &[&a, &b], &SignatureConfig::default()).unwrap();
+    let mk_lossy = |slot: &str| {
+        RequestBuilder::get("/\u{fffd}ad")
+            .query("imei", "355195000000017")
+            .query("slot", slot)
+            .destination(Ipv4Addr::new(203, 0, 113, 9), 80, "ad-maker.info")
+            .build()
+    };
+    let (c, d) = (mk_lossy("1"), mk_lossy("2"));
+    let lossy_sig = signature_from_cluster(43, &[&c, &d], &SignatureConfig::default()).unwrap();
     let detector = Detector::new(SignatureSet {
-        signatures: vec![sig],
+        signatures: vec![sig, lossy_sig],
     });
     let limits = leaksig_http::ParseLimits::intake();
 
@@ -821,9 +828,11 @@ fn scan_batch_parallel_matches_serial_and_flags_rejects() {
         .build()
         .to_bytes();
     let garbage = b"definitely not http\r\n\r\n".to_vec();
-    // Invalid UTF-8 in the request line: exercises the opaque fallback.
+    // Invalid UTF-8 in the request line, without and with a leak.
     let opaque = b"GET /\xff\xfe HTTP/1.1\r\nHost: x.example\r\n\r\n".to_vec();
-    let raws: Vec<&[u8]> = vec![&hit, &miss, &garbage, &opaque];
+    let lossy_hit =
+        b"GET /\xffad?imei=355195000000017&slot=7 HTTP/1.1\r\nHost: ad-maker.info\r\n\r\n".to_vec();
+    let raws: Vec<&[u8]> = vec![&hit, &miss, &garbage, &opaque, &lossy_hit];
 
     // Enough records to cross the parallel threshold (256).
     let records: Vec<RawPacket<'_>> = (0..600)
@@ -844,6 +853,18 @@ fn scan_batch_parallel_matches_serial_and_flags_rejects() {
     assert!(parallel[2].parse_failed, "garbage record");
     assert!(
         !parallel[3].parse_failed && parallel[3].matched.is_none(),
-        "opaque record falls back to the owned parser"
+        "non-UTF-8 record without a leak parses and misses"
+    );
+    let owned = leaksig_http::parse_request(&lossy_hit, Ipv4Addr::new(203, 0, 113, 9), 80)
+        .expect("lossy record parses");
+    assert_eq!(
+        detector.match_packet(&owned).map(|d| d.signature_id),
+        Some(43),
+        "owned path"
+    );
+    assert_eq!(
+        parallel[4].matched,
+        Some(43),
+        "lossy record matches its signature"
     );
 }

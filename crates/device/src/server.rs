@@ -31,10 +31,7 @@ use crate::state::{ApplyOutcome, Durability, MemoryStore, StateOp, StateStore};
 use crate::store::SignatureServer;
 use leaksig_core::payload::PayloadCheck;
 use leaksig_core::prelude::*;
-use leaksig_http::{
-    parse_request_limited, parse_request_view, HttpPacket, ParseArena, ParseError, ParseLimits,
-    ViewOutcome,
-};
+use leaksig_http::{parse_request_view, HttpPacket, ParseArena, ParseError, ParseLimits};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -812,9 +809,8 @@ impl ServerState {
     /// Parse `raw` into an owned packet and classify it. The zero-copy
     /// view parse runs in the state's arena, and the payload check scans
     /// its rebuilt wire image — the same bytes
-    /// [`PayloadCheck::is_suspicious`] scans on the materialised packet.
-    /// A request line that is not UTF-8 (`Opaque`) takes the owned
-    /// parser, whose lossy decode a view cannot represent.
+    /// [`PayloadCheck::is_suspicious`] scans on the materialised packet,
+    /// lossy-decoded request line included.
     fn parse<T: Copy + Eq>(
         &mut self,
         r: RawPacket<'_>,
@@ -822,18 +818,10 @@ impl ServerState {
         check: &PayloadCheck<T>,
     ) -> Result<(HttpPacket, bool), ParseError> {
         self.arena.reset();
-        match parse_request_view(r.raw, r.ip, r.port, limits, &mut self.arena)? {
-            ViewOutcome::View(view) => {
-                view.write_wire(&self.arena, &mut self.wire);
-                let suspicious = check.is_suspicious_bytes(&self.wire);
-                Ok((view.to_packet(&self.arena), suspicious))
-            }
-            ViewOutcome::Opaque => {
-                let packet = parse_request_limited(r.raw, r.ip, r.port, limits)?;
-                let suspicious = check.is_suspicious(&packet);
-                Ok((packet, suspicious))
-            }
-        }
+        let view = parse_request_view(r.raw, r.ip, r.port, limits, &mut self.arena)?;
+        view.write_wire(&self.arena, &mut self.wire);
+        let suspicious = check.is_suspicious_bytes(&self.wire);
+        Ok((view.to_packet(&self.arena), suspicious))
     }
 
     /// Route classified packets into the reservoir or normal ring,

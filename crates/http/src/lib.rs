@@ -8,13 +8,14 @@
 //!
 //! * [`HttpPacket`] — the packet model, with the field accessors the
 //!   distance and signature layers consume;
-//! * [`parse_request`] — an RFC 7230-subset parser from raw request bytes
-//!   (request line, header fields, `Content-Length`-delimited body), and
-//!   [`parse_request_limited`] — the same parser behind hard
-//!   [`ParseLimits`] for untrusted intake paths;
-//! * [`parse_request_view`] — a zero-copy twin of
-//!   [`parse_request_limited`] yielding borrowed [`PacketView`]s whose
-//!   header spans live in a reusable [`ParseArena`] (hot scan paths);
+//! * [`parse_request_view`] — the one request grammar, an RFC 7230-subset
+//!   parser from raw request bytes (request line, header fields,
+//!   `Content-Length`-delimited body) behind hard [`ParseLimits`]. It
+//!   yields zero-copy [`PacketView`]s whose header spans live in a
+//!   reusable [`ParseArena`] (hot scan and intake paths);
+//! * [`parse_request_limited`] — that grammar materialised into an owned
+//!   [`HttpPacket`] ([`PacketView::to_packet`]) for untrusted input, and
+//!   [`parse_request`] — the same with no limits for trusted captures;
 //! * [`HttpPacket::to_bytes`] — the inverse serializer;
 //! * [`RequestBuilder`] — ergonomic construction for generators and tests;
 //! * [`query`] — `application/x-www-form-urlencoded` encode/decode.
@@ -22,7 +23,8 @@
 //! The parser is deliberately strict about structure (malformed packets
 //! are data-quality signals in a traffic pipeline, not something to guess
 //! around) but tolerant about bytes: header values and bodies are treated
-//! as opaque octets.
+//! as opaque octets, and a request line or `Host` value that is not UTF-8
+//! materialises lossy-decoded.
 
 mod builder;
 mod model;
@@ -33,7 +35,7 @@ mod view;
 pub use builder::RequestBuilder;
 pub use model::{Destination, HeaderName, HttpPacket, Method, RequestLine};
 pub use parse::{parse_request, parse_request_limited, ParseError, ParseLimits};
-pub use view::{parse_request_view, PacketView, ParseArena, ViewOutcome};
+pub use view::{parse_request_view, PacketView, ParseArena};
 
 #[cfg(test)]
 mod tests {

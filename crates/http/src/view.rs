@@ -1,59 +1,72 @@
-//! Zero-copy request parsing: borrowed packet views over the raw receive
+//! The request grammar: zero-copy packet views over the raw receive
 //! buffer, backed by a reusable span arena.
 //!
-//! [`parse_request_view`] is the allocation-free twin of
-//! [`parse_request_limited`](crate::parse_request_limited): instead of
+//! [`parse_request_view`] is the crate's one request grammar. Instead of
 //! materialising owned `String`s and `Vec`s per header, it records byte
 //! *spans* into the caller's buffer. The content fields detection scans —
 //! request line, `Cookie`, body — live inline in the [`PacketView`];
 //! header spans go into a [`ParseArena`] that a batch-processing loop
 //! resets between batches, so steady-state parsing performs no per-packet
-//! allocation at all.
+//! allocation at all. The owned entry points
+//! ([`parse_request_limited`](crate::parse_request_limited)) are a view
+//! parse followed by [`PacketView::to_packet`].
 //!
-//! The owned parser remains the semantic oracle: for every input the view
-//! parser either produces a view whose [`PacketView::to_packet`]
-//! materialisation is byte-identical to the owned parse (including the
-//! exact `ParseError` on rejects), or returns [`ViewOutcome::Opaque`] for
-//! the one case a borrowed view cannot represent — a request line that is
-//! not valid UTF-8, where the owned path's lossy decode rewrites bytes.
-//! Callers fall back to the owned parser there; a property test pins the
-//! equivalence.
+//! # Request lines that are not UTF-8
+//!
+//! The packet model holds the method, target and version as text, so a
+//! request line that is not valid UTF-8 materialises lossy-decoded
+//! (invalid sequences become U+FFFD). The grammar splits the raw line on
+//! `' '` and the `Host` value on `':'` *before* any decoding. Both
+//! separators are ASCII, and `String::from_utf8_lossy` never folds an ASCII byte
+//! into a replaced sequence, so splitting the bytes and then decoding each
+//! span gives exactly what decoding the whole line and then splitting the
+//! text gives. A view therefore keeps its spans for every line and only
+//! records whether the line was UTF-8 ([`PacketView::is_utf8_line`]):
+//! [`PacketView::to_packet`] and [`PacketView::write_wire`] decode the
+//! spans of a line that is not, and borrow the raw bytes otherwise.
+//! [`PacketView::rline`] always returns the raw bytes.
 //!
 //! # Arena reset discipline
 //!
 //! A view's header list is a span range into the arena it was parsed
-//! with. Resetting the arena (between batches) recycles that storage:
-//! header access through earlier views is then invalid (the accessors
-//! will panic on out-of-range), while the inline fields — request line,
-//! cookie, body, host — remain usable for as long as the underlying raw
-//! buffer lives. The scan path only touches inline fields, so a batch
-//! loop may parse, scan, and reset freely.
+//! with. Resetting the arena (between batches) recycles that storage, so
+//! header access through an earlier view — [`PacketView::headers`],
+//! [`PacketView::to_packet`], [`PacketView::write_wire`] — is then a
+//! logic error. It is not reliably caught: once later parses have refilled
+//! the arena, the old range can fall in bounds and yield spans recorded
+//! for another packet, read against the old view's buffer (wrong bytes, or
+//! a panic when a span runs past that buffer). The inline fields —
+//! request line, cookie, body, host — stay valid for as long as the
+//! underlying raw buffer lives. The scan path only touches inline fields,
+//! so a batch loop may parse, scan, and reset freely.
 
 use crate::model::{Destination, HeaderName, HttpPacket, Method, RequestLine};
-use crate::parse::{is_token_byte, parse_content_length, take_line_within, ParseError};
-use crate::ParseLimits;
+use crate::{ParseError, ParseLimits};
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 use std::ops::Range;
 
-/// A `(start, len)` byte span into the raw buffer. `u32` offsets keep the
-/// arena entries small; buffers past 4 GiB fall back to the owned parser.
+/// A `(start, len)` byte span into the raw buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Span {
-    start: u32,
-    len: u32,
+    start: usize,
+    len: usize,
 }
 
 impl Span {
     fn of(raw: &[u8], slice: &[u8]) -> Span {
-        let start = slice.as_ptr() as usize - raw.as_ptr() as usize;
         Span {
-            start: start as u32,
-            len: slice.len() as u32,
+            start: slice.as_ptr() as usize - raw.as_ptr() as usize,
+            len: slice.len(),
         }
     }
 
+    fn end(&self) -> usize {
+        self.start + self.len
+    }
+
     fn get<'a>(&self, raw: &'a [u8]) -> &'a [u8] {
-        &raw[self.start as usize..(self.start + self.len) as usize]
+        &raw[self.start..self.end()]
     }
 }
 
@@ -79,9 +92,9 @@ impl ParseArena {
         ParseArena::default()
     }
 
-    /// Recycle the arena for the next batch. Invalidates header access on
-    /// views parsed since the previous reset (see the module docs); their
-    /// inline fields stay valid.
+    /// Recycle the arena for the next batch. Header access through views
+    /// parsed before the reset is a logic error from then on (see the
+    /// module docs); their inline fields stay valid.
     pub fn reset(&mut self) {
         self.headers.clear();
     }
@@ -107,48 +120,34 @@ pub struct PacketView<'a> {
     method: Span,
     target: Span,
     version: Span,
-    /// `METHOD SP target` — contiguous in the raw buffer because the
-    /// request line is single-space separated. This is exactly the
-    /// request-line text the token layer matches against (the version
-    /// suffix never enters the token universe).
-    rline: Span,
+    /// Whether the request line is valid UTF-8; when it is not, the
+    /// materialised line is the lossy decode of its spans.
+    utf8_line: bool,
     host: Span,
     cookie: Option<Span>,
     body: Span,
     /// Range into the arena's header list.
-    headers: Range<u32>,
+    headers: Range<usize>,
 }
 
 impl<'a> PacketView<'a> {
-    /// Destination IPv4 address this capture was headed to.
-    pub fn ip(&self) -> Ipv4Addr {
-        self.ip
-    }
-
-    /// Destination TCP port.
-    pub fn port(&self) -> u16 {
-        self.port
-    }
-
-    /// The method token as written.
-    pub fn method(&self) -> &'a str {
-        std::str::from_utf8(self.method.get(self.raw)).expect("request line was UTF-8 checked")
-    }
-
-    /// The origin-form target (path plus optional `?query`).
-    pub fn target(&self) -> &'a str {
-        std::str::from_utf8(self.target.get(self.raw)).expect("request line was UTF-8 checked")
-    }
-
-    /// The version token as written (e.g. `HTTP/1.1`).
-    pub fn version(&self) -> &'a str {
-        std::str::from_utf8(self.version.get(self.raw)).expect("request line was UTF-8 checked")
-    }
-
     /// The matchable request-line bytes: `METHOD SP target`, borrowed
-    /// straight from the buffer (no per-packet formatting).
+    /// straight from the buffer (no per-packet formatting) — contiguous
+    /// because the request line is single-space separated. This is
+    /// exactly the request-line text the token layer matches against
+    /// (the version suffix never enters the token universe). Raw bytes
+    /// even when the line is not UTF-8, where the materialised packet
+    /// holds their lossy decode (see [`PacketView::is_utf8_line`]).
     pub fn rline(&self) -> &'a [u8] {
-        self.rline.get(self.raw)
+        &self.raw[self.method.start..self.target.end()]
+    }
+
+    /// Whether the request line is valid UTF-8. When it is not, the
+    /// packet [`PacketView::to_packet`] builds holds the lossy decode of
+    /// the method, target and version, so its request line differs from
+    /// the raw [`PacketView::rline`] bytes.
+    pub fn is_utf8_line(&self) -> bool {
+        self.utf8_line
     }
 
     /// First `Cookie` header value, or empty — the §IV-C convention.
@@ -170,25 +169,31 @@ impl<'a> PacketView<'a> {
         self.host.get(self.raw)
     }
 
-    /// Number of header fields.
-    pub fn header_count(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Header `(name, value)` byte pairs, in transmission order. Requires
     /// the arena the view was parsed with, un-reset since.
     pub fn headers<'s>(
         &'s self,
         arena: &'s ParseArena,
     ) -> impl Iterator<Item = (&'a [u8], &'a [u8])> + 's {
-        arena.headers[self.headers.start as usize..self.headers.end as usize]
+        arena.headers[self.headers.clone()]
             .iter()
             .map(|h| (h.name.get(self.raw), h.value.get(self.raw)))
     }
 
-    /// Materialise an owned [`HttpPacket`] — byte-identical to what
-    /// [`parse_request_limited`](crate::parse_request_limited) returns for
-    /// the same input. Requires the parse-time arena, un-reset since.
+    /// A span as text: borrowed when valid UTF-8, lossy-decoded otherwise.
+    /// `str::from_utf8` runs first because its validation has an ASCII
+    /// fast path that the lossy decoder's chunk walk lacks.
+    fn text(&self, span: Span) -> Cow<'a, str> {
+        let bytes = span.get(self.raw);
+        match std::str::from_utf8(bytes) {
+            Ok(text) => Cow::Borrowed(text),
+            Err(_) => String::from_utf8_lossy(bytes),
+        }
+    }
+
+    /// Materialise an owned [`HttpPacket`]. A request line that is not
+    /// UTF-8 is lossy-decoded span by span, as is the host. Requires the
+    /// parse-time arena, un-reset since.
     pub fn to_packet(&self, arena: &ParseArena) -> HttpPacket {
         let headers = self
             .headers(arena)
@@ -198,15 +203,11 @@ impl<'a> PacketView<'a> {
             })
             .collect();
         HttpPacket {
-            destination: Destination::new(
-                self.ip,
-                self.port,
-                String::from_utf8_lossy(self.host_bytes()).into_owned(),
-            ),
+            destination: Destination::new(self.ip, self.port, self.text(self.host)),
             request_line: RequestLine {
-                method: Method::from_token(self.method()),
-                target: self.target().to_string(),
-                version: self.version().to_string(),
+                method: Method::from_token(&self.text(self.method)),
+                target: self.text(self.target).into_owned(),
+                version: self.text(self.version).into_owned(),
             },
             headers,
             body: self.body().to_vec(),
@@ -216,15 +217,20 @@ impl<'a> PacketView<'a> {
     /// Write the wire image of [`PacketView::to_packet`] into `out`
     /// (cleared first): byte-identical to `to_packet(arena).to_bytes()`,
     /// without materialising the packet. Allocates nothing once `out`
-    /// has grown to the largest image seen. Requires the parse-time
-    /// arena, un-reset since.
+    /// has grown to the largest image seen, unless the request line is
+    /// not UTF-8. Requires the parse-time arena, un-reset since.
     pub fn write_wire(&self, arena: &ParseArena, out: &mut Vec<u8>) {
         out.clear();
         // The method token round-trips through `Method::from_token`
-        // unchanged, so the request line is the raw bytes up to the CRLF.
-        out.extend_from_slice(self.rline());
-        out.push(b' ');
-        out.extend_from_slice(self.version.get(self.raw));
+        // unchanged, so the request line is the line's bytes up to the
+        // CRLF — lossy-decoded as a whole when it is not UTF-8, which
+        // equals decoding each span (see the module docs).
+        let line = &self.raw[self.method.start..self.version.end()];
+        if self.utf8_line {
+            out.extend_from_slice(line);
+        } else {
+            out.extend_from_slice(String::from_utf8_lossy(line).as_bytes());
+        }
         out.extend_from_slice(b"\r\n");
         for (name, value) in self.headers(arena) {
             out.extend_from_slice(name);
@@ -237,35 +243,173 @@ impl<'a> PacketView<'a> {
     }
 }
 
-/// Result of a view parse that did not reject the input.
-#[derive(Debug)]
-pub enum ViewOutcome<'a> {
-    /// A borrowed view over the buffer.
-    View(PacketView<'a>),
-    /// The request line is not valid UTF-8 (or the buffer exceeds span
-    /// range): the owned parser's lossy decode rewrites bytes a borrowed
-    /// view cannot represent. Parse this input with
-    /// [`parse_request_limited`](crate::parse_request_limited) instead.
-    Opaque,
+/// One line and the input after its terminator.
+type LineAndRest<'a> = Option<(&'a [u8], &'a [u8])>;
+
+/// Split off one line (supporting `\r\n` and `\n`), searching for the
+/// terminator only within the first `max_len + 2` bytes so a giant
+/// newline-less blob costs at most `max_len` of scanning.
+///
+/// Returns `Ok(Some((line, rest)))` on success, `Ok(None)` when the input
+/// ends before any terminator, and `Err(())` when the line would exceed
+/// `max_len` bytes.
+fn take_line_within(input: &[u8], max_len: usize) -> Result<LineAndRest<'_>, ()> {
+    let window = max_len.saturating_add(2).min(input.len());
+    match input[..window].iter().position(|&b| b == b'\n') {
+        Some(nl) => {
+            let line = if nl > 0 && input[nl - 1] == b'\r' {
+                &input[..nl - 1]
+            } else {
+                &input[..nl]
+            };
+            if line.len() > max_len {
+                return Err(());
+            }
+            Ok(Some((line, &input[nl + 1..])))
+        }
+        None if input.len() > window => Err(()),
+        None => Ok(None),
+    }
 }
 
-/// Zero-copy variant of
-/// [`parse_request_limited`](crate::parse_request_limited): identical
-/// accept/reject behaviour (including the exact [`ParseError`]), but the
-/// accepted form is a borrowed [`PacketView`] whose header spans land in
-/// `arena`. Performs no allocation on the accept path once the arena has
-/// warmed up.
+fn is_token_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
+}
+
+/// Parse a `Content-Length` value: lossy-decode, `str::trim`, `parse`.
+/// For valid UTF-8 values (the only kind real traffic carries) the `Cow`
+/// stays borrowed and nothing allocates until the error path.
+fn parse_content_length(value: &[u8]) -> Result<usize, ParseError> {
+    let text = String::from_utf8_lossy(value);
+    text.trim()
+        .parse()
+        .map_err(|_| ParseError::BadContentLength(text.into_owned()))
+}
+
+/// What the header block and body yield besides the header spans.
+struct Fields {
+    host: Span,
+    cookie: Option<Span>,
+    body: Span,
+}
+
+/// Parse the header lines after the request line, pushing one span pair
+/// per header onto `headers`, then cut the body. On a reject the caller
+/// truncates `headers` back to where it started.
+fn parse_fields(
+    raw: &[u8],
+    mut rest: &[u8],
+    limits: &ParseLimits,
+    headers: &mut Vec<HeaderSpan>,
+) -> Result<Fields, ParseError> {
+    let base = headers.len();
+    let mut cookie: Option<Span> = None;
+    let mut content_length: Option<Span> = None;
+    let mut host: Option<Span> = None;
+    let body = loop {
+        let line_no = headers.len() - base;
+        let (line, next) = take_line_within(rest, limits.max_header_line)
+            .map_err(|()| ParseError::HeaderTooLong {
+                line: line_no,
+                limit: limits.max_header_line,
+            })?
+            .ok_or(ParseError::UnterminatedHeaders)?;
+        rest = next;
+        if line.is_empty() {
+            break rest;
+        }
+        if line_no >= limits.max_header_count {
+            return Err(ParseError::TooManyHeaders {
+                limit: limits.max_header_count,
+            });
+        }
+        let colon = line
+            .iter()
+            .position(|&b| b == b':')
+            .ok_or(ParseError::MalformedHeader(line_no))?;
+        let name = &line[..colon];
+        if name.is_empty() || !name.iter().all(|&b| is_token_byte(b)) {
+            return Err(ParseError::BadHeaderName(line_no));
+        }
+        let mut value = &line[colon + 1..];
+        // Trim optional whitespace around the value.
+        while value.first() == Some(&b' ') || value.first() == Some(&b'\t') {
+            value = &value[1..];
+        }
+        while value.last() == Some(&b' ') || value.last() == Some(&b'\t') {
+            value = &value[..value.len() - 1];
+        }
+        let value_span = Span::of(raw, value);
+        if cookie.is_none() && name.eq_ignore_ascii_case(b"Cookie") {
+            cookie = Some(value_span);
+        }
+        if content_length.is_none() && name.eq_ignore_ascii_case(b"Content-Length") {
+            content_length = Some(value_span);
+        }
+        if host.is_none() && name.eq_ignore_ascii_case(b"Host") {
+            // Strip any `:port` suffix at the first `:` byte; the host is
+            // decoded after the split, like the request line.
+            let stripped = match value.iter().position(|&b| b == b':') {
+                Some(c) => &value[..c],
+                None => value,
+            };
+            host = Some(Span::of(raw, stripped));
+        }
+        headers.push(HeaderSpan {
+            name: Span::of(raw, name),
+            value: value_span,
+        });
+    };
+
+    let body = match content_length {
+        Some(v) => {
+            let expected = parse_content_length(v.get(raw))?;
+            // The declaration alone is enough to reject: a dishonest
+            // multi-gigabyte Content-Length must not survive to a copy.
+            if expected > limits.max_body {
+                return Err(ParseError::BodyTooLarge {
+                    limit: limits.max_body,
+                    got: expected,
+                });
+            }
+            if body.len() < expected {
+                return Err(ParseError::TruncatedBody {
+                    expected,
+                    got: body.len(),
+                });
+            }
+            &body[..expected]
+        }
+        None => {
+            if body.len() > limits.max_body {
+                return Err(ParseError::BodyTooLarge {
+                    limit: limits.max_body,
+                    got: body.len(),
+                });
+            }
+            body
+        }
+    };
+    Ok(Fields {
+        host: host.unwrap_or_default(),
+        cookie,
+        body: Span::of(raw, body),
+    })
+}
+
+/// Parse raw request bytes captured toward `ip:port` under hard
+/// [`ParseLimits`] into a borrowed [`PacketView`] whose header spans land
+/// in `arena`. Every limit is checked before the corresponding work, and
+/// a reject leaves the arena as it was. Performs no allocation on the
+/// accept path once the arena has warmed up.
 pub fn parse_request_view<'a>(
     raw: &'a [u8],
     ip: Ipv4Addr,
     port: u16,
     limits: &ParseLimits,
     arena: &mut ParseArena,
-) -> Result<ViewOutcome<'a>, ParseError> {
-    if raw.len() > u32::MAX as usize {
-        return Ok(ViewOutcome::Opaque);
-    }
-    let (first, mut rest) = take_line_within(raw, limits.max_request_line)
+) -> Result<PacketView<'a>, ParseError> {
+    let (first, rest) = take_line_within(raw, limits.max_request_line)
         .map_err(|()| ParseError::RequestLineTooLong {
             limit: limits.max_request_line,
         })?
@@ -273,15 +417,15 @@ pub fn parse_request_view<'a>(
     if first.is_empty() {
         return Err(ParseError::Empty);
     }
-    let Ok(first_str) = std::str::from_utf8(first) else {
-        // The owned path lossy-decodes here; delegate to it.
-        return Ok(ViewOutcome::Opaque);
-    };
-    // `METHOD SP target SP version`, exactly three single-space-separated
-    // parts with non-empty method and target — byte-for-byte the owned
-    // parser's `split(' ')` contract.
-    let malformed = || ParseError::MalformedRequestLine(first_str.to_string());
-    let sp1 = first.iter().position(|&b| b == b' ').ok_or_else(malformed)?;
+    // `METHOD SP target SP version`: exactly three single-space-separated
+    // parts with non-empty method and target. Split on the raw bytes;
+    // decoding comes later, span by span (see the module docs).
+    let malformed =
+        || ParseError::MalformedRequestLine(String::from_utf8_lossy(first).into_owned());
+    let sp1 = first
+        .iter()
+        .position(|&b| b == b' ')
+        .ok_or_else(malformed)?;
     let sp2 = first[sp1 + 1..]
         .iter()
         .position(|&b| b == b' ')
@@ -299,142 +443,37 @@ pub fn parse_request_view<'a>(
         ));
     }
 
+    // A reject leaves the arena as it found it.
     let header_base = arena.headers.len();
-    let mut line_no = 0usize;
-    let mut cookie: Option<Span> = None;
-    let mut content_length: Option<Span> = None;
-    let mut host: Option<Span> = None;
-    let body_all;
-    loop {
-        let (line, next) = take_line_within(rest, limits.max_header_line)
-            .map_err(|()| ParseError::HeaderTooLong {
-                line: line_no,
-                limit: limits.max_header_line,
-            })?
-            .ok_or(ParseError::UnterminatedHeaders)
-            .inspect_err(|_| arena.headers.truncate(header_base))?;
-        rest = next;
-        if line.is_empty() {
-            body_all = rest;
-            break;
-        }
-        if arena.headers.len() - header_base >= limits.max_header_count {
-            arena.headers.truncate(header_base);
-            return Err(ParseError::TooManyHeaders {
-                limit: limits.max_header_count,
-            });
-        }
-        let Some(colon) = line.iter().position(|&b| b == b':') else {
-            arena.headers.truncate(header_base);
-            return Err(ParseError::MalformedHeader(line_no));
-        };
-        let name = &line[..colon];
-        if name.is_empty() || !name.iter().all(|&b| is_token_byte(b)) {
-            arena.headers.truncate(header_base);
-            return Err(ParseError::BadHeaderName(line_no));
-        }
-        let mut value = &line[colon + 1..];
-        while value.first() == Some(&b' ') || value.first() == Some(&b'\t') {
-            value = &value[1..];
-        }
-        while value.last() == Some(&b' ') || value.last() == Some(&b'\t') {
-            value = &value[..value.len() - 1];
-        }
-        let value_span = Span::of(raw, value);
-        if cookie.is_none() && name.eq_ignore_ascii_case(b"Cookie") {
-            cookie = Some(value_span);
-        }
-        if content_length.is_none() && name.eq_ignore_ascii_case(b"Content-Length") {
-            content_length = Some(value_span);
-        }
-        if host.is_none() && name.eq_ignore_ascii_case(b"Host") {
-            // Strip any `:port` suffix; ASCII bytes survive the owned
-            // path's lossy decode unchanged, so the first `:` byte is the
-            // first `:` char there too.
-            let stripped = match value.iter().position(|&b| b == b':') {
-                Some(c) => &value[..c],
-                None => value,
-            };
-            host = Some(Span::of(raw, stripped));
-        }
-        arena.headers.push(HeaderSpan {
-            name: Span::of(raw, name),
-            value: value_span,
-        });
-        line_no += 1;
-    }
-
-    let reject = |arena: &mut ParseArena, e: ParseError| {
+    let fields = parse_fields(raw, rest, limits, &mut arena.headers);
+    if fields.is_err() {
         arena.headers.truncate(header_base);
-        Err(e)
-    };
-    let body = match content_length {
-        Some(v) => {
-            let expected = match parse_content_length(v.get(raw)) {
-                Ok(n) => n,
-                Err(e) => return reject(arena, e),
-            };
-            if expected > limits.max_body {
-                return reject(
-                    arena,
-                    ParseError::BodyTooLarge {
-                        limit: limits.max_body,
-                        got: expected,
-                    },
-                );
-            }
-            if body_all.len() < expected {
-                return reject(
-                    arena,
-                    ParseError::TruncatedBody {
-                        expected,
-                        got: body_all.len(),
-                    },
-                );
-            }
-            &body_all[..expected]
-        }
-        None => {
-            if body_all.len() > limits.max_body {
-                return reject(
-                    arena,
-                    ParseError::BodyTooLarge {
-                        limit: limits.max_body,
-                        got: body_all.len(),
-                    },
-                );
-            }
-            body_all
-        }
-    };
+    }
+    let Fields { host, cookie, body } = fields?;
 
-    Ok(ViewOutcome::View(PacketView {
+    Ok(PacketView {
         raw,
         ip,
         port,
         method: Span::of(raw, method),
         target: Span::of(raw, target),
         version: Span::of(raw, version),
-        rline: Span::of(raw, &first[..sp2]),
-        host: host.unwrap_or_default(),
+        utf8_line: std::str::from_utf8(first).is_ok(),
+        host,
         cookie,
-        body: Span::of(raw, body),
-        headers: header_base as u32..arena.headers.len() as u32,
-    }))
+        body,
+        headers: header_base..arena.headers.len(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_request_limited, RequestBuilder};
 
     const IP: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
 
     fn view<'a>(raw: &'a [u8], arena: &mut ParseArena) -> PacketView<'a> {
-        match parse_request_view(raw, IP, 80, &ParseLimits::UNLIMITED, arena).unwrap() {
-            ViewOutcome::View(v) => v,
-            ViewOutcome::Opaque => panic!("expected a view"),
-        }
+        parse_request_view(raw, IP, 80, &ParseLimits::UNLIMITED, arena).unwrap()
     }
 
     #[test]
@@ -443,74 +482,17 @@ mod tests {
             b"POST /track?imei=355195 HTTP/1.1\r\nHost: flurry.com:8080\r\nCookie: s=1\r\nContent-Length: 4\r\n\r\nbodyEXTRA";
         let mut arena = ParseArena::new();
         let v = view(raw, &mut arena);
-        assert_eq!(v.method(), "POST");
-        assert_eq!(v.target(), "/track?imei=355195");
-        assert_eq!(v.version(), "HTTP/1.1");
+        assert!(v.is_utf8_line());
         assert_eq!(v.rline(), b"POST /track?imei=355195");
         assert_eq!(v.cookie(), b"s=1");
         assert_eq!(v.body(), b"body");
         assert_eq!(v.host_bytes(), b"flurry.com");
-        assert_eq!(v.header_count(), 3);
+        assert_eq!(v.headers(&arena).count(), 3);
         // Every accessor's slice points into `raw` — zero copy.
         let range = raw.as_ptr_range();
         for s in [v.rline(), v.cookie(), v.body(), v.host_bytes()] {
             assert!(range.contains(&s.as_ptr()));
         }
-    }
-
-    #[test]
-    fn materialisation_matches_owned_parser() {
-        let pkt = RequestBuilder::post("/x")
-            .query("a", "1")
-            .cookie("sid=9")
-            .header("User-Agent", "Dalvik/1.4.0")
-            .body(&b"imei=355195"[..])
-            .destination(IP, 80, "h.example.jp")
-            .build();
-        let raw = pkt.to_bytes();
-        let mut arena = ParseArena::new();
-        let v = view(&raw, &mut arena);
-        let owned = parse_request_limited(&raw, IP, 80, &ParseLimits::UNLIMITED).unwrap();
-        assert_eq!(v.to_packet(&arena), owned);
-        assert_eq!(v.to_packet(&arena), pkt);
-    }
-
-    #[test]
-    fn errors_match_owned_parser() {
-        let cases: &[&[u8]] = &[
-            b"",
-            b"\r\n\r\n",
-            b"GET /\r\n\r\n",
-            b"GET / index HTTP/1.1\r\n\r\n",
-            b"GET / FTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\nno-colon\r\n\r\n",
-            b"GET / HTTP/1.1\r\nbad name: 2\r\n\r\n",
-            b"GET / HTTP/1.1\r\nHost: x",
-            b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-        ];
-        let mut arena = ParseArena::new();
-        for raw in cases {
-            let owned = parse_request_limited(raw, IP, 80, &ParseLimits::UNLIMITED).unwrap_err();
-            match parse_request_view(raw, IP, 80, &ParseLimits::UNLIMITED, &mut arena) {
-                Err(e) => assert_eq!(e, owned, "input {raw:?}"),
-                other => panic!("expected error for {raw:?}, got {other:?}"),
-            }
-            // Rejects must not leak spans into the arena.
-            assert!(arena.is_empty(), "arena dirty after reject of {raw:?}");
-        }
-    }
-
-    #[test]
-    fn invalid_utf8_request_line_is_opaque() {
-        let raw = b"GET /\xff\xfe HTTP/1.1\r\n\r\n";
-        let mut arena = ParseArena::new();
-        match parse_request_view(raw, IP, 80, &ParseLimits::UNLIMITED, &mut arena).unwrap() {
-            ViewOutcome::Opaque => {}
-            ViewOutcome::View(_) => panic!("lossy request line must fall back"),
-        }
-        // The owned parser still handles it.
-        assert!(parse_request_limited(raw, IP, 80, &ParseLimits::UNLIMITED).is_ok());
     }
 
     #[test]
@@ -535,28 +517,14 @@ mod tests {
     }
 
     #[test]
-    fn limits_enforced_like_owned() {
-        let tight = ParseLimits {
-            max_request_line: 16,
-            max_header_count: 2,
-            max_header_line: 24,
-            max_body: 8,
-        };
+    fn non_utf8_line_keeps_raw_spans() {
+        // The packet it materialises to is pinned against the reference
+        // parser in `tests/differential.rs`.
+        let raw: &[u8] = b"GET /\xff\xfe?a=1 HTTP/1.1\r\nHost: h\xc3.example:81\r\n\r\n";
         let mut arena = ParseArena::new();
-        let cases: &[&[u8]] = &[
-            b"GET /aaaaaaaaaaaaaaaaaaaaaaaaaa HTTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\na: 1\r\nb: 2\r\nc: 3\r\n\r\n",
-            b"GET / HTTP/1.1\r\nbig: aaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n",
-            b"POST / HTTP/1.1\r\n\r\n123456789",
-        ];
-        for raw in cases {
-            let owned = parse_request_limited(raw, IP, 80, &tight).unwrap_err();
-            match parse_request_view(raw, IP, 80, &tight, &mut arena) {
-                Err(e) => assert_eq!(e, owned, "input {raw:?}"),
-                other => panic!("expected error for {raw:?}, got {other:?}"),
-            }
-        }
-        assert!(arena.is_empty());
+        let v = view(raw, &mut arena);
+        assert!(!v.is_utf8_line());
+        assert_eq!(v.rline(), b"GET /\xff\xfe?a=1");
+        assert_eq!(v.host_bytes(), b"h\xc3.example");
     }
 }

@@ -1,10 +1,12 @@
 //! Property tests: parse/serialize round trips, codec inverses, and
 //! mutation robustness of the parser under the fault crate's manglers.
 
+mod reference;
+
 use leaksig_faults::{flip_bytes, truncate_bytes};
 use leaksig_http::{
     parse_request, parse_request_limited, parse_request_view, query, Destination, HeaderName,
-    HttpPacket, Method, ParseArena, ParseLimits, RequestBuilder, RequestLine, ViewOutcome,
+    HttpPacket, Method, ParseArena, ParseLimits, RequestBuilder, RequestLine,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -185,35 +187,32 @@ proptest! {
         let _ = parse_request(&raw, Ipv4Addr::LOCALHOST, 80);
     }
 
-    /// The zero-copy view parser is equivalent to the owned parser on
-    /// arbitrary bytes: accepted views materialise to the identical
-    /// packet, rejects carry the identical error, and `Opaque` (the
-    /// owned-fallback escape hatch) appears only when the request line
-    /// is not valid UTF-8.
+    /// The view grammar is equivalent to the verbatim owned reference
+    /// parser on arbitrary bytes: accepted views materialise to the
+    /// identical packet (lossy-decoded when the request line is not
+    /// UTF-8) and rebuild its wire image, and rejects carry the
+    /// identical error.
     #[test]
     fn view_parser_matches_owned_on_garbage(
         raw in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let limits = ParseLimits::intake();
         let mut arena = ParseArena::new();
-        let owned = parse_request_limited(&raw, Ipv4Addr::LOCALHOST, 80, &limits);
+        let owned = reference::parse_request_limited(&raw, Ipv4Addr::LOCALHOST, 80, &limits);
         match parse_request_view(&raw, Ipv4Addr::LOCALHOST, 80, &limits, &mut arena) {
-            Ok(ViewOutcome::View(v)) => {
+            Ok(v) => {
                 let mut wire = Vec::new();
                 v.write_wire(&arena, &mut wire);
                 prop_assert_eq!(Ok(v.to_packet(&arena)), owned);
                 prop_assert_eq!(wire, v.to_packet(&arena).to_bytes());
             }
-            Ok(ViewOutcome::Opaque) => {
-                let first_line = raw.split(|&b| b == b'\n').next().unwrap_or(&raw);
-                prop_assert!(std::str::from_utf8(first_line).is_err());
-            }
             Err(e) => prop_assert_eq!(Err(e), owned),
         }
     }
 
-    /// On well-formed wire images the view parser never goes opaque and
-    /// the borrowed fields agree with the owned packet's accessors.
+    /// On well-formed wire images the view parser accepts, sees a UTF-8
+    /// request line, and the borrowed fields agree with the owned
+    /// packet's accessors.
     #[test]
     fn view_parser_matches_owned_on_wellformed(
         qs in proptest::collection::vec((token(), token()), 0..4),
@@ -243,7 +242,8 @@ proptest! {
         let mut arena = ParseArena::new();
         let limits = ParseLimits::UNLIMITED;
         match parse_request_view(&raw, ip, 443, &limits, &mut arena) {
-            Ok(ViewOutcome::View(v)) => {
+            Ok(v) => {
+                prop_assert!(v.is_utf8_line());
                 prop_assert_eq!(v.to_packet(&arena), pkt.clone());
                 prop_assert_eq!(v.cookie(), pkt.cookie());
                 prop_assert_eq!(v.body(), pkt.body.as_slice());
@@ -287,7 +287,7 @@ proptest! {
 
         let mut arena = ParseArena::new();
         let mut wire = b"stale bytes from an earlier, longer image".repeat(8);
-        if let Ok(ViewOutcome::View(v)) =
+        if let Ok(v) =
             parse_request_view(&raw, Ipv4Addr::LOCALHOST, 80, &ParseLimits::intake(), &mut arena)
         {
             v.write_wire(&arena, &mut wire);

@@ -83,9 +83,9 @@ if [[ "$MODE" == "smoke" ]]; then
         exit 1
     fi
     # Perf gate: raw bytes to verdict, the zero-copy path (view parse +
-    # borrowed scan) must beat the owned path (owned parse + owned
-    # match) by >=1.5x even at smoke scale (OWNED >= 1.5 * ZC, in integer
-    # arithmetic: 2*OWNED >= 3*ZC). The pre-parsed rows
+    # borrowed scan) must beat the owned path (view parse materialised
+    # into an owned packet + owned match) by >=1.5x even at smoke scale
+    # (OWNED >= 1.5 * ZC, in integer arithmetic: 2*OWNED >= 3*ZC). The pre-parsed rows
     # (compiled_scan_1thread vs zero_copy_scan_1thread) stay ungated:
     # once the owned match stopped allocating, the two scan the same
     # fields at the same cost.

@@ -24,9 +24,7 @@ use leaksig_core::prelude::*;
 use leaksig_device::{
     decode_policy, GateAction, PacketGate, SignatureStore, UserChoice, AUDIT_CAPACITY,
 };
-use leaksig_http::{
-    parse_request_view, HttpPacket, ParseArena, ParseLimits, RequestBuilder, ViewOutcome,
-};
+use leaksig_http::{parse_request_view, HttpPacket, ParseArena, ParseLimits, RequestBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::net::Ipv4Addr;
@@ -138,8 +136,7 @@ fn steady_state_scan_batch_is_allocation_free_per_packet() {
     let mut scanner = detector.scanner();
 
     // Warm up: first batches grow the arena, scratch, and verdict buffer
-    // to their high-water marks (and take the owned fallback for the
-    // malformed packets once).
+    // to their high-water marks.
     let warm: Vec<_> = scanner
         .scan_batch(records.iter().copied(), &limits)
         .to_vec();
@@ -150,10 +147,10 @@ fn steady_state_scan_batch_is_allocation_free_per_packet() {
     // Steady state: repeated batches over the same shapes must be
     // batch-amortized O(1). The budget is deliberately tiny relative to
     // the 5 × 512 packets scanned — a single per-packet allocation
-    // would cost ≥ 2560 events. The malformed packets take the owned
-    // fallback parse (allocating by design), so the budget covers that
-    // oracle path for ~170 rejects per batch; the well-formed hot path
-    // must contribute nothing.
+    // would cost ≥ 2560 events. The malformed packets are parse rejects
+    // whose `ParseError` owns a copy of the bad request line (allocating
+    // by design), so the budget covers ~170 rejects per batch; the
+    // well-formed hot path must contribute nothing.
     let rejects = warm.iter().filter(|v| v.parse_failed).count();
     let budget = 5 * (8 * rejects as u64) + 64;
     let (allocs, hits) = count_allocs(|| {
@@ -171,8 +168,8 @@ fn steady_state_scan_batch_is_allocation_free_per_packet() {
          (budget {budget}); a per-packet allocation crept into the hot path"
     );
 
-    // The stricter claim: with only well-formed packets (no owned
-    // fallback), steady-state batches are allocation-free.
+    // The stricter claim: with only well-formed packets (no rejects),
+    // steady-state batches are allocation-free.
     let clean: Vec<RawPacket<'_>> = records
         .iter()
         .copied()
@@ -227,11 +224,11 @@ fn steady_state_intake_classification_allocates_nothing() {
         for raw in &raws {
             arena.reset();
             match parse_request_view(raw, Ipv4Addr::new(203, 0, 113, 9), 80, &limits, arena) {
-                Ok(ViewOutcome::View(view)) => {
+                Ok(view) => {
                     view.write_wire(arena, wire);
                     suspicious += usize::from(check.is_suspicious_bytes(wire));
                 }
-                other => panic!("well-formed record must view-parse, got {other:?}"),
+                Err(e) => panic!("well-formed record must view-parse, got {e:?}"),
             }
         }
         suspicious

@@ -5,15 +5,16 @@
 //! Two collectors with the same seed and intake configuration see the
 //! same random record stream, one as batches and one record by record.
 //! The stream mixes well-formed leaks and clean requests, bit-flipped
-//! and oversized wire images, request lines that are not UTF-8 (the
-//! owned-parser fallback), re-ingests of a poisoned packet, and bursts
-//! from one source that drain its token bucket; a small admission queue
-//! overflows under each of the three shed policies. After every batch
-//! the verdict tallies, the queue length and the durable state must
-//! agree. Between batches, and for the final drain, the batch side pumps
-//! several packets in one call while the per-record side pumps them one
-//! at a time, so the queue order and the one-slice pump are checked too.
-//! The quarantine ledger is compared at the end.
+//! and oversized wire images, request lines that are not UTF-8
+//! (classified as their lossy-decoded packet), re-ingests of a poisoned
+//! packet, and bursts from one source that drain its token bucket; a
+//! small admission queue overflows under each of the three shed
+//! policies. After every batch the verdict tallies, the queue length and
+//! the durable state must agree. Between batches, and for the final
+//! drain, the batch side pumps several packets in one call while the
+//! per-record side pumps them one at a time, so the queue order and the
+//! one-slice pump are checked too. The quarantine ledger is compared at
+//! the end.
 
 use leaksig::core::prelude::*;
 use leaksig::device::{
@@ -120,8 +121,8 @@ fn records(rng: &mut StdRng, next: &mut u64) -> Vec<(Vec<u8>, Ipv4Addr, u16)> {
             one(raw)
         }
         6 => {
-            // Not UTF-8 in the request line: the owned-parser fallback,
-            // leaking or not.
+            // Not UTF-8 in the request line: lossy-decoded, leaking or
+            // not.
             let query = if rng.random_bool(0.5) { IMEI } else { "0" };
             let mut raw = b"GET /\xff?imei=".to_vec();
             raw.extend_from_slice(
