@@ -3,7 +3,7 @@
 //! clustering, signature generation, and detection throughput.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use leaksig_compress::{ncd, Compressor, Huffman, Lzh, Lzss, Lzw};
+use leaksig_compress::{ncd, Compressor, Lzss, Lzw};
 use leaksig_core::cluster::agglomerate;
 use leaksig_core::matrix::pairwise;
 use leaksig_core::prelude::*;
@@ -66,21 +66,6 @@ fn bench_compress(c: &mut Criterion) {
         b.iter(|| {
             for body in &bodies {
                 black_box(Lzw.compressed_len(body));
-            }
-        })
-    });
-    g.bench_function("huffman_64_packets", |b| {
-        b.iter(|| {
-            for body in &bodies {
-                black_box(Huffman.compressed_len(body));
-            }
-        })
-    });
-    g.bench_function("lzh_64_packets", |b| {
-        let z = Lzh::default();
-        b.iter(|| {
-            for body in &bodies {
-                black_box(z.compressed_len(body));
             }
         })
     });

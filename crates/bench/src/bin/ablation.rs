@@ -1,5 +1,7 @@
 //! **Ablation** (ours): which design choices in §IV actually carry the
-//! result? Five variants, evaluated at a fixed (scaled) N = 300:
+//! result? The baseline and five single-change variants, evaluated at a
+//! fixed (scaled) N = 300, each through the experiment driver
+//! ([`run_experiment_with`]):
 //!
 //! 1. baseline — corrected convention, LZSS NCD, destination distance on,
 //!    generic-token filtering on, all-nodes signature generation;
@@ -14,55 +16,9 @@
 //! ```
 
 use leaksig_bench::{cli_config, generate, pct, rule};
-use leaksig_compress::{Compressor, Lzh, Lzss, Lzw};
-use leaksig_core::eval::tally;
+use leaksig_compress::{Lzss, Lzw};
 use leaksig_core::prelude::*;
 use leaksig_http::HttpPacket;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-/// Run one variant end to end with an explicit compressor.
-fn run_variant<C: Compressor + Sync>(
-    compressor: C,
-    packets: &[&HttpPacket],
-    labels: &[bool],
-    n: usize,
-    cfg: &PipelineConfig,
-) -> ExperimentOutcome {
-    let mut suspicious: Vec<usize> = (0..packets.len()).filter(|&i| labels[i]).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.sample_seed);
-    suspicious.shuffle(&mut rng);
-    suspicious.truncate(n);
-    let sample: Vec<&HttpPacket> = suspicious.iter().map(|&i| packets[i]).collect();
-    let mut sampled = vec![false; packets.len()];
-    for &i in &suspicious {
-        sampled[i] = true;
-    }
-
-    let mut set = generate_signatures_with(compressor, &sample, cfg);
-    if let Some(v) = cfg.fp_validation {
-        let mut normal: Vec<usize> = (0..packets.len()).filter(|&i| !labels[i]).collect();
-        let mut vrng = StdRng::seed_from_u64(cfg.sample_seed ^ 0x4650);
-        normal.shuffle(&mut vrng);
-        normal.truncate(v.sample);
-        let normal_sample: Vec<&HttpPacket> = normal.iter().map(|&i| packets[i]).collect();
-        prune_against_normal(&mut set, &normal_sample, v.max_hits);
-    }
-    drop_dominated(&mut set);
-    let detector = Detector::new(set);
-    let detected = detector.scan(packets.iter().copied());
-    let counts = tally(labels, &detected, &sampled);
-    ExperimentOutcome {
-        rates: counts.rates(),
-        counts,
-        clusters: sample.len().saturating_mul(2).saturating_sub(1),
-        signatures: SignatureSet {
-            signatures: detector.signatures().to_vec(),
-        },
-        timings: StageTimings::default(),
-    }
-}
 
 fn main() {
     let config = cli_config();
@@ -87,19 +43,17 @@ fn main() {
     let mut single_cut = base.clone();
     single_cut.selection = ClusterSelection::Cut(1.6);
 
-    // 0 = LZSS, 1 = LZW, 2 = LZSS+Huffman.
-    let variants: Vec<(&str, PipelineConfig, u8)> = vec![
+    let variants: Vec<(&str, PipelineConfig, bool)> = vec![
         (
             "baseline (corrected, LZSS, dst on, filter on)",
             base.clone(),
-            0,
+            false,
         ),
-        ("paper-literal distance convention", literal, 0),
-        ("destination distance off", no_dest, 0),
-        ("LZW compressor for NCD", base.clone(), 1),
-        ("LZSS+Huffman (deflate-shaped) for NCD", base.clone(), 2),
-        ("generic-token filter off", unfiltered, 0),
-        ("single-cut selection (theta = 1.6)", single_cut, 0),
+        ("paper-literal distance convention", literal, false),
+        ("destination distance off", no_dest, false),
+        ("LZW compressor for NCD", base.clone(), true),
+        ("generic-token filter off", unfiltered, false),
+        ("single-cut selection (theta = 1.6)", single_cut, false),
     ];
 
     println!("Ablation — fixed N = {n}\n");
@@ -108,11 +62,11 @@ fn main() {
         "variant", "TP", "FN", "FP", "F1", "sigs"
     );
     rule(84);
-    for (name, cfg, compressor) in variants {
-        let out = match compressor {
-            1 => run_variant(Lzw, &packets, &labels, n, &cfg),
-            2 => run_variant(Lzh::default(), &packets, &labels, n, &cfg),
-            _ => run_variant(Lzss::default(), &packets, &labels, n, &cfg),
+    for (name, cfg, lzw) in variants {
+        let out = if lzw {
+            run_experiment_with(Lzw, &packets, &labels, n, &cfg)
+        } else {
+            run_experiment_with(Lzss::default(), &packets, &labels, n, &cfg)
         };
         println!(
             "{:<46} {:>7} {:>7} {:>7} {:>6.3} {:>6}",

@@ -14,9 +14,6 @@ use leaksig_bench::{cli_config, generate, pct, rule};
 use leaksig_core::detect::MatchMode;
 use leaksig_core::eval::tally;
 use leaksig_core::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 fn main() {
     let config = cli_config();
@@ -32,14 +29,7 @@ fn main() {
     eprintln!("{} signatures from N = {n}", set.len());
 
     // The same sample mask for every threshold.
-    let mut suspicious: Vec<usize> = (0..packets.len()).filter(|&i| labels[i]).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.sample_seed);
-    suspicious.shuffle(&mut rng);
-    suspicious.truncate(n);
-    let mut sampled = vec![false; packets.len()];
-    for &i in &suspicious {
-        sampled[i] = true;
-    }
+    let sampled = outcome.sampled;
 
     println!("Probabilistic signatures — token-fraction threshold sweep (N = {n})\n");
     println!(

@@ -19,9 +19,6 @@
 //! * [`Lzw`] — a dictionary compressor with 12-bit codes, kept as an
 //!   alternative for the ablation experiments (compressor choice is a knob
 //!   the paper leaves implicit).
-//! * [`Huffman`] — a canonical order-0 entropy coder, and [`Lzh`], the
-//!   LZSS→Huffman chain that approximates DEFLATE's structure and gives
-//!   the tightest `C(·)` here.
 //!
 //! What NCD needs from `C` is *normality*: monotonicity, rough idempotency
 //! (`C(xx) ≈ C(x)`) and symmetry of concatenation. Both compressors here
@@ -29,15 +26,13 @@
 //! is exactly the property that makes NCD small for near-duplicate HTTP
 //! payloads.
 
-mod huffman;
 mod lzss;
 mod lzw;
 mod ncd;
 
-pub use huffman::{Huffman, Lzh};
 pub use lzss::{IndexedBytes, Lzss, LzssPrefix};
 pub use lzw::Lzw;
-pub use ncd::{ncd, ncd_from_lens, ncd_with_lens, NcdComputer};
+pub use ncd::{ncd, ncd_from_lens, ncd_with_lens};
 
 /// Error produced when decoding a corrupted compressed stream.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -65,40 +65,6 @@ fn finish(cx: usize, cy: usize, cxy: usize) -> f64 {
     (cxy.saturating_sub(min)) as f64 / max as f64
 }
 
-/// A convenience wrapper binding a compressor together with a scratch-free
-/// NCD entry point, used where a `Fn(&[u8], &[u8]) -> f64` shape is handy.
-#[derive(Debug, Clone, Default)]
-pub struct NcdComputer<C: Compressor> {
-    compressor: C,
-}
-
-impl<C: Compressor> NcdComputer<C> {
-    /// Wrap `compressor`.
-    pub fn new(compressor: C) -> Self {
-        NcdComputer { compressor }
-    }
-
-    /// The wrapped compressor.
-    pub fn compressor(&self) -> &C {
-        &self.compressor
-    }
-
-    /// `C(x)` for caching.
-    pub fn len(&self, x: &[u8]) -> usize {
-        self.compressor.compressed_len(x)
-    }
-
-    /// NCD of `x` and `y`.
-    pub fn distance(&self, x: &[u8], y: &[u8]) -> f64 {
-        ncd(&self.compressor, x, y)
-    }
-
-    /// NCD with cached single-string lengths.
-    pub fn distance_with_lens(&self, x: &[u8], cx: usize, y: &[u8], cy: usize) -> f64 {
-        ncd_with_lens(&self.compressor, x, cx, y, cy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,13 +147,5 @@ mod tests {
             .collect();
         let d_other = ncd(&c, &x, &other);
         assert!(d_self < d_other, "{d_self} !< {d_other}");
-    }
-
-    #[test]
-    fn computer_wrapper_matches_free_function() {
-        let comp = NcdComputer::new(Lzss::default());
-        let x = b"cookie: session=abc123";
-        let y = b"cookie: session=def456";
-        assert_eq!(comp.distance(x, y), ncd(comp.compressor(), x, y));
     }
 }

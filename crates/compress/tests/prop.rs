@@ -1,8 +1,6 @@
 //! Property tests for compressors and NCD.
 
-use leaksig_compress::{
-    ncd, ncd_from_lens, ncd_with_lens, Compressor, Huffman, IndexedBytes, Lzh, Lzss, Lzw,
-};
+use leaksig_compress::{ncd, ncd_from_lens, ncd_with_lens, Compressor, IndexedBytes, Lzss, Lzw};
 use proptest::prelude::*;
 
 /// Byte strings biased toward the repetitive, ASCII-ish content HTTP
@@ -32,32 +30,6 @@ proptest! {
     fn lzw_round_trip(data in payload()) {
         let c = Lzw;
         prop_assert_eq!(c.decompress(&c.compress(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn huffman_round_trip(data in payload()) {
-        let c = Huffman;
-        prop_assert_eq!(c.decompress(&c.compress(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn lzh_round_trip(data in payload()) {
-        let c = Lzh::default();
-        prop_assert_eq!(c.decompress(&c.compress(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn huffman_decode_never_panics(data in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Huffman.decompress(&data);
-    }
-
-    /// The entropy-coded chain never does much worse than plain LZSS
-    /// (stored fallback bounds the loss to the tag byte).
-    #[test]
-    fn lzh_no_worse_than_lzss_plus_one(data in payload()) {
-        let lzss = Lzss::default().compressed_len(&data);
-        let lzh = Lzh::default().compressed_len(&data);
-        prop_assert!(lzh <= lzss + 1, "lzh {} vs lzss {}", lzh, lzss);
     }
 
     /// Decoding arbitrary garbage must never panic — it either round-trips
@@ -112,17 +84,6 @@ proptest! {
     #[test]
     fn lzw_count_only_len_is_exact(data in payload()) {
         prop_assert_eq!(Lzw.compressed_len(&data), Lzw.compress(&data).len());
-    }
-
-    #[test]
-    fn huffman_count_only_len_is_exact(data in payload()) {
-        prop_assert_eq!(Huffman.compressed_len(&data), Huffman.compress(&data).len());
-    }
-
-    #[test]
-    fn lzh_count_only_len_is_exact(data in payload()) {
-        let c = Lzh::default();
-        prop_assert_eq!(c.compressed_len(&data), c.compress(&data).len());
     }
 
     /// Compression length is monotone-ish under concatenation:

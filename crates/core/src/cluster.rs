@@ -21,8 +21,9 @@
 //! NN-chain discovers the merges of the greedy closest-pair algorithm in
 //! chain order, not distance order, so the merge list is then replayed
 //! into greedy order (see `replay_greedy_order`), making the result
-//! merge-for-merge identical to [`agglomerate_legacy_with`] on tie-free
-//! matrices. Both paths work directly on condensed O(n²/2) storage — no
+//! merge-for-merge identical to the greedy algorithm on tie-free
+//! matrices (the unit tests keep it as `agglomerate_legacy_with`, the
+//! oracle). Both paths work directly on condensed O(n²/2) storage — no
 //! full `n × n` inflation (32 MB at n = 2000).
 
 use crate::matrix::CondensedMatrix;
@@ -386,7 +387,8 @@ pub fn agglomerate_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogra
 /// case when merges keep invalidating cache entries. Retained as the test
 /// oracle the NN-chain path is checked against (identical merges on
 /// tie-free matrices); works on condensed storage like the main path.
-pub fn agglomerate_legacy_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogram {
+#[cfg(test)]
+fn agglomerate_legacy_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogram {
     let n = matrix.len();
     if n == 0 {
         return Dendrogram {
@@ -473,6 +475,7 @@ pub fn agglomerate_legacy_with(matrix: &CondensedMatrix, linkage: Linkage) -> De
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Matrix with two tight groups {0,1,2} and {3,4}, far apart.
     fn two_blob_matrix() -> CondensedMatrix {
@@ -696,6 +699,51 @@ mod tests {
                 key(&agglomerate_legacy_with(&m, linkage)),
                 "{linkage:?}"
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// NN-chain clustering is a drop-in replacement for the legacy greedy
+        /// algorithm: on random metric (point-derived, effectively tie-free)
+        /// matrices, every linkage produces the same replayed merge sequence —
+        /// identical `(a, b, size)` structure, distances equal up to the ulp
+        /// drift group-average Lance–Williams accumulates under different
+        /// merge interleavings — and identical `cut` / `cut_into` partitions.
+        #[test]
+        fn nn_chain_matches_legacy_on_random_metric_matrices(
+            points in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 2..24),
+        ) {
+            let n = points.len();
+            let mut m = CondensedMatrix::zeros(n);
+            for i in 0..n {
+                for j in i + 1..n {
+                    let (dx, dy) = (points[i].0 - points[j].0, points[i].1 - points[j].1);
+                    m.set(i, j, (dx * dx + dy * dy).sqrt());
+                }
+            }
+            for linkage in [Linkage::GroupAverage, Linkage::Single, Linkage::Complete] {
+                let fast = agglomerate_with(&m, linkage);
+                let legacy = agglomerate_legacy_with(&m, linkage);
+                prop_assert_eq!(fast.merges().len(), legacy.merges().len());
+                let mut thresholds = vec![0.0f64];
+                for (f, l) in fast.merges().iter().zip(legacy.merges()) {
+                    prop_assert_eq!((f.a, f.b, f.size), (l.a, l.b, l.size));
+                    prop_assert!(
+                        (f.distance - l.distance).abs() <= 1e-9 * f.distance.abs().max(1.0),
+                        "{:?}: {} vs {}", linkage, f.distance, l.distance
+                    );
+                    thresholds.push(l.distance * 0.999);
+                    thresholds.push(l.distance * 1.001);
+                }
+                for t in thresholds {
+                    prop_assert_eq!(fast.cut(t), legacy.cut(t), "{:?} t={}", linkage, t);
+                }
+                for k in 1..=n {
+                    prop_assert_eq!(fast.cut_into(k), legacy.cut_into(k), "{:?} k={}", linkage, k);
+                }
+            }
         }
     }
 }

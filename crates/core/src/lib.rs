@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::audit::{deploy_check, AuditConfig, Code, Diagnostic, Severity};
     pub use crate::bayes::{BayesConfig, BayesSignature};
     pub use crate::cluster::{
-        agglomerate, agglomerate_legacy_with, agglomerate_with, Dendrogram, Linkage, Merge,
+        agglomerate, agglomerate_with, Dendrogram, Linkage, Merge,
     };
     pub use crate::detect::{
         Detection, Detector, Explanation, MatchMode, PacketScanner, RawPacket, ScanVerdict,
@@ -96,9 +96,9 @@ pub mod prelude {
     pub use crate::matrix::{pairwise, pairwise_naive, CondensedMatrix};
     pub use crate::payload::{Needle, PayloadCheck};
     pub use crate::pipeline::{
-        drop_dominated, generate_signatures, generate_signatures_counted,
-        generate_signatures_with, prune_against_normal, regeneration_pass, run_experiment,
-        run_experiment_refs, take_last_timings, ClusterSelection, ExperimentOutcome,
+        drop_dominated, generate_signatures, generate_signatures_counted, prune_against_normal,
+        regeneration_pass, run_experiment, run_experiment_refs, run_experiment_with,
+        take_last_timings, ClusterSelection, ExperimentOutcome,
         FpValidation, GeneratedSignatures, PipelineConfig, StageTimings,
     };
     pub use crate::signature::{

@@ -232,31 +232,21 @@ pub struct GeneratedSignatures {
     /// [`ClusterSelection::Cut`], the full dendrogram node count
     /// (`2n − 1`) for [`ClusterSelection::AllNodes`].
     pub clusters: usize,
-    /// Where the wall-clock went (`prune_ms` is zero here — pruning
-    /// happens after generation, in [`regeneration_pass`] or the
-    /// experiment driver).
+    /// Where the wall-clock went (`prune_ms` is zero straight out of
+    /// generation; the pass behind [`regeneration_pass`] and
+    /// [`run_experiment_with`] fills it in).
     pub timings: StageTimings,
 }
 
 /// Cluster a packet sample and emit conjunction signatures (§IV-D +
 /// §IV-E). `packets` is the sampled suspicious group `P ⊂ H`.
 pub fn generate_signatures(packets: &[&HttpPacket], config: &PipelineConfig) -> SignatureSet {
-    generate_signatures_with(Lzss::default(), packets, config)
+    generate_signatures_counted(Lzss::default(), packets, config).set
 }
 
-/// [`generate_signatures`] under an explicit NCD compressor (the ablation
-/// benchmark swaps in LZW).
-pub fn generate_signatures_with<C: leaksig_compress::Compressor + Sync>(
-    compressor: C,
-    packets: &[&HttpPacket],
-    config: &PipelineConfig,
-) -> SignatureSet {
-    generate_signatures_counted(compressor, packets, config).set
-}
-
-/// [`generate_signatures_with`], also reporting the cluster count from
-/// the **same** dendrogram (features, matrix and clustering are computed
-/// exactly once).
+/// [`generate_signatures`] under an explicit NCD compressor, also
+/// reporting the cluster count from the **same** dendrogram (features,
+/// matrix and clustering are computed exactly once).
 pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
     compressor: C,
     packets: &[&HttpPacket],
@@ -355,7 +345,8 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
         // The publish/install gate also refuses proved-dead signatures
         // (A001/A002), so gated output must clear them too. Safe here
         // because this function never prunes against benign traffic; the
-        // pruning paths defer the whole gate until after validation.
+        // pruning pass (`pass`) defers the whole gate until after
+        // validation.
         crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
     }
     timings.signatures_ms = ms_since(t);
@@ -495,30 +486,43 @@ pub fn regeneration_pass(
     normal: &[&HttpPacket],
     config: &PipelineConfig,
 ) -> SignatureSet {
+    let generated = pass(Lzss::default(), sample, normal, config);
+    *LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()) = Some(generated.timings);
+    generated.set
+}
+
+/// The §IV pass every published or evaluated set goes through: generate
+/// (gate deferred) → [`prune_against_normal`] → structural gate →
+/// [`drop_dominated`] → dead-signature removal. Returns the set with
+/// `clusters` and `timings.prune_ms` filled in.
+fn pass<C: leaksig_compress::Compressor + Sync>(
+    compressor: C,
+    sample: &[&HttpPacket],
+    normal: &[&HttpPacket],
+    config: &PipelineConfig,
+) -> GeneratedSignatures {
     // Defer the deploy gate past benign pruning: gate-time dead-signature
     // removal must not let a general signature swallow its specific
     // children before validation has had a chance to reject it.
     let mut gen_config = config.clone();
     gen_config.deploy_gate = false;
-    let generated = generate_signatures_counted(Lzss::default(), sample, &gen_config);
-    let mut timings = generated.timings;
-    let mut set = generated.set;
+    let mut generated = generate_signatures_counted(compressor, sample, &gen_config);
+    let set = &mut generated.set;
     let t = Instant::now();
     if let Some(v) = config.fp_validation {
-        prune_against_normal(&mut set, normal, v.max_hits);
+        prune_against_normal(set, normal, v.max_hits);
     }
     if config.deploy_gate {
-        retain_structurally_clean(&mut set);
+        retain_structurally_clean(set);
     }
-    drop_dominated(&mut set);
+    drop_dominated(set);
     // The syntactic dominance test above skips dominators with more
     // tokens than the dominated signature; the analyzer's proved verdicts
     // catch the remainder, so the published artifact clears the A001/A002
     // gate.
-    crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
-    timings.prune_ms = ms_since(t);
-    *LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()) = Some(timings);
-    set
+    crate::analyze::drop_dead(set, crate::detect::MatchMode::Conjunction);
+    generated.timings.prune_ms = ms_since(t);
+    generated
 }
 
 /// The deploy gate's structural half: drop every signature carrying an
@@ -589,6 +593,8 @@ pub struct ExperimentOutcome {
     pub signatures: SignatureSet,
     /// Per-stage wall-clock of the generation pass (including pruning).
     pub timings: StageTimings,
+    /// Which dataset packets were drawn into the `N`-packet sample.
+    pub sampled: Vec<bool>,
 }
 
 /// Run the full §V experiment: sample `n` packets from the suspicious
@@ -612,59 +618,58 @@ pub fn run_experiment_refs(
     n: usize,
     config: &PipelineConfig,
 ) -> ExperimentOutcome {
-    assert_eq!(packets.len(), sensitive.len());
+    run_experiment_with(Lzss::default(), packets, sensitive, n, config)
+}
 
-    // Sample N suspicious packets.
-    let mut suspicious: Vec<usize> = (0..packets.len()).filter(|&i| sensitive[i]).collect();
-    let mut rng = StdRng::seed_from_u64(config.sample_seed);
-    suspicious.shuffle(&mut rng);
-    suspicious.truncate(n);
+/// [`run_experiment_refs`] under an explicit NCD compressor (the ablation
+/// benchmark swaps in LZW). The sample is `n` suspicious packets drawn
+/// under `config.sample_seed`; the benign validation slice is drawn under
+/// `sample_seed ^ 0x4650`. Both go through the same pass as
+/// [`regeneration_pass`].
+pub fn run_experiment_with<C: leaksig_compress::Compressor + Sync>(
+    compressor: C,
+    packets: &[&HttpPacket],
+    sensitive: &[bool],
+    n: usize,
+    config: &PipelineConfig,
+) -> ExperimentOutcome {
+    assert_eq!(packets.len(), sensitive.len());
+    let draw = |want: bool, seed: u64, k: usize| -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..packets.len())
+            .filter(|&i| sensitive[i] == want)
+            .collect();
+        idx.shuffle(&mut StdRng::seed_from_u64(seed));
+        idx.truncate(k);
+        idx
+    };
+    let suspicious = draw(true, config.sample_seed, n);
+    let normal = match config.fp_validation {
+        Some(v) => draw(false, config.sample_seed ^ 0x4650, v.sample),
+        None => Vec::new(),
+    };
     let sample: Vec<&HttpPacket> = suspicious.iter().map(|&i| packets[i]).collect();
+    let normal: Vec<&HttpPacket> = normal.iter().map(|&i| packets[i]).collect();
     let mut sampled = vec![false; packets.len()];
     for &i in &suspicious {
         sampled[i] = true;
     }
 
-    // Generate; the candidate-node count is the diagnostic here (under
-    // `AllNodes` selection a fixed cut is not meaningful). The counted
-    // variant reports the cluster count from the same dendrogram the
-    // signatures came from — the pairwise NCD matrix is computed once.
-    // Same gate deferral as `regeneration_pass`: validate first, gate after.
-    let mut gen_config = config.clone();
-    gen_config.deploy_gate = false;
-    let generated = generate_signatures_counted(Lzss::default(), &sample, &gen_config);
-    let clusters = generated.clusters;
-    let mut timings = generated.timings;
-    let mut signatures = generated.set;
-    let t = Instant::now();
-    if let Some(v) = config.fp_validation {
-        let mut normal: Vec<usize> = (0..packets.len()).filter(|&i| !sensitive[i]).collect();
-        let mut vrng = StdRng::seed_from_u64(config.sample_seed ^ 0x4650);
-        normal.shuffle(&mut vrng);
-        normal.truncate(v.sample);
-        let normal_sample: Vec<&HttpPacket> = normal.iter().map(|&i| packets[i]).collect();
-        prune_against_normal(&mut signatures, &normal_sample, v.max_hits);
-    }
-    if config.deploy_gate {
-        retain_structurally_clean(&mut signatures);
-    }
-    drop_dominated(&mut signatures);
-    crate::analyze::drop_dead(&mut signatures, crate::detect::MatchMode::Conjunction);
-    timings.prune_ms = ms_since(t);
+    let generated = pass(compressor, &sample, &normal, config);
 
     // Detect over the full dataset.
-    let detector = Detector::new(signatures);
+    let detector = Detector::new(generated.set);
     let detected = detector.scan(packets.iter().copied());
 
     let counts = tally(sensitive, &detected, &sampled);
     ExperimentOutcome {
         rates: counts.rates(),
         counts,
-        clusters,
+        clusters: generated.clusters,
         signatures: SignatureSet {
             signatures: detector.signatures().to_vec(),
         },
-        timings,
+        timings: generated.timings,
+        sampled,
     }
 }
 

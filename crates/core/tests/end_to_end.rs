@@ -183,3 +183,69 @@ fn pipeline_edge_cases() {
     let set = generate_signatures(&refs, &PipelineConfig::default());
     assert!(set.len() <= 1);
 }
+
+/// The §V experiment driver evaluates exactly the set the collection
+/// server would publish: over the same drawn sample and benign slice,
+/// `run_experiment_refs` and `regeneration_pass` wire-encode to the same
+/// bytes, with validation on or off and the deploy gate on or off.
+#[test]
+fn experiment_driver_evaluates_the_published_set() {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    let data = dataset();
+    let packets: Vec<&leaksig_http::HttpPacket> = data.packets.iter().map(|p| &p.packet).collect();
+    let labels: Vec<bool> = data.packets.iter().map(|p| p.is_sensitive()).collect();
+    let n = 120;
+    let draw = |want: bool, seed: u64, k: usize| -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..packets.len()).filter(|&i| labels[i] == want).collect();
+        idx.shuffle(&mut StdRng::seed_from_u64(seed));
+        idx.truncate(k);
+        idx
+    };
+
+    let base = PipelineConfig::default();
+    let configs = [
+        base.clone(),
+        PipelineConfig {
+            fp_validation: None,
+            ..base.clone()
+        },
+        PipelineConfig {
+            deploy_gate: false,
+            ..base.clone()
+        },
+        // Strict enough that which benign packets were drawn decides
+        // which candidates survive.
+        PipelineConfig {
+            fp_validation: Some(FpValidation {
+                sample: 300,
+                max_hits: 1,
+            }),
+            ..base.clone()
+        },
+    ];
+    for cfg in configs {
+        let outcome = run_experiment_refs(&packets, &labels, n, &cfg);
+
+        let suspicious = draw(true, cfg.sample_seed, n);
+        let slice = cfg.fp_validation.unwrap_or_default().sample;
+        let normal = draw(false, cfg.sample_seed ^ 0x4650, slice);
+        let sample: Vec<_> = suspicious.iter().map(|&i| packets[i]).collect();
+        let normal: Vec<_> = normal.iter().map(|&i| packets[i]).collect();
+        let published = regeneration_pass(&sample, &normal, &cfg);
+
+        assert!(!published.is_empty(), "{cfg:?}");
+        assert_eq!(
+            encode(&outcome.signatures),
+            encode(&published),
+            "driver and server sets differ under {cfg:?}"
+        );
+        let marked: Vec<usize> = (0..packets.len()).filter(|&i| outcome.sampled[i]).collect();
+        assert_eq!(marked.len(), outcome.counts.sample_n);
+        let mut drawn = suspicious;
+        drawn.sort_unstable();
+        assert_eq!(marked, drawn);
+    }
+}

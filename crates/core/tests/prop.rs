@@ -258,47 +258,6 @@ proptest! {
         prop_assert_eq!(all, expect);
     }
 
-    /// NN-chain clustering is a drop-in replacement for the legacy greedy
-    /// algorithm: on random metric (point-derived, effectively tie-free)
-    /// matrices, every linkage produces the same replayed merge sequence —
-    /// identical `(a, b, size)` structure, distances equal up to the ulp
-    /// drift group-average Lance–Williams accumulates under different
-    /// merge interleavings — and identical `cut` / `cut_into` partitions.
-    #[test]
-    fn nn_chain_matches_legacy_on_random_metric_matrices(
-        points in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 2..24),
-    ) {
-        let n = points.len();
-        let mut m = CondensedMatrix::zeros(n);
-        for i in 0..n {
-            for j in i + 1..n {
-                let (dx, dy) = (points[i].0 - points[j].0, points[i].1 - points[j].1);
-                m.set(i, j, (dx * dx + dy * dy).sqrt());
-            }
-        }
-        for linkage in [Linkage::GroupAverage, Linkage::Single, Linkage::Complete] {
-            let fast = agglomerate_with(&m, linkage);
-            let legacy = agglomerate_legacy_with(&m, linkage);
-            prop_assert_eq!(fast.merges().len(), legacy.merges().len());
-            let mut thresholds = vec![0.0f64];
-            for (f, l) in fast.merges().iter().zip(legacy.merges()) {
-                prop_assert_eq!((f.a, f.b, f.size), (l.a, l.b, l.size));
-                prop_assert!(
-                    (f.distance - l.distance).abs() <= 1e-9 * f.distance.abs().max(1.0),
-                    "{:?}: {} vs {}", linkage, f.distance, l.distance
-                );
-                thresholds.push(l.distance * 0.999);
-                thresholds.push(l.distance * 1.001);
-            }
-            for t in thresholds {
-                prop_assert_eq!(fast.cut(t), legacy.cut(t), "{:?} t={}", linkage, t);
-            }
-            for k in 1..=n {
-                prop_assert_eq!(fast.cut_into(k), legacy.cut_into(k), "{:?} k={}", linkage, k);
-            }
-        }
-    }
-
     /// Every cluster member matches the signature generated from its own
     /// cluster (conjunction soundness).
     #[test]
