@@ -58,21 +58,32 @@ last 10 audit records:"
     Ok(())
 }
 
-/// Print a regeneration outcome the same way everywhere.
+/// The generation `publisher` serves, decoded: the empty set before the
+/// first publish.
+fn served_set(publisher: &leaksig_device::SignatureServer) -> SignatureSet {
+    publisher
+        .fetch(0)
+        .and_then(|(_, text)| wire::decode(&text).ok())
+        .unwrap_or_default()
+}
+
+/// Run one regeneration and print its outcome the same way everywhere. A
+/// publish also prints its semantic diff against the generation
+/// `publisher` served before it, for the operator to review.
 fn report_regen(
-    outcome: &leaksig_device::RegenerateOutcome,
     publisher: &leaksig_device::SignatureServer,
+    regenerate: impl FnOnce() -> leaksig_device::RegenerateOutcome,
 ) {
     use leaksig_device::RegenerateOutcome;
-    match outcome {
+    let prev = served_set(publisher);
+    match regenerate() {
         RegenerateOutcome::Published {
             version,
             signatures,
         } => {
             println!("published v{version} ({signatures} signatures)");
-            if let Some(diff) = publisher.take_last_diff() {
-                println!("  generation diff: {}", diff.summary());
-            }
+            let diff = diff_generations(&prev, &served_set(publisher), MatchMode::Conjunction);
+            println!("  generation diff: {}", diff.summary());
         }
         RegenerateOutcome::NoTraffic => println!("no suspicious traffic yet"),
         RegenerateOutcome::Rejected(diags) => {
@@ -188,7 +199,7 @@ pub fn serve(args: &Args) -> Result<i32, String> {
         if regen_every > 0 && s.batches.saturating_sub(last_regen) >= regen_every {
             last_regen = s.batches;
             print!("regeneration at {} batches: ", s.batches);
-            report_regen(&collector.regenerate(n, &publisher), &publisher);
+            report_regen(&publisher, || collector.regenerate(n, &publisher));
         }
         if batches > 0 && s.batches >= batches {
             break;
@@ -196,7 +207,7 @@ pub fn serve(args: &Args) -> Result<i32, String> {
     }
     let net = server.shutdown();
     print!("final regeneration: ");
-    report_regen(&collector.regenerate(n, &publisher), &publisher);
+    report_regen(&publisher, || collector.regenerate(n, &publisher));
     if let Some(out) = args.optional("sigs-out") {
         match publisher.fetch(0) {
             Some((version, text)) => {
@@ -378,7 +389,7 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
     }
 
     print!("\nregeneration: ");
-    report_regen(&collector.regenerate(150, &publisher), &publisher);
+    report_regen(&publisher, || collector.regenerate(150, &publisher));
     let store = SignatureStore::new();
     let mut sync = SyncClient::with_default_policy(TcpTransport::new(server.addr()));
     let report = sync.sync(&store);
@@ -611,8 +622,8 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
     }
     use leaksig_device::{
         CollectionServer, FaultyTransport, InProcessTransport, IngestConfig, RateLimit,
-        RegenerateOutcome, RegenerationSupervisor, RetryPolicy, SignatureServer, SignatureStore,
-        SnapshotVault, SupervisorConfig, SyncClient, SyncEventKind,
+        RegenerationSupervisor, RetryPolicy, SignatureServer, SignatureStore, SnapshotVault,
+        SupervisorConfig, SyncClient, SyncEventKind,
     };
     use leaksig_faults::{
         apply_ingest_fault, CrashFlavor, FaultKind, FaultPlan, FaultyDisk, IngestFaultKind,
@@ -717,29 +728,10 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
                 collector.queue_len()
             );
         }
-        match supervisor.regenerate(&collector, 150, &publisher) {
-            RegenerateOutcome::Published {
-                version,
-                signatures,
-            } => {
-                println!("\nround {round}: published v{version} ({signatures} signatures)");
-                if let Some(diff) = publisher.take_last_diff() {
-                    println!("  generation diff: {}", diff.summary());
-                }
-            }
-            RegenerateOutcome::NoTraffic => {
-                println!("\nround {round}: no suspicious traffic yet")
-            }
-            RegenerateOutcome::Rejected(diags) => {
-                println!("\nround {round}: publish rejected ({} findings)", diags.len())
-            }
-            RegenerateOutcome::TimedOut { deadline_ms } => {
-                println!("\nround {round}: regeneration exceeded {deadline_ms}ms; kept old set")
-            }
-            RegenerateOutcome::Panicked { message } => {
-                println!("\nround {round}: pipeline panicked ({message}); kept old set")
-            }
-        }
+        print!("\nround {round}: ");
+        report_regen(&publisher, || {
+            supervisor.regenerate(&collector, 150, &publisher)
+        });
         if let Some(t) = take_last_timings() {
             println!("  {}", t.event_line());
         }
@@ -1197,5 +1189,58 @@ fn print_diff(
     }
     if diff.is_empty() {
         println!("  no semantic change");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use leaksig_device::SignatureServer;
+    use leaksig_http::RequestBuilder;
+    use std::net::Ipv4Addr;
+
+    fn one_signature_set() -> SignatureSet {
+        let leak = |slot: &str| {
+            RequestBuilder::get("/getad")
+                .query("imei", "355195000000017")
+                .query("slot", slot)
+                .destination(Ipv4Addr::new(203, 0, 113, 3), 80, "ad-maker.info")
+                .build()
+        };
+        let (a, b) = (leak("1"), leak("2"));
+        let mut cfg = PipelineConfig::default();
+        cfg.signature.include_singletons = false;
+        generate_signatures(&[&a, &b], &cfg)
+    }
+
+    /// What `report_regen` diffs: each publish against the generation
+    /// served just before it.
+    #[test]
+    fn publish_diffs_against_the_served_generation() {
+        let server = SignatureServer::new();
+        let diff_since = |prev: &SignatureSet| {
+            diff_generations(prev, &served_set(&server), MatchMode::Conjunction)
+        };
+        let before = served_set(&server);
+        assert!(before.is_empty(), "nothing published yet");
+
+        let set = one_signature_set();
+        assert!(!set.is_empty());
+        server.publish(&set).unwrap();
+        let d1 = diff_since(&before);
+        assert_eq!(d1.added.len(), set.len(), "everything is new");
+        assert!(d1.removed.is_empty());
+
+        // Republish the identical set: an empty diff.
+        let before = served_set(&server);
+        server.publish(&set).unwrap();
+        let d2 = diff_since(&before);
+        assert!(d2.is_empty());
+        assert_eq!(d2.unchanged, set.len());
+
+        // Publish the empty set: everything removed.
+        let before = served_set(&server);
+        server.publish(&SignatureSet::default()).unwrap();
+        assert_eq!(diff_since(&before).removed.len(), set.len());
     }
 }

@@ -338,3 +338,52 @@ fn lint_exit_codes_match_across_formats() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Every publish during `chaos` prints its semantic diff against the
+/// generation served just before it: `generation diff: +A -R ~C (=U)`.
+/// The first diff is against the empty set; after that the removed,
+/// changed and unchanged counts add up to the previous generation's size,
+/// and the added, changed and unchanged counts to the new one's.
+#[test]
+fn chaos_prints_each_publish_diff_against_the_previous_generation() {
+    let out = run_ok(&["chaos", "--seed", "3"]);
+    let lines: Vec<&str> = out.lines().collect();
+    let mut previous: Option<usize> = None;
+    let mut publishes = 0;
+    for (i, line) in lines.iter().enumerate() {
+        let Some(rest) = line.split(": published v").nth(1) else {
+            continue;
+        };
+        let size: usize = rest
+            .split(" (")
+            .nth(1)
+            .and_then(|s| s.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("signature count in {line:?}"));
+        let diff = lines
+            .get(i + 1)
+            .and_then(|l| l.strip_prefix("  generation diff: +"))
+            .unwrap_or_else(|| panic!("no diff line after {line:?}:\n{out}"));
+        let counts: Vec<usize> = diff
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|s| !s.is_empty())
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let [added, removed, changed, unchanged] = counts[..] else {
+            panic!("diff line {diff:?} is not `+A -R ~C (=U)`");
+        };
+        assert_eq!(
+            diff,
+            format!("{added} -{removed} ~{changed} (={unchanged})")
+        );
+        assert_eq!(added + changed + unchanged, size, "{out}");
+        assert_eq!(
+            removed + changed + unchanged,
+            previous.unwrap_or(0),
+            "{out}"
+        );
+        previous = Some(size);
+        publishes += 1;
+    }
+    assert!(publishes >= 2, "{out}");
+}

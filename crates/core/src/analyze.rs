@@ -37,7 +37,7 @@
 //! reviews before publishing a new generation).
 
 use crate::detect::MatchMode;
-use crate::engine::{contains_bytes, CompiledDetector, FieldCost};
+use crate::engine::{contains_bytes, find_from, CompiledDetector, FieldCost};
 use crate::signature::{ConjunctionSignature, Field, FieldToken, SignatureSet};
 use leaksig_http::{Destination, HttpPacket, Method, RequestLine};
 use std::net::Ipv4Addr;
@@ -126,22 +126,10 @@ fn fidx(f: Field) -> usize {
     }
 }
 
-/// First occurrence of `needle` in `hay[from..]`, absolute offset —
-/// the same semantics as the ordered matcher's `find_from`.
-fn find_sub_from(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    if needle.is_empty() || from >= hay.len() || needle.len() > hay.len() - from {
-        return None;
-    }
-    hay[from..]
-        .windows(needle.len())
-        .position(|w| w == needle)
-        .map(|p| p + from)
-}
-
 /// Whether the token occurs in **every** packet's field content. The
 /// request-line view is always `"METHOD target"`, so the single space is
-/// the one token universally present (tokens are never empty: `Needle`
-/// refuses zero-length patterns).
+/// the one token universally present (tokens are never empty:
+/// [`FieldToken::new`] refuses zero-length bytes).
 fn always_present(t: &FieldToken) -> bool {
     t.field == Field::RequestLine && t.bytes() == b" "
 }
@@ -268,7 +256,7 @@ fn prove_ordered(a: &ConjunctionSignature, b: &ConjunctionSignature) -> Decision
                 if bi >= b_seq.len() {
                     return Decision::NotProved(RefuteHint::FullB);
                 }
-                if let Some(p) = find_sub_from(b_seq[bi].1.bytes(), at.bytes(), off) {
+                if let Some(p) = find_from(b_seq[bi].1.bytes(), at.bytes(), off) {
                     off = p + at.bytes().len();
                     map.push((aidx, Some(b_seq[bi].0)));
                     continue 'next_a;

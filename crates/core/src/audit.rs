@@ -16,6 +16,7 @@
 //! rendering on top; [`deploy_check`] is the gate `pipeline` and the
 //! device store apply by default.
 
+use crate::engine::contains_bytes;
 use crate::signature::{ConjunctionSignature, Field, SignatureConfig, SignatureSet};
 use crate::wire;
 use leaksig_http::HttpPacket;
@@ -230,10 +231,6 @@ impl From<&SignatureConfig> for AuditConfig {
     }
 }
 
-fn contains_sub(haystack: &[u8], needle: &[u8]) -> bool {
-    !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
-}
-
 fn display_token(bytes: &[u8]) -> String {
     format!("{:?}", String::from_utf8_lossy(bytes))
 }
@@ -289,7 +286,11 @@ pub fn signature_structure(
     }
 
     for t in &sig.tokens {
-        if config.boilerplate.iter().any(|b| contains_sub(b, t.bytes())) {
+        if config
+            .boilerplate
+            .iter()
+            .any(|b| contains_bytes(b, t.bytes()))
+        {
             out.push(
                 Diagnostic::new(
                     Code::BoilerplateToken,
@@ -480,9 +481,8 @@ pub fn subsumption(set: &SignatureSet) -> Vec<Diagnostic> {
             // contained in a same-field token of `later`: every packet
             // `later` matches, `earlier` already matched first.
             let implied = !a.is_empty()
-                && a.iter().all(|(fa, ta)| {
-                    b.iter().any(|(fb, tb)| fa == fb && contains_sub(tb, ta))
-                });
+                && a.iter()
+                    .all(|(fa, ta)| b.iter().any(|(fb, tb)| fa == fb && contains_bytes(tb, ta)));
             if implied {
                 out.push(
                     Diagnostic::new(

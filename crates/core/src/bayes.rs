@@ -1,5 +1,5 @@
 //! Bayes signatures — the third signature class of Polygraph (the
-//! paper's reference [14]), adapted to the leaksig pipeline.
+//! paper's reference \[14\]), adapted to the leaksig pipeline.
 //!
 //! Where a conjunction signature demands *all* tokens and a probabilistic
 //! one a token *fraction*, a Bayes signature scores each token by how
@@ -20,7 +20,7 @@
 //! re-weighs rather than re-discovers them.
 
 use crate::pipeline::{generate_signatures, PipelineConfig};
-use crate::signature::{Field, FieldToken};
+use crate::signature::{field_views, rline_view, FieldToken};
 use leaksig_http::HttpPacket;
 
 /// A trained token-scoring signature.
@@ -53,24 +53,6 @@ impl Default for BayesConfig {
     }
 }
 
-fn token_present(t: &FieldToken, packet: &HttpPacket, rline: &str) -> bool {
-    let hay: &[u8] = match t.field {
-        Field::RequestLine => rline.as_bytes(),
-        Field::Cookie => packet.cookie(),
-        Field::Body => &packet.body,
-    };
-    hay.windows(t.bytes().len().min(hay.len()).max(1))
-        .any(|w| w == t.bytes())
-}
-
-fn rline_of(packet: &HttpPacket) -> String {
-    format!(
-        "{} {}",
-        packet.request_line.method.as_str(),
-        packet.request_line.target
-    )
-}
-
 impl BayesSignature {
     /// Train from labelled samples. The token pool comes from running the
     /// conjunction generator over `suspicious` with `pipeline_config`.
@@ -101,8 +83,8 @@ impl BayesSignature {
         }
 
         // Occurrence rates per class.
-        let sus_rlines: Vec<String> = suspicious.iter().map(|p| rline_of(p)).collect();
-        let norm_rlines: Vec<String> = normal.iter().map(|p| rline_of(p)).collect();
+        let sus_rlines: Vec<String> = suspicious.iter().map(|p| rline_view(p)).collect();
+        let norm_rlines: Vec<String> = normal.iter().map(|p| rline_view(p)).collect();
         let rate = |t: &FieldToken, packets: &[&HttpPacket], rlines: &[String]| -> f64 {
             if packets.is_empty() {
                 return 0.0;
@@ -110,7 +92,7 @@ impl BayesSignature {
             let hits = packets
                 .iter()
                 .zip(rlines)
-                .filter(|(p, r)| token_present(t, p, r))
+                .filter(|(p, r)| t.is_in(field_views(r, p)))
                 .count();
             hits as f64 / packets.len() as f64
         };
@@ -166,11 +148,12 @@ impl BayesSignature {
 
     /// Summed token score of `packet`.
     pub fn score(&self, packet: &HttpPacket) -> f64 {
-        let rline = rline_of(packet);
+        let rline = rline_view(packet);
+        let fields = field_views(&rline, packet);
         self.tokens
             .iter()
             .zip(&self.weights)
-            .filter(|(t, _)| token_present(t, packet, &rline))
+            .filter(|(t, _)| t.is_in(fields))
             .map(|(_, &w)| w)
             .sum()
     }

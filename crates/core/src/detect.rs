@@ -7,7 +7,7 @@
 //! large batch out across cores with scoped threads (mirroring
 //! [`crate::matrix::pairwise`]), one scratch per worker.
 
-use crate::engine::{CompiledDetector, EngineVerdict, FieldBytes, ScanScratch, SensitiveProbe};
+use crate::engine::{CompiledDetector, FieldBytes, ScanScratch};
 use crate::signature::{ConjunctionSignature, SignatureSet};
 use leaksig_http::{HttpPacket, PacketView, ParseArena, ParseLimits};
 use std::net::Ipv4Addr;
@@ -83,15 +83,12 @@ pub struct RawPacket<'a> {
 }
 
 /// The verdict for one scanned packet on the zero-copy path: the first
-/// matching signature's wire id, the sensitive-payload tag mask collected
-/// in the same pass, and whether the bytes failed to parse at all.
+/// matching signature's wire id, and whether the bytes failed to parse at
+/// all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanVerdict {
     /// Wire id of the first matching signature, if any.
     pub matched: Option<u32>,
-    /// Sensitive-probe tag bitmask (always `0` without a probe; see
-    /// [`Detector::with_probe`]).
-    pub tags: u64,
     /// The bytes were rejected by the parser: no fields were scanned.
     pub parse_failed: bool,
 }
@@ -99,7 +96,6 @@ pub struct ScanVerdict {
 impl ScanVerdict {
     const PARSE_FAILED: ScanVerdict = ScanVerdict {
         matched: None,
-        tags: 0,
         parse_failed: true,
     };
 }
@@ -128,14 +124,13 @@ impl PacketScanner<'_> {
 
     /// Scan pre-extracted field bytes. Allocation-free.
     pub fn scan_fields(&mut self, fields: FieldBytes<'_>) -> ScanVerdict {
-        let ev = self.engine.verdict(&mut self.scratch, fields);
-        self.verdict(ev)
+        let first = self.engine.verdict(&mut self.scratch, fields);
+        self.verdict(first.map(|i| i as usize))
     }
 
-    fn verdict(&self, ev: EngineVerdict) -> ScanVerdict {
+    fn verdict(&self, first: Option<usize>) -> ScanVerdict {
         ScanVerdict {
-            matched: ev.first.map(|i| self.engine.wire_id(i as usize)),
-            tags: ev.tags,
+            matched: first.map(|i| self.engine.wire_id(i)),
             parse_failed: false,
         }
     }
@@ -143,8 +138,8 @@ impl PacketScanner<'_> {
     /// Scan an owned packet. Allocation-free once warm, like the borrowed
     /// entry points.
     pub fn scan_packet(&mut self, packet: &HttpPacket) -> ScanVerdict {
-        let ev = self.engine.packet_verdict(&mut self.scratch, packet);
-        self.verdict(ev)
+        let first = self.engine.match_first(&mut self.scratch, packet);
+        self.verdict(first)
     }
 
     /// Parse raw wire bytes with the zero-copy parser and scan the view.
@@ -191,25 +186,13 @@ impl Detector {
 
     /// Compile a signature set with an explicit match mode.
     pub fn with_mode(set: SignatureSet, mode: MatchMode) -> Self {
-        Self::build(set, mode, None)
-    }
-
-    /// Compile with a sensitive-payload probe folded into the scan pass:
-    /// every [`ScanVerdict`] then carries the probe's tag mask for free
-    /// (single pass over the field bytes — see
-    /// [`crate::payload::PayloadCheck::probe`]).
-    pub fn with_probe(set: SignatureSet, mode: MatchMode, probe: &SensitiveProbe) -> Self {
-        Self::build(set, mode, Some(probe))
-    }
-
-    fn build(set: SignatureSet, mode: MatchMode, probe: Option<&SensitiveProbe>) -> Self {
         if let MatchMode::Fraction(f) = mode {
             assert!(
                 (0.0..=1.0).contains(&f) && f > 0.0,
                 "fraction threshold must be in (0, 1], got {f}"
             );
         }
-        let engine = CompiledDetector::compile_with_probe(&set, mode, probe);
+        let engine = CompiledDetector::compile(&set, mode);
         let scratch = Mutex::new(engine.scratch());
         Detector {
             set,

@@ -58,7 +58,8 @@ use std::collections::HashMap;
 /// Number of content fields (request line, cookie, body).
 const FIELDS: usize = 3;
 
-fn field_index(field: Field) -> usize {
+/// Position of `field` in [`Field::ALL`] order.
+pub(crate) fn field_index(field: Field) -> usize {
     match field {
         Field::RequestLine => 0,
         Field::Cookie => 1,
@@ -67,13 +68,15 @@ fn field_index(field: Field) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Hand-rolled byte search primitives (deps stay vendored/offline).
+// Hand-rolled byte search primitives (deps stay vendored/offline): the
+// crate's one single-pattern search, shared by the signature, audit,
+// analysis and Bayes layers.
 // ---------------------------------------------------------------------------
 
 /// First index of `needle_byte` in `hay`, SWAR word-at-a-time (the classic
 /// memchr bit trick: a zero byte in `w ^ broadcast` lights the high bit of
 /// its lane in `(v - 0x01…) & !v & 0x80…`).
-pub(crate) fn memchr_byte(needle_byte: u8, hay: &[u8]) -> Option<usize> {
+fn memchr_byte(needle_byte: u8, hay: &[u8]) -> Option<usize> {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
     let broadcast = LO * needle_byte as u64;
@@ -94,31 +97,37 @@ pub(crate) fn memchr_byte(needle_byte: u8, hay: &[u8]) -> Option<usize> {
         .map(|p| base + p)
 }
 
-/// Whether `hay` contains `needle` (memchr-style skip loop on the
-/// needle's rarest byte, then a direct comparison at the implied offset).
-/// Empty needles match everywhere, mirroring the naive `windows` search.
+/// Whether `hay` contains `needle`: [`find_from`] from offset 0. Empty
+/// needles match everywhere, like `str::contains("")`.
 pub(crate) fn contains_bytes(hay: &[u8], needle: &[u8]) -> bool {
+    find_from(hay, needle, 0).is_some()
+}
+
+/// First occurrence of `needle` in `hay` starting at or after `from`, as
+/// an absolute offset: a memchr-style skip loop on the needle's rarest
+/// byte, then a direct comparison at the implied start. An empty needle
+/// occurs at `from` itself; nothing occurs once `from` is past the end.
+/// Any needle length works.
+pub(crate) fn find_from(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
     if needle.is_empty() {
-        return true;
+        return (from <= hay.len()).then_some(from);
     }
-    if needle.len() > hay.len() {
-        return false;
+    let last_start = hay.len().checked_sub(needle.len())?;
+    if from > last_start {
+        return None;
     }
     let (skip_at, skip_byte) = rarest_byte(needle);
-    let mut from = 0usize;
-    // Scan for the rare byte; a candidate occurrence of `needle` puts it
-    // at `skip_at`, so the match would start `skip_at` bytes earlier.
-    while let Some(i) = memchr_byte(skip_byte, &hay[from + skip_at..hay.len()]) {
-        let start = from + i;
-        if start + needle.len() > hay.len() {
-            return false;
+    let mut start = from;
+    // An occurrence starting at `s` puts the rare byte at `s + skip_at`,
+    // so only rare bytes up to `last_start + skip_at` can begin one.
+    while let Some(i) = memchr_byte(skip_byte, &hay[start + skip_at..=last_start + skip_at]) {
+        let s = start + i;
+        if &hay[s..s + needle.len()] == needle {
+            return Some(s);
         }
-        if &hay[start..start + needle.len()] == needle {
-            return true;
-        }
-        from = start + 1;
+        start = s + 1;
     }
-    false
+    None
 }
 
 /// Pick the needle byte least likely to occur in HTTP-shaped traffic
@@ -209,8 +218,8 @@ pub(crate) struct Automaton {
 
 impl Automaton {
     /// Build from `(pattern bytes, pattern id)` pairs. Patterns must be
-    /// non-empty (the signature layer guarantees this: `Needle` refuses
-    /// empty tokens).
+    /// non-empty: `FieldToken` refuses empty tokens, and `PayloadCheck`
+    /// empty values.
     pub(crate) fn build(patterns: &[(&[u8], u32)]) -> Self {
         // 1. The trie. Each pattern's new states are allocated
         // consecutively, and rows keep this numbering, so a scan walking
@@ -383,8 +392,8 @@ impl Automaton {
     }
 }
 
-/// Per-field matcher: nothing, one needle (memchr skip loop), or a full
-/// automaton.
+/// Per-field matcher: nothing, one needle (a [`find_from`] loop), or a
+/// full automaton.
 #[derive(Debug, Clone)]
 enum FieldMatcher {
     Empty,
@@ -397,22 +406,10 @@ impl FieldMatcher {
         match self {
             FieldMatcher::Empty => {}
             FieldMatcher::Single { pattern, pid } => {
-                if pattern.len() > hay.len() {
-                    return;
-                }
-                let first = pattern[0];
-                let mut from = 0usize;
-                while from + pattern.len() <= hay.len() {
-                    match memchr_byte(first, &hay[from..=hay.len() - pattern.len()]) {
-                        Some(i) => {
-                            let start = from + i;
-                            if hay[start..start + pattern.len()] == pattern[..] {
-                                on_hit(*pid, start + pattern.len() - 1);
-                            }
-                            from = start + 1;
-                        }
-                        None => return,
-                    }
+                let mut from = 0;
+                while let Some(start) = find_from(hay, pattern, from) {
+                    on_hit(*pid, start + pattern.len() - 1);
+                    from = start + 1;
                 }
             }
             FieldMatcher::Automaton(a) => a.scan(hay, on_hit),
@@ -468,48 +465,6 @@ impl<'a> FieldBytes<'a> {
     }
 }
 
-/// Sensitive-payload probe patterns folded into the engine's single pass.
-/// Each `(tag, bytes)` pair routes `bytes` into all three field automata
-/// at a pattern id past the signature range; a hit in any field sets bit
-/// `tag` in the scan's [`EngineVerdict::tags`] mask. Probe hits carry no
-/// signature owners, so they never perturb match verdicts.
-#[derive(Debug, Clone, Default)]
-pub struct SensitiveProbe {
-    patterns: Vec<(u8, Vec<u8>)>,
-}
-
-impl SensitiveProbe {
-    /// Build from `(tag bit, pattern bytes)` pairs. Tag bits must be `< 64`
-    /// (they index a `u64` mask) and patterns non-empty.
-    pub fn new(patterns: Vec<(u8, Vec<u8>)>) -> Self {
-        for (tag, bytes) in &patterns {
-            assert!(*tag < 64, "probe tag bits must fit a u64 mask");
-            assert!(!bytes.is_empty(), "probe patterns must be non-empty");
-        }
-        SensitiveProbe { patterns }
-    }
-
-    /// Number of probe patterns.
-    pub fn len(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// Whether the probe set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
-    }
-}
-
-/// The outcome of one zero-copy scan: the first matching signature (set
-/// index) and the sensitive-payload tag mask collected in the same pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineVerdict {
-    /// Set index of the first matching signature, if any.
-    pub first: Option<u32>,
-    /// Bitmask of sensitive-probe tags that hit any content field.
-    pub tags: u64,
-}
-
 /// A [`SignatureSet`] compiled for high-volume matching. See the module
 /// docs for the layout. Compilation happens once per set — on the device,
 /// once per installed generation, never per packet.
@@ -533,11 +488,6 @@ pub struct CompiledDetector {
     /// Per field: (distinct patterns, total pattern bytes, longest
     /// pattern), recorded at compile time for the static cost report.
     field_stats: [(usize, usize, usize); FIELDS],
-    /// First probe pattern id: hits at or past this id set tag bits
-    /// instead of signature counters.
-    probe_base: u32,
-    /// Per probe pattern (id − `probe_base`): the tag bit it sets.
-    probe_tags: Vec<u8>,
 }
 
 /// Static cost of one field's compiled matcher, reported by
@@ -580,8 +530,6 @@ pub struct ScanScratch {
     positions: Vec<Vec<u32>>,
     /// Ordered mode: epoch of each pattern's position list.
     pos_epoch: Vec<u32>,
-    /// Sensitive-probe tag bits collected this packet.
-    tag_mask: u64,
     /// Owned-packet entry points: the request-line view, rebuilt in
     /// place for every packet.
     rline: Vec<u8>,
@@ -591,7 +539,6 @@ impl ScanScratch {
     fn begin(&mut self) {
         self.touched.clear();
         self.candidates.clear();
-        self.tag_mask = 0;
         if self.epoch == u32::MAX {
             // Epoch wrap: hard-reset all stamps (once per 4G packets).
             self.epoch = 0;
@@ -608,18 +555,6 @@ impl CompiledDetector {
     /// compiled form is self-contained (pattern bytes are copied into the
     /// automata).
     pub fn compile(set: &SignatureSet, mode: MatchMode) -> Self {
-        Self::compile_with_probe(set, mode, None)
-    }
-
-    /// Compile with an optional sensitive-payload probe folded into the
-    /// same per-field automata: the single scan pass then yields both the
-    /// signature verdict and the probe tag mask (see [`EngineVerdict`]),
-    /// so sensitivity classification stops re-walking field bytes.
-    pub fn compile_with_probe(
-        set: &SignatureSet,
-        mode: MatchMode,
-        probe: Option<&SensitiveProbe>,
-    ) -> Self {
         // 1. Token registry: distinct (field, bytes) → pattern id.
         let mut registry: HashMap<(usize, &[u8]), u32> = HashMap::new();
         let mut pattern_bytes: Vec<(usize, Vec<u8>)> = Vec::new();
@@ -684,23 +619,10 @@ impl CompiledDetector {
             }
         }
 
-        // 3. Per-field matchers. Probe patterns ride in the same automata
-        // at ids past the signature registry: they have no owners, only a
-        // tag bit, and apply to every field (a sensitive value can leak
-        // through any of them).
+        // 3. Per-field matchers.
         let mut per_field: [Vec<(&[u8], u32)>; FIELDS] = Default::default();
         for (pid, (f, bytes)) in pattern_bytes.iter().enumerate() {
             per_field[*f].push((bytes.as_slice(), pid as u32));
-        }
-        let probe_base = pattern_bytes.len() as u32;
-        let mut probe_tags = Vec::new();
-        if let Some(probe) = probe {
-            for (k, (tag, bytes)) in probe.patterns.iter().enumerate() {
-                probe_tags.push(*tag);
-                for field in &mut per_field {
-                    field.push((bytes.as_slice(), probe_base + k as u32));
-                }
-            }
         }
         let mut field_stats = [(0usize, 0usize, 0usize); FIELDS];
         for (f, patterns) in per_field.iter().enumerate() {
@@ -761,8 +683,6 @@ impl CompiledDetector {
             always,
             ordered_plans,
             field_stats,
-            probe_base,
-            probe_tags,
         }
     }
 
@@ -836,7 +756,6 @@ impl CompiledDetector {
                     0
                 }
             ],
-            tag_mask: 0,
             rline: Vec::new(),
         }
     }
@@ -863,8 +782,8 @@ impl CompiledDetector {
     }
 
     /// The allocation-free scan core: run the per-field matchers over
-    /// borrowed field bytes, filling counters, the probe tag mask, and
-    /// (in ordered mode) position lists.
+    /// borrowed field bytes, filling counters and (in ordered mode)
+    /// position lists.
     fn scan_field_bytes(&self, s: &mut ScanScratch, fields: FieldBytes<'_>) {
         self.scan_segments(s, [(0, fields.rline), (1, fields.cookie), (2, fields.body)]);
     }
@@ -880,7 +799,6 @@ impl CompiledDetector {
     ) {
         s.begin();
         let record_positions = self.mode == MatchMode::Ordered;
-        let probe_base = self.probe_base;
         for (f, hay) in segments {
             let matcher = &self.matchers[f];
             if matches!(matcher, FieldMatcher::Empty) {
@@ -897,17 +815,9 @@ impl CompiledDetector {
                 candidates,
                 positions,
                 pos_epoch,
-                tag_mask,
                 ..
             } = s;
             matcher.scan(hay, |pid, end| {
-                // Probe patterns sit past the signature registry: they
-                // only set a tag bit (idempotent OR, no dedup needed) and
-                // never touch counters or position lists.
-                if pid >= probe_base {
-                    *tag_mask |= 1u64 << self.probe_tags[(pid - probe_base) as usize];
-                    return;
-                }
                 let p = pid as usize;
                 if record_positions {
                     if pos_epoch[p] != epoch {
@@ -1041,28 +951,18 @@ impl CompiledDetector {
     }
 
     /// Zero-copy scan: one pass over the borrowed field bytes, returning
-    /// the first matching signature and the sensitive-probe tag mask.
-    /// Allocation-free in steady state.
-    pub fn verdict(&self, s: &mut ScanScratch, fields: FieldBytes<'_>) -> EngineVerdict {
+    /// the set index of the first matching signature. Allocation-free in
+    /// steady state.
+    pub fn verdict(&self, s: &mut ScanScratch, fields: FieldBytes<'_>) -> Option<u32> {
         self.scan_field_bytes(s, fields);
-        EngineVerdict {
-            first: self.first_match(s),
-            tags: s.tag_mask,
-        }
+        self.first_match(s)
     }
 
     /// Zero-copy scan collecting every matching set index (ascending,
-    /// deduped) into the caller's reusable buffer. Returns the
-    /// sensitive-probe tag mask.
-    pub fn matched_into(
-        &self,
-        s: &mut ScanScratch,
-        fields: FieldBytes<'_>,
-        out: &mut Vec<u32>,
-    ) -> u64 {
+    /// deduped) into the caller's reusable buffer.
+    pub fn matched_into(&self, s: &mut ScanScratch, fields: FieldBytes<'_>, out: &mut Vec<u32>) {
         self.scan_field_bytes(s, fields);
         self.collect_matches(s, out);
-        s.tag_mask
     }
 
     /// Every matching set index (ascending, deduped) into `out` for a
@@ -1085,16 +985,6 @@ impl CompiledDetector {
         self.ids[set_idx]
     }
 
-    /// The verdict for an owned packet: [`CompiledDetector::verdict`]
-    /// over its fields. Allocation-free once the scratch is warm.
-    pub(crate) fn packet_verdict(&self, s: &mut ScanScratch, packet: &HttpPacket) -> EngineVerdict {
-        self.scan_packet(s, packet);
-        EngineVerdict {
-            first: self.first_match(s),
-            tags: s.tag_mask,
-        }
-    }
-
     /// Set indices of all matching signatures, ascending.
     fn matched(&self, s: &mut ScanScratch, packet: &HttpPacket) -> Vec<u32> {
         let mut out = Vec::new();
@@ -1114,7 +1004,8 @@ impl CompiledDetector {
     /// Index of the first matching signature (set order), if any.
     /// Allocation-free once the scratch is warm.
     pub fn match_first(&self, s: &mut ScanScratch, packet: &HttpPacket) -> Option<usize> {
-        self.packet_verdict(s, packet).first.map(|i| i as usize)
+        self.scan_packet(s, packet);
+        self.first_match(s).map(|i| i as usize)
     }
 
     /// Wire ids of all matching signatures, in set order.
@@ -1130,6 +1021,7 @@ impl CompiledDetector {
 mod tests {
     use super::*;
     use crate::signature::{ConjunctionSignature, FieldToken};
+    use proptest::prelude::*;
 
     fn tok(field: Field, bytes: &[u8]) -> FieldToken {
         FieldToken::new(field, bytes)
@@ -1159,6 +1051,62 @@ mod tests {
         assert_eq!(memchr_byte(b'z', b"aaaaaaaaaaz"), Some(10));
     }
 
+    /// The `windows` oracle for [`find_from`]: nothing past the end, an
+    /// empty needle at `from`.
+    fn windows_find_from(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
+        if from > hay.len() {
+            return None;
+        }
+        if needle.is_empty() {
+            return Some(from);
+        }
+        hay[from..]
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .map(|p| p + from)
+    }
+
+    /// A haystack byte: mostly `a`/`b`, so cut needles recur and near
+    /// misses abound, with a few arbitrary bytes for the rarest-byte skip.
+    fn hay_byte() -> impl Strategy<Value = u8> {
+        prop_oneof![Just(b'a'), Just(b'a'), Just(b'b'), any::<u8>()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `find_from` and `contains_bytes` agree with a `windows` search.
+        /// The needle is cut from the haystack (up to 600 bytes, so well
+        /// past 255), cut and then altered in one byte, or drawn freely
+        /// (often longer than the haystack); `from` runs past the end.
+        #[test]
+        fn find_from_agrees_with_windows(
+            hay in collection::vec(hay_byte(), 0..900),
+            kind in 0u8..3,
+            start in 0usize..900,
+            len in 0usize..600,
+            flip in any::<u8>(),
+            free in collection::vec(hay_byte(), 0..400),
+            from in 0usize..1000,
+        ) {
+            let needle = if kind == 2 {
+                free
+            } else {
+                let start = start.min(hay.len());
+                let mut cut = hay[start..(start + len).min(hay.len())].to_vec();
+                if kind == 1 {
+                    if let Some(b) = cut.get_mut(usize::from(flip) % len.max(1)) {
+                        *b ^= flip | 1;
+                    }
+                }
+                cut
+            };
+            let from = from.min(hay.len() + 2);
+            prop_assert_eq!(find_from(&hay, &needle, from), windows_find_from(&hay, &needle, from));
+            prop_assert_eq!(contains_bytes(&hay, &needle), windows_find_from(&hay, &needle, 0).is_some());
+        }
+    }
+
     #[test]
     fn contains_bytes_agrees_with_windows() {
         let hay = b"imei=355195000000017&slot=1&fmt=json";
@@ -1170,6 +1118,17 @@ mod tests {
         assert!(!contains_bytes(hay, b"355195000000018"));
         assert!(!contains_bytes(b"short", b"muchlongerneedle"));
         assert!(contains_bytes(hay, b""));
+        // A needle past 255 bytes, `from` at and past the end.
+        let long = [b'x'; 300];
+        let mut hay = b"head ".to_vec();
+        hay.extend_from_slice(&long);
+        assert_eq!(find_from(&hay, &long, 0), Some(5));
+        assert_eq!(find_from(&hay, &long, 6), None);
+        assert!(!contains_bytes(&long[..299], &long));
+        assert_eq!(find_from(b"abc", b"", 3), Some(3));
+        assert_eq!(find_from(b"abc", b"", 4), None);
+        assert_eq!(find_from(b"abc", b"c", 3), None);
+        assert!(contains_bytes(b"", b""));
     }
 
     #[test]

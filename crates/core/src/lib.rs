@@ -16,7 +16,8 @@
 //! * [`cluster`] — group-average (UPGMA) agglomerative clustering with
 //!   dendrogram cuts (§IV-D).
 //! * [`payload`] — the payload check separating suspicious from normal
-//!   traffic (§IV-A), built on Boyer–Moore–Horspool needles.
+//!   traffic (§IV-A): one Aho–Corasick pass over each request's whole
+//!   wire image.
 //! * [`signature`] — conjunction signatures: per-field invariant tokens
 //!   with boilerplate filtering (§IV-E, §VI).
 //! * [`wire`] — the versioned text format signatures ship in (Fig. 3).
@@ -88,13 +89,11 @@ pub mod prelude {
     pub use crate::detect::{
         Detection, Detector, Explanation, MatchMode, PacketScanner, RawPacket, ScanVerdict,
     };
-    pub use crate::engine::{
-        CompiledDetector, EngineVerdict, FieldBytes, ScanScratch, SensitiveProbe,
-    };
     pub use crate::distance::{DistanceConfig, DistanceConvention, PacketDistance, PacketFeatures};
+    pub use crate::engine::{CompiledDetector, FieldBytes, ScanScratch};
     pub use crate::eval::{tally, Counts, Rates};
     pub use crate::matrix::{pairwise, pairwise_naive, CondensedMatrix};
-    pub use crate::payload::{Needle, PayloadCheck};
+    pub use crate::payload::PayloadCheck;
     pub use crate::pipeline::{
         drop_dominated, generate_signatures, generate_signatures_counted, prune_against_normal,
         regeneration_pass, run_experiment, run_experiment_refs, run_experiment_with,

@@ -13,7 +13,7 @@
 //! * a surviving signature must retain at least one *anchor* token of a
 //!   minimum length, otherwise it is discarded entirely.
 
-use crate::payload::Needle;
+use crate::engine::{contains_bytes, field_index, find_from};
 use leaksig_http::HttpPacket;
 use leaksig_textdist::{common_tokens, TokenConfig};
 
@@ -52,12 +52,12 @@ impl Field {
     }
 }
 
-/// One invariant token, compiled for fast matching.
+/// One invariant token: a non-empty byte string anchored to a field.
 #[derive(Debug, Clone)]
 pub struct FieldToken {
     /// Field the token is anchored to.
     pub field: Field,
-    needle: Needle,
+    bytes: Vec<u8>,
     /// Position of this token's first occurrence in the cluster's
     /// reference member — the emission order used by
     /// [`ConjunctionSignature::matches_ordered`]. Zero when unknown.
@@ -65,16 +65,20 @@ pub struct FieldToken {
 }
 
 impl FieldToken {
-    /// Compile a token with no ordering information.
+    /// A token with no ordering information. Panics on empty bytes: an
+    /// empty token would match every packet.
     pub fn new(field: Field, bytes: impl Into<Vec<u8>>) -> Self {
         Self::with_hint(field, bytes, 0)
     }
 
-    /// Compile a token with a reference-position hint.
+    /// A token with a reference-position hint. Panics on empty bytes,
+    /// like [`FieldToken::new`].
     pub fn with_hint(field: Field, bytes: impl Into<Vec<u8>>, order_hint: u32) -> Self {
+        let bytes = bytes.into();
+        assert!(!bytes.is_empty(), "empty token");
         FieldToken {
             field,
-            needle: Needle::new(bytes),
+            bytes,
             order_hint,
         }
     }
@@ -87,12 +91,18 @@ impl FieldToken {
 
     /// The token bytes.
     pub fn bytes(&self) -> &[u8] {
-        self.needle.pattern()
+        &self.bytes
     }
 
     /// Reference-position hint (see struct docs).
     pub fn order_hint(&self) -> u32 {
         self.order_hint
+    }
+
+    /// Whether the token occurs in its field, given a packet's
+    /// [`field_views`].
+    pub(crate) fn is_in(&self, fields: [&[u8]; 3]) -> bool {
+        contains_bytes(fields[field_index(self.field)], &self.bytes)
     }
 }
 
@@ -124,11 +134,8 @@ impl ConjunctionSignature {
     /// Whether every token occurs in its field of `packet`.
     pub fn matches(&self, packet: &HttpPacket) -> bool {
         let rline = rline_view(packet);
-        self.tokens.iter().all(|t| match t.field {
-            Field::RequestLine => t.needle.is_in(rline.as_bytes()),
-            Field::Cookie => t.needle.is_in(packet.cookie()),
-            Field::Body => t.needle.is_in(&packet.body),
-        })
+        let fields = field_views(&rline, packet);
+        self.tokens.iter().all(|t| t.is_in(fields))
     }
 
     /// Whether the tokens occur **in order** within their fields
@@ -138,12 +145,7 @@ impl ConjunctionSignature {
     /// [`ConjunctionSignature::matches`] — order adds a constraint.
     pub fn matches_ordered(&self, packet: &HttpPacket) -> bool {
         let rline = rline_view(packet);
-        for field in Field::ALL {
-            let hay: &[u8] = match field {
-                Field::RequestLine => rline.as_bytes(),
-                Field::Cookie => packet.cookie(),
-                Field::Body => &packet.body,
-            };
+        for (field, hay) in Field::ALL.into_iter().zip(field_views(&rline, packet)) {
             // Tokens are stored longest-first for the conjunction fast
             // path; the emission order lives in the order hints.
             let mut ordered: Vec<&FieldToken> =
@@ -174,15 +176,8 @@ impl ConjunctionSignature {
             return 0.0;
         }
         let rline = rline_view(packet);
-        let hit = self
-            .tokens
-            .iter()
-            .filter(|t| match t.field {
-                Field::RequestLine => t.needle.is_in(rline.as_bytes()),
-                Field::Cookie => t.needle.is_in(packet.cookie()),
-                Field::Body => t.needle.is_in(&packet.body),
-            })
-            .count();
+        let fields = field_views(&rline, packet);
+        let hit = self.tokens.iter().filter(|t| t.is_in(fields)).count();
         hit as f64 / self.tokens.len() as f64
     }
 
@@ -252,21 +247,6 @@ fn default_boilerplate() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn contains_sub(haystack: &[u8], needle: &[u8]) -> bool {
-    needle.is_empty() || haystack.windows(needle.len()).any(|w| w == needle)
-}
-
-/// First occurrence of `needle` in `hay[from..]`, as an absolute offset.
-fn find_from(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    if from >= hay.len() || needle.is_empty() || needle.len() > hay.len() - from {
-        return None;
-    }
-    hay[from..]
-        .windows(needle.len())
-        .position(|w| w == needle)
-        .map(|p| p + from)
-}
-
 /// Generate one signature from a cluster of packets, or `None` when the
 /// cluster yields nothing above the boilerplate bar.
 pub fn signature_from_cluster(
@@ -325,7 +305,7 @@ pub(crate) fn assemble_signature(
     let mut tokens: Vec<FieldToken> = Vec::new();
     for (i, field) in Field::ALL.into_iter().enumerate() {
         for tok in field_tokens[i].iter().take(config.token.max_tokens) {
-            let generic = config.boilerplate.iter().any(|b| contains_sub(b, tok));
+            let generic = config.boilerplate.iter().any(|b| contains_bytes(b, tok));
             if !generic {
                 // Emission order = first occurrence in the reference
                 // (first) member.
@@ -428,7 +408,7 @@ mod tests {
         let has_id = sig
             .tokens
             .iter()
-            .any(|t| contains_sub(t.bytes(), b"f3a9c1d200b14e77"));
+            .any(|t| contains_bytes(t.bytes(), b"f3a9c1d200b14e77"));
         assert!(has_id, "tokens: {:?}", sig.tokens);
         // And the signature matches all members plus a fresh same-module
         // packet.

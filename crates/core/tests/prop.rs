@@ -34,9 +34,14 @@ fn arb_token() -> impl Strategy<Value = FieldToken> {
             Just(Field::Cookie),
             Just(Field::Body),
         ],
-        // Arbitrary bytes, non-empty and far below the 256-byte Needle
-        // cap — both limits the wire decoder enforces.
-        proptest::collection::vec(any::<u8>(), 1..24),
+        // Arbitrary non-empty bytes (the wire decoder rejects empty
+        // tokens, and has no length cap): mostly short, sometimes past
+        // 255 bytes.
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 1..24),
+            proptest::collection::vec(any::<u8>(), 1..24),
+            proptest::collection::vec(any::<u8>(), 256..400),
+        ],
         any::<u32>(),
     )
         .prop_map(|(field, bytes, hint)| FieldToken::with_hint(field, bytes, hint))
@@ -420,15 +425,6 @@ proptest! {
         prop_assert_eq!(consumed, framed.len());
     }
 
-    /// Needle matching agrees with a std oracle on arbitrary inputs.
-    #[test]
-    fn needle_oracle(hay in proptest::collection::vec(any::<u8>(), 0..200),
-                     pat in proptest::collection::vec(any::<u8>(), 1..12)) {
-        let needle = Needle::new(pat.clone());
-        let oracle = hay.windows(pat.len()).any(|w| w == &pat[..]);
-        prop_assert_eq!(needle.is_in(&hay), oracle);
-    }
-
     /// The payload check's one-automaton scan agrees with checking each
     /// needle on its own. Values over a tiny alphabet nest and overlap
     /// (`a`, `aa`, `a a`), and the space and `0xFF` bytes give them
@@ -465,7 +461,7 @@ proptest! {
             }
             for pattern in variants {
                 needles += 1;
-                if Needle::new(pattern).is_in(&hay) && !oracle.contains(tag) {
+                if hay.windows(pattern.len()).any(|w| w == &pattern[..]) && !oracle.contains(tag) {
                     oracle.push(*tag);
                 }
             }
@@ -683,43 +679,6 @@ proptest! {
                     .collect();
                 prop_assert_eq!(ids, owned_all, "{:?}", mode);
             }
-        }
-    }
-
-    /// The sensitivity probe folded into the engine's single pass agrees
-    /// with a field-scoped `PayloadCheck` oracle (same needles run over
-    /// request line, cookie, and body separately) on every packet — and
-    /// never perturbs the match verdict.
-    #[test]
-    fn probe_fold_equals_field_scoped_payload_check(
-        set in arb_collision_set(),
-        packets in proptest::collection::vec(arb_collision_packet(), 1..8),
-        values in proptest::collection::vec("[ab ]{1,6}", 1..5),
-    ) {
-        let tagged: Vec<(u8, &str)> = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i as u8, v.as_str()))
-            .collect();
-        let check: PayloadCheck<u8> = PayloadCheck::new(tagged);
-        let (probe, tags) = check.probe();
-        let plain = Detector::new(set.clone());
-        let probed = Detector::with_probe(set.clone(), MatchMode::Conjunction, &probe);
-        let mut scanner = probed.scanner();
-        let limits = leaksig_http::ParseLimits::UNLIMITED;
-        for p in &packets {
-            let raw = p.to_bytes();
-            let v = scanner.scan_raw(&raw, p.destination.ip, p.destination.port, &limits);
-            prop_assert_eq!(v.matched, plain.match_packet(p).map(|d| d.signature_id));
-            let rline = format!("{} {}", p.request_line.method.as_str(), p.request_line.target);
-            let mut want = 0u64;
-            for hay in [rline.as_bytes(), p.cookie(), &p.body] {
-                for t in check.scan_bytes(hay) {
-                    let bit = tags.iter().position(|&x| x == t).unwrap();
-                    want |= 1 << bit;
-                }
-            }
-            prop_assert_eq!(v.tags, want);
         }
     }
 

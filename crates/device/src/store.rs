@@ -52,11 +52,6 @@ impl From<WireError> for InstallError {
 #[derive(Debug, Default)]
 pub struct SignatureServer {
     inner: RwLock<(u64, String)>,
-    /// Semantic diff of the most recent gated publish against its
-    /// predecessor, for the operator to review ([`take_last_diff`]).
-    ///
-    /// [`take_last_diff`]: SignatureServer::take_last_diff
-    last_diff: parking_lot::Mutex<Option<GenerationDiff>>,
 }
 
 impl SignatureServer {
@@ -64,30 +59,18 @@ impl SignatureServer {
     pub fn new() -> Self {
         SignatureServer {
             inner: RwLock::new((0, wire::encode(&SignatureSet::default()))),
-            last_diff: parking_lot::Mutex::new(None),
         }
     }
 
     /// Publish a new signature set, bumping the version. Sets carrying
     /// Error-level audit findings are refused: a server distributing a
     /// §VI match-everything signature would turn every device into a
-    /// false-prompt generator. Gated publishes also record the semantic
-    /// diff against the previously published generation (see
-    /// [`SignatureServer::take_last_diff`]). Use
+    /// false-prompt generator. Use
     /// [`SignatureServer::publish_unchecked`] to bypass the gate
     /// deliberately.
     pub fn publish(&self, set: &SignatureSet) -> Result<u64, Vec<Diagnostic>> {
         audit::deploy_check(set)?;
-        // Diff against the currently published generation before the
-        // version bump (the previous wire text always decodes: it was
-        // produced by `wire::encode`).
-        let prev_text = self.inner.read().1.clone();
-        let diff = wire::decode(&prev_text)
-            .ok()
-            .map(|prev| diff_generations(&prev, set, MatchMode::Conjunction));
-        let version = self.publish_unchecked(set);
-        *self.last_diff.lock() = diff;
-        Ok(version)
+        Ok(self.publish_unchecked(set))
     }
 
     /// [`SignatureServer::publish`] without the deploy gate (for studying
@@ -97,14 +80,6 @@ impl SignatureServer {
         guard.0 += 1;
         guard.1 = wire::encode(set);
         guard.0
-    }
-
-    /// The semantic diff recorded by the most recent gated
-    /// [`SignatureServer::publish`], consumed on read (mirrors the
-    /// pipeline's `take_last_timings` pattern). `None` when no gated
-    /// publish happened since the last call.
-    pub fn take_last_diff(&self) -> Option<GenerationDiff> {
-        self.last_diff.lock().take()
     }
 
     /// Restore a previously published generation verbatim — version and
@@ -393,36 +368,6 @@ mod tests {
 
         // Second sync is a no-op.
         assert!(!store.sync(&server).unwrap());
-    }
-
-    #[test]
-    fn publish_records_generation_diff() {
-        let server = SignatureServer::new();
-        assert!(server.take_last_diff().is_none(), "nothing published yet");
-
-        let set = one_signature_set();
-        server.publish(&set).unwrap();
-        let d1 = server
-            .take_last_diff()
-            .expect("first publish diffs vs empty");
-        assert_eq!(d1.added.len(), set.len(), "everything is new");
-        assert!(d1.removed.is_empty());
-        assert!(server.take_last_diff().is_none(), "consumed on read");
-
-        // Republish the identical set: an empty diff.
-        server.publish(&set).unwrap();
-        let d2 = server.take_last_diff().unwrap();
-        assert!(d2.is_empty());
-        assert_eq!(d2.unchanged, set.len());
-
-        // Publish the empty set: everything removed, with witnesses.
-        server.publish(&SignatureSet::default()).unwrap();
-        let d3 = server.take_last_diff().unwrap();
-        assert_eq!(d3.removed.len(), set.len());
-
-        // Ungated publishes record no diff.
-        server.publish_unchecked(&set);
-        assert!(server.take_last_diff().is_none());
     }
 
     #[test]

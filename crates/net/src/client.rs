@@ -1,11 +1,10 @@
 //! The client side of the frontier: a blocking uploader/sync peer, the
-//! fault-wrapped stream that turns a drawn
-//! [`SocketFault`](leaksig_faults::SocketFault) into real socket
-//! behaviour, a [`leaksig_device::Transport`] adapter so the resilient
-//! [`SyncClient`](leaksig_device::SyncClient) machinery drives real TCP,
-//! and a sequential chaos driver that replays a
-//! [`SocketFaultPlan`](leaksig_faults::SocketFaultPlan) against a live
-//! server with a per-connection event log.
+//! fault-wrapped stream that turns a drawn [`SocketFault`] into real
+//! socket behaviour, a [`leaksig_device::Transport`] adapter so the
+//! resilient [`SyncClient`](leaksig_device::SyncClient) machinery drives
+//! real TCP, and a sequential chaos driver that replays a
+//! [`SocketFaultPlan`] against a live server with a per-connection event
+//! log.
 //!
 //! The fault *plan* (which connection misbehaves, how) lives in
 //! `leaksig-faults` and is pure; this module is where the wall-clock

@@ -36,9 +36,8 @@
 //!   what remains. With background pumping on, every ACKed record still
 //!   in the admission queue is pumped before the final state flush.
 //!
-//! Every accepted connection ends in exactly one
-//! [`CloseReason`](crate::conn::CloseReason) bucket, so
-//! [`NetStats::accepted`] equals the sum of the terminal counters once
+//! Every accepted connection ends in exactly one [`CloseReason`] bucket,
+//! so [`NetStats::accepted`] equals the sum of the terminal counters once
 //! the loop exits — the reconciliation the chaos soak asserts.
 
 use crate::conn::{extract, CloseReason, Conn, Inbound, Step};

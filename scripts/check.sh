@@ -16,6 +16,9 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 

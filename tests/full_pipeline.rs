@@ -181,3 +181,57 @@ fn hosts_without_a_plain_wire_form_still_publish() {
         );
     }
 }
+
+/// Signature tokens have no length cap: a cluster whose members share a
+/// body far past 255 bytes regenerates, publishes, ships as wire text,
+/// installs on a device store and matches a fresh member. The payload
+/// check takes a value that long too.
+#[test]
+fn invariant_bodies_past_255_bytes_publish_and_install() {
+    use leaksig::device::{CollectionServer, RegenerateOutcome};
+    use leaksig::http::RequestBuilder;
+    use std::net::Ipv4Addr;
+
+    const IMEI: &str = "355195000000017";
+    let profile: String = (0..300)
+        .map(|i| (b'a' + (i * 7 % 26) as u8) as char)
+        .collect();
+    let check = PayloadCheck::new([("imei", IMEI), ("profile", profile.as_str())]);
+    let ip = Ipv4Addr::new(203, 0, 113, 9);
+    let member = |seq: usize| {
+        RequestBuilder::post("/v1/upload")
+            .body(format!("imei={IMEI}&profile={profile}&seq={seq}").into_bytes())
+            .destination(ip, 80, "collect.example")
+            .build()
+    };
+    assert_eq!(check.scan(&member(0)), vec!["imei", "profile"]);
+
+    let collector = CollectionServer::new(check, PipelineConfig::default(), 64, 7);
+    for seq in 0..8 {
+        collector.ingest_raw(&member(seq).to_bytes(), ip, 80);
+    }
+    collector.pump_all();
+    assert_eq!(collector.reservoir_len(), 8);
+
+    let publisher = SignatureServer::new();
+    let outcome = collector.regenerate(8, &publisher);
+    assert!(
+        matches!(outcome, RegenerateOutcome::Published { .. }),
+        "{outcome:?}"
+    );
+    let (version, text) = publisher.fetch(0).expect("a generation is served");
+    let set = leaksig::core::wire::decode(&text).expect("wire decodes");
+    assert!(
+        set.signatures
+            .iter()
+            .flat_map(|s| &s.tokens)
+            .any(|t| t.bytes().len() >= 256),
+        "no token past 255 bytes: {text}"
+    );
+
+    let store = SignatureStore::new();
+    store
+        .install(version, &text)
+        .expect("published set installs");
+    assert!(store.match_packet(&member(99)).is_some());
+}
