@@ -5,6 +5,7 @@ use crate::capture::{self, CaptureRecord};
 use crate::devicefile;
 use leaksig_core::prelude::*;
 use leaksig_core::wire;
+use leaksig_faults::Taxonomy;
 use leaksig_netsim::{Dataset, MarketConfig, SensitiveKind};
 
 /// `gate`: replay a capture through the on-device packet gate under a
@@ -257,6 +258,13 @@ pub fn serve(args: &Args) -> Result<i32, String> {
     Ok(0)
 }
 
+/// The enabled fault kinds as the comma-separated labels the chaos
+/// banners print.
+fn kind_labels<K: Taxonomy>(kinds: &[K]) -> String {
+    let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
+    labels.join(",")
+}
+
 /// `send`: upload a capture file to a running collection server over
 /// TCP, batch by batch, optionally misbehaving per a socket-fault plan;
 /// print the per-connection event log.
@@ -343,10 +351,9 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
     }
     let scale: f64 = args.parsed_or("scale", 0.02).map_err(|e| e.to_string())?;
     let kinds = SocketFaultKind::parse_list(list)?;
-    let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
     println!(
         "socket chaos: seed {seed}, faults [{}], intensity {intensity}",
-        labels.join(",")
+        kind_labels(&kinds)
     );
 
     let data = Dataset::generate(MarketConfig::scaled(seed, scale));
@@ -452,10 +459,9 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
         return Err(format!("--intensity must be in [0, 1], got {intensity}"));
     }
     let kinds = DiskFaultKind::parse_list(list)?;
-    let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
     println!(
         "disk chaos: seed {seed}, faults [{}], intensity {intensity}",
-        labels.join(",")
+        kind_labels(&kinds)
     );
 
     let data = Dataset::generate(MarketConfig::scaled(seed, 0.01));
@@ -649,14 +655,12 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         .transpose()?;
     let deadline_ms: u64 = args.parsed_or("deadline", 5_000).map_err(|e| e.to_string())?;
 
-    let labels: Vec<&str> = kinds.iter().map(|k| k.label()).collect();
     println!(
         "chaos: seed {seed}, faults [{}], intensity {intensity}, {rounds} rounds",
-        labels.join(",")
+        kind_labels(&kinds)
     );
     let mut ingest_plan = ingest_kinds.as_ref().map(|ks| {
-        let labels: Vec<&str> = ks.iter().map(|k| k.label()).collect();
-        println!("raw intake on: ingestion faults [{}]", labels.join(","));
+        println!("raw intake on: ingestion faults [{}]", kind_labels(ks));
         IngestFaultPlan::new(seed ^ 0x1A7E57, ks, intensity)
     });
 

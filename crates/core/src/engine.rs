@@ -691,11 +691,6 @@ impl CompiledDetector {
         self.mode
     }
 
-    /// Number of distinct `(field, bytes)` patterns in the registry.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_lens.len()
-    }
-
     /// Total automaton states across the three fields.
     pub fn state_count(&self) -> usize {
         self.matchers

@@ -370,12 +370,9 @@ impl<'a> Fields<'a> {
         self.parts.next().ok_or_else(|| err("missing field"))
     }
 
-    fn u64(&mut self) -> Result<u64, StateCodecError> {
-        let w = self.word()?;
-        w.parse().map_err(|_| err(format!("bad integer {w:?}")))
-    }
-
-    fn usize(&mut self) -> Result<usize, StateCodecError> {
+    /// The next field as an integer of its real width: a value outside
+    /// `T`'s range is an error, never a wrapped number.
+    fn num<T: std::str::FromStr>(&mut self) -> Result<T, StateCodecError> {
         let w = self.word()?;
         w.parse().map_err(|_| err(format!("bad integer {w:?}")))
     }
@@ -425,13 +422,13 @@ fn decode_packet(cur: &mut Cursor<'_>) -> Result<HttpPacket, StateCodecError> {
         .word()?
         .parse()
         .map_err(|_| err("bad packet ip"))?;
-    let port = f.u64()? as u16;
-    let host_len = f.usize()?;
-    let method_len = f.usize()?;
-    let target_len = f.usize()?;
-    let version_len = f.usize()?;
-    let n_headers = f.usize()?;
-    let body_len = f.usize()?;
+    let port = f.num()?;
+    let host_len = f.num()?;
+    let method_len = f.num()?;
+    let target_len = f.num()?;
+    let version_len = f.num()?;
+    let n_headers = f.num()?;
+    let body_len = f.num()?;
     f.finish()?;
 
     let host = cur.take_str(host_len)?.to_string();
@@ -441,8 +438,8 @@ fn decode_packet(cur: &mut Cursor<'_>) -> Result<HttpPacket, StateCodecError> {
     let mut headers = Vec::with_capacity(n_headers);
     for _ in 0..n_headers {
         let mut hf = Fields::of(cur.line()?);
-        let name_len = hf.usize()?;
-        let value_len = hf.usize()?;
+        let name_len = hf.num()?;
+        let value_len = hf.num()?;
         hf.finish()?;
         let name = leaksig_http::HeaderName::new(cur.take_str(name_len)?);
         let value = cur.take(value_len)?.to_vec();
@@ -486,12 +483,11 @@ fn reason_parts(reason: &QuarantineReason) -> (u8, u64, u64, &str) {
 
 fn reason_from_parts(
     code: u8,
-    a: u64,
-    b: u64,
+    a: usize,
+    b: usize,
     s: &str,
 ) -> Result<QuarantineReason, StateCodecError> {
     use ParseError as E;
-    let (a, b) = (a as usize, b as usize);
     let parse = |e: E| Ok(QuarantineReason::Malformed(e));
     match code {
         0 => parse(E::Empty),
@@ -534,17 +530,17 @@ fn encode_record(out: &mut Vec<u8>, r: &QuarantineRecord) {
 
 fn decode_record(cur: &mut Cursor<'_>) -> Result<QuarantineRecord, StateCodecError> {
     let mut f = Fields::of(cur.line()?);
-    let code = f.u64()? as u8;
-    let a = f.u64()?;
-    let b = f.u64()?;
+    let code = f.num()?;
+    let a = f.num()?;
+    let b = f.num()?;
     let source: Ipv4Addr = f
         .word()?
         .parse()
         .map_err(|_| err("bad record source ip"))?;
-    let port = f.u64()? as u16;
-    let bytes = f.usize()?;
-    let summary_len = f.usize()?;
-    let msg_len = f.usize()?;
+    let port = f.num()?;
+    let bytes = f.num()?;
+    let summary_len = f.num()?;
+    let msg_len = f.num()?;
     f.finish()?;
     let summary = cur.take_str(summary_len)?.to_string();
     let msg = cur.take_str(msg_len)?;
@@ -582,19 +578,19 @@ fn encode_stats(out: &mut Vec<u8>, s: &ServerStats) {
 fn decode_stats(line: &str) -> Result<ServerStats, StateCodecError> {
     let mut f = Fields::of(line);
     let stats = ServerStats {
-        ingested: f.u64()?,
-        suspicious: f.u64()?,
-        normal: f.u64()?,
-        regenerations: f.u64()?,
-        rejected_publishes: f.u64()?,
-        raw_seen: f.u64()?,
-        parse_rejects: f.u64()?,
-        quarantined: f.u64()?,
-        rate_limited: f.u64()?,
-        shed: f.u64()?,
-        admitted: f.u64()?,
-        durability_degraded: f.u64()?,
-        durability_refused: f.u64()?,
+        ingested: f.num()?,
+        suspicious: f.num()?,
+        normal: f.num()?,
+        regenerations: f.num()?,
+        rejected_publishes: f.num()?,
+        raw_seen: f.num()?,
+        parse_rejects: f.num()?,
+        quarantined: f.num()?,
+        rate_limited: f.num()?,
+        shed: f.num()?,
+        admitted: f.num()?,
+        durability_degraded: f.num()?,
+        durability_refused: f.num()?,
     };
     f.finish()?;
     Ok(stats)
@@ -653,7 +649,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<StateOp, StateCodecError> {
     match tag {
         "S" => {
             let mut f = Fields::of(rest);
-            let slot = f.usize()?;
+            let slot = f.num()?;
             f.finish()?;
             Ok(StateOp::Suspect {
                 packet: decode_packet(cur)?,
@@ -665,18 +661,18 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<StateOp, StateCodecError> {
         "I" => {
             let mut f = Fields::of(rest);
             let op = StateOp::Intake {
-                raw_seen: f.u64()?,
-                rate_limited: f.u64()?,
-                shed: f.u64()?,
-                admitted: f.u64()?,
+                raw_seen: f.num()?,
+                rate_limited: f.num()?,
+                shed: f.num()?,
+                admitted: f.num()?,
             };
             f.finish()?;
             Ok(op)
         }
         "Q" => {
             let mut f = Fields::of(rest);
-            let cap = f.usize()?;
-            let pr = f.u64()?;
+            let cap = f.num()?;
+            let pr: u64 = f.num()?;
             f.finish()?;
             Ok(StateOp::Quarantine {
                 cap,
@@ -686,14 +682,14 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<StateOp, StateCodecError> {
         }
         "E" => {
             let mut f = Fields::of(rest);
-            let slot = f.usize()?;
+            let slot = f.num()?;
             f.finish()?;
             Ok(StateOp::Evict { slot })
         }
         "P" => {
             let mut f = Fields::of(rest);
-            let version = f.u64()?;
-            let wire_len = f.usize()?;
+            let version = f.num()?;
+            let wire_len = f.num()?;
             f.finish()?;
             Ok(StateOp::Publish {
                 version,
@@ -703,7 +699,7 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<StateOp, StateCodecError> {
         "X" => Ok(StateOp::RejectedPublish),
         "R" => {
             let mut f = Fields::of(rest);
-            let state = [f.u64()?, f.u64()?, f.u64()?, f.u64()?];
+            let state = [f.num()?, f.num()?, f.num()?, f.num()?];
             f.finish()?;
             Ok(StateOp::Rng { state })
         }
@@ -764,16 +760,16 @@ pub fn decode_state(data: &[u8]) -> Result<DurableState, StateCodecError> {
         .strip_prefix(STATE_MAGIC)
         .ok_or_else(|| err(format!("missing {STATE_MAGIC} header")))?;
     let mut f = Fields::of(rest);
-    let n_reservoir = f.usize()?;
-    let n_ledger = f.usize()?;
+    let n_reservoir = f.num()?;
+    let n_ledger = f.num()?;
     f.finish()?;
 
     let stats = decode_stats(cur.line()?)?;
 
     let rng_line = cur.line()?;
     let mut f = Fields::of(rng_line.strip_prefix('G').ok_or_else(|| err("missing rng line"))?);
-    let rng_state = if f.u64()? != 0 {
-        let s = [f.u64()?, f.u64()?, f.u64()?, f.u64()?];
+    let rng_state = if f.num::<u64>()? != 0 {
+        let s = [f.num()?, f.num()?, f.num()?, f.num()?];
         f.finish()?;
         Some(s)
     } else {
@@ -787,9 +783,9 @@ pub fn decode_state(data: &[u8]) -> Result<DurableState, StateCodecError> {
             .strip_prefix('P')
             .ok_or_else(|| err("missing publish line"))?,
     );
-    let last_publish = if f.u64()? != 0 {
-        let version = f.u64()?;
-        let wire_len = f.usize()?;
+    let last_publish = if f.num::<u64>()? != 0 {
+        let version = f.num()?;
+        let wire_len = f.num()?;
         f.finish()?;
         Some((version, cur.take_str(wire_len)?.to_string()))
     } else {
@@ -876,6 +872,20 @@ mod tests {
             bytes: 321,
             summary: "GET /x HTTP/1.1".to_string(),
         }
+    }
+
+    /// `op` encoded, with field `field` of its second line (the packet
+    /// or quarantine-record header) replaced by `value`.
+    fn with_field(op: &StateOp, field: usize, value: &str) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_op(&mut buf, op);
+        let start = buf.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let end = start + buf[start..].iter().position(|&b| b == b'\n').unwrap();
+        let line = String::from_utf8(buf[start..end].to_vec()).unwrap();
+        let mut fields: Vec<&str> = line.split(' ').collect();
+        fields[field] = value;
+        buf.splice(start..end, fields.join(" ").into_bytes());
+        buf
     }
 
     fn op_zoo() -> Vec<StateOp> {
@@ -1034,6 +1044,29 @@ mod tests {
             assert!(decode_ops(&buf[..cut]).is_err(), "cut at {cut}");
         }
         assert!(decode_ops(b"Z 1\n").is_err(), "unknown tag");
+
+        // A number past its field's width is rejected, not wrapped: port
+        // 65616 would read back as 80 and reason code 268 as 12 (`Poison`).
+        let suspect = StateOp::Suspect {
+            packet: packet(1),
+            slot: 0,
+        };
+        let quarantine = StateOp::Quarantine {
+            cap: 4,
+            parse_reject: false,
+            record: record_for(QuarantineReason::Poison),
+        };
+        // (op, field of its header line, a value that fits, one that wraps)
+        let cases = [
+            (&suspect, 1, "80", "65616"),    // packet port
+            (&quarantine, 4, "80", "65616"), // record port
+            (&quarantine, 0, "12", "268"),   // reason code
+        ];
+        for (op, field, fits, wraps) in cases {
+            assert!(decode_ops(&with_field(op, field, fits)).is_ok(), "{fits}");
+            let e = decode_ops(&with_field(op, field, wraps)).expect_err(wraps);
+            assert!(e.0.contains(wraps), "{e}");
+        }
         assert!(decode_ops(b"I 1 2\n").is_err(), "missing fields");
         assert!(decode_state(b"NOTSTATE\n").is_err());
     }

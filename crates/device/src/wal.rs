@@ -159,18 +159,6 @@ pub struct WalStore {
 }
 
 impl WalStore {
-    /// Open (or create) the state directory on an honest [`RealDisk`]
-    /// with default tuning.
-    ///
-    /// [`RealDisk`]: leaksig_faults::RealDisk
-    pub fn open_dir(dir: impl Into<PathBuf>) -> io::Result<(Self, WalRecoveryReport)> {
-        WalStore::open(
-            dir,
-            Box::new(leaksig_faults::RealDisk),
-            WalConfig::default(),
-        )
-    }
-
     /// Recover a store from `dir` (created if absent): sweep `.tmp`
     /// debris, load the newest valid snapshot, replay its paired WAL
     /// tolerating a torn or corrupt final frame.

@@ -28,8 +28,9 @@
 //!
 //! [`StateStore`]: ../../leaksig_device/trait.StateStore.html
 
+use crate::{Plan, Taxonomy};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -50,18 +51,18 @@ pub enum DiskFaultKind {
     Crash,
 }
 
-impl DiskFaultKind {
-    /// Every disk fault kind, in canonical order.
-    pub const ALL: [DiskFaultKind; 5] = [
+impl Taxonomy for DiskFaultKind {
+    type Fault = DiskFault;
+    const ALL: &'static [DiskFaultKind] = &[
         DiskFaultKind::ShortWrite,
         DiskFaultKind::TornRecord,
         DiskFaultKind::FsyncFail,
         DiskFaultKind::Enospc,
         DiskFaultKind::Crash,
     ];
+    const NOUN: &'static str = "disk fault";
 
-    /// Stable lower-case label (CLI `--disk` syntax, event logs).
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             DiskFaultKind::ShortWrite => "shortwrite",
             DiskFaultKind::TornRecord => "torn",
@@ -71,45 +72,44 @@ impl DiskFaultKind {
         }
     }
 
-    /// Parse one label.
-    pub fn parse(label: &str) -> Option<DiskFaultKind> {
-        DiskFaultKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    /// Parse a comma-separated list (`"torn,crash"`); `"all"` enables
-    /// every kind. Duplicates collapse; order is canonical.
-    pub fn parse_list(list: &str) -> Result<Vec<DiskFaultKind>, String> {
-        let mut enabled = [false; DiskFaultKind::ALL.len()];
-        for part in list.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if part == "all" {
-                enabled = [true; DiskFaultKind::ALL.len()];
-                continue;
-            }
-            match DiskFaultKind::parse(part) {
-                Some(kind) => enabled[kind as usize] = true,
-                None => {
-                    return Err(format!(
-                        "unknown disk fault {part:?} (expected one of shortwrite, torn, \
-                         fsyncfail, enospc, crash, all)"
-                    ))
-                }
-            }
+    fn draw(self, rng: &mut StdRng) -> DiskFault {
+        match self {
+            DiskFaultKind::ShortWrite => DiskFault::Short {
+                keep_permille: rng.random_range(0u16..1000),
+            },
+            DiskFaultKind::TornRecord => DiskFault::Torn {
+                keep_permille: rng.random_range(0u16..1000),
+            },
+            DiskFaultKind::FsyncFail => DiskFault::SyncFail,
+            DiskFaultKind::Enospc => DiskFault::Enospc,
+            DiskFaultKind::Crash => DiskFault::Crash(
+                CrashFlavor::ALL[rng.random_range(0..CrashFlavor::ALL.len() as u64) as usize],
+            ),
         }
-        Ok(DiskFaultKind::ALL
-            .into_iter()
-            .filter(|k| enabled[*k as usize])
-            .collect())
     }
 }
 
-impl std::fmt::Display for DiskFaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
+/// One concrete drawn disk fault, with its parameters. A fault that
+/// does not apply to the operation it lands on (an fsync failure drawn
+/// for an append) lets that operation through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DiskFault {
+    /// A write/append lands a prefix of its bytes and fails.
+    Short {
+        /// Surviving fraction of the payload, in permille (0..1000).
+        keep_permille: u16,
+    },
+    /// A write/append lands a prefix of its bytes and the process dies.
+    Torn {
+        /// Surviving fraction of the payload, in permille (0..1000).
+        keep_permille: u16,
+    },
+    /// An fsync fails.
+    SyncFail,
+    /// A write/append fails with nothing written.
+    Enospc,
+    /// The process dies at this operation, with the given flavor.
+    Crash(CrashFlavor),
 }
 
 /// Where, relative to the scheduled mutating operation, the simulated
@@ -299,65 +299,9 @@ impl DiskFaultControls {
     }
 }
 
-/// One drawn action of a seeded [`DiskFaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlannedFault {
-    Short { keep_permille: u16 },
-    Torn { keep_permille: u16 },
-    SyncFail,
-    Enospc,
-    Crash(CrashFlavor),
-}
-
-/// A seeded schedule of random disk faults: one draw per mutating
-/// operation, firing with probability `intensity`. Deterministic — the
-/// same seed replays the same faults against the same op sequence.
-#[derive(Debug, Clone)]
-pub struct DiskFaultPlan {
-    rng: StdRng,
-    kinds: Vec<DiskFaultKind>,
-    intensity: f64,
-}
-
-impl DiskFaultPlan {
-    /// A plan injecting `kinds` with per-operation probability
-    /// `intensity` (clamped to `[0, 1]`), driven by `seed`.
-    pub fn new(seed: u64, kinds: &[DiskFaultKind], intensity: f64) -> Self {
-        let mut uniq: Vec<DiskFaultKind> = Vec::new();
-        for &k in kinds {
-            if !uniq.contains(&k) {
-                uniq.push(k);
-            }
-        }
-        DiskFaultPlan {
-            rng: StdRng::seed_from_u64(seed),
-            kinds: uniq,
-            intensity: intensity.clamp(0.0, 1.0),
-        }
-    }
-
-    fn next(&mut self) -> Option<PlannedFault> {
-        if self.kinds.is_empty() || !self.rng.random_bool(self.intensity) {
-            return None;
-        }
-        let kind = self.kinds[self.rng.random_range(0..self.kinds.len() as u64) as usize];
-        Some(match kind {
-            DiskFaultKind::ShortWrite => PlannedFault::Short {
-                keep_permille: self.rng.random_range(0u16..1000),
-            },
-            DiskFaultKind::TornRecord => PlannedFault::Torn {
-                keep_permille: self.rng.random_range(0u16..1000),
-            },
-            DiskFaultKind::FsyncFail => PlannedFault::SyncFail,
-            DiskFaultKind::Enospc => PlannedFault::Enospc,
-            DiskFaultKind::Crash => {
-                let f = CrashFlavor::ALL
-                    [self.rng.random_range(0..CrashFlavor::ALL.len() as u64) as usize];
-                PlannedFault::Crash(f)
-            }
-        })
-    }
-}
+/// The disk plan: one draw per mutating operation that passes the
+/// armed schedule and the sick-disk toggles.
+pub type DiskFaultPlan = Plan<DiskFaultKind>;
 
 /// Which [`DiskIo`] method a mutating operation is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -483,24 +427,24 @@ impl<D: DiskIo> FaultyDisk<D> {
 
         // 3. The seeded plan.
         if let Some(plan) = &mut self.plan {
-            if let Some(fault) = plan.next() {
+            if let Some(fault) = plan.next_action() {
                 ctl.injected.fetch_add(1, Ordering::SeqCst);
                 match (fault, kind) {
-                    (PlannedFault::Short { keep_permille }, MutKind::Payload) => {
+                    (DiskFault::Short { keep_permille }, MutKind::Payload) => {
                         return Ok(Some(keep_permille))
                     }
-                    (PlannedFault::Torn { keep_permille }, MutKind::Payload) => {
+                    (DiskFault::Torn { keep_permille }, MutKind::Payload) => {
                         self.ctl.inner.crashed.store(true, Ordering::SeqCst);
                         return Ok(Some(keep_permille));
                     }
-                    (PlannedFault::SyncFail, MutKind::Sync) => return Err(sync_error()),
-                    (PlannedFault::Enospc, MutKind::Payload) => return Err(enospc_error()),
-                    (PlannedFault::Crash(CrashFlavor::Before), _) => return Err(self.die()),
-                    (PlannedFault::Crash(CrashFlavor::Torn), MutKind::Payload) => {
+                    (DiskFault::SyncFail, MutKind::Sync) => return Err(sync_error()),
+                    (DiskFault::Enospc, MutKind::Payload) => return Err(enospc_error()),
+                    (DiskFault::Crash(CrashFlavor::Before), _) => return Err(self.die()),
+                    (DiskFault::Crash(CrashFlavor::Torn), MutKind::Payload) => {
                         self.ctl.inner.crashed.store(true, Ordering::SeqCst);
                         return Ok(Some(500));
                     }
-                    (PlannedFault::Crash(_), _) => return Err(self.die()),
+                    (DiskFault::Crash(_), _) => return Err(self.die()),
                     // A drawn fault that does not apply to this op kind
                     // passes the op through faithfully.
                     _ => {}
@@ -609,7 +553,7 @@ mod tests {
             DiskFaultKind::ALL.to_vec()
         );
         assert!(DiskFaultKind::parse_list("fire").is_err());
-        for kind in DiskFaultKind::ALL {
+        for &kind in DiskFaultKind::ALL {
             assert_eq!(DiskFaultKind::parse(kind.label()), Some(kind));
         }
     }
@@ -703,7 +647,7 @@ mod tests {
             let dir = tmp(&format!("plan{seed}"));
             let (mut disk, ctl) = FaultyDisk::with_plan(
                 RealDisk,
-                DiskFaultPlan::new(seed, &DiskFaultKind::ALL, 0.4),
+                DiskFaultPlan::new(seed, DiskFaultKind::ALL, 0.4),
             );
             let mut outcomes = Vec::new();
             for i in 0..50 {

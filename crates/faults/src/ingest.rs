@@ -14,9 +14,9 @@
 //!
 //! Everything is deterministic under the seed, like the transport plan.
 
-use crate::{flip_bytes, truncate_bytes};
+use crate::{flip_bytes, truncate_bytes, Plan, Taxonomy};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 
 /// A class of intake fault a raw request stream can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -35,18 +35,18 @@ pub enum IngestFaultKind {
     SlowDrip,
 }
 
-impl IngestFaultKind {
-    /// Every intake fault kind, in canonical order.
-    pub const ALL: [IngestFaultKind; 5] = [
+impl Taxonomy for IngestFaultKind {
+    type Fault = IngestFault;
+    const ALL: &'static [IngestFaultKind] = &[
         IngestFaultKind::Garbage,
         IngestFaultKind::Oversize,
         IngestFaultKind::HeaderBomb,
         IngestFaultKind::DupFlood,
         IngestFaultKind::SlowDrip,
     ];
+    const NOUN: &'static str = "ingest fault";
 
-    /// Stable lower-case label (CLI `--ingest` syntax, event logs).
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             IngestFaultKind::Garbage => "garbage",
             IngestFaultKind::Oversize => "oversize",
@@ -56,45 +56,26 @@ impl IngestFaultKind {
         }
     }
 
-    /// Parse one label.
-    pub fn parse(label: &str) -> Option<IngestFaultKind> {
-        IngestFaultKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    /// Parse a comma-separated fault list (`"garbage,headerbomb"`). The
-    /// wildcard `"all"` enables every kind. Duplicates are collapsed;
-    /// order follows [`IngestFaultKind::ALL`], not the input.
-    pub fn parse_list(list: &str) -> Result<Vec<IngestFaultKind>, String> {
-        let mut enabled = [false; IngestFaultKind::ALL.len()];
-        for part in list.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if part == "all" {
-                enabled = [true; IngestFaultKind::ALL.len()];
-                continue;
-            }
-            match IngestFaultKind::parse(part) {
-                Some(kind) => enabled[kind as usize] = true,
-                None => {
-                    return Err(format!(
-                        "unknown ingest fault {part:?} (expected one of garbage, oversize, \
-                         headerbomb, dupflood, slowdrip, all)"
-                    ))
-                }
-            }
+    fn draw(self, rng: &mut StdRng) -> IngestFault {
+        match self {
+            IngestFaultKind::Garbage => IngestFault::Garbage {
+                seed: rng.random(),
+                flips: rng.random_range(4u16..48),
+            },
+            IngestFaultKind::Oversize => IngestFault::Oversize {
+                // 2 MiB .. 1 GiB: far past any honest intake limit.
+                declared: rng.random_range(2u64 << 20..1 << 30),
+            },
+            IngestFaultKind::HeaderBomb => IngestFault::HeaderBomb {
+                headers: rng.random_range(200u16..2000),
+            },
+            IngestFaultKind::DupFlood => IngestFault::DupFlood {
+                copies: rng.random_range(2u8..9),
+            },
+            IngestFaultKind::SlowDrip => IngestFault::SlowDrip {
+                keep_permille: rng.random_range(50u16..950),
+            },
         }
-        Ok(IngestFaultKind::ALL
-            .into_iter()
-            .filter(|k| enabled[*k as usize])
-            .collect())
-    }
-}
-
-impl std::fmt::Display for IngestFaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -143,82 +124,8 @@ impl IngestFault {
     }
 }
 
-/// A seeded intake-fault schedule: one draw per arriving wire image.
-///
-/// With probability `intensity` the image suffers a fault, chosen
-/// uniformly among the enabled kinds with parameters drawn from the same
-/// stream. Same seed, same schedule.
-#[derive(Debug, Clone)]
-pub struct IngestFaultPlan {
-    rng: StdRng,
-    kinds: Vec<IngestFaultKind>,
-    intensity: f64,
-    injected: u64,
-}
-
-impl IngestFaultPlan {
-    /// A plan injecting `kinds` with per-image probability `intensity`
-    /// (clamped to `[0, 1]`), driven by `seed`. An empty kind list never
-    /// fires.
-    pub fn new(seed: u64, kinds: &[IngestFaultKind], intensity: f64) -> Self {
-        let mut uniq: Vec<IngestFaultKind> = Vec::new();
-        for &k in kinds {
-            if !uniq.contains(&k) {
-                uniq.push(k);
-            }
-        }
-        IngestFaultPlan {
-            rng: StdRng::seed_from_u64(seed),
-            kinds: uniq,
-            intensity: intensity.clamp(0.0, 1.0),
-            injected: 0,
-        }
-    }
-
-    /// A plan injecting every intake fault kind.
-    pub fn chaos(seed: u64, intensity: f64) -> Self {
-        IngestFaultPlan::new(seed, &IngestFaultKind::ALL, intensity)
-    }
-
-    /// Decide the fate of the next wire image: `None` = deliver clean.
-    pub fn next_action(&mut self) -> Option<IngestFault> {
-        if self.kinds.is_empty() || !self.rng.random_bool(self.intensity) {
-            return None;
-        }
-        let kind = self.kinds[self.rng.random_range(0..self.kinds.len() as u64) as usize];
-        let fault = match kind {
-            IngestFaultKind::Garbage => IngestFault::Garbage {
-                seed: self.rng.random(),
-                flips: self.rng.random_range(4u16..48),
-            },
-            IngestFaultKind::Oversize => IngestFault::Oversize {
-                // 2 MiB .. 1 GiB: far past any honest intake limit.
-                declared: self.rng.random_range(2u64 << 20..1 << 30),
-            },
-            IngestFaultKind::HeaderBomb => IngestFault::HeaderBomb {
-                headers: self.rng.random_range(200u16..2000),
-            },
-            IngestFaultKind::DupFlood => IngestFault::DupFlood {
-                copies: self.rng.random_range(2u8..9),
-            },
-            IngestFaultKind::SlowDrip => IngestFault::SlowDrip {
-                keep_permille: self.rng.random_range(50u16..950),
-            },
-        };
-        self.injected += 1;
-        Some(fault)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Enabled fault kinds (canonical order, deduplicated).
-    pub fn kinds(&self) -> &[IngestFaultKind] {
-        &self.kinds
-    }
-}
+/// The intake plan: one draw per arriving wire image.
+pub type IngestFaultPlan = Plan<IngestFaultKind>;
 
 /// Apply one drawn fault to a wire image in place. Returns how many
 /// times the (possibly mangled) image should be delivered — 1 for every
@@ -286,7 +193,7 @@ mod tests {
         );
         assert_eq!(IngestFaultKind::parse_list("").unwrap(), vec![]);
         assert!(IngestFaultKind::parse_list("garbage,lava").is_err());
-        for kind in IngestFaultKind::ALL {
+        for &kind in IngestFaultKind::ALL {
             assert_eq!(IngestFaultKind::parse(kind.label()), Some(kind));
         }
     }

@@ -9,11 +9,14 @@
 //! models that arrow as an infallible in-process call proves nothing
 //! about the recovery logic. This crate provides the adversary:
 //!
-//! * [`FaultKind`] — the five fault classes a transfer can suffer;
-//! * [`FaultPlan`] — a seeded schedule that decides, per fetch attempt,
-//!   whether (and which) fault fires, with kind-specific parameters drawn
-//!   from the same stream (fully reproducible: same seed, same faults);
-//! * [`FaultAction`] — one concrete injected fault;
+//! * [`Taxonomy`] — what a fault class enum supplies: its kinds, their
+//!   labels, and how one kind draws its parameters; every taxonomy shares
+//!   one comma-separated list parser ([`Taxonomy::parse_list`]);
+//! * [`Plan`] — the one seeded schedule: per attempt it decides whether
+//!   (and which) fault fires, with kind-specific parameters drawn from the
+//!   same stream (fully reproducible: same seed, same faults);
+//! * [`FaultKind`] / [`FaultAction`] / [`FaultPlan`] — the five fault
+//!   classes a transfer can suffer, one drawn fault, and their plan;
 //! * byte-mangling helpers ([`truncate_bytes`], [`flip_bytes`]) shared by
 //!   the transport wrapper and the tests;
 //! * [`ingest`] — the *inbound* taxonomy: what raw mobile traffic does to
@@ -38,11 +41,119 @@ pub mod ingest;
 pub mod socket;
 
 pub use disk::{
-    crash_error, CrashFlavor, DiskFaultControls, DiskFaultKind, DiskFaultPlan, DiskIo, FaultyDisk,
-    RealDisk,
+    crash_error, CrashFlavor, DiskFault, DiskFaultControls, DiskFaultKind, DiskFaultPlan, DiskIo,
+    FaultyDisk, RealDisk,
 };
 pub use ingest::{apply_ingest_fault, IngestFault, IngestFaultKind, IngestFaultPlan};
 pub use socket::{garbage_preamble, SocketFault, SocketFaultKind, SocketFaultPlan};
+
+/// The kind enum of one seeded fault taxonomy: transport ([`FaultKind`]),
+/// intake ([`IngestFaultKind`]), socket ([`SocketFaultKind`]) or disk
+/// ([`DiskFaultKind`]).
+///
+/// A taxonomy names its kinds and says how one kind draws its
+/// parameters; [`Plan`] supplies the seeded schedule around that draw.
+pub trait Taxonomy: Copy + PartialEq + 'static {
+    /// One drawn fault, with its parameters.
+    type Fault;
+    /// Every kind, in canonical order.
+    const ALL: &'static [Self];
+    /// What parse errors call one kind (`"ingest fault"`).
+    const NOUN: &'static str;
+
+    /// Stable lower-case label (CLI list syntax, event logs).
+    fn label(self) -> &'static str;
+
+    /// Draw this kind's parameters from the plan's stream.
+    fn draw(self, rng: &mut StdRng) -> Self::Fault;
+
+    /// Parse one label.
+    fn parse(label: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|k| k.label() == label)
+    }
+
+    /// Parse a comma-separated list (`"drop,corrupt"`). The wildcard
+    /// `"all"` enables every kind. Blanks are ignored, duplicates
+    /// collapse, and the order follows [`Taxonomy::ALL`], not the input.
+    fn parse_list(list: &str) -> Result<Vec<Self>, String> {
+        let mut enabled = Vec::new();
+        for part in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            match Self::parse(part) {
+                Some(kind) => enabled.push(kind),
+                None if part == "all" => enabled.extend_from_slice(Self::ALL),
+                None => {
+                    let labels: Vec<&str> = Self::ALL.iter().map(|k| k.label()).collect();
+                    return Err(format!(
+                        "unknown {} {part:?} (expected one of {}, all)",
+                        Self::NOUN,
+                        labels.join(", ")
+                    ));
+                }
+            }
+        }
+        Ok(Self::ALL
+            .iter()
+            .copied()
+            .filter(|k| enabled.contains(k))
+            .collect())
+    }
+}
+
+/// A seeded fault schedule over one [`Taxonomy`]: one draw per attempt
+/// (a fetch, an arriving wire image, a connection or a mutating disk
+/// operation).
+///
+/// With probability `intensity` the attempt suffers a fault, chosen
+/// uniformly among the enabled kinds, with the kind's parameters drawn
+/// from the same seeded stream. The plan is `Clone`, so a scenario can be
+/// replayed byte-for-byte from a saved copy: same seed, same faults.
+#[derive(Debug, Clone)]
+pub struct Plan<K> {
+    rng: StdRng,
+    kinds: Vec<K>,
+    intensity: f64,
+    injected: u64,
+}
+
+impl<K: Taxonomy> Plan<K> {
+    /// A plan injecting `kinds` with per-attempt probability `intensity`
+    /// (clamped to `[0, 1]`), driven by `seed`. Duplicate kinds collapse;
+    /// an empty kind list yields a plan that never fires.
+    pub fn new(seed: u64, kinds: &[K], intensity: f64) -> Self {
+        let mut uniq: Vec<K> = Vec::new();
+        for &k in kinds {
+            if !uniq.contains(&k) {
+                uniq.push(k);
+            }
+        }
+        Plan {
+            rng: StdRng::seed_from_u64(seed),
+            kinds: uniq,
+            intensity: intensity.clamp(0.0, 1.0),
+            injected: 0,
+        }
+    }
+
+    /// A plan injecting every kind of the taxonomy.
+    pub fn chaos(seed: u64, intensity: f64) -> Self {
+        Plan::new(seed, K::ALL, intensity)
+    }
+
+    /// Decide the fate of the next attempt: `None` = no fault.
+    pub fn next_action(&mut self) -> Option<K::Fault> {
+        if self.kinds.is_empty() || !self.rng.random_bool(self.intensity) {
+            return None;
+        }
+        let kind = self.kinds[self.rng.random_range(0..self.kinds.len() as u64) as usize];
+        self.injected += 1;
+        Some(kind.draw(&mut self.rng))
+    }
+
+    /// Faults injected so far.
+    pub fn injected(&self) -> u64 {
+        self.injected
+    }
+}
 
 /// A class of injectable transport fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -59,18 +170,18 @@ pub enum FaultKind {
     Corrupt,
 }
 
-impl FaultKind {
-    /// Every fault kind, in canonical order.
-    pub const ALL: [FaultKind; 5] = [
+impl Taxonomy for FaultKind {
+    type Fault = FaultAction;
+    const ALL: &'static [FaultKind] = &[
         FaultKind::Drop,
         FaultKind::Delay,
         FaultKind::Duplicate,
         FaultKind::Truncate,
         FaultKind::Corrupt,
     ];
+    const NOUN: &'static str = "fault";
 
-    /// Stable lower-case label (CLI `--faults` syntax, event logs).
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",
             FaultKind::Delay => "delay",
@@ -80,45 +191,21 @@ impl FaultKind {
         }
     }
 
-    /// Parse one label.
-    pub fn parse(label: &str) -> Option<FaultKind> {
-        FaultKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    /// Parse a comma-separated fault list (`"drop,corrupt"`). The
-    /// wildcard `"all"` enables every kind. Duplicates are collapsed;
-    /// order follows [`FaultKind::ALL`], not the input.
-    pub fn parse_list(list: &str) -> Result<Vec<FaultKind>, String> {
-        let mut enabled = [false; FaultKind::ALL.len()];
-        for part in list.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if part == "all" {
-                enabled = [true; FaultKind::ALL.len()];
-                continue;
-            }
-            match FaultKind::parse(part) {
-                Some(kind) => enabled[kind as usize] = true,
-                None => {
-                    return Err(format!(
-                        "unknown fault {part:?} (expected one of drop, delay, duplicate, \
-                         truncate, corrupt, all)"
-                    ))
-                }
-            }
+    fn draw(self, rng: &mut StdRng) -> FaultAction {
+        match self {
+            FaultKind::Drop => FaultAction::Drop,
+            FaultKind::Delay => FaultAction::Delay {
+                ms: rng.random_range(50u64..4000),
+            },
+            FaultKind::Duplicate => FaultAction::Duplicate,
+            FaultKind::Truncate => FaultAction::Truncate {
+                keep_permille: rng.random_range(0u16..1000),
+            },
+            FaultKind::Corrupt => FaultAction::Corrupt {
+                flips: rng.random_range(1u8..8),
+                seed: rng.random(),
+            },
         }
-        Ok(FaultKind::ALL
-            .into_iter()
-            .filter(|k| enabled[*k as usize])
-            .collect())
-    }
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -161,83 +248,8 @@ impl FaultAction {
     }
 }
 
-/// A seeded fault schedule: one draw per fetch attempt.
-///
-/// With probability `intensity` the attempt suffers a fault, chosen
-/// uniformly among the enabled kinds with parameters drawn from the same
-/// seeded stream. The plan is `Clone`, so a scenario can be replayed
-/// byte-for-byte from a saved copy.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    rng: StdRng,
-    kinds: Vec<FaultKind>,
-    intensity: f64,
-    injected: u64,
-}
-
-impl FaultPlan {
-    /// A plan injecting `kinds` with per-attempt probability `intensity`
-    /// (clamped to `[0, 1]`), driven by `seed`. An empty kind list yields
-    /// a plan that never fires.
-    pub fn new(seed: u64, kinds: &[FaultKind], intensity: f64) -> Self {
-        let mut uniq: Vec<FaultKind> = Vec::new();
-        for &k in kinds {
-            if !uniq.contains(&k) {
-                uniq.push(k);
-            }
-        }
-        FaultPlan {
-            rng: StdRng::seed_from_u64(seed),
-            kinds: uniq,
-            intensity: intensity.clamp(0.0, 1.0),
-            injected: 0,
-        }
-    }
-
-    /// A plan that injects every fault kind.
-    pub fn chaos(seed: u64, intensity: f64) -> Self {
-        FaultPlan::new(seed, &FaultKind::ALL, intensity)
-    }
-
-    /// A plan that never injects anything.
-    pub fn quiet() -> Self {
-        FaultPlan::new(0, &[], 0.0)
-    }
-
-    /// Decide the fate of the next attempt: `None` = deliver faithfully.
-    pub fn next_action(&mut self) -> Option<FaultAction> {
-        if self.kinds.is_empty() || !self.rng.random_bool(self.intensity) {
-            return None;
-        }
-        let kind = self.kinds[self.rng.random_range(0..self.kinds.len() as u64) as usize];
-        let action = match kind {
-            FaultKind::Drop => FaultAction::Drop,
-            FaultKind::Delay => FaultAction::Delay {
-                ms: self.rng.random_range(50u64..4000),
-            },
-            FaultKind::Duplicate => FaultAction::Duplicate,
-            FaultKind::Truncate => FaultAction::Truncate {
-                keep_permille: self.rng.random_range(0u16..1000),
-            },
-            FaultKind::Corrupt => FaultAction::Corrupt {
-                flips: self.rng.random_range(1u8..8),
-                seed: self.rng.random(),
-            },
-        };
-        self.injected += 1;
-        Some(action)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Enabled fault kinds (canonical order, deduplicated).
-    pub fn kinds(&self) -> &[FaultKind] {
-        &self.kinds
-    }
-}
+/// The transport plan: one draw per fetch attempt.
+pub type FaultPlan = Plan<FaultKind>;
 
 /// Cut `data` down to `keep_permille`/1000 of its length (at least
 /// removing one byte when the payload is non-empty, so a truncation fault
@@ -282,7 +294,7 @@ mod tests {
         assert_eq!(FaultKind::parse_list("all").unwrap(), FaultKind::ALL.to_vec());
         assert_eq!(FaultKind::parse_list("").unwrap(), vec![]);
         assert!(FaultKind::parse_list("drop,fire").is_err());
-        for kind in FaultKind::ALL {
+        for &kind in FaultKind::ALL {
             assert_eq!(FaultKind::parse(kind.label()), Some(kind));
         }
     }
@@ -304,7 +316,7 @@ mod tests {
 
     #[test]
     fn quiet_and_zero_intensity_never_fire() {
-        let mut q = FaultPlan::quiet();
+        let mut q = FaultPlan::new(0, &[], 0.0);
         let mut z = FaultPlan::chaos(7, 0.0);
         for _ in 0..100 {
             assert_eq!(q.next_action(), None);
@@ -347,5 +359,114 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, orig, "non-zero mask guarantees a real change");
         flip_bytes(&mut [], 11, 4); // empty input: no panic
+    }
+
+    /// FNV-1a over the `Debug` text of a plan's first 64 draws: a change
+    /// to the gate, the kind draw or any kind's parameter draws moves it.
+    fn schedule_digest<F: std::fmt::Debug>(mut draw: impl FnMut() -> Option<F>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..64 {
+            for b in format!("{:?};", draw()).bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The (seed, intensity) pairs every plan is pinned at, all kinds on.
+    const PINS: [(u64, f64); 2] = [(7, 0.5), (2024, 0.85)];
+
+    #[test]
+    fn transport_schedule_is_pinned() {
+        let all = PINS.map(|(seed, p)| {
+            let mut plan = FaultPlan::chaos(seed, p);
+            schedule_digest(|| plan.next_action())
+        });
+        let mut two = FaultPlan::new(3, &[FaultKind::Corrupt, FaultKind::Delay], 0.7);
+        let got = (all, schedule_digest(|| two.next_action()));
+        assert_eq!(
+            got,
+            (
+                [0x6634_1a2c_db13_8fdb, 0x8ab9_2d9a_e522_39f4],
+                0xcc5a_a414_dc50_4a38
+            )
+        );
+    }
+
+    #[test]
+    fn ingest_schedule_is_pinned() {
+        let all = PINS.map(|(seed, p)| {
+            let mut plan = IngestFaultPlan::chaos(seed, p);
+            schedule_digest(|| plan.next_action())
+        });
+        let two = [IngestFaultKind::SlowDrip, IngestFaultKind::Garbage];
+        let mut two = IngestFaultPlan::new(3, &two, 0.7);
+        let got = (all, schedule_digest(|| two.next_action()));
+        assert_eq!(
+            got,
+            (
+                [0xb8b1_54c5_b0b1_628b, 0x4053_6533_54c0_4c55],
+                0x1969_ccc3_045e_7dab
+            )
+        );
+    }
+
+    #[test]
+    fn socket_schedule_is_pinned() {
+        let all = PINS.map(|(seed, p)| {
+            let mut plan = SocketFaultPlan::chaos(seed, p);
+            schedule_digest(|| plan.next_action())
+        });
+        let two = [SocketFaultKind::Stall, SocketFaultKind::Chop];
+        let mut two = SocketFaultPlan::new(3, &two, 0.7);
+        let got = (all, schedule_digest(|| two.next_action()));
+        assert_eq!(
+            got,
+            (
+                [0xc37d_9364_aa70_7da0, 0xeb5c_34fa_5fbc_e79b],
+                0x2658_7bd9_d8e1_c138
+            )
+        );
+    }
+
+    #[test]
+    fn disk_schedule_is_pinned() {
+        let all = PINS.map(|(seed, p)| {
+            let mut plan = DiskFaultPlan::chaos(seed, p);
+            schedule_digest(|| plan.next_action())
+        });
+        let two = [DiskFaultKind::Crash, DiskFaultKind::TornRecord];
+        let mut two = DiskFaultPlan::new(3, &two, 0.7);
+        let got = (all, schedule_digest(|| two.next_action()));
+        assert_eq!(
+            got,
+            (
+                [0x643f_836f_721b_154c, 0x701e_d16b_96aa_87d9],
+                0xc828_2b8a_678b_2c1e
+            )
+        );
+    }
+
+    #[test]
+    fn unknown_labels_name_the_taxonomy_and_its_labels() {
+        let errs = [
+            FaultKind::parse_list("drop,fire").unwrap_err(),
+            IngestFaultKind::parse_list("garbage,lava").unwrap_err(),
+            SocketFaultKind::parse_list("chop,sharks").unwrap_err(),
+            DiskFaultKind::parse_list("torn,flood").unwrap_err(),
+        ];
+        assert_eq!(
+            errs,
+            [
+                "unknown fault \"fire\" (expected one of drop, delay, duplicate, truncate, \
+                 corrupt, all)",
+                "unknown ingest fault \"lava\" (expected one of garbage, oversize, headerbomb, \
+                 dupflood, slowdrip, all)",
+                "unknown socket fault \"sharks\" (expected one of chop, stall, reset, garbage, \
+                 halfframe, all)",
+                "unknown disk fault \"flood\" (expected one of shortwrite, torn, fsyncfail, \
+                 enospc, crash, all)",
+            ]
+        );
     }
 }

@@ -16,6 +16,7 @@
 //! writes, real stalls, abrupt closes — lives with the TCP client
 //! (`leaksig-net`), keeping this crate free of wall-clock behaviour.
 
+use crate::{Plan, Taxonomy};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,18 +40,18 @@ pub enum SocketFaultKind {
     HalfFrame,
 }
 
-impl SocketFaultKind {
-    /// Every socket fault kind, in canonical order.
-    pub const ALL: [SocketFaultKind; 5] = [
+impl Taxonomy for SocketFaultKind {
+    type Fault = SocketFault;
+    const ALL: &'static [SocketFaultKind] = &[
         SocketFaultKind::Chop,
         SocketFaultKind::Stall,
         SocketFaultKind::Reset,
         SocketFaultKind::Garbage,
         SocketFaultKind::HalfFrame,
     ];
+    const NOUN: &'static str = "socket fault";
 
-    /// Stable lower-case label (CLI `--net` syntax, event logs).
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             SocketFaultKind::Chop => "chop",
             SocketFaultKind::Stall => "stall",
@@ -60,45 +61,28 @@ impl SocketFaultKind {
         }
     }
 
-    /// Parse one label.
-    pub fn parse(label: &str) -> Option<SocketFaultKind> {
-        SocketFaultKind::ALL.into_iter().find(|k| k.label() == label)
-    }
-
-    /// Parse a comma-separated fault list (`"chop,reset"`). The wildcard
-    /// `"all"` enables every kind. Duplicates are collapsed; order
-    /// follows [`SocketFaultKind::ALL`], not the input.
-    pub fn parse_list(list: &str) -> Result<Vec<SocketFaultKind>, String> {
-        let mut enabled = [false; SocketFaultKind::ALL.len()];
-        for part in list.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if part == "all" {
-                enabled = [true; SocketFaultKind::ALL.len()];
-                continue;
-            }
-            match SocketFaultKind::parse(part) {
-                Some(kind) => enabled[kind as usize] = true,
-                None => {
-                    return Err(format!(
-                        "unknown socket fault {part:?} (expected one of chop, stall, reset, \
-                         garbage, halfframe, all)"
-                    ))
-                }
-            }
+    fn draw(self, rng: &mut StdRng) -> SocketFault {
+        match self {
+            SocketFaultKind::Chop => SocketFault::Chop {
+                chunk: rng.random_range(1u16..16),
+            },
+            SocketFaultKind::Stall => SocketFault::Stall {
+                keep_permille: rng.random_range(100u16..900),
+                // Always long enough to trip any sane frame deadline,
+                // short enough that a soak stays fast.
+                ms: rng.random_range(300u64..600),
+            },
+            SocketFaultKind::Reset => SocketFault::Reset {
+                keep_permille: rng.random_range(0u16..950),
+            },
+            SocketFaultKind::Garbage => SocketFault::Garbage {
+                bytes: rng.random_range(8u16..256),
+                seed: rng.random(),
+            },
+            SocketFaultKind::HalfFrame => SocketFault::HalfFrame {
+                keep_permille: rng.random_range(50u16..950),
+            },
         }
-        Ok(SocketFaultKind::ALL
-            .into_iter()
-            .filter(|k| enabled[*k as usize])
-            .collect())
-    }
-}
-
-impl std::fmt::Display for SocketFaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 
@@ -165,84 +149,8 @@ pub fn garbage_preamble(seed: u64, bytes: usize) -> Vec<u8> {
     out
 }
 
-/// A seeded connection-fault schedule: one draw per connection.
-///
-/// With probability `intensity` the connection suffers a fault, chosen
-/// uniformly among the enabled kinds with parameters drawn from the same
-/// stream. Same seed, same schedule.
-#[derive(Debug, Clone)]
-pub struct SocketFaultPlan {
-    rng: StdRng,
-    kinds: Vec<SocketFaultKind>,
-    intensity: f64,
-    injected: u64,
-}
-
-impl SocketFaultPlan {
-    /// A plan injecting `kinds` with per-connection probability
-    /// `intensity` (clamped to `[0, 1]`), driven by `seed`. An empty
-    /// kind list never fires.
-    pub fn new(seed: u64, kinds: &[SocketFaultKind], intensity: f64) -> Self {
-        let mut uniq: Vec<SocketFaultKind> = Vec::new();
-        for &k in kinds {
-            if !uniq.contains(&k) {
-                uniq.push(k);
-            }
-        }
-        SocketFaultPlan {
-            rng: StdRng::seed_from_u64(seed),
-            kinds: uniq,
-            intensity: intensity.clamp(0.0, 1.0),
-            injected: 0,
-        }
-    }
-
-    /// A plan injecting every socket fault kind.
-    pub fn chaos(seed: u64, intensity: f64) -> Self {
-        SocketFaultPlan::new(seed, &SocketFaultKind::ALL, intensity)
-    }
-
-    /// Decide the fate of the next connection: `None` = behave honestly.
-    pub fn next_action(&mut self) -> Option<SocketFault> {
-        if self.kinds.is_empty() || !self.rng.random_bool(self.intensity) {
-            return None;
-        }
-        let kind = self.kinds[self.rng.random_range(0..self.kinds.len() as u64) as usize];
-        let fault = match kind {
-            SocketFaultKind::Chop => SocketFault::Chop {
-                chunk: self.rng.random_range(1u16..16),
-            },
-            SocketFaultKind::Stall => SocketFault::Stall {
-                keep_permille: self.rng.random_range(100u16..900),
-                // Always long enough to trip any sane frame deadline,
-                // short enough that a soak stays fast.
-                ms: self.rng.random_range(300u64..600),
-            },
-            SocketFaultKind::Reset => SocketFault::Reset {
-                keep_permille: self.rng.random_range(0u16..950),
-            },
-            SocketFaultKind::Garbage => SocketFault::Garbage {
-                bytes: self.rng.random_range(8u16..256),
-                seed: self.rng.random(),
-            },
-            SocketFaultKind::HalfFrame => SocketFault::HalfFrame {
-                keep_permille: self.rng.random_range(50u16..950),
-            },
-        };
-        self.injected += 1;
-        Some(fault)
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Enabled fault kinds (canonical order, deduplicated).
-    pub fn kinds(&self) -> &[SocketFaultKind] {
-        &self.kinds
-    }
-}
+/// The connection plan: one draw per connection.
+pub type SocketFaultPlan = Plan<SocketFaultKind>;
 
 #[cfg(test)]
 mod tests {
@@ -264,7 +172,7 @@ mod tests {
         );
         assert_eq!(SocketFaultKind::parse_list("").unwrap(), vec![]);
         assert!(SocketFaultKind::parse_list("chop,sharks").is_err());
-        for kind in SocketFaultKind::ALL {
+        for &kind in SocketFaultKind::ALL {
             assert_eq!(SocketFaultKind::parse(kind.label()), Some(kind));
         }
     }

@@ -68,11 +68,6 @@ impl HeaderName {
             NameRepr::Owned(s) => s,
         }
     }
-
-    /// Whether this name hit the static intern table (diagnostics/tests).
-    pub fn is_interned(&self) -> bool {
-        matches!(self.0, NameRepr::Static(_))
-    }
 }
 
 impl std::ops::Deref for HeaderName {

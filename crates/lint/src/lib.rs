@@ -89,12 +89,6 @@ impl Linter {
         Linter { config, corpus }
     }
 
-    /// A linter measuring generality against caller-supplied benign
-    /// traffic instead of the bundled corpus (e.g. a site-local capture).
-    pub fn with_corpus(config: LintConfig, corpus: Vec<HttpPacket>) -> Self {
-        Linter { config, corpus }
-    }
-
     /// Number of packets in the corpus behind the L005 rule.
     pub fn corpus_len(&self) -> usize {
         self.corpus.len()

@@ -16,7 +16,7 @@
 use crate::proto::{encode_batch, encode_sync, BatchRecord, Reply};
 use leaksig_core::wire::{unframe_partial, FrameProgress, MAX_FRAME_HEADER};
 use leaksig_device::{Fetched, Transport, TransportError};
-use leaksig_faults::{garbage_preamble, SocketFault, SocketFaultKind, SocketFaultPlan};
+use leaksig_faults::{garbage_preamble, SocketFault, SocketFaultKind, SocketFaultPlan, Taxonomy};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
@@ -107,27 +107,21 @@ pub enum SyncReply {
 #[derive(Debug, Clone)]
 pub struct NetClient {
     addr: SocketAddr,
-    timeout: Duration,
 }
+
+/// Per-operation I/O timeout of a [`NetClient`].
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 impl NetClient {
     /// A client for `addr` with a 2-second I/O timeout.
     pub fn new(addr: SocketAddr) -> Self {
-        NetClient {
-            addr,
-            timeout: Duration::from_secs(2),
-        }
-    }
-
-    /// Override the per-operation I/O timeout.
-    pub fn with_timeout(addr: SocketAddr, timeout: Duration) -> Self {
-        NetClient { addr, timeout }
+        NetClient { addr }
     }
 
     fn connect(&self) -> std::io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.timeout)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        let stream = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(stream)
     }

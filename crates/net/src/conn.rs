@@ -62,7 +62,7 @@ fn prefix_compatible(buf: &[u8], pat: &[u8]) -> bool {
 /// Extract the next message from the front of `buf`.
 ///
 /// `max_body` bounds batch bodies (see
-/// [`crate::proto::decode_batch_partial`]). The dispatch is incremental:
+/// [`crate::proto::decode_batch_partial_ref`]). The dispatch is incremental:
 /// with one byte buffered, `b"S"` waits (could become `SYNC `), `b"L"`
 /// waits (could become `LEAKBATCH/1 `), `b"X"` rejects immediately —
 /// garbage never earns buffer space beyond its first divergent byte.

@@ -22,7 +22,7 @@
 //!   `CURRENT`, or `VERSION <v>\n` followed by a full `LEAKFRAME/1`
 //!   envelope of the published wire text.
 //!
-//! [`decode_batch_partial`] mirrors
+//! [`decode_batch_partial_ref`] mirrors
 //! [`leaksig_core::wire::unframe_partial`]'s three-way contract —
 //! *incomplete* (wait for more bytes), *complete* (consume exactly this
 //! many), *malformed* (reject the connection) — so a server can feed it
@@ -132,42 +132,13 @@ pub struct BatchRecordRef<'a> {
     pub port: u16,
 }
 
-impl BatchRecordRef<'_> {
-    /// Materialise an owned [`BatchRecord`].
-    pub fn to_owned(&self) -> BatchRecord {
-        BatchRecord {
-            raw: self.raw.to_vec(),
-            ip: self.ip,
-            port: self.port,
-        }
-    }
-}
-
-/// Streaming decode state for one batch envelope.
+/// Streaming decode state for one batch envelope. Record payloads stay
+/// in the receive buffer instead of being copied out.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchProgress {
+pub enum BatchProgressRef<'a> {
     /// Valid so far but not all there. `need` is the total envelope
     /// size once the header has been seen, `None` while even the header
     /// is still arriving.
-    Incomplete {
-        /// Total bytes (from the start of the envelope) needed, if known.
-        need: Option<usize>,
-    },
-    /// A whole envelope decoded; `consumed` bytes belong to it and the
-    /// rest of the buffer starts the next message.
-    Complete {
-        /// The decoded records, in wire order.
-        records: Vec<BatchRecord>,
-        /// Bytes of the buffer consumed by this envelope.
-        consumed: usize,
-    },
-}
-
-/// Borrowed counterpart of [`BatchProgress`]: record payloads stay in
-/// the receive buffer instead of being copied out.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BatchProgressRef<'a> {
-    /// Valid so far but not all there (see [`BatchProgress::Incomplete`]).
     Incomplete {
         /// Total bytes (from the start of the envelope) needed, if known.
         need: Option<usize>,
@@ -187,22 +158,9 @@ pub enum BatchProgressRef<'a> {
 /// past it) so a hostile header cannot command unbounded buffering.
 /// Identical to decoding the whole buffer at once: feeding prefixes
 /// returns `Incomplete` until the full envelope is present, never a
-/// different verdict.
-pub fn decode_batch_partial(data: &[u8], max_body: usize) -> Result<BatchProgress, BatchError> {
-    Ok(match decode_batch_partial_ref(data, max_body)? {
-        BatchProgressRef::Incomplete { need } => BatchProgress::Incomplete { need },
-        BatchProgressRef::Complete { records, consumed } => BatchProgress::Complete {
-            records: records.iter().map(BatchRecordRef::to_owned).collect(),
-            consumed,
-        },
-    })
-}
-
-/// Zero-copy variant of [`decode_batch_partial`]: identical verdicts for
-/// every input (the owned decoder is literally this plus a copy), but
-/// record payloads are returned as slices into `data` — the ingest hot
-/// path hands them straight to the detector without materialising a
-/// `Vec` per record.
+/// different verdict. Record payloads are returned as slices into
+/// `data`, so the ingest hot path hands them straight to the detector
+/// without materialising a `Vec` per record.
 pub fn decode_batch_partial_ref(
     data: &[u8],
     max_body: usize,
@@ -418,8 +376,8 @@ mod tests {
         let recs = records();
         let wire = encode_batch(&recs);
         for cut in 0..wire.len() {
-            match decode_batch_partial(&wire[..cut], 1 << 20) {
-                Ok(BatchProgress::Incomplete { need }) => {
+            match decode_batch_partial_ref(&wire[..cut], 1 << 20) {
+                Ok(BatchProgressRef::Incomplete { need }) => {
                     if let Some(need) = need {
                         assert_eq!(need, wire.len(), "need hint must be exact at cut {cut}");
                     }
@@ -429,20 +387,24 @@ mod tests {
         }
         let mut with_trailer = wire.clone();
         with_trailer.extend_from_slice(b"SYNC 3\n");
-        let Ok(BatchProgress::Complete { records, consumed }) =
-            decode_batch_partial(&with_trailer, 1 << 20)
+        let Ok(BatchProgressRef::Complete { records, consumed }) =
+            decode_batch_partial_ref(&with_trailer, 1 << 20)
         else {
             panic!("full envelope must decode");
         };
-        assert_eq!(records, recs);
+        let views: Vec<(&[u8], Ipv4Addr, u16)> =
+            records.iter().map(|r| (r.raw, r.ip, r.port)).collect();
+        let want: Vec<(&[u8], Ipv4Addr, u16)> =
+            recs.iter().map(|r| (&r.raw[..], r.ip, r.port)).collect();
+        assert_eq!(views, want);
         assert_eq!(consumed, wire.len(), "trailer belongs to the next message");
     }
 
     #[test]
     fn empty_batch_roundtrips() {
         let wire = encode_batch(&[]);
-        let Ok(BatchProgress::Complete { records, consumed }) =
-            decode_batch_partial(&wire, 1 << 20)
+        let Ok(BatchProgressRef::Complete { records, consumed }) =
+            decode_batch_partial_ref(&wire, 1 << 20)
         else {
             panic!("empty batch must decode");
         };
@@ -453,18 +415,18 @@ mod tests {
     #[test]
     fn malformed_batches_are_rejected_not_buffered() {
         // First divergent byte is enough.
-        assert_eq!(decode_batch_partial(b"X", 1 << 20), Err(BatchError::BadHeader));
+        assert_eq!(decode_batch_partial_ref(b"X", 1 << 20), Err(BatchError::BadHeader));
         assert_eq!(
-            decode_batch_partial(b"\xff\xfe\xfd", 1 << 20),
+            decode_batch_partial_ref(b"\xff\xfe\xfd", 1 << 20),
             Err(BatchError::BadHeader)
         );
         // A headerless flood larger than any legal line is malformed.
         let flood = vec![b'L'; MAX_CONTROL_LINE + 1];
-        assert_eq!(decode_batch_partial(&flood, 1 << 20), Err(BatchError::BadHeader));
+        assert_eq!(decode_batch_partial_ref(&flood, 1 << 20), Err(BatchError::BadHeader));
         // Oversized declared body is refused before it is buffered.
         let wire = encode_batch(&records());
         assert!(matches!(
-            decode_batch_partial(&wire, 4),
+            decode_batch_partial_ref(&wire, 4),
             Err(BatchError::TooLarge { .. })
         ));
         // A flipped body byte fails the checksum.
@@ -472,7 +434,7 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert_eq!(
-            decode_batch_partial(&bad, 1 << 20),
+            decode_batch_partial_ref(&bad, 1 << 20),
             Err(BatchError::ChecksumMismatch)
         );
         // A checksum-consistent but record-inconsistent body is refused:
@@ -486,13 +448,13 @@ mod tests {
         let mut forged = forged.into_bytes();
         forged.extend_from_slice(body);
         assert_eq!(
-            decode_batch_partial(&forged, 1 << 20),
+            decode_batch_partial_ref(&forged, 1 << 20),
             Err(BatchError::BadRecord)
         );
         // Count cannot exceed what the body could possibly hold.
         let empty_body_header = format!("{BATCH_MAGIC} 5 0 {}\n", leaksig_hash::sha1_hex(b""));
         assert_eq!(
-            decode_batch_partial(empty_body_header.as_bytes(), 1 << 20),
+            decode_batch_partial_ref(empty_body_header.as_bytes(), 1 << 20),
             Err(BatchError::BadRecord)
         );
     }

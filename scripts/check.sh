@@ -67,6 +67,17 @@ CLI=target/release/leaksig-cli
 "$CLI" analyze --sigs "$ANALYZE_DIR/gen2.txt"
 "$CLI" analyze --diff "$ANALYZE_DIR/gen1.txt" --new "$ANALYZE_DIR/gen2.txt"
 
+# Seed replay gate: a seeded chaos run must print the same stdout every
+# time. Only the wall-clock stage-timing line may differ between runs.
+echo "==> seed replay (chaos --seed 3 --ingest all, --disk all)"
+for mode in ingest disk; do
+  for run in 1 2; do
+    "$CLI" chaos --seed 3 --"$mode" all | grep -v '^  stage times: ' \
+      > "$ANALYZE_DIR/replay-$mode-$run.txt"
+  done
+  diff -u "$ANALYZE_DIR/replay-$mode-1.txt" "$ANALYZE_DIR/replay-$mode-2.txt"
+done
+
 echo "==> bench smoke"
 scripts/bench.sh --smoke
 

@@ -20,7 +20,7 @@ use leaksig::device::{
     QuarantineReason, RateLimit, RegenerateOutcome, RegenerationSupervisor, SignatureServer,
     SignatureStore, SupervisorConfig,
 };
-use leaksig::faults::{apply_ingest_fault, IngestFault, IngestFaultKind, IngestFaultPlan};
+use leaksig::faults::{apply_ingest_fault, IngestFault, IngestFaultPlan};
 use leaksig::http::{HttpPacket, RequestBuilder};
 use leaksig::netsim::{Dataset, MarketConfig, SensitiveKind};
 use std::net::Ipv4Addr;
@@ -83,7 +83,7 @@ fn ingest_chaos_soak_across_seeds() {
         // Epoch 1: first half of the capture arrives as raw bytes, 30%
         // of the wire images mangled by the seeded fault plan.
         let half = data.packets.len() / 2;
-        let mut plan = IngestFaultPlan::new(seed, &IngestFaultKind::ALL, INTENSITY);
+        let mut plan = IngestFaultPlan::chaos(seed, INTENSITY);
         for p in &data.packets[..half] {
             let mut raw = p.packet.to_bytes();
             let copies = match plan.next_action() {
