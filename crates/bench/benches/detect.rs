@@ -89,7 +89,10 @@ fn bench_detect(c: &mut Criterion) {
         .map(|p| set.signatures.iter().any(|s| s.matches(p)))
         .collect();
     assert_eq!(detector.scan_refs(&refs), naive, "engine/naive disagree");
-    assert!(naive.iter().any(|&m| m), "no hits — bench would be all-reject");
+    assert!(
+        naive.iter().any(|&m| m),
+        "no hits — bench would be all-reject"
+    );
 
     let mut g = c.benchmark_group("detect");
     g.throughput(Throughput::Elements(n_packets as u64));
@@ -194,8 +197,7 @@ fn bench_detect(c: &mut Criterion) {
         // Full raw→verdict path: arena-backed parse plus scan, serial.
         let mut scanner = detector.scanner();
         b.iter(|| {
-            let verdicts =
-                scanner.scan_batch(records.iter().copied(), &limits);
+            let verdicts = scanner.scan_batch(records.iter().copied(), &limits);
             black_box(verdicts.iter().filter(|v| v.matched.is_some()).count())
         })
     });

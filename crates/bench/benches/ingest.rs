@@ -73,7 +73,10 @@ fn server(queue_capacity: usize) -> CollectionServer<SensitiveKind> {
 /// directory — what `ingest_raw` costs when every classification is
 /// journaled (group commit, default batching). Each iteration gets its
 /// own directory so recovery work never leaks between samples.
-fn durable_server(queue_capacity: usize, root: &std::path::Path) -> CollectionServer<SensitiveKind> {
+fn durable_server(
+    queue_capacity: usize,
+    root: &std::path::Path,
+) -> CollectionServer<SensitiveKind> {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = root.join(format!("wal-{}", NEXT.fetch_add(1, Ordering::Relaxed)));
     let (store, _) = WalStore::open(&dir, Box::new(RealDisk), WalConfig::default())

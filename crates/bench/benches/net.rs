@@ -59,7 +59,11 @@ fn upload_batches(n: usize) -> Arc<Vec<Vec<BatchRecord>>> {
             .take(n)
             .collect::<Vec<_>>()
             .chunks(64)
-            .map(|c| c.iter().map(|p| BatchRecord::from_packet(&p.packet)).collect())
+            .map(|c| {
+                c.iter()
+                    .map(|p| BatchRecord::from_packet(&p.packet))
+                    .collect()
+            })
             .collect(),
     )
 }
@@ -105,9 +109,23 @@ fn bench_net(c: &mut Criterion) {
     // smoke run, so it is not what we assert on.)
     {
         let stats = drive(collector(), &batches, conns, &FAST_FAULTS, 0.0);
-        assert_eq!(stats.batches, batches.len() as u64, "clean run lost batches: {stats:?}");
-        let stats = drive(collector(), &batches, conns, &[SocketFaultKind::Garbage], 1.0);
-        assert_eq!(stats.rejected, batches.len() as u64, "garbage not rejected: {stats:?}");
+        assert_eq!(
+            stats.batches,
+            batches.len() as u64,
+            "clean run lost batches: {stats:?}"
+        );
+        let stats = drive(
+            collector(),
+            &batches,
+            conns,
+            &[SocketFaultKind::Garbage],
+            1.0,
+        );
+        assert_eq!(
+            stats.rejected,
+            batches.len() as u64,
+            "garbage not rejected: {stats:?}"
+        );
     }
 
     let mut g = c.benchmark_group("net");

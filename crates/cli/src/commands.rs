@@ -139,9 +139,7 @@ pub fn serve(args: &Args) -> Result<i32, String> {
         ..IngestConfig::default()
     };
     let collector = Arc::new(match args.optional("state-dir") {
-        None => {
-            CollectionServer::with_intake(check, PipelineConfig::default(), 400, seed, intake)
-        }
+        None => CollectionServer::with_intake(check, PipelineConfig::default(), 400, seed, intake),
         Some(dir) => {
             let (store, report) = WalStore::open(
                 dir,
@@ -156,7 +154,11 @@ pub fn serve(args: &Args) -> Result<i32, String> {
                 "state dir {dir}: snapshot gen {:?}, {} ops replayed{}{}, {} temp(s) swept",
                 report.snapshot_generation,
                 report.replayed_ops,
-                if report.torn_tail { ", torn tail discarded" } else { "" },
+                if report.torn_tail {
+                    ", torn tail discarded"
+                } else {
+                    ""
+                },
                 if report.corrupt_tail {
                     ", corrupt tail discarded"
                 } else {
@@ -321,7 +323,9 @@ pub fn send(args: &Args) -> Result<i32, String> {
         admitted
     );
     if let Some(raw) = args.optional("sync") {
-        let have: u64 = raw.parse().map_err(|_| format!("--sync: bad version {raw:?}"))?;
+        let have: u64 = raw
+            .parse()
+            .map_err(|_| format!("--sync: bad version {raw:?}"))?;
         match NetClient::new(addr).sync(have).map_err(|e| e.to_string())? {
             SyncReply::Current => println!("sync: already current at v{have}"),
             SyncReply::Installed { version, frame } => {
@@ -345,7 +349,9 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
     use std::sync::Arc;
 
     let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let intensity: f64 = args.parsed_or("intensity", 0.3).map_err(|e| e.to_string())?;
+    let intensity: f64 = args
+        .parsed_or("intensity", 0.3)
+        .map_err(|e| e.to_string())?;
     if !(0.0..=1.0).contains(&intensity) {
         return Err(format!("--intensity must be in [0, 1], got {intensity}"));
     }
@@ -386,11 +392,14 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
     let batches: Vec<Vec<BatchRecord>> = data
         .packets
         .chunks(32)
-        .map(|c| c.iter().map(|p| BatchRecord::from_packet(&p.packet)).collect())
+        .map(|c| {
+            c.iter()
+                .map(|p| BatchRecord::from_packet(&p.packet))
+                .collect()
+        })
         .collect();
     let mut plan = SocketFaultPlan::new(seed, &kinds, intensity);
-    let events =
-        drive_chaos(server.addr(), &mut plan, &batches).map_err(|e| e.to_string())?;
+    let events = drive_chaos(server.addr(), &mut plan, &batches).map_err(|e| e.to_string())?;
     for e in &events {
         println!("  {e}");
     }
@@ -435,7 +444,11 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
         "\n{} socket faults injected; reconciliation {}; device {}",
         plan.injected(),
         if reconciled { "ok" } else { "FAILED" },
-        if converged { "converged" } else { "DID NOT CONVERGE" }
+        if converged {
+            "converged"
+        } else {
+            "DID NOT CONVERGE"
+        }
     );
     Ok(if reconciled && converged { 0 } else { 1 })
 }
@@ -454,7 +467,9 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
     use leaksig_faults::{CrashFlavor, DiskFaultKind, DiskFaultPlan, FaultyDisk, RealDisk};
 
     let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let intensity: f64 = args.parsed_or("intensity", 0.2).map_err(|e| e.to_string())?;
+    let intensity: f64 = args
+        .parsed_or("intensity", 0.2)
+        .map_err(|e| e.to_string())?;
     if !(0.0..=1.0).contains(&intensity) {
         return Err(format!("--intensity must be in [0, 1], got {intensity}"));
     }
@@ -466,9 +481,8 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
 
     let data = Dataset::generate(MarketConfig::scaled(seed, 0.01));
     let packets: Vec<_> = data.packets.iter().take(150).collect();
-    let check = || -> PayloadCheck<SensitiveKind> {
-        PayloadCheck::new(data.model.device.all_values())
-    };
+    let check =
+        || -> PayloadCheck<SensitiveKind> { PayloadCheck::new(data.model.device.all_values()) };
     // Small WAL groups/compaction windows so a 150-packet run exercises
     // the whole protocol: group commit, compaction, prune.
     let config = WalConfig {
@@ -486,7 +500,8 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
             store,
         )
     };
-    let scratch = std::env::temp_dir().join(format!("leaksig-diskchaos-{seed}-{}", std::process::id()));
+    let scratch =
+        std::env::temp_dir().join(format!("leaksig-diskchaos-{seed}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
 
     // The gold twin: same seed, same packets, memory-backed. Its state
@@ -527,7 +542,11 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
         ctl.mutations(),
         collector.durability().label(),
         s.durability_degraded,
-        if ctl.crashed() { ", then the disk died" } else { "" }
+        if ctl.crashed() {
+            ", then the disk died"
+        } else {
+            ""
+        }
     );
     drop(collector);
     let (recovered, report) =
@@ -546,8 +565,16 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
         report.snapshot_generation,
         report.replayed_ops,
         if report.torn_tail { ", torn tail" } else { "" },
-        if report.corrupt_tail { ", corrupt tail" } else { "" },
-        if soak_prefix { "a clean prefix" } else { "NOT A PREFIX" }
+        if report.corrupt_tail {
+            ", corrupt tail"
+        } else {
+            ""
+        },
+        if soak_prefix {
+            "a clean prefix"
+        } else {
+            "NOT A PREFIX"
+        }
     );
     drop(recovered);
 
@@ -638,7 +665,9 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
 
     let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
     let kinds: Vec<FaultKind> = FaultKind::parse_list(args.optional("faults").unwrap_or("all"))?;
-    let intensity: f64 = args.parsed_or("intensity", 0.5).map_err(|e| e.to_string())?;
+    let intensity: f64 = args
+        .parsed_or("intensity", 0.5)
+        .map_err(|e| e.to_string())?;
     if !(0.0..=1.0).contains(&intensity) {
         return Err(format!("--intensity must be in [0, 1], got {intensity}"));
     }
@@ -653,7 +682,9 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         .optional("ingest")
         .map(IngestFaultKind::parse_list)
         .transpose()?;
-    let deadline_ms: u64 = args.parsed_or("deadline", 5_000).map_err(|e| e.to_string())?;
+    let deadline_ms: u64 = args
+        .parsed_or("deadline", 5_000)
+        .map_err(|e| e.to_string())?;
 
     println!(
         "chaos: seed {seed}, faults [{}], intensity {intensity}, {rounds} rounds",
@@ -1012,7 +1043,11 @@ pub fn lint(args: &Args) -> Result<i32, String> {
         "json" => println!("{}", leaksig_lint::render_json(&diags)),
         other => return Err(format!("--format must be text|json, got {other:?}")),
     }
-    Ok(if leaksig_lint::has_errors(&diags) { 1 } else { 0 })
+    Ok(if leaksig_lint::has_errors(&diags) {
+        1
+    } else {
+        0
+    })
 }
 
 /// `inspect`: human-readable dump of a signature file.
@@ -1108,7 +1143,11 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
                 if report.dominance.len() == 1 { "" } else { "s" },
                 report.dead.len(),
                 report.refuted_shadows.len(),
-                if report.refuted_shadows.len() == 1 { "" } else { "s" },
+                if report.refuted_shadows.len() == 1 {
+                    ""
+                } else {
+                    "s"
+                },
                 report.overlaps.len(),
                 if report.overlaps.len() == 1 { "" } else { "s" },
                 report.undecided.len(),
@@ -1148,7 +1187,11 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
         }
         other => return Err(format!("--format must be text|json, got {other:?}")),
     }
-    Ok(if leaksig_lint::has_errors(&diags) { 1 } else { 0 })
+    Ok(if leaksig_lint::has_errors(&diags) {
+        1
+    } else {
+        0
+    })
 }
 
 fn print_diff(
@@ -1156,11 +1199,7 @@ fn print_diff(
     old: &SignatureSet,
     new: &SignatureSet,
 ) {
-    println!(
-        "generation diff under {:?}: {}",
-        diff.mode,
-        diff.summary()
-    );
+    println!("generation diff under {:?}: {}", diff.mode, diff.summary());
     let witness_line = |w: &Option<leaksig_core::analyze::Witness>| match w {
         Some(w) => format!("\n      witness: {}", w.describe()),
         None => String::new(),

@@ -127,7 +127,15 @@ fn lint_flags_injected_generic_signature() {
         "market", "--out", &cap, "--device", &dev, "--seed", "11", "--scale", "0.03",
     ]);
     run_ok(&[
-        "generate", "--capture", &cap, "--device", &dev, "--out", &sigs, "--n", "80",
+        "generate",
+        "--capture",
+        &cap,
+        "--device",
+        &dev,
+        "--out",
+        &sigs,
+        "--n",
+        "80",
     ]);
 
     // Clean set: exit 0 in both formats, stable JSON schema.
@@ -216,7 +224,15 @@ fn analyze_proves_dead_signatures_and_diffs_generations() {
         "market", "--out", &cap, "--device", &dev, "--seed", "13", "--scale", "0.03",
     ]);
     run_ok(&[
-        "generate", "--capture", &cap, "--device", &dev, "--out", &sigs, "--n", "80",
+        "generate",
+        "--capture",
+        &cap,
+        "--device",
+        &dev,
+        "--out",
+        &sigs,
+        "--n",
+        "80",
     ]);
 
     // Clean set: exit 0, lattice summary and cost report present.
@@ -230,9 +246,7 @@ fn analyze_proves_dead_signatures_and_diffs_generations() {
     // dead (A001) and fail the gate.
     let mut text = std::fs::read_to_string(&sigs).unwrap();
     text.push_str("sig 90 2\ntok body 696d65693d3335353139 0\nend\n");
-    text.push_str(
-        "sig 91 2\ntok body 696d65693d333535313935303030303030303137 0\nend\n",
-    );
+    text.push_str("sig 91 2\ntok body 696d65693d333535313935303030303030303137 0\nend\n");
     let bad = path("shadowed.txt");
     std::fs::write(&bad, &text).unwrap();
 
@@ -240,7 +254,10 @@ fn analyze_proves_dead_signatures_and_diffs_generations() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("error[A001] sig 91"), "{stdout}");
-    assert!(stdout.contains("proved dominated by signature 90"), "{stdout}");
+    assert!(
+        stdout.contains("proved dominated by signature 90"),
+        "{stdout}"
+    );
 
     // JSON format renders the A-code through the stable schema.
     let out = bin()
@@ -261,10 +278,21 @@ fn analyze_proves_dead_signatures_and_diffs_generations() {
         "market", "--out", &cap2, "--device", &dev2, "--seed", "14", "--scale", "0.03",
     ]);
     run_ok(&[
-        "generate", "--capture", &cap2, "--device", &dev2, "--out", &sigs2, "--n", "80",
+        "generate",
+        "--capture",
+        &cap2,
+        "--device",
+        &dev2,
+        "--out",
+        &sigs2,
+        "--n",
+        "80",
     ]);
     let out = run_ok(&["analyze", "--diff", &sigs, "--new", &sigs2]);
-    assert!(out.contains("generation diff under Conjunction: +"), "{out}");
+    assert!(
+        out.contains("generation diff under Conjunction: +"),
+        "{out}"
+    );
     assert!(
         out.contains("added") || out.contains("removed") || out.contains("no semantic change"),
         "{out}"
@@ -289,7 +317,15 @@ fn lint_exit_codes_match_across_formats() {
         "market", "--out", &cap, "--device", &dev, "--seed", "17", "--scale", "0.03",
     ]);
     run_ok(&[
-        "generate", "--capture", &cap, "--device", &dev, "--out", &sigs, "--n", "80",
+        "generate",
+        "--capture",
+        &cap,
+        "--device",
+        &dev,
+        "--out",
+        &sigs,
+        "--n",
+        "80",
     ]);
 
     // Warnings-only: a healthy anchor plus a boilerplate fragment

@@ -332,7 +332,12 @@ impl FractionSearch {
             return;
         }
         if self.closure[idx] & x == 0 {
-            self.dfs(idx + 1, s | self.closure[idx], x, imp | self.implied_closure[idx]);
+            self.dfs(
+                idx + 1,
+                s | self.closure[idx],
+                x,
+                imp | self.implied_closure[idx],
+            );
         }
         if self.supers[idx] & s == 0 {
             self.dfs(idx + 1, s, x | self.supers[idx], imp);
@@ -416,7 +421,11 @@ fn prove_fraction(a: &ConjunctionSignature, b: &ConjunctionSignature, t: f64) ->
         }
     }
 
-    let full = if n_b == 64 { u64::MAX } else { (1u64 << n_b) - 1 };
+    let full = if n_b == 64 {
+        u64::MAX
+    } else {
+        (1u64 << n_b) - 1
+    };
     let mut search = FractionSearch {
         n: n_b,
         k_b,
@@ -453,7 +462,9 @@ fn prove_fraction(a: &ConjunctionSignature, b: &ConjunctionSignature, t: f64) ->
         })
     } else {
         Decision::NotProved(RefuteHint::FractionSet(
-            (0..n_b).filter(|&j| (search.best_set >> j) & 1 == 1).collect(),
+            (0..n_b)
+                .filter(|&j| (search.best_set >> j) & 1 == 1)
+                .collect(),
         ))
     }
 }
@@ -535,8 +546,11 @@ fn separator_candidates(forbidden: &[bool; 256]) -> Vec<u8> {
 fn field_groups<'a>(tokens: &[&'a FieldToken]) -> [Vec<&'a [u8]>; 3] {
     let mut out: [Vec<&[u8]>; 3] = Default::default();
     for field in Field::ALL {
-        let mut in_f: Vec<&FieldToken> =
-            tokens.iter().copied().filter(|t| t.field == field).collect();
+        let mut in_f: Vec<&FieldToken> = tokens
+            .iter()
+            .copied()
+            .filter(|t| t.field == field)
+            .collect();
         in_f.sort_by_key(|t| t.order_hint());
         out[fidx(field)] = in_f.iter().map(|t| t.bytes()).collect();
     }
@@ -797,7 +811,9 @@ pub fn fp_exposure(
     for sig in set {
         for t in &sig.tokens {
             let next = index.len();
-            index.entry((fidx(t.field) as u8, t.bytes().to_vec())).or_insert(next);
+            index
+                .entry((fidx(t.field) as u8, t.bytes().to_vec()))
+                .or_insert(next);
         }
     }
     // One probe signature per distinct token; a single compiled pass per
@@ -1441,10 +1457,7 @@ mod tests {
     fn dominated_by_larger_dominator_is_caught() {
         // Dominator has MORE tokens than the dominated signature — the
         // pipeline's syntactic dominance test skips this shape.
-        let a = sig(
-            1,
-            vec![tok(Field::Body, b"id="), tok(Field::Body, b"id=")],
-        );
+        let a = sig(1, vec![tok(Field::Body, b"id="), tok(Field::Body, b"id=")]);
         let b = sig(2, vec![tok(Field::Body, b"id=123456")]);
         let s = set(vec![a, b]);
         let dead = dead_signatures(&s, MatchMode::Conjunction);
@@ -1520,7 +1533,10 @@ mod tests {
         ];
         let corpus: Vec<&HttpPacket> = corpus_owned.iter().collect();
         let s = set(vec![
-            sig(1, vec![tok(Field::Body, b"imei="), tok(Field::Body, b"lang=")]),
+            sig(
+                1,
+                vec![tok(Field::Body, b"imei="), tok(Field::Body, b"lang=")],
+            ),
             sig(2, vec![tok(Field::Body, b"lang=")]),
         ]);
         let exp = fp_exposure(&s, &corpus, MatchMode::Conjunction, 0.5);

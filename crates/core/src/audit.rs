@@ -236,10 +236,7 @@ fn display_token(bytes: &[u8]) -> String {
 }
 
 /// Per-signature structural findings: L001, L002, L003, L004, L008, L009.
-pub fn signature_structure(
-    sig: &ConjunctionSignature,
-    config: &AuditConfig,
-) -> Vec<Diagnostic> {
+pub fn signature_structure(sig: &ConjunctionSignature, config: &AuditConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
     if sig.tokens.is_empty() {
@@ -257,10 +254,13 @@ pub fn signature_structure(
     for t in &sig.tokens {
         if t.bytes().is_empty() {
             out.push(
-                Diagnostic::new(Code::ZeroLengthToken, "zero-length token matches everywhere")
-                    .on_signature(sig.id)
-                    .on_field(t.field)
-                    .suggest("drop the token"),
+                Diagnostic::new(
+                    Code::ZeroLengthToken,
+                    "zero-length token matches everywhere",
+                )
+                .on_signature(sig.id)
+                .on_field(t.field)
+                .suggest("drop the token"),
             );
         }
     }
@@ -270,7 +270,12 @@ pub fn signature_structure(
         .iter()
         .any(|t| t.bytes().len() >= config.min_anchor_len)
     {
-        let longest = sig.tokens.iter().map(|t| t.bytes().len()).max().unwrap_or(0);
+        let longest = sig
+            .tokens
+            .iter()
+            .map(|t| t.bytes().len())
+            .max()
+            .unwrap_or(0);
         out.push(
             Diagnostic::new(
                 Code::MissingAnchor,
@@ -542,12 +547,8 @@ pub fn corpus_false_positives(
 /// Cross-artifact check of device policy rows against the set (L010).
 /// Rows are `(app, signature_id, allow)` as produced by the device
 /// policy engine's persistence snapshot.
-pub fn policy_references(
-    set: &SignatureSet,
-    rows: &[(String, u32, bool)],
-) -> Vec<Diagnostic> {
-    let known: std::collections::HashSet<u32> =
-        set.signatures.iter().map(|s| s.id).collect();
+pub fn policy_references(set: &SignatureSet, rows: &[(String, u32, bool)]) -> Vec<Diagnostic> {
+    let known: std::collections::HashSet<u32> = set.signatures.iter().map(|s| s.id).collect();
     let mut out = Vec::new();
     for (app, sig_id, allow) in rows {
         if !known.contains(sig_id) {
@@ -593,9 +594,7 @@ pub fn wire_round_trip(set: &SignatureSet) -> Vec<Diagnostic> {
     for (orig, dec) in set.signatures.iter().zip(&back.signatures) {
         let tokens_match = orig.tokens.len() == dec.tokens.len()
             && orig.tokens.iter().zip(&dec.tokens).all(|(a, b)| {
-                a.field == b.field
-                    && a.bytes() == b.bytes()
-                    && a.order_hint() == b.order_hint()
+                a.field == b.field && a.bytes() == b.bytes() && a.order_hint() == b.order_hint()
             });
         if orig.id != dec.id || !tokens_match || orig.hosts != dec.hosts {
             out.push(
@@ -907,7 +906,11 @@ mod tests {
             .iter()
             .filter(|d| d.code == Code::DuplicateTokenBytes)
             .collect();
-        assert_eq!(l013.len(), 1, "one finding per duplicated pattern: {diags:?}");
+        assert_eq!(
+            l013.len(),
+            1,
+            "one finding per duplicated pattern: {diags:?}"
+        );
         assert_eq!(l013[0].severity, Severity::Warning);
         assert_eq!(l013[0].field, Some(Field::Body));
         // Same bytes in *different* fields are distinct invariants.
@@ -1013,10 +1016,7 @@ mod tests {
     /// one unreachable.
     #[test]
     fn earlier_general_signature_shadows_later_specific_one() {
-        let general = sig(
-            10,
-            vec![FieldToken::new(Field::Body, &b"imei=355195"[..])],
-        );
+        let general = sig(10, vec![FieldToken::new(Field::Body, &b"imei=355195"[..])]);
         let specific = sig(
             11,
             vec![
@@ -1033,10 +1033,13 @@ mod tests {
 
         // Reversed order: the specific one runs first, nothing shadowed.
         let s = set_of(vec![
-            sig(11, vec![
-                FieldToken::new(Field::Body, &b"imei=355195000000017"[..]),
-                FieldToken::new(Field::Cookie, &b"sid=abcdef"[..]),
-            ]),
+            sig(
+                11,
+                vec![
+                    FieldToken::new(Field::Body, &b"imei=355195000000017"[..]),
+                    FieldToken::new(Field::Cookie, &b"sid=abcdef"[..]),
+                ],
+            ),
             sig(10, vec![FieldToken::new(Field::Body, &b"imei=355195"[..])]),
         ]);
         assert!(subsumption(&s).is_empty());
@@ -1047,7 +1050,10 @@ mod tests {
         // Same bytes, different field: no implication.
         let s = set_of(vec![
             sig(0, vec![FieldToken::new(Field::Cookie, &b"imei=355195"[..])]),
-            sig(1, vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])]),
+            sig(
+                1,
+                vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
+            ),
         ]);
         assert!(subsumption(&s).is_empty());
     }
@@ -1105,7 +1111,11 @@ mod tests {
     fn wire_round_trip_clean_set_is_silent() {
         let s = set_of(vec![sig(
             5,
-            vec![FieldToken::with_hint(Field::Body, &b"imei=355195000000017"[..], 9)],
+            vec![FieldToken::with_hint(
+                Field::Body,
+                &b"imei=355195000000017"[..],
+                9,
+            )],
         )]);
         assert!(wire_round_trip(&s).is_empty());
     }

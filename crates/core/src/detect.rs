@@ -148,7 +148,13 @@ impl PacketScanner<'_> {
     /// so hold U+FFFD where the raw line holds invalid bytes. Verdicts
     /// therefore equal the owned path's. Parser rejects yield a
     /// `parse_failed` verdict.
-    pub fn scan_raw(&mut self, raw: &[u8], ip: Ipv4Addr, port: u16, limits: &ParseLimits) -> ScanVerdict {
+    pub fn scan_raw(
+        &mut self,
+        raw: &[u8],
+        ip: Ipv4Addr,
+        port: u16,
+        limits: &ParseLimits,
+    ) -> ScanVerdict {
         // Views are transient here (dead before the next parse), so the
         // arena is recycled per call and never grows past one packet.
         self.arena.reset();

@@ -351,7 +351,13 @@ impl<C: Compressor> RowDistance<'_, C> {
             leaksig_compress::ncd_from_lens(cx, cy, cxy)
         };
         term(&mut self.rline, &x.rline, x.c_rline, &y.rline, y.c_rline)
-            + term(&mut self.cookie, &x.cookie, x.c_cookie, &y.cookie, y.c_cookie)
+            + term(
+                &mut self.cookie,
+                &x.cookie,
+                x.c_cookie,
+                &y.cookie,
+                y.c_cookie,
+            )
             + term(&mut self.body, &x.body, x.c_body, &y.body, y.c_body)
     }
 

@@ -64,8 +64,8 @@ pub mod audit;
 pub mod bayes;
 pub mod cluster;
 pub mod detect;
-pub mod engine;
 pub mod distance;
+pub mod engine;
 pub mod eval;
 pub mod matrix;
 pub mod payload;
@@ -78,14 +78,12 @@ pub mod wire;
 pub mod prelude {
     pub use crate::analyze::{
         analyze_set, dead_signatures, diff_generations, dominates, drop_dead, fp_exposure,
-        prove_dominates, set_matches, ChangeKind, CostReport, DeadReason, DeadSignature,
-        Dominance, DominanceProof, FpExposure, GenerationDiff, SetAnalysis, Witness,
+        prove_dominates, set_matches, ChangeKind, CostReport, DeadReason, DeadSignature, Dominance,
+        DominanceProof, FpExposure, GenerationDiff, SetAnalysis, Witness,
     };
     pub use crate::audit::{deploy_check, AuditConfig, Code, Diagnostic, Severity};
     pub use crate::bayes::{BayesConfig, BayesSignature};
-    pub use crate::cluster::{
-        agglomerate, agglomerate_with, Dendrogram, Linkage, Merge,
-    };
+    pub use crate::cluster::{agglomerate, agglomerate_with, Dendrogram, Linkage, Merge};
     pub use crate::detect::{
         Detection, Detector, Explanation, MatchMode, PacketScanner, RawPacket, ScanVerdict,
     };
@@ -97,8 +95,8 @@ pub mod prelude {
     pub use crate::pipeline::{
         drop_dominated, generate_signatures, generate_signatures_counted, prune_against_normal,
         regeneration_pass, run_experiment, run_experiment_refs, run_experiment_with,
-        take_last_timings, ClusterSelection, ExperimentOutcome,
-        FpValidation, GeneratedSignatures, PipelineConfig, StageTimings,
+        take_last_timings, ClusterSelection, ExperimentOutcome, FpValidation, GeneratedSignatures,
+        PipelineConfig, StageTimings,
     };
     pub use crate::signature::{
         signature_from_cluster, ConjunctionSignature, Field, FieldToken, SignatureConfig,

@@ -74,7 +74,10 @@ static LAST_TIMINGS: std::sync::Mutex<Option<StageTimings>> = std::sync::Mutex::
 /// [`regeneration_pass`]. Returns `None` when no pass has finished since
 /// the last take.
 pub fn take_last_timings() -> Option<StageTimings> {
-    LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()).take()
+    LAST_TIMINGS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .take()
 }
 
 /// Extract [`PacketFeatures`] for every packet across all cores.
@@ -209,7 +212,8 @@ pub fn prune_against_normal(
     if set.is_empty() || normal_sample.is_empty() {
         return;
     }
-    let engine = crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
+    let engine =
+        crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
     let mut scratch = engine.scratch();
     let mut hits = vec![0usize; set.len()];
     for p in normal_sample {
@@ -415,7 +419,11 @@ impl<'p> NodeFold<'p> {
                 let merge = self.dendrogram.merges()[id - n];
                 let depth = stack.len();
                 let slots = &self.slots;
-                stack.extend([merge.a, merge.b].into_iter().filter(|&c| slots[c].is_none()));
+                stack.extend(
+                    [merge.a, merge.b]
+                        .into_iter()
+                        .filter(|&c| slots[c].is_none()),
+                );
                 if stack.len() == depth {
                     let a = self.slots[merge.a].take().expect("child computed");
                     let b = self.slots[merge.b].take().expect("child computed");
@@ -906,7 +914,12 @@ mod tests {
             let views: Vec<Vec<(u8, &[u8])>> = set
                 .signatures
                 .iter()
-                .map(|s| s.tokens.iter().map(|t| (t.field as u8, t.bytes())).collect())
+                .map(|s| {
+                    s.tokens
+                        .iter()
+                        .map(|t| (t.field as u8, t.bytes()))
+                        .collect()
+                })
                 .collect();
             set.signatures
                 .iter()
@@ -917,7 +930,9 @@ mod tests {
                             && views[a].len() <= views[b].len()
                             && views[a] != views[b]
                             && views[a].iter().all(|&(fa, ta)| {
-                                views[b].iter().any(|&(fb, tb)| fa == fb && contains(tb, ta))
+                                views[b]
+                                    .iter()
+                                    .any(|&(fb, tb)| fa == fb && contains(tb, ta))
                             })
                     })
                 })
@@ -947,7 +962,9 @@ mod tests {
             ClusterSelection::Cut(threshold) => {
                 let dist = PacketDistance::new(Lzss::default(), cfg.distance);
                 let features: Vec<_> = sample.iter().map(|p| dist.features(p)).collect();
-                agglomerate(&pairwise(&dist, &features)).cut(threshold).len()
+                agglomerate(&pairwise(&dist, &features))
+                    .cut(threshold)
+                    .len()
             }
         };
         assert_eq!(generated.clusters, expected);

@@ -570,10 +570,7 @@ mod tests {
             assert!(!t.bytes().is_empty());
             let _ = t.order_hint();
         }
-        let per_field: usize = Field::ALL
-            .iter()
-            .map(|&f| sig.tokens_in(f).count())
-            .sum();
+        let per_field: usize = Field::ALL.iter().map(|&f| sig.tokens_in(f).count()).sum();
         assert_eq!(per_field, sig.tokens().len());
     }
 }

@@ -193,7 +193,10 @@ impl std::fmt::Display for FrameError {
         match self {
             FrameError::BadHeader => write!(f, "missing or mangled {FRAME_MAGIC} header"),
             FrameError::LengthMismatch { expected, actual } => {
-                write!(f, "frame length mismatch: header says {expected}, got {actual}")
+                write!(
+                    f,
+                    "frame length mismatch: header says {expected}, got {actual}"
+                )
             }
             FrameError::ChecksumMismatch => write!(f, "frame checksum mismatch"),
             FrameError::BadUtf8 => write!(f, "frame payload is not valid UTF-8"),
@@ -635,8 +638,10 @@ mod tests {
         // journals them.
         let payload: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
         let framed = frame_bytes(&payload);
-        let Ok(BytesProgress::Complete { payload: got, consumed }) =
-            unframe_bytes_partial(&framed)
+        let Ok(BytesProgress::Complete {
+            payload: got,
+            consumed,
+        }) = unframe_bytes_partial(&framed)
         else {
             panic!("whole byte frame must complete");
         };
@@ -694,7 +699,9 @@ mod tests {
         }
         .to_string()
         .contains('9'));
-        assert!(FrameError::ChecksumMismatch.to_string().contains("checksum"));
+        assert!(FrameError::ChecksumMismatch
+            .to_string()
+            .contains("checksum"));
         assert!(FrameError::BadUtf8.to_string().contains("UTF-8"));
     }
 }

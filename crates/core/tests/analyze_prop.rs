@@ -26,13 +26,11 @@ fn arb_sig_token() -> impl Strategy<Value = FieldToken> {
 }
 
 fn arb_sig(id: u32) -> impl Strategy<Value = ConjunctionSignature> {
-    proptest::collection::vec(arb_sig_token(), 1..4).prop_map(move |tokens| {
-        ConjunctionSignature {
-            id,
-            tokens,
-            cluster_size: 2,
-            hosts: Vec::new(),
-        }
+    proptest::collection::vec(arb_sig_token(), 1..4).prop_map(move |tokens| ConjunctionSignature {
+        id,
+        tokens,
+        cluster_size: 2,
+        hosts: Vec::new(),
     })
 }
 
@@ -270,5 +268,9 @@ fn diff_of_consecutive_regenerations_has_flip_witnesses() {
             witnesses += 1;
         }
     }
-    assert!(witnesses >= 1, "at least one verdict flip: {}", diff.summary());
+    assert!(
+        witnesses >= 1,
+        "at least one verdict flip: {}",
+        diff.summary()
+    );
 }

@@ -23,7 +23,11 @@ fn market() -> (Vec<HttpPacket>, SignatureSet) {
     (packets, set)
 }
 
-fn naive_mask(set: &SignatureSet, packets: &[HttpPacket], matches: impl Fn(&ConjunctionSignature, &HttpPacket) -> bool) -> Vec<bool> {
+fn naive_mask(
+    set: &SignatureSet,
+    packets: &[HttpPacket],
+    matches: impl Fn(&ConjunctionSignature, &HttpPacket) -> bool,
+) -> Vec<bool> {
     packets
         .iter()
         .map(|p| set.signatures.iter().any(|s| matches(s, p)))
@@ -90,7 +94,10 @@ fn ordered_equivalence_on_hand_built_packets() {
             hosts: vec![],
         }],
     };
-    let dst = |b: RequestBuilder| b.destination(Ipv4Addr::new(203, 0, 113, 2), 80, "x.jp").build();
+    let dst = |b: RequestBuilder| {
+        b.destination(Ipv4Addr::new(203, 0, 113, 2), 80, "x.jp")
+            .build()
+    };
     let in_order = dst(RequestBuilder::get("/ad?imei=123&slot=4"));
     let out_of_order = dst(RequestBuilder::get("/ad?slot=4&imei=123"));
 
@@ -124,7 +131,10 @@ fn fraction_equivalence_on_hand_built_packets() {
             hosts: vec![],
         }],
     };
-    let dst = |b: RequestBuilder| b.destination(Ipv4Addr::new(203, 0, 113, 2), 80, "x.jp").build();
+    let dst = |b: RequestBuilder| {
+        b.destination(Ipv4Addr::new(203, 0, 113, 2), 80, "x.jp")
+            .build()
+    };
     let two_of_three = dst(RequestBuilder::get("/a?imei=1&carrier=docomo"));
     let one_of_three = dst(RequestBuilder::get("/a?imei=1"));
 

@@ -66,13 +66,11 @@ pub use server::{
     BatchVerdicts, CollectionServer, IngestConfig, IngestOutcome, QuarantineReason,
     QuarantineRecord, RateLimit, RegenerateOutcome, ServerStats, Shed,
 };
-pub use state::{
-    ApplyOutcome, Durability, DurableState, MemoryStore, StateOp, StateStore,
-};
-pub use supervise::{DefaultRunner, PipelineRunner, RegenerationSupervisor, SupervisorConfig};
-pub use wal::{DurabilityMode, WalConfig, WalRecoveryReport, WalStore};
+pub use state::{ApplyOutcome, Durability, DurableState, MemoryStore, StateOp, StateStore};
 pub use store::{InstallError, SignatureServer, SignatureStore, StoreHealth};
+pub use supervise::{DefaultRunner, PipelineRunner, RegenerationSupervisor, SupervisorConfig};
 pub use transport::{
-    Fetched, FaultyTransport, InProcessTransport, RetryPolicy, SyncClient, SyncEvent,
+    FaultyTransport, Fetched, InProcessTransport, RetryPolicy, SyncClient, SyncEvent,
     SyncEventKind, SyncOutcome, SyncReport, Transport, TransportError,
 };
+pub use wal::{DurabilityMode, WalConfig, WalRecoveryReport, WalStore};

@@ -444,7 +444,9 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     pub fn ingest_raw(&self, raw: &[u8], ip: Ipv4Addr, port: u16) -> IngestOutcome {
         let mut outcome = None;
         let record = RawPacket { raw, ip, port };
-        self.admit(&mut self.state.lock(), [record], true, |o| outcome = Some(o));
+        self.admit(&mut self.state.lock(), [record], true, |o| {
+            outcome = Some(o)
+        });
         outcome.expect("one record, one verdict")
     }
 
@@ -557,9 +559,11 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
                 Shed::Oldest => Some(0),
                 // The oldest benign entry, else the oldest suspicious one
                 // unless the newcomer is benign itself.
-                Shed::SensitiveLast => {
-                    st.queue.iter().position(|(_, s)| !s).or(suspicious.then_some(0))
-                }
+                Shed::SensitiveLast => st
+                    .queue
+                    .iter()
+                    .position(|(_, s)| !s)
+                    .or(suspicious.then_some(0)),
             };
             let Some(pos) = victim else {
                 return (IngestOutcome::Shed, false);
@@ -601,7 +605,14 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// [`IngestConfig::quarantine_capacity`]; the total-ever count lives
     /// in [`ServerStats::quarantined`]).
     pub fn quarantine_ledger(&self) -> Vec<QuarantineRecord> {
-        self.state.lock().store.state().ledger.iter().cloned().collect()
+        self.state
+            .lock()
+            .store
+            .state()
+            .ledger
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Quarantine specific packets: remove every reservoir entry equal
@@ -652,7 +663,10 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// the lock — sample `n` reservoir packets (uniform; prefix of a
     /// shuffle for sub-sampling determinism) and clone out the normal
     /// slice the pipeline needs. `None` when the reservoir is empty.
-    pub(crate) fn sample_for_regenerate(&self, n: usize) -> Option<(Vec<HttpPacket>, Vec<HttpPacket>)> {
+    pub(crate) fn sample_for_regenerate(
+        &self,
+        n: usize,
+    ) -> Option<(Vec<HttpPacket>, Vec<HttpPacket>)> {
         self.pump_all();
         let mut st = self.state.lock();
         let len = st.store.state().reservoir.len();
@@ -906,8 +920,8 @@ impl ServerState {
         let elapsed = now.saturating_sub(bucket.last_ms);
         bucket.last_ms = now;
         // per_second tokens / 1000 ms == per_second milli-tokens per ms.
-        bucket.tokens_milli = (bucket.tokens_milli + elapsed * rate.per_second as u64)
-            .min(rate.burst as u64 * MILLI);
+        bucket.tokens_milli =
+            (bucket.tokens_milli + elapsed * rate.per_second as u64).min(rate.burst as u64 * MILLI);
         if bucket.tokens_milli >= MILLI {
             bucket.tokens_milli -= MILLI;
             true
@@ -1002,7 +1016,11 @@ mod tests {
     #[test]
     fn ingest_raw_quarantines_malformed_with_tagged_reason() {
         let srv = server();
-        let out = srv.ingest_raw(b"\x00\x01garbage without structure", Ipv4Addr::LOCALHOST, 80);
+        let out = srv.ingest_raw(
+            b"\x00\x01garbage without structure",
+            Ipv4Addr::LOCALHOST,
+            80,
+        );
         let IngestOutcome::Quarantined(reason) = out else {
             panic!("garbage must be quarantined, got {out:?}");
         };

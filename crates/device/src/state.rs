@@ -343,7 +343,10 @@ impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], StateCodecError> {
         let rest = &self.data[self.pos..];
         if rest.len() < n {
-            return Err(err(format!("blob truncated: need {n}, have {}", rest.len())));
+            return Err(err(format!(
+                "blob truncated: need {n}, have {}",
+                rest.len()
+            )));
         }
         self.pos += n;
         Ok(&rest[..n])
@@ -418,10 +421,7 @@ fn encode_packet(out: &mut Vec<u8>, p: &HttpPacket) {
 fn decode_packet(cur: &mut Cursor<'_>) -> Result<HttpPacket, StateCodecError> {
     let line = cur.line()?;
     let mut f = Fields::of(line);
-    let ip: Ipv4Addr = f
-        .word()?
-        .parse()
-        .map_err(|_| err("bad packet ip"))?;
+    let ip: Ipv4Addr = f.word()?.parse().map_err(|_| err("bad packet ip"))?;
     let port = f.num()?;
     let host_len = f.num()?;
     let method_len = f.num()?;
@@ -533,10 +533,7 @@ fn decode_record(cur: &mut Cursor<'_>) -> Result<QuarantineRecord, StateCodecErr
     let code = f.num()?;
     let a = f.num()?;
     let b = f.num()?;
-    let source: Ipv4Addr = f
-        .word()?
-        .parse()
-        .map_err(|_| err("bad record source ip"))?;
+    let source: Ipv4Addr = f.word()?.parse().map_err(|_| err("bad record source ip"))?;
     let port = f.num()?;
     let bytes = f.num()?;
     let summary_len = f.num()?;
@@ -767,7 +764,11 @@ pub fn decode_state(data: &[u8]) -> Result<DurableState, StateCodecError> {
     let stats = decode_stats(cur.line()?)?;
 
     let rng_line = cur.line()?;
-    let mut f = Fields::of(rng_line.strip_prefix('G').ok_or_else(|| err("missing rng line"))?);
+    let mut f = Fields::of(
+        rng_line
+            .strip_prefix('G')
+            .ok_or_else(|| err("missing rng line"))?,
+    );
     let rng_state = if f.num::<u64>()? != 0 {
         let s = [f.num()?, f.num()?, f.num()?, f.num()?];
         f.finish()?;
@@ -989,7 +990,11 @@ mod tests {
 
         apply_op(&mut state, &StateOp::SuspectDropped);
         assert_eq!(state.stats.suspicious, 4);
-        assert_eq!(state.reservoir.len(), 2, "dropped draw leaves the reservoir");
+        assert_eq!(
+            state.reservoir.len(),
+            2,
+            "dropped draw leaves the reservoir"
+        );
 
         apply_op(&mut state, &StateOp::Evict { slot: 0 });
         assert_eq!(state.reservoir, vec![packet(2)]);
@@ -1038,7 +1043,13 @@ mod tests {
     #[test]
     fn corrupt_records_are_rejected_not_misread() {
         let mut buf = Vec::new();
-        encode_op(&mut buf, &StateOp::Suspect { packet: packet(1), slot: 0 });
+        encode_op(
+            &mut buf,
+            &StateOp::Suspect {
+                packet: packet(1),
+                slot: 0,
+            },
+        );
         // Truncation anywhere inside the record fails loudly.
         for cut in [1, buf.len() / 2, buf.len() - 1] {
             assert!(decode_ops(&buf[..cut]).is_err(), "cut at {cut}");

@@ -363,7 +363,11 @@ mod tests {
         let ledger = srv.quarantine_ledger();
         let record = ledger.last().unwrap();
         assert_eq!(record.reason, QuarantineReason::Poison);
-        assert!(record.summary.contains("/poison"), "got {:?}", record.summary);
+        assert!(
+            record.summary.contains("/poison"),
+            "got {:?}",
+            record.summary
+        );
 
         // ...and it cannot sneak back in through raw intake.
         let raw = marker().to_bytes();

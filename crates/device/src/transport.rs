@@ -78,11 +78,14 @@ impl<'a> InProcessTransport<'a> {
 
 impl Transport for InProcessTransport<'_> {
     fn fetch(&mut self, have_version: u64) -> Result<Option<Fetched>, TransportError> {
-        Ok(self.server.fetch(have_version).map(|(version, text)| Fetched {
-            version,
-            frame: wire::frame(&text),
-            latency_ms: 1,
-        }))
+        Ok(self
+            .server
+            .fetch(have_version)
+            .map(|(version, text)| Fetched {
+                version,
+                frame: wire::frame(&text),
+                latency_ms: 1,
+            }))
     }
 }
 

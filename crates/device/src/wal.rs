@@ -320,9 +320,7 @@ impl StateStore for WalStore {
     fn apply(&mut self, ops: &[StateOp]) -> ApplyOutcome {
         if self.degraded {
             if self.config.mode == DurabilityMode::FailClosed
-                && ops
-                    .iter()
-                    .any(|op| matches!(op, StateOp::Suspect { .. }))
+                && ops.iter().any(|op| matches!(op, StateOp::Suspect { .. }))
             {
                 self.state.stats.durability_refused += 1;
                 return ApplyOutcome::Refused;
@@ -599,7 +597,11 @@ mod tests {
         assert_eq!(store.durability(), Durability::Degraded);
 
         assert_eq!(store.apply(&[suspect(1, 1)]), ApplyOutcome::Refused);
-        assert_eq!(store.state().reservoir.len(), 1, "refused batch not applied");
+        assert_eq!(
+            store.state().reservoir.len(),
+            1,
+            "refused batch not applied"
+        );
         assert_eq!(store.state().stats.durability_refused, 1);
 
         // Counter-only batches still flow.
@@ -637,7 +639,9 @@ mod tests {
                 version: 7,
                 wire: "LEAKSIG/1 0\n".to_string(),
             },
-            StateOp::Rng { state: [1, 2, 3, 4] },
+            StateOp::Rng {
+                state: [1, 2, 3, 4],
+            },
         ]);
         store.flush();
         drop(store);

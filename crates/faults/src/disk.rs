@@ -325,7 +325,10 @@ pub struct FaultyDisk<D: DiskIo> {
 
 /// The error every operation returns once the simulated process is dead.
 pub fn crash_error() -> io::Error {
-    io::Error::new(io::ErrorKind::BrokenPipe, "simulated crash: process is dead")
+    io::Error::new(
+        io::ErrorKind::BrokenPipe,
+        "simulated crash: process is dead",
+    )
 }
 
 fn enospc_error() -> io::Error {
@@ -583,7 +586,10 @@ mod tests {
         assert!(disk.append(&dir.join("log"), b"0123456789").is_err());
         assert!(ctl.crashed());
         let on_disk = std::fs::read(dir.join("log")).unwrap();
-        assert!(!on_disk.is_empty() && on_disk.len() < 10, "torn: {on_disk:?}");
+        assert!(
+            !on_disk.is_empty() && on_disk.len() < 10,
+            "torn: {on_disk:?}"
+        );
         assert!(b"0123456789".starts_with(&on_disk[..]));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -645,16 +651,17 @@ mod tests {
     fn seeded_plans_are_deterministic() {
         let run = |seed| {
             let dir = tmp(&format!("plan{seed}"));
-            let (mut disk, ctl) = FaultyDisk::with_plan(
-                RealDisk,
-                DiskFaultPlan::new(seed, DiskFaultKind::ALL, 0.4),
-            );
+            let (mut disk, ctl) =
+                FaultyDisk::with_plan(RealDisk, DiskFaultPlan::new(seed, DiskFaultKind::ALL, 0.4));
             let mut outcomes = Vec::new();
             for i in 0..50 {
                 if ctl.crashed() {
                     break;
                 }
-                outcomes.push(disk.append(&dir.join("log"), format!("r{i}").as_bytes()).is_ok());
+                outcomes.push(
+                    disk.append(&dir.join("log"), format!("r{i}").as_bytes())
+                        .is_ok(),
+                );
             }
             let crashed = ctl.crashed();
             std::fs::remove_dir_all(&dir).unwrap();

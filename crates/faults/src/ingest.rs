@@ -221,7 +221,10 @@ mod tests {
         let text = String::from_utf8_lossy(&raw);
         let first_cl = text.find("Content-Length: 536870912").unwrap();
         let honest_cl = text.find("Content-Length: 3").unwrap();
-        assert!(first_cl < honest_cl, "dishonest declaration must come first");
+        assert!(
+            first_cl < honest_cl,
+            "dishonest declaration must come first"
+        );
         assert!(text.starts_with("POST /x HTTP/1.1\r\n"));
     }
 

@@ -291,7 +291,10 @@ mod tests {
             FaultKind::parse_list("corrupt, drop ,corrupt,").unwrap(),
             vec![FaultKind::Drop, FaultKind::Corrupt]
         );
-        assert_eq!(FaultKind::parse_list("all").unwrap(), FaultKind::ALL.to_vec());
+        assert_eq!(
+            FaultKind::parse_list("all").unwrap(),
+            FaultKind::ALL.to_vec()
+        );
         assert_eq!(FaultKind::parse_list("").unwrap(), vec![]);
         assert!(FaultKind::parse_list("drop,fire").is_err());
         for &kind in FaultKind::ALL {

@@ -134,10 +134,7 @@ impl RequestBuilder {
             self.body
         };
         if !body.is_empty() {
-            headers.push((
-                "Content-Length".into(),
-                body.len().to_string().into_bytes(),
-            ));
+            headers.push(("Content-Length".into(), body.len().to_string().into_bytes()));
         }
 
         HttpPacket {

@@ -167,7 +167,10 @@ fn bundled_corpus(seed: u64, size: usize) -> Vec<HttpPacket> {
 
 /// Count findings at a severity.
 pub fn count_at(diagnostics: &[Diagnostic], severity: Severity) -> usize {
-    diagnostics.iter().filter(|d| d.severity == severity).count()
+    diagnostics
+        .iter()
+        .filter(|d| d.severity == severity)
+        .count()
 }
 
 /// Convenience used by tests and callers: does the report contain a
@@ -216,7 +219,10 @@ mod tests {
                     ],
                 ),
                 // Error: no anchor.
-                sig(1, vec![FieldToken::new(Field::RequestLine, &b"POST /x"[..])]),
+                sig(
+                    1,
+                    vec![FieldToken::new(Field::RequestLine, &b"POST /x"[..])],
+                ),
             ],
         };
         let report = Linter::new().lint(&set);

@@ -12,11 +12,13 @@ use leaksig_netsim::{Dataset, MarketConfig};
 #[test]
 fn default_scenario_set_lints_clean_of_errors() {
     let data = Dataset::generate(MarketConfig::scaled(42, 0.05));
-    let packets: Vec<&leaksig_http::HttpPacket> =
-        data.packets.iter().map(|p| &p.packet).collect();
+    let packets: Vec<&leaksig_http::HttpPacket> = data.packets.iter().map(|p| &p.packet).collect();
     let labels: Vec<bool> = data.packets.iter().map(|p| p.is_sensitive()).collect();
     let out = run_experiment_refs(&packets, &labels, 120, &PipelineConfig::default());
-    assert!(!out.signatures.is_empty(), "scenario produced no signatures");
+    assert!(
+        !out.signatures.is_empty(),
+        "scenario produced no signatures"
+    );
 
     let report = Linter::new().lint(&out.signatures);
     assert_eq!(
@@ -151,8 +153,12 @@ fn json_schema_on_real_findings() {
     let json = render_json(&report);
     assert!(json.starts_with("{\"version\":1,\"errors\":"));
     for key in [
-        "\"code\":", "\"severity\":", "\"signature_id\":", "\"field\":",
-        "\"message\":", "\"suggestion\":",
+        "\"code\":",
+        "\"severity\":",
+        "\"signature_id\":",
+        "\"field\":",
+        "\"message\":",
+        "\"suggestion\":",
     ] {
         assert!(json.contains(key), "missing {key} in {json}");
     }

@@ -294,7 +294,9 @@ fn read_frame(stream: &mut TcpStream) -> Result<Vec<u8>, ClientError> {
             Err(e) => return Err(ClientError::Protocol(format!("bad frame: {e}"))),
         }
         if buf.len() > MAX_FRAME_HEADER + (64 << 20) {
-            return Err(ClientError::Protocol("frame beyond any sane size".to_string()));
+            return Err(ClientError::Protocol(
+                "frame beyond any sane size".to_string(),
+            ));
         }
         match stream.read(&mut scratch) {
             Ok(0) => {

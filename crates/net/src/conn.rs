@@ -266,7 +266,10 @@ mod tests {
     fn garbage_is_rejected_on_the_first_divergent_byte() {
         assert_eq!(extract(b"X", 1 << 20), Step::Reject("bad-magic"));
         assert_eq!(extract(b"\xff\x80", 1 << 20), Step::Reject("bad-magic"));
-        assert_eq!(extract(b"SYNC nope\n", 1 << 20), Step::Reject("sync-malformed"));
+        assert_eq!(
+            extract(b"SYNC nope\n", 1 << 20),
+            Step::Reject("sync-malformed")
+        );
         assert_eq!(extract(b"SYNCX", 1 << 20), Step::Reject("bad-magic"));
         let overlong = [b"SYNC ".as_slice(), &[b'9'; MAX_CONTROL_LINE]].concat();
         assert_eq!(extract(&overlong, 1 << 20), Step::Reject("sync-overlong"));

@@ -107,7 +107,10 @@ impl std::fmt::Display for BatchError {
         match self {
             BatchError::BadHeader => write!(f, "missing or mangled {BATCH_MAGIC} header"),
             BatchError::TooLarge { declared } => {
-                write!(f, "declared body of {declared} bytes exceeds the buffer budget")
+                write!(
+                    f,
+                    "declared body of {declared} bytes exceeds the buffer budget"
+                )
             }
             BatchError::ChecksumMismatch => write!(f, "batch body does not match its checksum"),
             BatchError::BadRecord => write!(f, "batch body is not a clean tiling of records"),
@@ -248,7 +251,9 @@ pub fn decode_batch_partial_ref(
             return Err(BatchError::BadRecord);
         }
         let payload_start = pos + nl + 1;
-        let payload_end = payload_start.checked_add(len).ok_or(BatchError::BadRecord)?;
+        let payload_end = payload_start
+            .checked_add(len)
+            .ok_or(BatchError::BadRecord)?;
         if payload_end > body.len() {
             return Err(BatchError::BadRecord);
         }
@@ -415,14 +420,20 @@ mod tests {
     #[test]
     fn malformed_batches_are_rejected_not_buffered() {
         // First divergent byte is enough.
-        assert_eq!(decode_batch_partial_ref(b"X", 1 << 20), Err(BatchError::BadHeader));
+        assert_eq!(
+            decode_batch_partial_ref(b"X", 1 << 20),
+            Err(BatchError::BadHeader)
+        );
         assert_eq!(
             decode_batch_partial_ref(b"\xff\xfe\xfd", 1 << 20),
             Err(BatchError::BadHeader)
         );
         // A headerless flood larger than any legal line is malformed.
         let flood = vec![b'L'; MAX_CONTROL_LINE + 1];
-        assert_eq!(decode_batch_partial_ref(&flood, 1 << 20), Err(BatchError::BadHeader));
+        assert_eq!(
+            decode_batch_partial_ref(&flood, 1 << 20),
+            Err(BatchError::BadHeader)
+        );
         // Oversized declared body is refused before it is buffered.
         let wire = encode_batch(&records());
         assert!(matches!(

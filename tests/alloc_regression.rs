@@ -161,7 +161,10 @@ fn steady_state_scan_batch_is_allocation_free_per_packet() {
         }
         hits
     });
-    assert_eq!(hits, 5 * warm.iter().filter(|v| v.matched.is_some()).count());
+    assert_eq!(
+        hits,
+        5 * warm.iter().filter(|v| v.matched.is_some()).count()
+    );
     assert!(
         allocs <= budget,
         "steady-state scan_batch allocated {allocs} times over 5 batches \

@@ -50,7 +50,11 @@ fn assert_wire_integrity(store: &SignatureStore, publisher: &SignatureServer) {
         .fetch(store.version().saturating_sub(1))
         .expect("publisher has the store's version");
     assert_eq!(version, store.version());
-    assert_eq!(store.wire_text(), text, "installed set differs from published set");
+    assert_eq!(
+        store.wire_text(),
+        text,
+        "installed set differs from published set"
+    );
 }
 
 #[test]
@@ -170,9 +174,11 @@ fn blackout_degrades_then_recovers() {
     assert_eq!(collector.regenerate(200, &publisher).published(), Some(1));
 
     // Clean first sync, then the network goes away entirely.
-    assert!(SyncClient::with_default_policy(InProcessTransport::new(&publisher))
-        .sync(&store)
-        .converged());
+    assert!(
+        SyncClient::with_default_policy(InProcessTransport::new(&publisher))
+            .sync(&store)
+            .converged()
+    );
     assert_eq!(collector.regenerate(200, &publisher).published(), Some(2));
 
     let blackout = FaultPlan::new(9, &[FaultKind::Drop], 1.0);
@@ -198,7 +204,12 @@ fn blackout_degrades_then_recovers() {
             ..GateConfig::default()
         },
     );
-    let benign = &data.packets.iter().find(|p| !p.is_sensitive()).unwrap().packet;
+    let benign = &data
+        .packets
+        .iter()
+        .find(|p| !p.is_sensitive())
+        .unwrap()
+        .packet;
     assert_eq!(
         strict.intercept("app.x", benign),
         GateAction::DegradedBlocked {
@@ -210,9 +221,11 @@ fn blackout_degrades_then_recovers() {
 
     // Connectivity returns: one clean round installs v2 and restores
     // full service on the strict gate.
-    assert!(SyncClient::with_default_policy(InProcessTransport::new(&publisher))
-        .sync(&store)
-        .converged());
+    assert!(
+        SyncClient::with_default_policy(InProcessTransport::new(&publisher))
+            .sync(&store)
+            .converged()
+    );
     assert_eq!(store.version(), 2);
     assert_eq!(store.health(), StoreHealth::Fresh);
     assert_eq!(strict.intercept("app.x", benign), GateAction::Forwarded);

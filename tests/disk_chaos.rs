@@ -80,7 +80,10 @@ impl StateStore for RecordingStore {
     }
     fn apply(&mut self, ops: &[StateOp]) -> ApplyOutcome {
         let outcome = self.inner.apply(ops);
-        self.log.lock().unwrap().push(encode_state(self.inner.state()));
+        self.log
+            .lock()
+            .unwrap()
+            .push(encode_state(self.inner.state()));
         outcome
     }
     fn flush(&mut self) {}
@@ -258,7 +261,10 @@ fn recovered_server_republishes_byte_identical_generation() {
         collector.ingest(&p.packet);
     }
     let outcome = collector.regenerate(150, &publisher);
-    assert!(matches!(outcome, RegenerateOutcome::Published { .. }), "{outcome:?}");
+    assert!(
+        matches!(outcome, RegenerateOutcome::Published { .. }),
+        "{outcome:?}"
+    );
     let (version, wire) = publisher.fetch(0).expect("published");
     collector.flush_state();
     drop(collector);
@@ -270,16 +276,21 @@ fn recovered_server_republishes_byte_identical_generation() {
     let publisher2 = SignatureServer::new();
     assert_eq!(collector.restore_publisher(&publisher2), Some(version));
     let (v2, wire2) = publisher2.fetch(0).expect("restored");
-    assert_eq!((v2, wire2.as_str()), (version, wire.as_str()),
-        "restarted server must hand devices the exact generation it was distributing");
+    assert_eq!(
+        (v2, wire2.as_str()),
+        (version, wire.as_str()),
+        "restarted server must hand devices the exact generation it was distributing"
+    );
 
     // And the life after the restart is a continuation, not a reset.
     for p in data.packets.iter().skip(400).take(400) {
         collector.ingest(&p.packet);
     }
     let outcome = collector.regenerate(150, &publisher2);
-    assert!(matches!(outcome, RegenerateOutcome::Published { version: v, .. } if v == version + 1),
-        "{outcome:?}");
+    assert!(
+        matches!(outcome, RegenerateOutcome::Published { version: v, .. } if v == version + 1),
+        "{outcome:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -327,7 +338,8 @@ fn sick_disk_degrades_counts_and_compaction_rearms() {
 
         // Nothing applied while degraded was lost: the re-arming
         // compaction snapshotted the whole state.
-        let (recovered, _) = WalStore::open(&dir, Box::new(RealDisk), wal_config()).expect("reopen");
+        let (recovered, _) =
+            WalStore::open(&dir, Box::new(RealDisk), wal_config()).expect("reopen");
         assert_eq!(recovered.state().stats.admitted, admitted, "{toggle}");
         assert_eq!(recovered.state().stats.durability_degraded, 1, "{toggle}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -366,7 +378,8 @@ fn failed_fsync_aborts_compaction_without_corruption() {
     assert!(dir.join("state.1.snap").exists());
     drop(collector);
 
-    let (recovered, report) = WalStore::open(&dir, Box::new(RealDisk), wal_config()).expect("reopen");
+    let (recovered, report) =
+        WalStore::open(&dir, Box::new(RealDisk), wal_config()).expect("reopen");
     assert_eq!(report.snapshot_generation, Some(1));
     assert_eq!(recovered.state().stats.ingested, 32);
     let _ = std::fs::remove_dir_all(&dir);

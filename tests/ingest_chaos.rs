@@ -16,9 +16,9 @@
 
 use leaksig::core::prelude::*;
 use leaksig::device::{
-    CollectionServer, DefaultRunner, IngestConfig, IngestOutcome, PipelineRunner,
-    QuarantineReason, RateLimit, RegenerateOutcome, RegenerationSupervisor, SignatureServer,
-    SignatureStore, SupervisorConfig,
+    CollectionServer, DefaultRunner, IngestConfig, IngestOutcome, PipelineRunner, QuarantineReason,
+    RateLimit, RegenerateOutcome, RegenerationSupervisor, SignatureServer, SignatureStore,
+    SupervisorConfig,
 };
 use leaksig::faults::{apply_ingest_fault, IngestFault, IngestFaultPlan};
 use leaksig::http::{HttpPacket, RequestBuilder};
@@ -70,8 +70,13 @@ fn ingest_chaos_soak_across_seeds() {
     for seed in seeds() {
         let data = Dataset::generate(MarketConfig::scaled(seed, 0.04));
         let check: PayloadCheck<SensitiveKind> = PayloadCheck::new(data.model.device.all_values());
-        let collector =
-            CollectionServer::with_intake(check, PipelineConfig::default(), 400, seed, IngestConfig::default());
+        let collector = CollectionServer::with_intake(
+            check,
+            PipelineConfig::default(),
+            400,
+            seed,
+            IngestConfig::default(),
+        );
         let publisher = SignatureServer::new();
         let store = SignatureStore::new();
         let deadline_ms = 30_000;
@@ -95,7 +100,10 @@ fn ingest_chaos_soak_across_seeds() {
                 collector.ingest_raw(&raw, dst.ip, dst.port);
             }
         }
-        assert!(plan.injected() > 0, "seed {seed}: the plan injected nothing");
+        assert!(
+            plan.injected() > 0,
+            "seed {seed}: the plan injected nothing"
+        );
 
         // Counter consistency before the queue drains: every offer is
         // accounted for, rejects match the ledger total, and nothing
@@ -106,7 +114,10 @@ fn ingest_chaos_soak_across_seeds() {
             s.admitted + s.rate_limited + s.quarantined + s.shed >= s.raw_seen,
             "seed {seed}: unaccounted offers: {s:?}"
         );
-        assert!(s.parse_rejects > 0, "seed {seed}: mangling produced no rejects");
+        assert!(
+            s.parse_rejects > 0,
+            "seed {seed}: mangling produced no rejects"
+        );
         assert!(s.quarantined >= s.parse_rejects, "seed {seed}: {s:?}");
         assert!(!collector.quarantine_ledger().is_empty(), "seed {seed}");
 
@@ -127,7 +138,10 @@ fn ingest_chaos_soak_across_seeds() {
             s.ingested <= s.admitted && s.ingested + s.shed >= s.admitted,
             "seed {seed}: classification drift: {s:?}"
         );
-        assert!(store.sync(&publisher).expect("in-process sync"), "seed {seed}");
+        assert!(
+            store.sync(&publisher).expect("in-process sync"),
+            "seed {seed}"
+        );
 
         // Recall on the held-out second half — traffic the server has
         // never seen, measured against ground-truth labels.
@@ -158,7 +172,10 @@ fn ingest_chaos_soak_across_seeds() {
             matches!(outcome, RegenerateOutcome::Published { version: 2, .. }),
             "seed {seed}: {outcome:?}"
         );
-        assert!(store.sync(&publisher).expect("in-process sync"), "seed {seed}");
+        assert!(
+            store.sync(&publisher).expect("in-process sync"),
+            "seed {seed}"
+        );
         assert_eq!(store.version(), 2, "seed {seed}");
     }
 }
@@ -216,7 +233,12 @@ fn garbage_bytes_fail_closed_and_deterministically() {
 fn slow_drip_truncation_fails_closed_and_deterministically() {
     for keep in [0u16, 50, 300, 700, 950] {
         let mut raw = module_packet(keep as usize).to_bytes();
-        apply_ingest_fault(IngestFault::SlowDrip { keep_permille: keep }, &mut raw);
+        apply_ingest_fault(
+            IngestFault::SlowDrip {
+                keep_permille: keep,
+            },
+            &mut raw,
+        );
         let a = offer(&small_server(IngestConfig::default()), &raw);
         let b = offer(&small_server(IngestConfig::default()), &raw);
         assert_eq!(a, b, "keep={keep}: same bytes, different verdict");
@@ -305,7 +327,11 @@ fn poison_packet_is_bisected_quarantined_and_blocked_from_reentry() {
     let record = ledger.last().expect("poison recorded");
     assert_eq!(record.reason, QuarantineReason::Poison);
     assert!(record.summary.contains("/poison"));
-    assert_eq!(srv.stats().quarantined, 1, "only the poison was quarantined");
+    assert_eq!(
+        srv.stats().quarantined,
+        1,
+        "only the poison was quarantined"
+    );
     assert_eq!(srv.reservoir_len(), 24);
 
     let out = srv.ingest_raw(&poison.to_bytes(), Ipv4Addr::new(203, 0, 113, 66), 80);

@@ -120,12 +120,14 @@ fn net_chaos_soak_across_seeds() {
         let mut plan = SocketFaultPlan::chaos(seed, 0.3);
         let events = drive_chaos(server.addr(), &mut plan, &batches)
             .unwrap_or_else(|e| panic!("seed {seed}: driver failed (server dead?): {e}"));
-        assert!(plan.injected() > 0, "seed {seed}: the plan injected nothing");
+        assert!(
+            plan.injected() > 0,
+            "seed {seed}: the plan injected nothing"
+        );
 
         // Each fault kind lands in its intended terminal bucket.
-        let count_fault = |k: SocketFaultKind| {
-            events.iter().filter(|e| e.fault == Some(k)).count() as u64
-        };
+        let count_fault =
+            |k: SocketFaultKind| events.iter().filter(|e| e.fault == Some(k)).count() as u64;
         let acked: Vec<_> = events
             .iter()
             .filter(|e| matches!(e.outcome, BatchOutcome::Acked(_)))
@@ -181,7 +183,10 @@ fn net_chaos_soak_across_seeds() {
             count_fault(SocketFaultKind::Garbage),
             "seed {seed}: {stats:?}"
         );
-        assert_eq!(stats.accept_shed, 0, "seed {seed}: sequential driving never floods");
+        assert_eq!(
+            stats.accept_shed, 0,
+            "seed {seed}: sequential driving never floods"
+        );
         assert_eq!(
             stats.batches,
             acked.len() as u64,
@@ -209,7 +214,10 @@ fn net_chaos_soak_across_seeds() {
             s.parse_rejects > 0,
             "seed {seed}: mangled records must exercise quarantine"
         );
-        assert_eq!(s.quarantined, s.parse_rejects, "seed {seed}: no poison here");
+        assert_eq!(
+            s.quarantined, s.parse_rejects,
+            "seed {seed}: no poison here"
+        );
     }
 }
 
@@ -241,7 +249,10 @@ fn loopback_e2e_matches_the_in_process_path() {
         assert_eq!(net.accepted, net.closed_total(), "close reasons must tile");
         let outcome = collector.regenerate(150, &publisher);
         assert!(
-            matches!(outcome, leaksig::device::RegenerateOutcome::Published { .. }),
+            matches!(
+                outcome,
+                leaksig::device::RegenerateOutcome::Published { .. }
+            ),
             "{outcome:?}"
         );
         let labels: Vec<&'static str> = events.iter().map(|e| e.outcome.label()).collect();
@@ -261,7 +272,10 @@ fn loopback_e2e_matches_the_in_process_path() {
 
     // Same seed, fresh server: identical verdicts and counters.
     let (stats_b, net_b, labels_b, _publisher_b) = run();
-    assert_eq!(stats_a, stats_b, "collector stats must be deterministic by seed");
+    assert_eq!(
+        stats_a, stats_b,
+        "collector stats must be deterministic by seed"
+    );
     assert_eq!(net_a, net_b, "listener stats must be deterministic by seed");
     assert_eq!(labels_a, labels_b, "per-connection outcomes must replay");
 
@@ -290,7 +304,10 @@ fn loopback_e2e_matches_the_in_process_path() {
     }
     let outcome = twin.regenerate(150, &twin_publisher);
     assert!(
-        matches!(outcome, leaksig::device::RegenerateOutcome::Published { .. }),
+        matches!(
+            outcome,
+            leaksig::device::RegenerateOutcome::Published { .. }
+        ),
         "{outcome:?}"
     );
     assert_eq!(twin.stats(), stats_a, "twin must see the same offers");
@@ -353,10 +370,9 @@ fn restarted_tcp_server_republishes_identical_signature_set() {
         dir
     };
     let wal_collector = |dir: &std::path::Path| {
-        let (store, _) = WalStore::open(dir, Box::new(RealDisk), WalConfig::default())
-            .expect("open state dir");
-        let check: PayloadCheck<SensitiveKind> =
-            PayloadCheck::new(data.model.device.all_values());
+        let (store, _) =
+            WalStore::open(dir, Box::new(RealDisk), WalConfig::default()).expect("open state dir");
+        let check: PayloadCheck<SensitiveKind> = PayloadCheck::new(data.model.device.all_values());
         CollectionServer::with_store(
             check,
             PipelineConfig::default(),
@@ -416,7 +432,10 @@ fn restarted_tcp_server_republishes_identical_signature_set() {
     collector.pump_all();
     let outcome = collector.regenerate(150, &publisher);
     assert!(
-        matches!(outcome, leaksig::device::RegenerateOutcome::Published { .. }),
+        matches!(
+            outcome,
+            leaksig::device::RegenerateOutcome::Published { .. }
+        ),
         "{outcome:?}"
     );
     let stats_tcp = collector.stats();
@@ -446,7 +465,10 @@ fn restarted_tcp_server_republishes_identical_signature_set() {
     }
     let outcome = twin.regenerate(150, &twin_publisher);
     assert!(
-        matches!(outcome, leaksig::device::RegenerateOutcome::Published { .. }),
+        matches!(
+            outcome,
+            leaksig::device::RegenerateOutcome::Published { .. }
+        ),
         "{outcome:?}"
     );
     assert_eq!(twin.stats(), stats_tcp, "twin must see the same offers");
@@ -553,7 +575,8 @@ fn connection_flood_is_shed_with_busy() {
     let streams: Vec<TcpStream> = (0..10)
         .map(|_| {
             let s = TcpStream::connect(server.addr()).expect("connect");
-            s.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
             s
         })
         .collect();
@@ -709,7 +732,10 @@ fn tcp_transport_drives_the_retrying_sync_client() {
     }
     let outcome = collector.regenerate(150, &publisher);
     assert!(
-        matches!(outcome, leaksig::device::RegenerateOutcome::Published { .. }),
+        matches!(
+            outcome,
+            leaksig::device::RegenerateOutcome::Published { .. }
+        ),
         "{outcome:?}"
     );
     let report = sync.sync(&store);
