@@ -83,7 +83,7 @@ fn report_regen(
             signatures,
         } => {
             println!("published v{version} ({signatures} signatures)");
-            let diff = diff_generations(&prev, &served_set(publisher), MatchMode::Conjunction);
+            let diff = diff_generations(&prev, &served_set(publisher));
             println!("  generation diff: {}", diff.summary());
         }
         RegenerateOutcome::NoTraffic => println!("no suspicious traffic yet"),
@@ -1032,7 +1032,8 @@ pub fn detect(args: &Args) -> Result<(), String> {
 }
 
 /// `lint`: audit a signature file for §VI false-positive hazards,
-/// shadowing, and structural defects. Returns the process exit code:
+/// proved-dead (shadowed or unmatchable) signatures, and structural
+/// defects. Returns the process exit code:
 /// 1 when any Error-level diagnostic was found, 0 otherwise.
 pub fn lint(args: &Args) -> Result<i32, String> {
     let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
@@ -1072,59 +1073,22 @@ pub fn inspect(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse `--mode conjunction|ordered|fraction` (+ `--threshold X` for
-/// fraction; default 0.5).
-fn parse_mode(args: &Args) -> Result<MatchMode, String> {
-    match args.optional("mode").unwrap_or("conjunction") {
-        "conjunction" => Ok(MatchMode::Conjunction),
-        "ordered" => Ok(MatchMode::Ordered),
-        "fraction" => {
-            let t = args
-                .optional("threshold")
-                .unwrap_or("0.5")
-                .parse::<f64>()
-                .map_err(|e| format!("--threshold: {e}"))?;
-            Ok(MatchMode::Fraction(t))
-        }
-        other => Err(format!(
-            "--mode must be conjunction|ordered|fraction, got {other:?}"
-        )),
-    }
-}
-
 /// `analyze`: whole-set semantic analysis (proved subsumption lattice,
-/// dead signatures, overlap graph, static cost/FP bounds), or — with
-/// `--diff OLD --new NEW` — the semantic diff between two generations.
-/// Exit code 1 on any proved-dead, proved-unmatchable, or proved-FP
-/// finding, 0 otherwise.
+/// dead signatures, overlap graph, static cost) with the linter's
+/// findings plus the A004 cost findings, or — with `--diff OLD --new
+/// NEW` — the semantic diff between two generations. Exit code 1 on any
+/// Error-level finding (the same errors `lint` reports), 0 otherwise.
 pub fn analyze(args: &Args) -> Result<i32, String> {
-    let mode = parse_mode(args)?;
     if let Some(old_path) = args.optional("diff") {
         let old = load_sigs(old_path)?;
         let new = load_sigs(args.required("new").map_err(|e| e.to_string())?)?;
-        let diff = leaksig_core::analyze::diff_generations(&old, &new, mode);
-        print_diff(&diff, &old, &new);
+        print_diff(&diff_generations(&old, &new), &old, &new);
         return Ok(0);
     }
 
     let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
-    let report = leaksig_core::analyze::analyze_set(&set, mode);
-
-    // Proved findings rendered through the shared diagnostic vocabulary.
-    let mut diags = leaksig_core::audit::semantic_dead(&set, mode);
-    let fp_threshold = args
-        .optional("fp-threshold")
-        .unwrap_or("0.05")
-        .parse::<f64>()
-        .map_err(|e| format!("--fp-threshold: {e}"))?;
-    let linter = leaksig_lint::Linter::new();
-    let corpus: Vec<&leaksig_http::HttpPacket> = linter.corpus().iter().collect();
-    diags.extend(leaksig_core::audit::corpus_fp_bounds(
-        &set,
-        &corpus,
-        mode,
-        fp_threshold,
-    ));
+    let report = leaksig_core::analyze::analyze_set(&set);
+    let mut diags = leaksig_lint::Linter::new().lint(&set);
     diags.extend(leaksig_core::audit::cost_findings(
         &report.cost,
         &leaksig_core::audit::CostBudget::default(),
@@ -1135,35 +1099,19 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
         "json" => println!("{}", leaksig_lint::render_json(&diags)),
         "text" => {
             println!(
-                "{} signatures under {:?}: {} dominance edge{}, {} proved dead, \
-                 {} refuted shadow{}, {} overlap{}, {} undecided",
+                "{} signatures under Conjunction: {} dominance edge{}, {} proved dead, \
+                 {} overlap{}",
                 report.signatures,
-                report.mode,
                 report.dominance.len(),
                 if report.dominance.len() == 1 { "" } else { "s" },
                 report.dead.len(),
-                report.refuted_shadows.len(),
-                if report.refuted_shadows.len() == 1 {
-                    ""
-                } else {
-                    "s"
-                },
                 report.overlaps.len(),
                 if report.overlaps.len() == 1 { "" } else { "s" },
-                report.undecided.len(),
             );
             for e in &report.dominance {
                 println!(
                     "  sig {} dominates sig {}: {}",
                     set.signatures[e.dominator].id, set.signatures[e.dominated].id, e.proof.detail
-                );
-            }
-            for r in &report.refuted_shadows {
-                println!(
-                    "  L007 refuted for sig {} vs sig {}: {}",
-                    set.signatures[r.earlier].id,
-                    set.signatures[r.later].id,
-                    r.witness.describe()
                 );
             }
             println!(
@@ -1199,7 +1147,7 @@ fn print_diff(
     old: &SignatureSet,
     new: &SignatureSet,
 ) {
-    println!("generation diff under {:?}: {}", diff.mode, diff.summary());
+    println!("generation diff under Conjunction: {}", diff.summary());
     let witness_line = |w: &Option<leaksig_core::analyze::Witness>| match w {
         Some(w) => format!("\n      witness: {}", w.describe()),
         None => String::new(),
@@ -1261,9 +1209,7 @@ mod tests {
     #[test]
     fn publish_diffs_against_the_served_generation() {
         let server = SignatureServer::new();
-        let diff_since = |prev: &SignatureSet| {
-            diff_generations(prev, &served_set(&server), MatchMode::Conjunction)
-        };
+        let diff_since = |prev: &SignatureSet| diff_generations(prev, &served_set(&server));
         let before = served_set(&server);
         assert!(before.is_empty(), "nothing published yet");
 

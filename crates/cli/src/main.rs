@@ -7,7 +7,7 @@
 //! leaksig-cli detect   --capture capture.lsc --sigs sigs.txt [--device device.txt]
 //! leaksig-cli inspect  --sigs sigs.txt
 //! leaksig-cli lint     --sigs sigs.txt [--format text|json]
-//! leaksig-cli analyze  --sigs sigs.txt [--mode conjunction] [--format text|json]
+//! leaksig-cli analyze  --sigs sigs.txt [--format text|json]
 //! leaksig-cli analyze  --diff old.txt --new new.txt
 //! leaksig-cli serve    --device device.txt [--bind 127.0.0.1:7341] [--batches 10]
 //! leaksig-cli send     --addr 127.0.0.1:7341 --capture capture.lsc [--faults all]
@@ -36,9 +36,8 @@ commands:
   gate      replay through the device gate: --capture FILE --sigs FILE [--policy allow|block]
   inspect   print a signature set:        --sigs FILE
   lint      audit a signature set:        --sigs FILE [--format text|json]  (exit 1 on errors)
-  analyze   semantic set analysis:        --sigs FILE [--mode conjunction|ordered|fraction] [--threshold X]
-                                          [--fp-threshold X] [--format text|json]  (exit 1 on proved findings)
-            generation diff:              --diff OLD --new NEW [--mode ...]
+  analyze   semantic set analysis:        --sigs FILE [--format text|json]  (lint findings + cost; exit 1 on errors)
+            generation diff:              --diff OLD --new NEW
   chaos     fault-injected sync replay:   [--seed N] [--faults drop,corrupt|all] [--intensity X] [--rounds N]
             raw-intake frontier:          [--ingest garbage,oversize,headerbomb,dupflood,slowdrip|all] [--deadline MS]  (exit 1 unless converged)
             socket frontier:              [--net chop,stall,reset,garbage,halfframe|all] [--scale X]  (loopback TCP soak, per-connection log)

@@ -375,6 +375,42 @@ fn lint_exit_codes_match_across_formats() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `lint` and the deploy gate give one verdict on a shadowed pair: sig 4
+/// (`imei=35519500` in the body) matches everything sig 9
+/// (`imei=355195000000017&slot=1`) matches, so sig 9 is a proved A001
+/// Error and `lint` exits 1 in both formats, as `gate` refuses the set.
+#[test]
+fn lint_reports_shadowed_pair_as_proved_dead() {
+    let dir = std::env::temp_dir().join(format!("leaksig-shadow-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sigs = dir.join("shadowed.txt").to_string_lossy().into_owned();
+    std::fs::write(
+        &sigs,
+        "LEAKSIG/1\n\
+         sig 4 5\ntok body 696d65693d3335353139353030 0\nend\n\
+         sig 9 2\ntok body 696d65693d33353531393530303030303030313726736c6f743d31 0\nend\n",
+    )
+    .unwrap();
+
+    let out = bin().args(["lint", "--sigs", &sigs]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("error[A001] sig 9"), "{stdout}");
+
+    let out = bin()
+        .args(["lint", "--sigs", &sigs, "--format", "json"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains(r#""code":"A001","severity":"error","signature_id":9,"#),
+        "{stdout}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every publish during `chaos` prints its semantic diff against the
 /// generation served just before it: `generation diff: +A -R ~C (=U)`.
 /// The first diff is against the empty set; after that the removed,

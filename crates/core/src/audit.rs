@@ -9,12 +9,13 @@
 //!
 //! This module holds the diagnostic vocabulary ([`Code`], [`Severity`],
 //! [`Diagnostic`]) and the rules that need nothing beyond `leaksig-core`
-//! itself: structural checks, shadowing/subsumption analysis,
-//! corpus-based generality measurement (over a caller-supplied corpus),
-//! policy cross-references, and wire round-trip fidelity. The
-//! `leaksig-lint` crate layers a bundled normal-traffic corpus and
-//! rendering on top; [`deploy_check`] is the gate `pipeline` and the
-//! device store apply by default.
+//! itself: structural checks, policy cross-references, wire round-trip
+//! fidelity, and the analyzer's proved verdicts ([`semantic_dead`] for
+//! shadowed and unmatchable signatures, [`corpus_fp_bounds`] for corpus
+//! false positives over a caller-supplied corpus). The `leaksig-lint`
+//! crate layers a bundled normal-traffic corpus and rendering on top;
+//! [`deploy_check`] is the gate `pipeline` and the device store apply by
+//! default.
 
 use crate::engine::contains_bytes;
 use crate::signature::{ConjunctionSignature, Field, SignatureConfig, SignatureSet};
@@ -42,7 +43,9 @@ impl Severity {
 }
 
 /// Stable diagnostic codes. The numeric part never changes meaning; new
-/// rules append.
+/// rules append. L005, L006, L007 and L009 are retired (their questions
+/// are answered by the proved A001/A003 verdicts, or asked only of a
+/// match mode that no longer exists) and their numbers are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
     /// L001: a signature has no tokens at all (matches everything).
@@ -54,19 +57,8 @@ pub enum Code {
     MissingAnchor,
     /// L004: a token is a substring of protocol boilerplate.
     BoilerplateToken,
-    /// L005: the signature matches a normal-traffic corpus above the
-    /// false-positive threshold.
-    CorpusFalsePositive,
-    /// L006: two signatures carry the exact same token set.
-    DuplicateTokenSet,
-    /// L007: an earlier, more general signature makes this one
-    /// unreachable under first-match detection.
-    ShadowedSignature,
     /// L008: cookie/body token on a GET-only cluster.
     FieldTokenOnGet,
-    /// L009: order hints are ambiguous or self-contradictory under
-    /// [`crate::detect::MatchMode::Ordered`].
-    OrderHintConflict,
     /// L010: a device policy rule references a signature id the set does
     /// not contain.
     UnknownPolicySignature,
@@ -79,10 +71,10 @@ pub enum Code {
     /// weakening the threshold).
     DuplicateTokenBytes,
     /// A001: the analyzer proved the signature unreachable — an earlier
-    /// signature dominates it under the installed match mode.
+    /// signature (possibly an exact duplicate) dominates it.
     ProvedDead,
     /// A002: the analyzer proved the signature can never match any
-    /// packet under the installed match mode.
+    /// packet.
     ProvedUnmatchable,
     /// A003: the signature's exact corpus match fraction exceeds the
     /// false-positive budget (found via the static frequency bound).
@@ -100,11 +92,7 @@ impl Code {
             Code::ZeroLengthToken => "L002",
             Code::MissingAnchor => "L003",
             Code::BoilerplateToken => "L004",
-            Code::CorpusFalsePositive => "L005",
-            Code::DuplicateTokenSet => "L006",
-            Code::ShadowedSignature => "L007",
             Code::FieldTokenOnGet => "L008",
-            Code::OrderHintConflict => "L009",
             Code::UnknownPolicySignature => "L010",
             Code::WireRoundTripLoss => "L011",
             Code::DuplicateId => "L012",
@@ -122,8 +110,6 @@ impl Code {
             Code::EmptyTokenList
             | Code::ZeroLengthToken
             | Code::MissingAnchor
-            | Code::CorpusFalsePositive
-            | Code::DuplicateTokenSet
             | Code::UnknownPolicySignature
             | Code::WireRoundTripLoss
             | Code::DuplicateId
@@ -131,9 +117,7 @@ impl Code {
             | Code::ProvedUnmatchable
             | Code::ProvedCorpusFp => Severity::Error,
             Code::BoilerplateToken
-            | Code::ShadowedSignature
             | Code::FieldTokenOnGet
-            | Code::OrderHintConflict
             | Code::DuplicateTokenBytes
             | Code::CostBudgetExceeded => Severity::Warning,
         }
@@ -235,7 +219,7 @@ fn display_token(bytes: &[u8]) -> String {
     format!("{:?}", String::from_utf8_lossy(bytes))
 }
 
-/// Per-signature structural findings: L001, L002, L003, L004, L008, L009.
+/// Per-signature structural findings: L001, L002, L003, L004, L008, L013.
 pub fn signature_structure(sig: &ConjunctionSignature, config: &AuditConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
@@ -369,54 +353,6 @@ pub fn signature_structure(sig: &ConjunctionSignature, config: &AuditConfig) -> 
         }
     }
 
-    // L009: under MatchMode::Ordered, per-field tokens are visited in
-    // order-hint order at non-overlapping increasing positions. Equal
-    // hints on distinct tokens make that order unspecified; overlapping
-    // spans mean even the reference member cannot satisfy the ordering.
-    for field in Field::ALL {
-        let mut in_field: Vec<_> = sig.tokens.iter().filter(|t| t.field == field).collect();
-        if in_field.len() < 2 {
-            continue;
-        }
-        in_field.sort_by_key(|t| t.order_hint());
-        for pair in in_field.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            if a.order_hint() == b.order_hint() && a.bytes() != b.bytes() {
-                out.push(
-                    Diagnostic::new(
-                        Code::OrderHintConflict,
-                        format!(
-                            "tokens {} and {} share order hint {}: ordered matching is ambiguous",
-                            display_token(a.bytes()),
-                            display_token(b.bytes()),
-                            a.order_hint()
-                        ),
-                    )
-                    .on_signature(sig.id)
-                    .on_field(field)
-                    .suggest("re-derive hints from the cluster's reference member"),
-                );
-            } else if a.order_hint() + a.bytes().len() as u32 > b.order_hint() {
-                out.push(
-                    Diagnostic::new(
-                        Code::OrderHintConflict,
-                        format!(
-                            "token {} (hint {}) overlaps token {} (hint {}): \
-                             ordered matching cannot be satisfied as hinted",
-                            display_token(a.bytes()),
-                            a.order_hint(),
-                            display_token(b.bytes()),
-                            b.order_hint()
-                        ),
-                    )
-                    .on_signature(sig.id)
-                    .on_field(field)
-                    .suggest("re-derive hints from the cluster's reference member"),
-                );
-            }
-        }
-    }
-
     out
 }
 
@@ -442,103 +378,6 @@ pub fn structural(set: &SignatureSet, config: &AuditConfig) -> Vec<Diagnostic> {
             );
         } else {
             seen_ids.insert(sig.id, i);
-        }
-    }
-    out
-}
-
-/// Per-field token key used by the subsumption analysis.
-fn token_key(sig: &ConjunctionSignature) -> Vec<(u8, Vec<u8>)> {
-    let mut key: Vec<(u8, Vec<u8>)> = sig
-        .tokens
-        .iter()
-        .map(|t| (t.field as u8, t.bytes().to_vec()))
-        .collect();
-    key.sort();
-    key
-}
-
-/// Shadowing/subsumption findings: L006 (exact duplicates) and L007
-/// (an earlier, more general signature makes a later one unreachable
-/// under the detector's first-match rule).
-pub fn subsumption(set: &SignatureSet) -> Vec<Diagnostic> {
-    let keys: Vec<_> = set.signatures.iter().map(token_key).collect();
-    let mut out = Vec::new();
-    for (later, sig) in set.signatures.iter().enumerate() {
-        for earlier in 0..later {
-            let a = &keys[earlier]; // candidate shadow-er
-            let b = &keys[later];
-            if a == b {
-                out.push(
-                    Diagnostic::new(
-                        Code::DuplicateTokenSet,
-                        format!(
-                            "token set identical to signature {}: dead weight",
-                            set.signatures[earlier].id
-                        ),
-                    )
-                    .on_signature(sig.id)
-                    .suggest("delete the duplicate"),
-                );
-                break;
-            }
-            // `earlier` shadows `later` when each of its tokens is
-            // contained in a same-field token of `later`: every packet
-            // `later` matches, `earlier` already matched first.
-            let implied = !a.is_empty()
-                && a.iter()
-                    .all(|(fa, ta)| b.iter().any(|(fb, tb)| fa == fb && contains_bytes(tb, ta)));
-            if implied {
-                out.push(
-                    Diagnostic::new(
-                        Code::ShadowedSignature,
-                        format!(
-                            "unreachable under first-match detection: signature {} \
-                             (earlier, more general) matches everything this one matches",
-                            set.signatures[earlier].id
-                        ),
-                    )
-                    .on_signature(sig.id)
-                    .suggest("drop this signature or move it before the general one"),
-                );
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Generality measurement against a normal-traffic corpus (L005): a
-/// signature matching more than `max_fraction` of `corpus` would fire on
-/// benign traffic at that rate — the §VI false-positive hazard in its
-/// measurable form.
-pub fn corpus_false_positives(
-    set: &SignatureSet,
-    corpus: &[&HttpPacket],
-    max_fraction: f64,
-) -> Vec<Diagnostic> {
-    if corpus.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for sig in &set.signatures {
-        let hits = corpus.iter().filter(|p| sig.matches(p)).count();
-        let fraction = hits as f64 / corpus.len() as f64;
-        if fraction > max_fraction {
-            out.push(
-                Diagnostic::new(
-                    Code::CorpusFalsePositive,
-                    format!(
-                        "matches {hits}/{} ({:.1}%) of the normal-traffic corpus \
-                         (threshold {:.1}%)",
-                        corpus.len(),
-                        100.0 * fraction,
-                        100.0 * max_fraction
-                    ),
-                )
-                .on_signature(sig.id)
-                .suggest("regenerate from a tighter cluster; the tokens are too generic"),
-            );
         }
     }
     out
@@ -617,15 +456,15 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 
 /// Proved-verdict findings from [`crate::analyze::dead_signatures`]:
 /// A002 for provably-unmatchable signatures, A001 for signatures an
-/// earlier signature provably dominates under `mode`. Unlike L007 this
-/// carries a proof, so both are Errors.
-pub fn semantic_dead(set: &SignatureSet, mode: crate::detect::MatchMode) -> Vec<Diagnostic> {
-    crate::analyze::dead_signatures(set, mode)
+/// earlier signature provably dominates — an exact duplicate included.
+/// Both carry a proof, so both are Errors.
+pub fn semantic_dead(set: &SignatureSet) -> Vec<Diagnostic> {
+    crate::analyze::dead_signatures(set)
         .into_iter()
         .map(|d| match d.reason {
             crate::analyze::DeadReason::Unmatchable { detail } => Diagnostic::new(
                 Code::ProvedUnmatchable,
-                format!("proved unmatchable under {mode:?}: {detail}"),
+                format!("proved unmatchable under Conjunction: {detail}"),
             )
             .on_signature(d.id)
             .suggest("delete the signature; it can never fire"),
@@ -633,7 +472,7 @@ pub fn semantic_dead(set: &SignatureSet, mode: crate::detect::MatchMode) -> Vec<
                 Code::ProvedDead,
                 format!(
                     "proved dominated by signature {by_id} (position {by_index}) \
-                     under {mode:?}: every packet it matches, that one matches first"
+                     under Conjunction: every packet it matches, that one matches first"
                 ),
             )
             .on_signature(d.id)
@@ -645,14 +484,13 @@ pub fn semantic_dead(set: &SignatureSet, mode: crate::detect::MatchMode) -> Vec<
 /// Proved corpus false positives via [`crate::analyze::fp_exposure`]:
 /// A003 when a signature's *exact* corpus match fraction exceeds
 /// `max_fraction` (the static frequency bound decides which signatures
-/// need the exact count at all). A static, proved counterpart of L005.
+/// need the exact count at all).
 pub fn corpus_fp_bounds(
     set: &SignatureSet,
     corpus: &[&HttpPacket],
-    mode: crate::detect::MatchMode,
     max_fraction: f64,
 ) -> Vec<Diagnostic> {
-    crate::analyze::fp_exposure(set, corpus, mode, max_fraction)
+    crate::analyze::fp_exposure(set, corpus, max_fraction)
         .into_iter()
         .filter_map(|e| {
             let exact = e.exact?;
@@ -660,7 +498,7 @@ pub fn corpus_fp_bounds(
                 Diagnostic::new(
                     Code::ProvedCorpusFp,
                     format!(
-                        "matches {:.1}% of the normal corpus under {mode:?} \
+                        "matches {:.1}% of the normal corpus under Conjunction \
                          (static bound {:.1}%, budget {:.1}%)",
                         exact * 100.0,
                         e.bound * 100.0,
@@ -725,22 +563,20 @@ pub fn cost_findings(cost: &crate::analyze::CostReport, budget: &CostBudget) -> 
     out
 }
 
-/// The deploy gate: the corpus-free rules (structural, subsumption, wire
-/// round-trip) under default parameters, plus the analyzer's proved
-/// verdicts ([`semantic_dead`] under Conjunction — A001/A002), reduced
-/// to Error-level findings. `Ok(())` means the set may ship; `Err`
-/// carries the blocking findings.
+/// The deploy gate: the corpus-free rules (structural, wire round-trip)
+/// under default parameters, plus the analyzer's proved verdicts
+/// ([`semantic_dead`] — A001/A002), reduced to Error-level findings.
+/// `Ok(())` means the set may ship; `Err` carries the blocking findings.
 ///
 /// This is what [`crate::pipeline`] and the device store apply by
-/// default. The full linter (`leaksig-lint`) additionally measures
-/// corpus false positives and renders reports.
+/// default. The full linter (`leaksig-lint`) runs the same rules plus
+/// the corpus false-positive bound (A003) and renders reports.
 pub fn deploy_check(set: &SignatureSet) -> Result<(), Vec<Diagnostic>> {
     let config = AuditConfig::default();
     let mut errors: Vec<Diagnostic> = structural(set, &config)
         .into_iter()
-        .chain(subsumption(set))
         .chain(wire_round_trip(set))
-        .chain(semantic_dead(set, crate::detect::MatchMode::Conjunction))
+        .chain(semantic_dead(set))
         .filter(|d| d.severity == Severity::Error)
         .collect();
     if errors.is_empty() {
@@ -838,48 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn equal_order_hints_warn() {
-        let s = set_of(vec![sig(
-            4,
-            vec![
-                FieldToken::with_hint(Field::Body, &b"alpha-alpha-alpha"[..], 5),
-                FieldToken::with_hint(Field::Body, &b"beta-beta"[..], 5),
-            ],
-        )]);
-        let diags = structural(&s, &AuditConfig::default());
-        assert!(diags.iter().any(|d| d.code == Code::OrderHintConflict));
-    }
-
-    #[test]
-    fn overlapping_order_hints_warn() {
-        let s = set_of(vec![sig(
-            4,
-            vec![
-                FieldToken::with_hint(Field::Body, &b"0123456789abcdef"[..], 0),
-                FieldToken::with_hint(Field::Body, &b"89abcdefghij"[..], 8),
-            ],
-        )]);
-        let diags = structural(&s, &AuditConfig::default());
-        assert!(diags.iter().any(|d| d.code == Code::OrderHintConflict));
-    }
-
-    #[test]
-    fn distinct_hints_do_not_warn() {
-        let s = set_of(vec![sig(
-            4,
-            vec![
-                FieldToken::with_hint(Field::Body, &b"0123456789"[..], 0),
-                FieldToken::with_hint(Field::Body, &b"abcdefghij"[..], 20),
-            ],
-        )]);
-        let diags = structural(&s, &AuditConfig::default());
-        assert!(
-            !diags.iter().any(|d| d.code == Code::OrderHintConflict),
-            "diags: {diags:?}"
-        );
-    }
-
-    #[test]
     fn duplicate_ids_are_an_error() {
         let tok = || vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])];
         let s = set_of(vec![sig(7, tok()), sig(7, tok())]);
@@ -940,7 +734,7 @@ mod tests {
             )],
         );
         let s = set_of(vec![general, specific, unmatchable]);
-        let diags = semantic_dead(&s, crate::detect::MatchMode::Conjunction);
+        let diags = semantic_dead(&s);
         assert!(diags
             .iter()
             .any(|d| d.code == Code::ProvedDead && d.signature_id == Some(2)));
@@ -960,7 +754,7 @@ mod tests {
             1,
             vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
         )]);
-        let cost = crate::analyze::cost_report(&s, crate::detect::MatchMode::Conjunction);
+        let cost = crate::analyze::cost_report(&s);
         assert!(cost_findings(&cost, &CostBudget::default()).is_empty());
         let tiny = CostBudget {
             max_states: 1,
@@ -993,7 +787,7 @@ mod tests {
             vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
         );
         let s = set_of(vec![over, under]);
-        let diags = corpus_fp_bounds(&s, &corpus, crate::detect::MatchMode::Conjunction, 0.05);
+        let diags = corpus_fp_bounds(&s, &corpus, 0.05);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::ProvedCorpusFp);
         assert_eq!(diags[0].signature_id, Some(1));
@@ -1004,11 +798,13 @@ mod tests {
     fn exact_duplicate_token_sets_are_an_error() {
         let tok = || vec![FieldToken::new(Field::Body, &b"udid=dd72cbaeab8d2e44"[..])];
         let s = set_of(vec![sig(1, tok()), sig(2, tok())]);
-        let diags = subsumption(&s);
+        // An exact duplicate is the degenerate dominance case: proved
+        // dead, and the later one is flagged.
+        let diags = semantic_dead(&s);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, Code::DuplicateTokenSet);
+        assert_eq!(diags[0].code, Code::ProvedDead);
         assert_eq!(diags[0].signature_id, Some(2), "the later one is flagged");
-        assert!(deploy_check(&s).is_err());
+        assert_eq!(deploy_check(&s).unwrap_err(), diags);
     }
 
     /// The acceptance-criteria shadowing case: an earlier signature whose
@@ -1025,11 +821,11 @@ mod tests {
             ],
         );
         let s = set_of(vec![general, specific]);
-        let diags = subsumption(&s);
+        let diags = semantic_dead(&s);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, Code::ShadowedSignature);
+        assert_eq!(diags[0].code, Code::ProvedDead);
         assert_eq!(diags[0].signature_id, Some(11));
-        assert_eq!(diags[0].severity, Severity::Warning);
+        assert_eq!(diags[0].severity, Severity::Error);
 
         // Reversed order: the specific one runs first, nothing shadowed.
         let s = set_of(vec![
@@ -1042,7 +838,7 @@ mod tests {
             ),
             sig(10, vec![FieldToken::new(Field::Body, &b"imei=355195"[..])]),
         ]);
-        assert!(subsumption(&s).is_empty());
+        assert!(semantic_dead(&s).is_empty());
     }
 
     #[test]
@@ -1055,7 +851,7 @@ mod tests {
                 vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
             ),
         ]);
-        assert!(subsumption(&s).is_empty());
+        assert!(semantic_dead(&s).is_empty());
     }
 
     #[test]
@@ -1075,9 +871,9 @@ mod tests {
             0,
             vec![FieldToken::new(Field::RequestLine, &b"/api/v1/items"[..])],
         )]);
-        let diags = corpus_false_positives(&generic, &refs, 0.05);
+        let diags = corpus_fp_bounds(&generic, &refs, 0.05);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, Code::CorpusFalsePositive);
+        assert_eq!(diags[0].code, Code::ProvedCorpusFp);
         assert_eq!(diags[0].severity, Severity::Error);
 
         // A specific signature passes.
@@ -1085,9 +881,9 @@ mod tests {
             0,
             vec![FieldToken::new(Field::Body, &b"udid=dd72cbaeab8d2e44"[..])],
         )]);
-        assert!(corpus_false_positives(&specific, &refs, 0.05).is_empty());
+        assert!(corpus_fp_bounds(&specific, &refs, 0.05).is_empty());
         // Empty corpus: no findings, no division by zero.
-        assert!(corpus_false_positives(&generic, &[], 0.05).is_empty());
+        assert!(corpus_fp_bounds(&generic, &[], 0.05).is_empty());
     }
 
     #[test]
@@ -1142,7 +938,7 @@ mod tests {
     fn display_formats() {
         let d = Diagnostic::new(Code::MissingAnchor, "msg").on_signature(4);
         assert_eq!(d.to_string(), "error[L003] sig 4: msg");
-        assert_eq!(Code::ShadowedSignature.to_string(), "L007");
+        assert_eq!(Code::FieldTokenOnGet.to_string(), "L008");
         assert_eq!(Severity::Warning.label(), "warning");
         assert!(!has_errors(&[Diagnostic::new(Code::BoilerplateToken, "x")]));
         assert!(has_errors(&[Diagnostic::new(Code::DuplicateId, "x")]));

@@ -22,17 +22,12 @@ pub enum MatchMode {
     /// signatures*, the §VI future-work extension. `Fraction(1.0)` is
     /// equivalent to [`MatchMode::Conjunction`].
     Fraction(f64),
-    /// Tokens must appear in order within each field (Polygraph's
-    /// token-subsequence class) — strictly stronger than the conjunction,
-    /// trading recall for resistance to token-shuffling evasion.
-    Ordered,
 }
 
 /// A compiled signature set ready for high-volume matching.
 #[derive(Debug)]
 pub struct Detector {
     set: SignatureSet,
-    mode: MatchMode,
     engine: CompiledDetector,
     /// Scratch for the single-packet entry points; batch scans use
     /// per-thread scratches instead of contending on this lock.
@@ -43,7 +38,6 @@ impl Clone for Detector {
     fn clone(&self) -> Self {
         Detector {
             set: self.set.clone(),
-            mode: self.mode,
             engine: self.engine.clone(),
             scratch: Mutex::new(self.engine.scratch()),
         }
@@ -202,7 +196,6 @@ impl Detector {
         let scratch = Mutex::new(engine.scratch());
         Detector {
             set,
-            mode,
             engine,
             scratch,
         }
@@ -441,21 +434,6 @@ mod tests {
             .destination(Ipv4Addr::new(198, 51, 100, 7), 80, "api.example.jp")
             .build();
         assert!(lenient.match_packet(&unrelated).is_none());
-    }
-
-    #[test]
-    fn ordered_mode_plugs_into_detector() {
-        let sig = sig_for("nend.net", "aid", "f3a9c1d200b14e77", 2);
-        let set = SignatureSet {
-            signatures: vec![sig],
-        };
-        let det = Detector::with_mode(set, MatchMode::Ordered);
-        let probe = RequestBuilder::get("/ad")
-            .query("aid", "f3a9c1d200b14e77")
-            .query("slot", "5")
-            .destination(Ipv4Addr::new(203, 0, 113, 9), 80, "nend.net")
-            .build();
-        assert!(det.match_packet(&probe).is_some());
     }
 
     #[test]

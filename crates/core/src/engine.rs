@@ -31,24 +31,16 @@
 //! * a per-signature **rarest-token guard**: the pattern owned by the
 //!   fewest signatures (ties: longest). A signature enters candidate
 //!   evaluation only when its guard fires, which prescreens
-//!   [`MatchMode::Conjunction`] and [`MatchMode::Ordered`] evaluation down
-//!   to signatures that can still fully match.
+//!   [`MatchMode::Conjunction`] evaluation down to signatures that can
+//!   still fully match.
 //!
-//! All three [`MatchMode`]s are served by the same pass:
+//! Both [`MatchMode`]s are served by the same pass:
 //!
 //! * `Conjunction` — counter == total;
-//! * `Fraction(t)` — counter ⁄ total ≥ t over every touched signature;
-//! * `Ordered` — conjunction counters prescreen candidates, which are then
-//!   verified against the **position lists** the pass recorded (first
-//!   occurrence at-or-after a moving offset, per field, in order-hint
-//!   order) — identical semantics to
-//!   [`ConjunctionSignature::matches_ordered`], without rescanning.
+//! * `Fraction(t)` — counter ⁄ total ≥ t over every touched signature.
 //!
 //! Per-packet state lives in a reusable [`ScanScratch`] with epoch-stamped
 //! slots, so resetting between packets is O(touched), not O(signatures).
-//!
-//! [`ConjunctionSignature::matches_ordered`]:
-//! crate::signature::ConjunctionSignature::matches_ordered
 
 use crate::detect::MatchMode;
 use crate::signature::{Field, SignatureSet};
@@ -432,14 +424,6 @@ struct PatternOwner {
     guard: bool,
 }
 
-/// An ordered-plan step: match this pattern at or after the running
-/// offset, then advance past it.
-#[derive(Debug, Clone, Copy)]
-struct OrderedStep {
-    pid: u32,
-    len: u32,
-}
-
 /// The three content fields of one packet as borrowed byte slices — the
 /// zero-copy scan input. Build one with [`FieldBytes::from_view`] on the
 /// hot path, or field-by-field in tests.
@@ -474,17 +458,12 @@ pub struct CompiledDetector {
     matchers: [FieldMatcher; FIELDS],
     /// Inverted index, indexed by pattern id.
     owners: Vec<Vec<PatternOwner>>,
-    /// Pattern byte lengths, indexed by pattern id.
-    pattern_lens: Vec<u32>,
     /// Per signature: total token count (conjunction target).
     totals: Vec<u32>,
     /// Per signature: wire ids, in set order.
     ids: Vec<u32>,
-    /// Signatures with no tokens: vacuous conjunction/ordered matches.
+    /// Signatures with no tokens: vacuous conjunction matches.
     always: Vec<u32>,
-    /// Ordered-mode verification plans (empty unless mode is `Ordered`):
-    /// per signature, per field, steps in `matches_ordered` order.
-    ordered_plans: Vec<[Vec<OrderedStep>; FIELDS]>,
     /// Per field: (distinct patterns, total pattern bytes, longest
     /// pattern), recorded at compile time for the static cost report.
     field_stats: [(usize, usize, usize); FIELDS],
@@ -526,10 +505,6 @@ pub struct ScanScratch {
     touched: Vec<u32>,
     /// Candidates whose guard pattern fired this packet.
     candidates: Vec<u32>,
-    /// Ordered mode: per pattern, end positions recorded this packet.
-    positions: Vec<Vec<u32>>,
-    /// Ordered mode: epoch of each pattern's position list.
-    pos_epoch: Vec<u32>,
     /// Owned-packet entry points: the request-line view, rebuilt in
     /// place for every packet.
     rline: Vec<u8>,
@@ -544,7 +519,6 @@ impl ScanScratch {
             self.epoch = 0;
             self.pat_seen.fill(0);
             self.sig_epoch.fill(0);
-            self.pos_epoch.fill(0);
         }
         self.epoch += 1;
     }
@@ -641,66 +615,15 @@ impl CompiledDetector {
             _ => FieldMatcher::Automaton(Automaton::build(&patterns)),
         });
 
-        // 4. Ordered-mode verification plans: tokens per field, stably
-        // sorted by order hint — exactly `matches_ordered`'s iteration.
-        let ordered_plans = if mode == MatchMode::Ordered {
-            set.iter()
-                .enumerate()
-                .map(|(sig_idx, sig)| {
-                    let mut plan: [Vec<OrderedStep>; FIELDS] = Default::default();
-                    for f in Field::ALL {
-                        let mut toks: Vec<(u32, usize)> = sig
-                            .tokens
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, t)| t.field == f)
-                            .map(|(i, t)| (t.order_hint(), i))
-                            .collect();
-                        toks.sort_by_key(|&(hint, _)| hint);
-                        plan[field_index(f)] = toks
-                            .into_iter()
-                            .map(|(_, i)| OrderedStep {
-                                pid: sig_patterns[sig_idx][i],
-                                len: sig.tokens[i].bytes().len() as u32,
-                            })
-                            .collect();
-                    }
-                    plan
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        let pattern_lens = pattern_bytes.iter().map(|(_, b)| b.len() as u32).collect();
         CompiledDetector {
             mode,
             matchers,
             owners,
-            pattern_lens,
             totals,
             ids,
             always,
-            ordered_plans,
             field_stats,
         }
-    }
-
-    /// The match mode this engine was compiled for.
-    pub fn mode(&self) -> MatchMode {
-        self.mode
-    }
-
-    /// Total automaton states across the three fields.
-    pub fn state_count(&self) -> usize {
-        self.matchers
-            .iter()
-            .map(|m| match m {
-                FieldMatcher::Automaton(a) => a.state_count(),
-                FieldMatcher::Single { .. } => 2,
-                FieldMatcher::Empty => 0,
-            })
-            .sum()
     }
 
     /// Static per-field matcher costs, in [`Field::ALL`] order: pattern
@@ -729,28 +652,14 @@ impl CompiledDetector {
     /// A scratch sized for this engine. Allocate one per thread; every
     /// `match_*` call reuses it without further allocation.
     pub fn scratch(&self) -> ScanScratch {
-        let n_pat = self.pattern_lens.len();
         let n_sig = self.totals.len();
         ScanScratch {
             epoch: 0,
-            pat_seen: vec![0; n_pat],
+            pat_seen: vec![0; self.owners.len()],
             sig_epoch: vec![0; n_sig],
             counts: vec![0; n_sig],
             touched: Vec::with_capacity(n_sig.min(64)),
             candidates: Vec::with_capacity(n_sig.min(64)),
-            positions: if self.mode == MatchMode::Ordered {
-                vec![Vec::new(); n_pat]
-            } else {
-                Vec::new()
-            },
-            pos_epoch: vec![
-                0;
-                if self.mode == MatchMode::Ordered {
-                    n_pat
-                } else {
-                    0
-                }
-            ],
             rline: Vec::new(),
         }
     }
@@ -777,8 +686,7 @@ impl CompiledDetector {
     }
 
     /// The allocation-free scan core: run the per-field matchers over
-    /// borrowed field bytes, filling counters and (in ordered mode)
-    /// position lists.
+    /// borrowed field bytes, filling the hit counters.
     fn scan_field_bytes(&self, s: &mut ScanScratch, fields: FieldBytes<'_>) {
         self.scan_segments(s, [(0, fields.rline), (1, fields.cookie), (2, fields.body)]);
     }
@@ -786,14 +694,13 @@ impl CompiledDetector {
     /// [`CompiledDetector::scan_field_bytes`] over any number of haystacks
     /// per field, given as `(field index, bytes)`: one scan, so a pattern
     /// found in any segment of its field counts, but no match spans two
-    /// segments. Position lists record offsets within each segment.
+    /// segments.
     fn scan_segments<'h>(
         &self,
         s: &mut ScanScratch,
         segments: impl IntoIterator<Item = (usize, &'h [u8])>,
     ) {
         s.begin();
-        let record_positions = self.mode == MatchMode::Ordered;
         for (f, hay) in segments {
             let matcher = &self.matchers[f];
             if matches!(matcher, FieldMatcher::Empty) {
@@ -808,19 +715,10 @@ impl CompiledDetector {
                 counts,
                 touched,
                 candidates,
-                positions,
-                pos_epoch,
                 ..
             } = s;
-            matcher.scan(hay, |pid, end| {
+            matcher.scan(hay, |pid, _| {
                 let p = pid as usize;
-                if record_positions {
-                    if pos_epoch[p] != epoch {
-                        pos_epoch[p] = epoch;
-                        positions[p].clear();
-                    }
-                    positions[p].push(end as u32);
-                }
                 if pat_seen[p] == epoch {
                     return;
                 }
@@ -841,30 +739,6 @@ impl CompiledDetector {
         }
     }
 
-    /// Verify an ordered-mode candidate against the recorded position
-    /// lists: per field, each step's pattern must occur at or after the
-    /// running offset (greedy, like `matches_ordered`'s `find_from` loop).
-    fn verify_ordered(&self, s: &ScanScratch, sig_idx: usize) -> bool {
-        for plan in &self.ordered_plans[sig_idx] {
-            let mut from = 0u32;
-            for step in plan {
-                let p = step.pid as usize;
-                if s.pos_epoch[p] != s.epoch {
-                    return false;
-                }
-                // First recorded end position implying start ≥ from.
-                let min_end = from + step.len - 1;
-                let list = &s.positions[p];
-                let i = list.partition_point(|&e| e < min_end);
-                match list.get(i) {
-                    Some(&e) => from = e + 1,
-                    None => return false,
-                }
-            }
-        }
-        true
-    }
-
     #[inline]
     fn sig_matches(&self, s: &ScanScratch, sig_idx: usize) -> bool {
         let count = s.counts[sig_idx];
@@ -873,7 +747,6 @@ impl CompiledDetector {
             MatchMode::Conjunction => count == total,
             // Mirror `match_fraction`'s exact float expression.
             MatchMode::Fraction(t) => count as f64 / total as f64 >= t,
-            MatchMode::Ordered => count == total && self.verify_ordered(s, sig_idx),
         }
     }
 
@@ -894,7 +767,7 @@ impl CompiledDetector {
                     }
                 }
             }
-            MatchMode::Conjunction | MatchMode::Ordered => {
+            MatchMode::Conjunction => {
                 // Rarest-token prescreen: only guard-fired candidates can
                 // have a full counter.
                 for i in 0..s.candidates.len() {
@@ -904,7 +777,7 @@ impl CompiledDetector {
                     }
                 }
                 // Vacuous matches: token-free signatures match everything
-                // under conjunction/ordered semantics.
+                // under conjunction semantics.
                 out.extend_from_slice(&self.always);
             }
         }
@@ -929,7 +802,7 @@ impl CompiledDetector {
                     }
                 }
             }
-            MatchMode::Conjunction | MatchMode::Ordered => {
+            MatchMode::Conjunction => {
                 for &c in &s.candidates {
                     if self.sig_matches(s, c as usize) {
                         consider(&mut best, c);
@@ -1198,11 +1071,9 @@ mod tests {
         let p = leaksig_http::RequestBuilder::get("/x")
             .destination(std::net::Ipv4Addr::LOCALHOST, 80, "h.jp")
             .build();
-        for mode in [MatchMode::Conjunction, MatchMode::Ordered] {
-            let engine = CompiledDetector::compile(&set, mode);
-            let mut s = engine.scratch();
-            assert_eq!(engine.matched_ids(&mut s, &p), vec![9], "{mode:?}");
-        }
+        let engine = CompiledDetector::compile(&set, MatchMode::Conjunction);
+        let mut s = engine.scratch();
+        assert_eq!(engine.matched_ids(&mut s, &p), vec![9]);
         let engine = CompiledDetector::compile(&set, MatchMode::Fraction(0.5));
         let mut s = engine.scratch();
         assert!(engine.matched_ids(&mut s, &p).is_empty());

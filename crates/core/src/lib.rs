@@ -24,10 +24,10 @@
 //! * [`audit`] — static auditing of finished sets: the diagnostic
 //!   vocabulary and the deploy gate (§VI's hazards, re-checked at the
 //!   deployment boundary; `leaksig-lint` builds on it).
-//! * [`analyze`] — whole-set semantic analysis: proved subsumption
-//!   lattice per [`detect::MatchMode`], dead-signature detection with
-//!   witness traces, generation diffs, and static cost / FP-exposure
-//!   bounds (the proved counterpart of [`audit`]'s heuristics).
+//! * [`analyze`] — whole-set semantic analysis under conjunction
+//!   semantics: proved subsumption lattice, dead-signature detection
+//!   with witness traces, generation diffs, and static cost / FP-exposure
+//!   bounds (the proofs behind [`audit`]'s A-codes).
 //! * [`engine`] — the compiled detection engine: per-field multi-pattern
 //!   token automata + counting conjunction evaluation (one linear pass
 //!   per packet evaluates every signature).

@@ -351,7 +351,7 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
         // because this function never prunes against benign traffic; the
         // pruning pass (`pass`) defers the whole gate until after
         // validation.
-        crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
+        crate::analyze::drop_dead(&mut set);
     }
     timings.signatures_ms = ms_since(t);
     GeneratedSignatures {
@@ -528,7 +528,7 @@ fn pass<C: leaksig_compress::Compressor + Sync>(
     // tokens than the dominated signature; the analyzer's proved verdicts
     // catch the remainder, so the published artifact clears the A001/A002
     // gate.
-    crate::analyze::drop_dead(set, crate::detect::MatchMode::Conjunction);
+    crate::analyze::drop_dead(set);
     generated.timings.prune_ms = ms_since(t);
     generated
 }
@@ -869,7 +869,7 @@ mod tests {
             .map(|(_, p)| p)
             .collect();
         let set = regeneration_pass(&sample, &normal, &PipelineConfig::default());
-        let dead = crate::analyze::dead_signatures(&set, crate::detect::MatchMode::Conjunction);
+        let dead = crate::analyze::dead_signatures(&set);
         assert!(dead.is_empty(), "proved-dead survivors: {dead:?}");
     }
 

@@ -59,8 +59,8 @@ pub struct FieldToken {
     pub field: Field,
     bytes: Vec<u8>,
     /// Position of this token's first occurrence in the cluster's
-    /// reference member — the emission order used by
-    /// [`ConjunctionSignature::matches_ordered`]. Zero when unknown.
+    /// reference member (its emission order). Carried on the wire as
+    /// LEAKSIG/1 data; matching ignores it. Zero when unknown.
     order_hint: u32,
 }
 
@@ -138,30 +138,6 @@ impl ConjunctionSignature {
         self.tokens.iter().all(|t| t.is_in(fields))
     }
 
-    /// Whether the tokens occur **in order** within their fields
-    /// (Polygraph's token-subsequence semantics): for each field, this
-    /// signature's tokens anchored to it must appear left to right at
-    /// non-overlapping, increasing positions. Strictly stronger than
-    /// [`ConjunctionSignature::matches`] — order adds a constraint.
-    pub fn matches_ordered(&self, packet: &HttpPacket) -> bool {
-        let rline = rline_view(packet);
-        for (field, hay) in Field::ALL.into_iter().zip(field_views(&rline, packet)) {
-            // Tokens are stored longest-first for the conjunction fast
-            // path; the emission order lives in the order hints.
-            let mut ordered: Vec<&FieldToken> =
-                self.tokens.iter().filter(|t| t.field == field).collect();
-            ordered.sort_by_key(|t| t.order_hint);
-            let mut from = 0usize;
-            for t in ordered {
-                match find_from(hay, t.bytes(), from) {
-                    Some(at) => from = at + t.bytes().len(),
-                    None => return false,
-                }
-            }
-        }
-        true
-    }
-
     /// Fraction of tokens present in their fields of `packet`
     /// (`1.0` for a conjunction match, `0.0` when nothing matches;
     /// empty-token signatures score `0.0`).
@@ -179,19 +155,6 @@ impl ConjunctionSignature {
         let fields = field_views(&rline, packet);
         let hit = self.tokens.iter().filter(|t| t.is_in(fields)).count();
         hit as f64 / self.tokens.len() as f64
-    }
-
-    /// One-call evaluation under any [`MatchMode`](crate::detect::MatchMode),
-    /// agreeing with the
-    /// compiled engine's semantics: [`ConjunctionSignature::matches`]
-    /// for conjunction, [`ConjunctionSignature::matches_ordered`] for
-    /// ordered, and `match_fraction >= t` for fraction mode.
-    pub fn matches_mode(&self, mode: crate::detect::MatchMode, packet: &HttpPacket) -> bool {
-        match mode {
-            crate::detect::MatchMode::Conjunction => self.matches(packet),
-            crate::detect::MatchMode::Ordered => self.matches_ordered(packet),
-            crate::detect::MatchMode::Fraction(t) => self.match_fraction(packet) >= t,
-        }
     }
 }
 
@@ -485,32 +448,6 @@ mod tests {
             .destination(Ipv4Addr::LOCALHOST, 80, "t.example")
             .build();
         assert!(!sig.matches(&wrong_field));
-    }
-
-    #[test]
-    fn ordered_matching_is_stronger_than_conjunction() {
-        // Signature from two POSTs whose bodies share "alpha…beta" in
-        // order; the volatile middle splits them into two body tokens.
-        let mk = |body: &str| {
-            RequestBuilder::post("/x")
-                .body(body.as_bytes().to_vec())
-                .destination(Ipv4Addr::LOCALHOST, 80, "h.jp")
-                .build()
-        };
-        let (a, b) = (mk("alphaalpha123betabeta"), mk("alphaalpha456betabeta"));
-        let sig = signature_from_cluster(0, &[&a, &b], &SignatureConfig::default()).unwrap();
-        let body_tokens = sig.tokens.iter().filter(|t| t.field == Field::Body).count();
-        assert!(body_tokens >= 2, "tokens: {:?}", sig.tokens);
-
-        // In-order packet: both semantics match.
-        let in_order = mk("alphaalpha999betabeta");
-        assert!(sig.matches(&in_order));
-        assert!(sig.matches_ordered(&in_order));
-
-        // Reversed packet: conjunction still matches, ordered does not.
-        let reversed = mk("betabeta999alphaalpha");
-        assert!(sig.matches(&reversed));
-        assert!(!sig.matches_ordered(&reversed));
     }
 
     #[test]

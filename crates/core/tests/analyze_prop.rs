@@ -1,6 +1,6 @@
 //! Parity properties for the semantic analyzer: dominance verdicts must
 //! never disagree with brute-force dual evaluation of both signatures
-//! over concretely constructed packets, in any [`MatchMode`].
+//! over concretely constructed packets.
 
 use leaksig_core::analyze::{dominates, drop_dead, prove_dominates, set_matches, Dominance};
 use leaksig_core::prelude::*;
@@ -65,8 +65,7 @@ fn packet_from(rline: &[&[u8]], cookie: &[&[u8]], body: &[&[u8]]) -> HttpPacket 
 }
 
 /// Every packet the brute-force oracle evaluates: one per subset of the
-/// two signatures' combined token list, laid out per field in both
-/// hint-sorted and reversed order (the reversal matters under Ordered).
+/// two signatures' combined token list, laid out per field.
 fn enumerate_packets(a: &ConjunctionSignature, b: &ConjunctionSignature) -> Vec<HttpPacket> {
     let union: Vec<&FieldToken> = a.tokens.iter().chain(b.tokens.iter()).collect();
     let n = union.len().min(8);
@@ -83,20 +82,8 @@ fn enumerate_packets(a: &ConjunctionSignature, b: &ConjunctionSignature) -> Vec<
                 groups[g].push(tok);
             }
         }
-        for g in groups.iter_mut() {
-            g.sort_by_key(|t| t.order_hint());
-        }
         fn bytes<'a>(g: &[&'a FieldToken]) -> Vec<&'a [u8]> {
             g.iter().map(|t| t.bytes()).collect()
-        }
-        packets.push(packet_from(
-            &bytes(&groups[0]),
-            &bytes(&groups[1]),
-            &bytes(&groups[2]),
-        ));
-        // Reversed layout: same presence set, opposite order.
-        for g in groups.iter_mut() {
-            g.reverse();
         }
         packets.push(packet_from(
             &bytes(&groups[0]),
@@ -107,17 +94,10 @@ fn enumerate_packets(a: &ConjunctionSignature, b: &ConjunctionSignature) -> Vec<
     packets
 }
 
-const MODES: [MatchMode; 4] = [
-    MatchMode::Conjunction,
-    MatchMode::Ordered,
-    MatchMode::Fraction(0.5),
-    MatchMode::Fraction(1.0),
-];
-
 proptest! {
     /// The acceptance property: for random signature pairs, the
     /// analyzer's dominance verdict never disagrees with brute-force
-    /// dual evaluation over the enumerated packets, in any mode.
+    /// dual evaluation over the enumerated packets.
     ///
     /// * `Proved` ⇒ no enumerated packet matches B without matching A.
     /// * `Refuted` ⇒ the witness actually matches B and not A.
@@ -125,33 +105,29 @@ proptest! {
     #[test]
     fn dominance_agrees_with_brute_force(a in arb_sig(1), b in arb_sig(2)) {
         let packets = enumerate_packets(&a, &b);
-        for mode in MODES {
-            let proved = prove_dominates(&a, &b, mode).is_some();
-            let counterexample = packets
-                .iter()
-                .find(|p| b.matches_mode(mode, p) && !a.matches_mode(mode, p));
-            if let Some(p) = counterexample {
-                prop_assert!(
-                    !proved,
-                    "claimed proof contradicted under {mode:?}\na = {:?}\nb = {:?}\npacket {} {:?} {:?}",
-                    a.tokens, b.tokens, p.request_line.target,
-                    String::from_utf8_lossy(p.cookie()),
-                    String::from_utf8_lossy(&p.body),
-                );
+        let proved = prove_dominates(&a, &b).is_some();
+        let counterexample = packets.iter().find(|p| b.matches(p) && !a.matches(p));
+        if let Some(p) = counterexample {
+            prop_assert!(
+                !proved,
+                "claimed proof contradicted\na = {:?}\nb = {:?}\npacket {} {:?} {:?}",
+                a.tokens, b.tokens, p.request_line.target,
+                String::from_utf8_lossy(p.cookie()),
+                String::from_utf8_lossy(&p.body),
+            );
+        }
+        match dominates(&a, &b) {
+            Dominance::Proved(_) => prop_assert!(proved),
+            Dominance::Refuted(w) => {
+                prop_assert!(b.matches(&w.packet), "witness must match B");
+                prop_assert!(!a.matches(&w.packet), "witness must miss A");
             }
-            match dominates(&a, &b, mode) {
-                Dominance::Proved(_) => prop_assert!(proved),
-                Dominance::Refuted(w) => {
-                    prop_assert!(b.matches_mode(mode, &w.packet), "witness must match B");
-                    prop_assert!(!a.matches_mode(mode, &w.packet), "witness must miss A");
-                }
-                Dominance::Undecided(_) => {}
-            }
+            Dominance::Undecided(_) => {}
         }
     }
 
     /// Removing proved-dead signatures never changes the whole-set
-    /// verdict of any enumerated packet, in any mode.
+    /// verdict of any enumerated packet.
     #[test]
     fn drop_dead_preserves_set_semantics(
         sigs in proptest::collection::vec(proptest::collection::vec(arb_sig_token(), 1..3), 1..4)
@@ -174,16 +150,10 @@ proptest! {
         for s in &set.signatures {
             packets.extend(enumerate_packets(s, &set.signatures[0]));
         }
-        for mode in MODES {
-            let mut reduced = set.clone();
-            drop_dead(&mut reduced, mode);
-            for p in &packets {
-                prop_assert_eq!(
-                    set_matches(&set, mode, p),
-                    set_matches(&reduced, mode, p),
-                    "any-match changed under {:?}", mode
-                );
-            }
+        let mut reduced = set.clone();
+        drop_dead(&mut reduced);
+        for p in &packets {
+            prop_assert_eq!(set_matches(&set, p), set_matches(&reduced, p), "any-match changed");
         }
     }
 }
@@ -221,7 +191,7 @@ fn diff_of_consecutive_regenerations_has_flip_witnesses() {
     let (old, new) = (&generations[0], &generations[1]);
     assert!(!old.is_empty() && !new.is_empty());
 
-    let diff = diff_generations(old, new, MatchMode::Conjunction);
+    let diff = diff_generations(old, new);
     assert_eq!(
         diff.unchanged + diff.removed.len() + diff.changed.len(),
         old.len(),
@@ -242,15 +212,15 @@ fn diff_of_consecutive_regenerations_has_flip_witnesses() {
     let mut witnesses = 0;
     for a in &diff.added {
         if let Some(w) = &a.witness {
-            assert!(set_matches(new, MatchMode::Conjunction, &w.packet));
-            assert!(!set_matches(old, MatchMode::Conjunction, &w.packet));
+            assert!(set_matches(new, &w.packet));
+            assert!(!set_matches(old, &w.packet));
             witnesses += 1;
         }
     }
     for r in &diff.removed {
         if let Some(w) = &r.witness {
-            assert!(set_matches(old, MatchMode::Conjunction, &w.packet));
-            assert!(!set_matches(new, MatchMode::Conjunction, &w.packet));
+            assert!(set_matches(old, &w.packet));
+            assert!(!set_matches(new, &w.packet));
             witnesses += 1;
         }
     }
@@ -263,8 +233,8 @@ fn diff_of_consecutive_regenerations_has_flip_witnesses() {
                 ChangeKind::Weakened => (new, old),
                 _ => (old, new),
             };
-            assert!(set_matches(yes, MatchMode::Conjunction, &w.packet));
-            assert!(!set_matches(no, MatchMode::Conjunction, &w.packet));
+            assert!(set_matches(yes, &w.packet));
+            assert!(!set_matches(no, &w.packet));
             witnesses += 1;
         }
     }

@@ -70,50 +70,6 @@ fn fraction_mode_matches_naive_over_full_market() {
     assert_eq!(detector.scan(packets.iter()), naive);
 }
 
-#[test]
-fn ordered_mode_matches_naive_over_full_market() {
-    let (packets, set) = market();
-    let naive = naive_mask(&set, &packets, |s, p| s.matches_ordered(p));
-    let detector = Detector::with_mode(set, MatchMode::Ordered);
-    assert_eq!(detector.scan(packets.iter()), naive);
-}
-
-/// Hand-built packets pinning the Ordered semantics: the same tokens in
-/// emission order match, out of order they do not — in both engines.
-#[test]
-fn ordered_equivalence_on_hand_built_packets() {
-    use leaksig_core::signature::{ConjunctionSignature, Field, FieldToken};
-    let set = SignatureSet {
-        signatures: vec![ConjunctionSignature {
-            id: 7,
-            tokens: vec![
-                FieldToken::with_hint(Field::RequestLine, &b"imei="[..], 10),
-                FieldToken::with_hint(Field::RequestLine, &b"slot="[..], 20),
-            ],
-            cluster_size: 2,
-            hosts: vec![],
-        }],
-    };
-    let dst = |b: RequestBuilder| {
-        b.destination(Ipv4Addr::new(203, 0, 113, 2), 80, "x.jp")
-            .build()
-    };
-    let in_order = dst(RequestBuilder::get("/ad?imei=123&slot=4"));
-    let out_of_order = dst(RequestBuilder::get("/ad?slot=4&imei=123"));
-
-    let sig = &set.signatures[0];
-    assert!(sig.matches_ordered(&in_order));
-    assert!(!sig.matches_ordered(&out_of_order));
-    assert!(sig.matches(&out_of_order), "conjunction ignores order");
-
-    let ordered = Detector::with_mode(set.clone(), MatchMode::Ordered);
-    assert!(ordered.match_packet(&in_order).is_some());
-    assert!(ordered.match_packet(&out_of_order).is_none());
-
-    let conjunction = Detector::new(set);
-    assert!(conjunction.match_packet(&out_of_order).is_some());
-}
-
 /// Hand-built packets pinning the Fraction semantics: 2-of-3 tokens clear
 /// a 0.6 threshold, 1-of-3 does not — in both engines.
 #[test]

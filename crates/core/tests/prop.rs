@@ -615,31 +615,8 @@ proptest! {
         }
     }
 
-    /// Ordered mode: position-list verification must agree with the
-    /// naive greedy in-order scan, including order-hint tie-breaking.
-    #[test]
-    fn compiled_ordered_equals_naive(
-        set in arb_collision_set(),
-        packets in proptest::collection::vec(arb_collision_packet(), 1..8),
-    ) {
-        let detector = Detector::with_mode(set.clone(), MatchMode::Ordered);
-        for p in &packets {
-            let naive: Vec<u32> = set
-                .signatures
-                .iter()
-                .filter(|s| s.matches_ordered(p))
-                .map(|s| s.id)
-                .collect();
-            prop_assert_eq!(detector.matches_all(p), &naive[..]);
-            prop_assert_eq!(
-                detector.match_packet(p).map(|d| d.signature_id),
-                naive.first().copied()
-            );
-        }
-    }
-
-    /// Zero-copy verdicts are byte-identical to the owned path across all
-    /// three match modes: same first-match id and same full match list on
+    /// Zero-copy verdicts are byte-identical to the owned path in both
+    /// match modes: same first-match id and same full match list on
     /// the wire image of every packet, through both the raw-bytes entry
     /// point (view parse + scan) and a pre-parsed borrowed view.
     #[test]
@@ -648,7 +625,7 @@ proptest! {
         packets in proptest::collection::vec(arb_collision_packet(), 1..8),
     ) {
         let limits = leaksig_http::ParseLimits::UNLIMITED;
-        let modes = [MatchMode::Conjunction, MatchMode::Fraction(0.5), MatchMode::Ordered];
+        let modes = [MatchMode::Conjunction, MatchMode::Fraction(0.5)];
         for mode in modes {
             let detector = Detector::with_mode(set.clone(), mode);
             let mut scanner = detector.scanner();

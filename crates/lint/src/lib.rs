@@ -12,9 +12,12 @@
 //! crate; what `leaksig-lint` adds is:
 //!
 //! * a bundled normal-traffic corpus (deterministic `leaksig-netsim`
-//!   benign traffic) behind the L005 generality rule, so "would this
-//!   signature fire on ordinary packets?" is answerable offline;
-//! * one-call orchestration of every rule with deterministic ordering;
+//!   benign traffic) behind the A003 corpus false-positive bound, so
+//!   "would this signature fire on ordinary packets?" is answerable
+//!   offline;
+//! * one-call orchestration of every set-level rule with deterministic
+//!   ordering — the deploy gate's rules plus A003, so every Error the
+//!   gate blocks on, `lint` reports with the same code;
 //! * report rendering ([`render_text`], [`render_json`]).
 //!
 //! ```
@@ -36,38 +39,20 @@ pub use leaksig_core::audit::has_errors;
 mod render;
 pub use render::{render_json, render_text};
 
-/// Everything configurable about a lint run.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Parameters of the structural rules (anchor length, boilerplate).
-    pub audit: AuditConfig,
-    /// L005 threshold: a signature matching more than this fraction of
-    /// the normal corpus is an Error. Chosen above the pipeline's own
-    /// vetting bar (2%) so sets that passed generation-time pruning on a
-    /// *different* benign sample do not flap.
-    pub corpus_max_fraction: f64,
-    /// Number of benign packets in the bundled corpus.
-    pub corpus_size: usize,
-    /// Seed of the bundled corpus (deterministic across runs).
-    pub corpus_seed: u64,
-}
+/// A003 budget: a signature matching more than this fraction of the
+/// bundled corpus is an Error. Chosen above the pipeline's own vetting
+/// bar (2%) so sets that passed generation-time pruning on a *different*
+/// benign sample do not flap.
+const CORPUS_MAX_FRACTION: f64 = 0.05;
+/// Number of benign packets in the bundled corpus.
+const CORPUS_SIZE: usize = 1200;
+/// Seed of the bundled corpus (deterministic across runs).
+const CORPUS_SEED: u64 = 0x11D2;
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            audit: AuditConfig::default(),
-            corpus_max_fraction: 0.05,
-            corpus_size: 1200,
-            corpus_seed: 0x11D2,
-        }
-    }
-}
-
-/// The auditor: rule configuration plus the normal-traffic corpus the
-/// generality rule measures against.
+/// The auditor: the normal-traffic corpus the A003 bound measures
+/// against, with the rules run at their default parameters.
 #[derive(Debug)]
 pub struct Linter {
-    config: LintConfig,
     corpus: Vec<HttpPacket>,
 }
 
@@ -78,57 +63,30 @@ impl Default for Linter {
 }
 
 impl Linter {
-    /// A linter with default configuration and the bundled corpus.
+    /// A linter over the bundled corpus.
     pub fn new() -> Self {
-        Linter::with_config(LintConfig::default())
+        Linter {
+            corpus: bundled_corpus(CORPUS_SEED, CORPUS_SIZE),
+        }
     }
 
-    /// A linter with explicit configuration and the bundled corpus.
-    pub fn with_config(config: LintConfig) -> Self {
-        let corpus = bundled_corpus(config.corpus_seed, config.corpus_size);
-        Linter { config, corpus }
-    }
-
-    /// Number of packets in the corpus behind the L005 rule.
+    /// Number of packets in the corpus behind the A003 bound.
     pub fn corpus_len(&self) -> usize {
         self.corpus.len()
     }
 
-    /// The benign corpus itself, for callers running their own analyses
-    /// against the same traffic the L005 rule measures (e.g. the CLI's
-    /// static FP-exposure bounds).
-    pub fn corpus(&self) -> &[HttpPacket] {
-        &self.corpus
-    }
-
-    /// Run every set-level rule: structural, shadowing/subsumption,
-    /// corpus generality, and wire round-trip. Findings are ordered by
-    /// severity (errors first), then signature id, then code.
+    /// Run every set-level rule: structural, the analyzer's proved
+    /// dead/unmatchable verdicts (A001/A002), the corpus false-positive
+    /// bound (A003), and wire round-trip. A superset of
+    /// [`audit::deploy_check`]'s rules. Findings are ordered by severity
+    /// (errors first), then code, then signature id.
     pub fn lint(&self, set: &SignatureSet) -> Vec<Diagnostic> {
         let refs: Vec<&HttpPacket> = self.corpus.iter().collect();
-        let mut out = audit::structural(set, &self.config.audit);
-        out.extend(audit::subsumption(set));
-        out.extend(audit::corpus_false_positives(
-            set,
-            &refs,
-            self.config.corpus_max_fraction,
-        ));
+        let mut out = audit::structural(set, &AuditConfig::default());
+        out.extend(audit::semantic_dead(set));
+        out.extend(audit::corpus_fp_bounds(set, &refs, CORPUS_MAX_FRACTION));
         out.extend(audit::wire_round_trip(set));
-        sort_report(&mut out);
-        out
-    }
-
-    /// [`Linter::lint`] plus the cross-artifact policy check (L010):
-    /// `rows` are the device policy engine's remembered
-    /// `(app, signature_id, allow)` decisions.
-    pub fn lint_with_policy(
-        &self,
-        set: &SignatureSet,
-        rows: &[(String, u32, bool)],
-    ) -> Vec<Diagnostic> {
-        let mut out = self.lint(set);
-        out.extend(audit::policy_references(set, rows));
-        sort_report(&mut out);
+        sort_findings(&mut out);
         out
     }
 }
@@ -148,13 +106,9 @@ pub fn sort_findings(diagnostics: &mut [Diagnostic]) {
     });
 }
 
-fn sort_report(diagnostics: &mut [Diagnostic]) {
-    sort_findings(diagnostics);
-}
-
 /// The bundled benign corpus: the deterministic netsim market's normal
-/// group. Generated once per [`Linter`] construction; the seed is fixed
-/// by configuration, so two runs agree on every L005 verdict.
+/// group. Generated once per [`Linter`] construction; the seed is fixed,
+/// so two runs agree on every A003 verdict.
 fn bundled_corpus(seed: u64, size: usize) -> Vec<HttpPacket> {
     let data = Dataset::generate(MarketConfig::scaled(seed, 0.02));
     data.packets
@@ -278,20 +232,6 @@ mod tests {
         // Field breaks the tie between the two L004 findings on sig 2.
         assert_eq!(a[3].field, Some(F::Body));
         assert_eq!(a[4].field, Some(F::Cookie));
-    }
-
-    #[test]
-    fn policy_rows_are_checked() {
-        let set = SignatureSet {
-            signatures: vec![sig(
-                3,
-                vec![FieldToken::new(Field::Body, &b"udid=dd72cbaeab8d2e44"[..])],
-            )],
-        };
-        let rows = vec![("app.x".to_string(), 44, true)];
-        let report = Linter::new().lint_with_policy(&set, &rows);
-        assert!(contains_code(&report, Code::UnknownPolicySignature));
-        assert!(has_errors(&report));
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn pathological_generic_signature_is_an_error() {
 }
 
 /// A long-but-generic token passes the anchor rule yet hits the corpus
-/// rule: generality is measured, not inferred from length.
+/// bound (A003): generality is measured, not inferred from length.
 #[test]
 fn corpus_rule_catches_long_generic_tokens() {
     let linter = Linter::new();
@@ -97,17 +97,16 @@ fn corpus_rule_catches_long_generic_tokens() {
     };
     let report = linter.lint(&generic);
     assert!(
-        contains_code(&report, Code::CorpusFalsePositive),
+        contains_code(&report, Code::ProvedCorpusFp),
         "report: {}",
         render_text(&report)
     );
     assert!(has_errors(&report));
 }
 
-/// Shadowing at the linter level: two signatures where the earlier
-/// subsumes the later produce exactly one L007 on the later id.
-#[test]
-fn shadowing_pair_is_reported() {
+/// The shadowed pair: sig 4's token is a substring of sig 9's, so every
+/// packet sig 9 matches, sig 4 matched first.
+fn shadowed_pair() -> SignatureSet {
     let general = ConjunctionSignature {
         id: 4,
         tokens: vec![FieldToken::new(Field::Body, &b"imei=35519500"[..])],
@@ -123,17 +122,75 @@ fn shadowing_pair_is_reported() {
         cluster_size: 2,
         hosts: vec![],
     };
-    let set = SignatureSet {
+    SignatureSet {
         signatures: vec![general, specific],
-    };
-    let report = Linter::new().lint(&set);
+    }
+}
+
+/// Shadowing at the linter level: two signatures where the earlier
+/// subsumes the later produce exactly one proved A001 Error on the later
+/// id.
+#[test]
+fn shadowing_pair_is_reported() {
+    let report = Linter::new().lint(&shadowed_pair());
     let shadowed: Vec<_> = report
         .iter()
-        .filter(|d| d.code == Code::ShadowedSignature)
+        .filter(|d| d.code == Code::ProvedDead)
         .collect();
     assert_eq!(shadowed.len(), 1, "report: {}", render_text(&report));
     assert_eq!(shadowed[0].signature_id, Some(9));
-    assert_eq!(shadowed[0].severity, Severity::Warning);
+    assert_eq!(shadowed[0].severity, Severity::Error);
+}
+
+/// One verdict per question: every Error the deploy gate blocks on,
+/// `lint` reports with the same code and signature id — on a shadowed
+/// pair, an exact-duplicate pair, a generated set, and that set with a
+/// duplicate of its first signature appended.
+#[test]
+fn lint_reports_every_deploy_gate_error() {
+    let duplicate = {
+        let tok = || vec![FieldToken::new(Field::Body, &b"udid=dd72cbaeab8d2e44"[..])];
+        let sig = |id| ConjunctionSignature {
+            id,
+            tokens: tok(),
+            cluster_size: 2,
+            hosts: vec![],
+        };
+        SignatureSet {
+            signatures: vec![sig(1), sig(2)],
+        }
+    };
+    let data = Dataset::generate(MarketConfig::scaled(42, 0.05));
+    let packets: Vec<&leaksig_http::HttpPacket> = data.packets.iter().map(|p| &p.packet).collect();
+    let labels: Vec<bool> = data.packets.iter().map(|p| p.is_sensitive()).collect();
+    let generated =
+        run_experiment_refs(&packets, &labels, 120, &PipelineConfig::default()).signatures;
+    assert!(!generated.is_empty());
+    let mut injected = generated.clone();
+    let mut copy = injected.signatures[0].clone();
+    copy.id = injected.signatures.iter().map(|s| s.id).max().unwrap() + 1;
+    injected.signatures.push(copy);
+
+    let linter = Linter::new();
+    let mut gated = 0;
+    for set in [shadowed_pair(), duplicate, generated, injected] {
+        let report = linter.lint(&set);
+        let gate = deploy_check(&set).err().unwrap_or_default();
+        for g in &gate {
+            assert!(
+                report.iter().any(|d| d.severity == Severity::Error
+                    && d.code == g.code
+                    && d.signature_id == g.signature_id),
+                "lint misses gate error {g}: {}",
+                render_text(&report)
+            );
+        }
+        gated += gate.len();
+    }
+    assert_eq!(
+        gated, 3,
+        "the shadowed, duplicate and injected sets each block once"
+    );
 }
 
 /// JSON rendering of a real report stays parseable-by-eye and carries the

@@ -79,7 +79,7 @@ fn oracle_generate(
     let mut set = SignatureSet { signatures };
     if gate {
         retain_structurally_clean(&mut set);
-        drop_dead(&mut set, MatchMode::Conjunction);
+        drop_dead(&mut set);
     }
     set
 }
@@ -137,7 +137,7 @@ fn oracle_regenerate(
         retain_structurally_clean(&mut set);
     }
     naive_drop_dominated(&mut set);
-    drop_dead(&mut set, MatchMode::Conjunction);
+    drop_dead(&mut set);
     set
 }
 
