@@ -380,6 +380,15 @@ impl<'a> Fields<'a> {
         w.parse().map_err(|_| err(format!("bad integer {w:?}")))
     }
 
+    /// The next field as a one-bit flag: exactly `0` or `1`.
+    fn flag(&mut self) -> Result<bool, StateCodecError> {
+        match self.word()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            w => Err(err(format!("bad flag {w:?}"))),
+        }
+    }
+
     fn finish(mut self) -> Result<(), StateCodecError> {
         match self.parts.next() {
             Some(extra) => Err(err(format!("trailing field {extra:?}"))),
@@ -669,11 +678,11 @@ fn decode_op(cur: &mut Cursor<'_>) -> Result<StateOp, StateCodecError> {
         "Q" => {
             let mut f = Fields::of(rest);
             let cap = f.num()?;
-            let pr: u64 = f.num()?;
+            let parse_reject = f.flag()?;
             f.finish()?;
             Ok(StateOp::Quarantine {
                 cap,
-                parse_reject: pr != 0,
+                parse_reject,
                 record: decode_record(cur)?,
             })
         }
@@ -769,7 +778,7 @@ pub fn decode_state(data: &[u8]) -> Result<DurableState, StateCodecError> {
             .strip_prefix('G')
             .ok_or_else(|| err("missing rng line"))?,
     );
-    let rng_state = if f.num::<u64>()? != 0 {
+    let rng_state = if f.flag()? {
         let s = [f.num()?, f.num()?, f.num()?, f.num()?];
         f.finish()?;
         Some(s)
@@ -784,7 +793,7 @@ pub fn decode_state(data: &[u8]) -> Result<DurableState, StateCodecError> {
             .strip_prefix('P')
             .ok_or_else(|| err("missing publish line"))?,
     );
-    let last_publish = if f.num::<u64>()? != 0 {
+    let last_publish = if f.flag()? {
         let version = f.num()?;
         let wire_len = f.num()?;
         f.finish()?;
@@ -880,7 +889,16 @@ mod tests {
     fn with_field(op: &StateOp, field: usize, value: &str) -> Vec<u8> {
         let mut buf = Vec::new();
         encode_op(&mut buf, op);
-        let start = buf.iter().position(|&b| b == b'\n').unwrap() + 1;
+        with_line_field(buf, 1, field, value)
+    }
+
+    /// `buf` with field `field` of its line `line` (0-based, split on
+    /// single spaces) replaced by `value`.
+    fn with_line_field(mut buf: Vec<u8>, line: usize, field: usize, value: &str) -> Vec<u8> {
+        let mut start = 0;
+        for _ in 0..line {
+            start += buf[start..].iter().position(|&b| b == b'\n').unwrap() + 1;
+        }
         let end = start + buf[start..].iter().position(|&b| b == b'\n').unwrap();
         let line = String::from_utf8(buf[start..end].to_vec()).unwrap();
         let mut fields: Vec<&str> = line.split(' ').collect();
@@ -1080,5 +1098,26 @@ mod tests {
         }
         assert!(decode_ops(b"I 1 2\n").is_err(), "missing fields");
         assert!(decode_state(b"NOTSTATE\n").is_err());
+
+        // One-bit flags read exactly 0 or 1: a 7 is corruption, not
+        // `true` — the `Q` op's parse-reject flag (field 2 of its first
+        // line) and the snapshot's rng-state (`G`, line 2) and
+        // last-publish (`P`, line 3) presence flags.
+        let mut q = Vec::new();
+        encode_op(&mut q, &quarantine);
+        let mut state = DurableState::default();
+        for op in op_zoo() {
+            apply_op(&mut state, &op);
+        }
+        assert!(state.rng_state.is_some() && state.last_publish.is_some());
+        let snap = encode_state(&state);
+        assert!(decode_ops(&with_line_field(q.clone(), 0, 2, "1")).is_ok());
+        let e = decode_ops(&with_line_field(q, 0, 2, "7")).expect_err("Q flag 7");
+        assert!(e.0.contains(r#"bad flag "7""#), "{e}");
+        for line in [2, 3] {
+            assert!(decode_state(&with_line_field(snap.clone(), line, 1, "1")).is_ok());
+            let e = decode_state(&with_line_field(snap.clone(), line, 1, "7")).expect_err("flag 7");
+            assert!(e.0.contains(r#"bad flag "7""#), "line {line}: {e}");
+        }
     }
 }

@@ -639,6 +639,11 @@ impl Planner {
                     break;
                 }
             }
+            if members.is_empty() {
+                // At small scales the pool can be empty: a domain no app
+                // talks to carries no traffic, so it is left out.
+                continue;
+            }
             for &a in &members {
                 remaining[a] -= 1;
             }
@@ -773,6 +778,22 @@ mod tests {
             (got - want).abs() / want < 0.08,
             "packets {got} vs target {want}"
         );
+    }
+
+    /// Every scale `MarketConfig::scaled` accepts generates. Below about
+    /// 0.01 a minor group's app pool is empty; a domain that draws no
+    /// apps is left out rather than handed to `allocate_exact`.
+    #[test]
+    fn small_scales_generate() {
+        for seed in [1, 2, 3] {
+            for scale in [0.0001, 0.001, 0.006, 0.008] {
+                let m = MarketModel::build(MarketConfig::scaled(seed, scale));
+                assert!(m.total_packets() > 0, "seed {seed} scale {scale}");
+                assert!(m.domains.iter().all(|d| !d.per_app.is_empty()));
+            }
+        }
+        let data = crate::trace::Dataset::generate(MarketConfig::scaled(1, 0.008));
+        assert_eq!(data.packets.len(), data.model.total_packets());
     }
 
     #[test]

@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting first: it is the cheapest gate, and a workspace that is not
+# rustfmt-clean makes every `cargo fmt` rewrite unrelated lines.
+echo "==> cargo fmt --all --check"
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release
 
