@@ -3,9 +3,9 @@
 //!
 //! The generation pipeline filters §VI's `POST *` hazards at the source,
 //! but signature sets also arrive over the wire, from older producers,
-//! and from hand edits. This crate runs the full rule catalogue over a
-//! [`SignatureSet`] (plus, optionally, the device policy that references
-//! it) and renders the findings as human-readable text or stable JSON.
+//! and from hand edits. This crate runs the set-level rule catalogue
+//! over a [`SignatureSet`] and renders the findings as human-readable
+//! text or stable JSON.
 //!
 //! The rule primitives live in `leaksig_core::audit` so the core pipeline
 //! and the device store can gate deployments without depending on this
