@@ -13,8 +13,9 @@
 //! cargo run --release -p leaksig-bench --bin crossdevice
 //! ```
 
+use leaksig_bench::Positionals;
 use leaksig_core::prelude::*;
-use leaksig_netsim::{Dataset, DeviceProfile, MarketConfig, MarketModel};
+use leaksig_netsim::{Dataset, DeviceProfile, MarketModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,12 +37,11 @@ fn rates(detector: &Detector, data: &Dataset) -> (f64, f64) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
-    let scale: f64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(0.25);
+    let config = Positionals::from_env("[seed] [scale]").market(0.25);
+    let (seed, scale) = (config.seed, config.scale);
 
     eprintln!("building market for device A (seed {seed}, scale {scale})...");
-    let model_a = MarketModel::build(MarketConfig::scaled(seed, scale));
+    let model_a = MarketModel::build(config);
     let device_b = DeviceProfile::generate(&mut StdRng::seed_from_u64(seed ^ 0xdee_f1ce));
     let model_b = model_a.clone().with_device(device_b);
     let data_a = Dataset::render(model_a);

@@ -10,8 +10,9 @@
 //! cargo run --release -p leaksig-bench --bin fig4
 //! ```
 
-use leaksig_bench::{cli_config, generate, pct, rule};
+use leaksig_bench::{generate, pct, rule, Positionals};
 use leaksig_core::prelude::*;
+use std::num::NonZeroU64;
 
 /// Mean rates over `runs` independent sample draws.
 fn averaged(
@@ -61,17 +62,14 @@ const PAPER: &[(usize, f64, f64, f64)] = &[
 ];
 
 fn main() {
-    // Third positional argument: number of independent sample draws to
-    // average (default 1, the paper's single-draw protocol).
-    let runs: u64 = std::env::args()
-        .nth(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
-    // Fourth positional argument: a path to also write the series as CSV
+    // `runs`: independent sample draws to average (default 1, the paper's
+    // single-draw protocol); `csv`: a path to also write the series to
     // (for plotting).
-    let csv_path = std::env::args().nth(4);
+    let args = Positionals::from_env("[seed] [scale] [runs] [csv]");
+    let runs = args.get("runs").unwrap_or(NonZeroU64::MIN).get();
+    let csv_path: Option<String> = args.get("csv");
     let mut csv = String::from("n,tp,fn,fp,paper_tp,paper_fn,paper_fp\n");
-    let config = cli_config();
+    let config = args.market(1.0);
     let data = generate(config);
     let packets: Vec<&leaksig_http::HttpPacket> = data.packets.iter().map(|p| &p.packet).collect();
     let labels: Vec<bool> = data.packets.iter().map(|p| p.is_sensitive()).collect();

@@ -17,6 +17,7 @@
 //! cargo run --release -p leaksig-bench --bin obfuscation
 //! ```
 
+use leaksig_bench::Positionals;
 use leaksig_core::prelude::*;
 use leaksig_netsim::obfuscate::base64;
 use leaksig_netsim::{obfuscation_scenario, ObfLabel, SensitiveKind};
@@ -32,10 +33,7 @@ fn recall(
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed: u64 = Positionals::from_env("[seed]").get("seed").unwrap_or(42);
     let s = obfuscation_scenario(seed);
     let classes = [
         ("cleartext IMEI", ObfLabel::CleartextLeak),

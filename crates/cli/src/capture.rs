@@ -25,26 +25,8 @@ pub struct CaptureRecord {
 
 const MAGIC: &str = "LEAKCAP/1";
 
-/// Capture-file error with a user-facing message.
-#[derive(Debug)]
-pub struct CaptureError(pub String);
-
-impl std::fmt::Display for CaptureError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for CaptureError {}
-
-impl From<std::io::Error> for CaptureError {
-    fn from(e: std::io::Error) -> Self {
-        CaptureError(format!("i/o error: {e}"))
-    }
-}
-
 /// Write records to `w`.
-pub fn write<W: Write>(w: &mut W, records: &[CaptureRecord]) -> Result<(), CaptureError> {
+pub fn write<W: Write>(w: &mut W, records: &[CaptureRecord]) -> std::io::Result<()> {
     writeln!(w, "{MAGIC}")?;
     for rec in records {
         let bytes = rec.packet.to_bytes();
@@ -63,19 +45,18 @@ pub fn write<W: Write>(w: &mut W, records: &[CaptureRecord]) -> Result<(), Captu
 }
 
 /// Read a whole capture from `r`.
-pub fn read<R: BufRead>(r: &mut R) -> Result<Vec<CaptureRecord>, CaptureError> {
+pub fn read<R: BufRead>(r: &mut R) -> Result<Vec<CaptureRecord>, String> {
+    let io = |e: std::io::Error| format!("i/o error: {e}");
     let mut line = String::new();
-    r.read_line(&mut line)?;
+    r.read_line(&mut line).map_err(io)?;
     if line.trim_end() != MAGIC {
-        return Err(CaptureError(format!(
-            "not a capture file (expected {MAGIC} header)"
-        )));
+        return Err(format!("not a capture file (expected {MAGIC} header)"));
     }
 
     let mut records = Vec::new();
     loop {
         line.clear();
-        if r.read_line(&mut line)? == 0 {
+        if r.read_line(&mut line).map_err(io)? == 0 {
             break;
         }
         let header = line.trim_end();
@@ -93,32 +74,26 @@ pub fn read<R: BufRead>(r: &mut R) -> Result<Vec<CaptureRecord>, CaptureError> {
         let (Some("pkt"), Some(ip), Some(port), Some(app), Some(len), None) =
             (tag, ip, port, app, len, parts.next())
         else {
-            return Err(CaptureError(format!("malformed record header: {header:?}")));
+            return Err(format!("malformed record header: {header:?}"));
         };
-        let ip: Ipv4Addr = ip
-            .parse()
-            .map_err(|_| CaptureError(format!("bad ip {ip:?}")))?;
-        let port: u16 = port
-            .parse()
-            .map_err(|_| CaptureError(format!("bad port {port:?}")))?;
-        let len: usize = len
-            .parse()
-            .map_err(|_| CaptureError(format!("bad length {len:?}")))?;
+        let ip: Ipv4Addr = ip.parse().map_err(|_| format!("bad ip {ip:?}"))?;
+        let port: u16 = port.parse().map_err(|_| format!("bad port {port:?}"))?;
+        let len: usize = len.parse().map_err(|_| format!("bad length {len:?}"))?;
         if len > 16 * 1024 * 1024 {
-            return Err(CaptureError(format!("record length {len} too large")));
+            return Err(format!("record length {len} too large"));
         }
 
         let mut raw = vec![0u8; len];
         r.read_exact(&mut raw)
-            .map_err(|_| CaptureError("truncated packet body".to_string()))?;
+            .map_err(|_| "truncated packet body".to_string())?;
         // Trailing newline after the raw bytes.
         let mut nl = [0u8; 1];
         if r.read_exact(&mut nl).is_ok() && nl[0] != b'\n' {
-            return Err(CaptureError("missing record terminator".to_string()));
+            return Err("missing record terminator".to_string());
         }
 
-        let packet = parse_request(&raw, ip, port)
-            .map_err(|e| CaptureError(format!("unparsable packet: {e}")))?;
+        let packet =
+            parse_request(&raw, ip, port).map_err(|e| format!("unparsable packet: {e}"))?;
         records.push(CaptureRecord {
             app: (app != "-").then(|| app.to_string()),
             packet,
@@ -128,19 +103,16 @@ pub fn read<R: BufRead>(r: &mut R) -> Result<Vec<CaptureRecord>, CaptureError> {
 }
 
 /// Convenience file wrappers.
-pub fn write_file(path: &str, records: &[CaptureRecord]) -> Result<(), CaptureError> {
-    let file = std::fs::File::create(path)
-        .map_err(|e| CaptureError(format!("cannot create {path}: {e}")))?;
+pub fn write_file(path: &str, records: &[CaptureRecord]) -> Result<(), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
-    write(&mut w, records)?;
-    w.flush()?;
-    Ok(())
+    write(&mut w, records)
+        .and_then(|()| w.flush())
+        .map_err(|e| format!("i/o error: {e}"))
 }
 
-/// Read a capture file from disk.
-pub fn read_file(path: &str) -> Result<Vec<CaptureRecord>, CaptureError> {
-    let file =
-        std::fs::File::open(path).map_err(|e| CaptureError(format!("cannot open {path}: {e}")))?;
+pub fn read_file(path: &str) -> Result<Vec<CaptureRecord>, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     read(&mut std::io::BufReader::new(file))
 }
 

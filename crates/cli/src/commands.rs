@@ -11,17 +11,15 @@ use leaksig_netsim::{Dataset, MarketConfig, SensitiveKind};
 /// `gate`: replay a capture through the on-device packet gate under a
 /// scripted user policy, printing the enforcement summary and the tail
 /// of the audit log.
-pub fn gate(args: &Args) -> Result<(), String> {
+pub fn gate(args: &Args) -> Result<i32, String> {
     use leaksig_device::{GateAction, PacketGate, SignatureStore, UserChoice};
 
-    let records = capture::read_file(args.required("capture").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
+    let records = capture::read_file(args.str("capture"))?;
+    let set = load_sigs(args.str("sigs"))?;
     // Scripted user: "block" (default) or "allow" every prompt, always.
-    let choice = match args.optional("policy").unwrap_or("block") {
-        "block" => UserChoice::BlockAlways,
+    let choice = match args.str("policy") {
         "allow" => UserChoice::AllowAlways,
-        other => return Err(format!("--policy must be allow|block, got {other:?}")),
+        _ => UserChoice::BlockAlways,
     };
 
     let store = SignatureStore::new();
@@ -45,10 +43,7 @@ pub fn gate(args: &Args) -> Result<(), String> {
         stats.blocked,
         stats.prompted
     );
-    println!(
-        "
-last 10 audit records:"
-    );
+    println!("\nlast 10 audit records:");
     let log = gate.audit_log();
     for rec in log.iter().rev().take(10).rev() {
         println!(
@@ -56,7 +51,7 @@ last 10 audit records:"
             rec.seq, rec.app, rec.host, rec.action, rec.signature_id
         );
     }
-    Ok(())
+    Ok(0)
 }
 
 /// The generation `publisher` serves, decoded: the empty set before the
@@ -110,25 +105,19 @@ fn report_regen(
 /// degraded-mode policy when the WAL fails mid-run.
 pub fn serve(args: &Args) -> Result<i32, String> {
     use leaksig_device::{
-        CollectionServer, DurabilityMode, IngestConfig, RateLimit, Shed, SignatureServer,
+        DurabilityMode, IngestConfig, MemoryStore, RateLimit, Shed, SignatureServer, StateStore,
         WalConfig, WalStore,
     };
     use leaksig_net::{NetConfig, NetServer};
     use std::sync::Arc;
 
-    let check = load_check(args.required("device").map_err(|e| e.to_string())?)?;
-    let bind = args.optional("bind").unwrap_or("127.0.0.1:7341");
-    let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let batches: u64 = args.parsed_or("batches", 0).map_err(|e| e.to_string())?;
-    let regen_every: u64 = args
-        .parsed_or("regen-every", 0)
-        .map_err(|e| e.to_string())?;
-    let n: usize = args.parsed_or("n", 150).map_err(|e| e.to_string())?;
-    let mode = match args.optional("durability") {
-        None => DurabilityMode::FailOpen,
-        Some(label) => DurabilityMode::parse(label)
-            .ok_or_else(|| format!("--durability must be open|closed, got {label:?}"))?,
-    };
+    let check = load_check(args.str("device"))?;
+    let bind = args.str("bind");
+    let seed: u64 = args.get("seed");
+    let batches: u64 = args.get("batches");
+    let regen_every: u64 = args.get("regen-every");
+    let n: usize = args.get("n");
+    let mode = DurabilityMode::parse(args.str("durability")).expect("the flag's rule");
 
     let intake = IngestConfig {
         rate: Some(RateLimit {
@@ -138,44 +127,27 @@ pub fn serve(args: &Args) -> Result<i32, String> {
         shed: Shed::Newest,
         ..IngestConfig::default()
     };
-    let collector = Arc::new(match args.optional("state-dir") {
-        None => CollectionServer::with_intake(check, PipelineConfig::default(), 400, seed, intake),
+    let store: Box<dyn StateStore> = match args.opt("state-dir") {
+        None => Box::new(MemoryStore::new()),
         Some(dir) => {
-            let (store, report) = WalStore::open(
-                dir,
-                Box::new(leaksig_faults::RealDisk),
-                WalConfig {
-                    mode,
-                    ..WalConfig::default()
-                },
-            )
-            .map_err(|e| format!("cannot open state dir {dir}: {e}"))?;
+            let config = WalConfig {
+                mode,
+                ..WalConfig::default()
+            };
+            let (store, report) = WalStore::open(dir, Box::new(leaksig_faults::RealDisk), config)
+                .map_err(|e| format!("cannot open state dir {dir}: {e}"))?;
             println!(
                 "state dir {dir}: snapshot gen {:?}, {} ops replayed{}{}, {} temp(s) swept",
                 report.snapshot_generation,
                 report.replayed_ops,
-                if report.torn_tail {
-                    ", torn tail discarded"
-                } else {
-                    ""
-                },
-                if report.corrupt_tail {
-                    ", corrupt tail discarded"
-                } else {
-                    ""
-                },
+                note(report.torn_tail, ", torn tail discarded"),
+                note(report.corrupt_tail, ", corrupt tail discarded"),
                 report.swept_temps
             );
-            CollectionServer::with_store(
-                check,
-                PipelineConfig::default(),
-                400,
-                seed,
-                intake,
-                Box::new(store),
-            )
+            Box::new(store)
         }
-    });
+    };
+    let collector = Arc::new(collector(check, seed, intake, store));
     let publisher = Arc::new(SignatureServer::new());
     if let Some(version) = collector.restore_publisher(&publisher) {
         println!("republished recovered signature generation v{version}");
@@ -211,7 +183,7 @@ pub fn serve(args: &Args) -> Result<i32, String> {
     let net = server.shutdown();
     print!("final regeneration: ");
     report_regen(&publisher, || collector.regenerate(n, &publisher));
-    if let Some(out) = args.optional("sigs-out") {
+    if let Some(out) = args.opt("sigs-out") {
         match publisher.fetch(0) {
             Some((version, text)) => {
                 std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -234,6 +206,22 @@ pub fn serve(args: &Args) -> Result<i32, String> {
         net.bytes_in,
         net.bytes_out
     );
+    print_closes_and_intake(&net, &s);
+    if args.opt("state-dir").is_some() {
+        collector.flush_state();
+        println!(
+            "state: {} ({} degradations, {} refused batches)",
+            collector.durability().label(),
+            s.durability_degraded,
+            s.durability_refused
+        );
+    }
+    Ok(0)
+}
+
+/// The listener's close reasons and the intake's counters, as `serve`
+/// and `chaos --net` print them after shutdown.
+fn print_closes_and_intake(net: &leaksig_net::NetStats, s: &leaksig_device::ServerStats) {
     println!(
         "closes: {} clean, {} aborted, {} rejected, {} stalled, {} idle, {} budget",
         net.closed_clean,
@@ -248,16 +236,27 @@ pub fn serve(args: &Args) -> Result<i32, String> {
          {} rate-limited, {} shed",
         s.raw_seen, s.admitted, s.parse_rejects, s.quarantined, s.rate_limited, s.shed
     );
-    if args.optional("state-dir").is_some() {
-        collector.flush_state();
-        println!(
-            "state: {} ({} degradations, {} refused batches)",
-            collector.durability().label(),
-            s.durability_degraded,
-            s.durability_refused
-        );
+}
+
+/// `text` when `on`, else nothing: an optional clause of a report line.
+fn note(on: bool, text: &str) -> &str {
+    if on {
+        text
+    } else {
+        ""
     }
-    Ok(0)
+}
+
+/// A collection server over `store` with the settings every command
+/// shares: the default pipeline and a 400-packet reservoir.
+fn collector(
+    check: PayloadCheck<SensitiveKind>,
+    seed: u64,
+    intake: leaksig_device::IngestConfig,
+    store: Box<dyn leaksig_device::StateStore>,
+) -> leaksig_device::CollectionServer<SensitiveKind> {
+    let config = PipelineConfig::default();
+    leaksig_device::CollectionServer::with_store(check, config, 400, seed, intake, store)
 }
 
 /// The enabled fault kinds as the comma-separated labels the chaos
@@ -274,29 +273,12 @@ pub fn send(args: &Args) -> Result<i32, String> {
     use leaksig_faults::{SocketFaultKind, SocketFaultPlan};
     use leaksig_net::{drive_chaos, BatchOutcome, BatchRecord, NetClient, SyncReply};
 
-    let addr: std::net::SocketAddr = args
-        .required("addr")
-        .map_err(|e| e.to_string())?
-        .parse()
-        .map_err(|e| format!("--addr: {e}"))?;
-    let records = capture::read_file(args.required("capture").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let batch: usize = args.parsed_or("batch", 64).map_err(|e| e.to_string())?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
-    let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let kinds = match args.optional("faults") {
-        Some(list) => SocketFaultKind::parse_list(list)?,
-        None => Vec::new(),
-    };
+    let addr: std::net::SocketAddr = args.get("addr");
+    let records = capture::read_file(args.str("capture"))?;
+    let (batch, seed): (usize, u64) = (args.get("batch"), args.get("seed"));
+    let kinds: Vec<SocketFaultKind> = args.kinds("faults").unwrap_or_default();
     let default_intensity = if kinds.is_empty() { 0.0 } else { 0.3 };
-    let intensity: f64 = args
-        .parsed_or("intensity", default_intensity)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&intensity) {
-        return Err(format!("--intensity must be in [0, 1], got {intensity}"));
-    }
+    let intensity: f64 = args.get_opt("intensity").unwrap_or(default_intensity);
 
     let recs: Vec<BatchRecord> = records
         .iter()
@@ -322,10 +304,7 @@ pub fn send(args: &Args) -> Result<i32, String> {
         acked,
         admitted
     );
-    if let Some(raw) = args.optional("sync") {
-        let have: u64 = raw
-            .parse()
-            .map_err(|_| format!("--sync: bad version {raw:?}"))?;
+    if let Some(have) = args.get_opt::<u64>("sync") {
         match NetClient::new(addr).sync(have).map_err(|e| e.to_string())? {
             SyncReply::Current => println!("sync: already current at v{have}"),
             SyncReply::Installed { version, frame } => {
@@ -340,23 +319,17 @@ pub fn send(args: &Args) -> Result<i32, String> {
 /// collection server, drive a whole market capture at it under a seeded
 /// connection-fault plan, print the per-connection event log, then prove
 /// the counters reconcile and a device syncs the published set over TCP.
-fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
+pub fn chaos_net(args: &Args) -> Result<i32, String> {
     use leaksig_device::{
-        CollectionServer, IngestConfig, Shed, SignatureServer, SignatureStore, SyncClient,
+        IngestConfig, MemoryStore, Shed, SignatureServer, SignatureStore, SyncClient,
     };
     use leaksig_faults::{SocketFaultKind, SocketFaultPlan};
     use leaksig_net::{drive_chaos, BatchRecord, NetConfig, NetServer, TcpTransport};
     use std::sync::Arc;
 
-    let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let intensity: f64 = args
-        .parsed_or("intensity", 0.3)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&intensity) {
-        return Err(format!("--intensity must be in [0, 1], got {intensity}"));
-    }
-    let scale: f64 = args.parsed_or("scale", 0.02).map_err(|e| e.to_string())?;
-    let kinds = SocketFaultKind::parse_list(list)?;
+    let (seed, intensity, scale): (u64, f64, f64) =
+        (args.get("seed"), args.get("intensity"), args.get("scale"));
+    let kinds: Vec<SocketFaultKind> = args.kinds("net").unwrap_or_default();
     println!(
         "socket chaos: seed {seed}, faults [{}], intensity {intensity}",
         kind_labels(&kinds)
@@ -364,16 +337,11 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
 
     let data = Dataset::generate(MarketConfig::scaled(seed, scale));
     let check: PayloadCheck<SensitiveKind> = PayloadCheck::new(data.model.device.all_values());
-    let collector = Arc::new(CollectionServer::with_intake(
-        check,
-        PipelineConfig::default(),
-        400,
-        seed,
-        IngestConfig {
-            shed: Shed::Newest,
-            ..IngestConfig::default()
-        },
-    ));
+    let intake = IngestConfig {
+        shed: Shed::Newest,
+        ..IngestConfig::default()
+    };
+    let collector = Arc::new(collector(check, seed, intake, Box::new(MemoryStore::new())));
     let publisher = Arc::new(SignatureServer::new());
     let config = NetConfig {
         frame_ms: 150,
@@ -422,20 +390,7 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
         "\nlistener: {} accepted, {} shed, {} batches ({} records), {} B in, {} B out",
         net.accepted, net.accept_shed, net.batches, net.batch_packets, net.bytes_in, net.bytes_out
     );
-    println!(
-        "closes: {} clean, {} aborted, {} rejected, {} stalled, {} idle, {} budget",
-        net.closed_clean,
-        net.aborted,
-        net.rejected,
-        net.evicted_stalled,
-        net.evicted_idle,
-        net.evicted_budget
-    );
-    println!(
-        "intake: {} offered, {} admitted, {} parse-rejected, {} quarantined, \
-         {} rate-limited, {} shed",
-        s.raw_seen, s.admitted, s.parse_rejects, s.quarantined, s.rate_limited, s.shed
-    );
+    print_closes_and_intake(&net, &s);
 
     let reconciled = net.accepted == net.closed_total()
         && s.raw_seen == s.admitted + s.rate_limited + s.parse_rejects + s.shed;
@@ -461,19 +416,13 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
 /// mutating I/O point × {before, torn, after} and proves each recovered
 /// state is a prefix of the applied operations. Exit 0 when every
 /// recovery was a clean prefix.
-fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
+pub fn chaos_disk(args: &Args) -> Result<i32, String> {
     use leaksig_device::state::encode_state;
-    use leaksig_device::{CollectionServer, IngestConfig, WalConfig, WalStore};
+    use leaksig_device::{IngestConfig, MemoryStore, WalConfig, WalStore};
     use leaksig_faults::{CrashFlavor, DiskFaultKind, DiskFaultPlan, FaultyDisk, RealDisk};
 
-    let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let intensity: f64 = args
-        .parsed_or("intensity", 0.2)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&intensity) {
-        return Err(format!("--intensity must be in [0, 1], got {intensity}"));
-    }
-    let kinds = DiskFaultKind::parse_list(list)?;
+    let (seed, intensity): (u64, f64) = (args.get("seed"), args.get("intensity"));
+    let kinds: Vec<DiskFaultKind> = args.kinds("disk").unwrap_or_default();
     println!(
         "disk chaos: seed {seed}, faults [{}], intensity {intensity}",
         kind_labels(&kinds)
@@ -490,29 +439,14 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
         compact_every: 64,
         ..WalConfig::default()
     };
-    let collector_on = |store: Box<dyn leaksig_device::StateStore>| {
-        CollectionServer::with_store(
-            check(),
-            PipelineConfig::default(),
-            400,
-            seed,
-            IngestConfig::default(),
-            store,
-        )
-    };
+    let collector_on = |store| collector(check(), seed, IngestConfig::default(), store);
     let scratch =
         std::env::temp_dir().join(format!("leaksig-diskchaos-{seed}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
 
     // The gold twin: same seed, same packets, memory-backed. Its state
     // after each ingest is the set of legal recovery outcomes.
-    let gold = CollectionServer::with_intake(
-        check(),
-        PipelineConfig::default(),
-        400,
-        seed,
-        IngestConfig::default(),
-    );
+    let gold = collector_on(Box::new(MemoryStore::new()));
     let mut prefixes = vec![gold.encoded_state()];
     for p in &packets {
         gold.ingest(&p.packet);
@@ -542,11 +476,7 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
         ctl.mutations(),
         collector.durability().label(),
         s.durability_degraded,
-        if ctl.crashed() {
-            ", then the disk died"
-        } else {
-            ""
-        }
+        note(ctl.crashed(), ", then the disk died")
     );
     drop(collector);
     let (recovered, report) =
@@ -564,12 +494,8 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
         "soak recovery: snapshot gen {:?}, {} ops replayed{}{}; state is {} of the applied ops",
         report.snapshot_generation,
         report.replayed_ops,
-        if report.torn_tail { ", torn tail" } else { "" },
-        if report.corrupt_tail {
-            ", corrupt tail"
-        } else {
-            ""
-        },
+        note(report.torn_tail, ", torn tail"),
+        note(report.corrupt_tail, ", corrupt tail"),
         if soak_prefix {
             "a clean prefix"
         } else {
@@ -642,19 +568,12 @@ fn chaos_disk(args: &Args, list: &str) -> Result<i32, String> {
 /// `chaos`: drive the full distribution loop under a seeded fault plan
 /// and print the per-attempt event log — a command-line replay of the
 /// chaos soak. Exit code 0 when the device converged to the latest
-/// published version, 1 otherwise. With `--net <kinds|all>` the replay
-/// moves onto real sockets (see [`chaos_net`]); with `--disk
-/// <kinds|all>` it moves onto the durable state store's I/O frontier
-/// (see [`chaos_disk`]).
+/// published version, 1 otherwise. The `--net` and `--disk` forms move
+/// the replay onto real sockets ([`chaos_net`]) or onto the durable
+/// state store's I/O frontier ([`chaos_disk`]).
 pub fn chaos(args: &Args) -> Result<i32, String> {
-    if let Some(list) = args.optional("disk") {
-        return chaos_disk(args, list);
-    }
-    if let Some(list) = args.optional("net") {
-        return chaos_net(args, list);
-    }
     use leaksig_device::{
-        CollectionServer, FaultyTransport, InProcessTransport, IngestConfig, RateLimit,
+        FaultyTransport, InProcessTransport, IngestConfig, MemoryStore, RateLimit,
         RegenerationSupervisor, RetryPolicy, SignatureServer, SignatureStore, SnapshotVault,
         SupervisorConfig, SyncClient, SyncEventKind,
     };
@@ -663,28 +582,13 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         IngestFaultPlan, RealDisk,
     };
 
-    let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let kinds: Vec<FaultKind> = FaultKind::parse_list(args.optional("faults").unwrap_or("all"))?;
-    let intensity: f64 = args
-        .parsed_or("intensity", 0.5)
-        .map_err(|e| e.to_string())?;
-    if !(0.0..=1.0).contains(&intensity) {
-        return Err(format!("--intensity must be in [0, 1], got {intensity}"));
-    }
-    let rounds: usize = args.parsed_or("rounds", 3).map_err(|e| e.to_string())?;
-    if rounds == 0 {
-        return Err("--rounds must be at least 1".to_string());
-    }
+    let (seed, intensity): (u64, f64) = (args.get("seed"), args.get("intensity"));
+    let kinds: Vec<FaultKind> = args.kinds("faults").unwrap_or_default();
+    let (rounds, deadline_ms): (usize, u64) = (args.get("rounds"), args.get("deadline"));
     // `--ingest garbage,headerbomb|all` switches the capture loop from
     // the trusted packet path to the hardened raw-bytes frontier, with
     // the listed ingestion faults mangling the wire images.
-    let ingest_kinds: Option<Vec<IngestFaultKind>> = args
-        .optional("ingest")
-        .map(IngestFaultKind::parse_list)
-        .transpose()?;
-    let deadline_ms: u64 = args
-        .parsed_or("deadline", 5_000)
-        .map_err(|e| e.to_string())?;
+    let ingest_kinds: Option<Vec<IngestFaultKind>> = args.kinds("ingest");
 
     println!(
         "chaos: seed {seed}, faults [{}], intensity {intensity}, {rounds} rounds",
@@ -698,19 +602,14 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
     // A small synthetic market stands in for the capture loop.
     let data = Dataset::generate(MarketConfig::scaled(seed, 0.02));
     let check: PayloadCheck<SensitiveKind> = PayloadCheck::new(data.model.device.all_values());
-    let collector = CollectionServer::with_intake(
-        check,
-        PipelineConfig::default(),
-        400,
-        seed,
-        IngestConfig {
-            rate: Some(RateLimit {
-                burst: 32,
-                per_second: 500,
-            }),
-            ..IngestConfig::default()
-        },
-    );
+    let intake = IngestConfig {
+        rate: Some(RateLimit {
+            burst: 32,
+            per_second: 500,
+        }),
+        ..IngestConfig::default()
+    };
+    let collector = collector(check, seed, intake, Box::new(MemoryStore::new()));
     let supervisor = RegenerationSupervisor::new(SupervisorConfig {
         deadline_ms,
         ..SupervisorConfig::default()
@@ -866,14 +765,9 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
 }
 
 /// `market`: synthesize a capture + device file.
-pub fn market(args: &Args) -> Result<(), String> {
-    let out = args.required("out").map_err(|e| e.to_string())?;
-    let device_path = args.required("device").map_err(|e| e.to_string())?;
-    let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
-    let scale: f64 = args.parsed_or("scale", 0.05).map_err(|e| e.to_string())?;
-    if !(scale > 0.0 && scale <= 1.0) {
-        return Err(format!("--scale must be in (0, 1], got {scale}"));
-    }
+pub fn market(args: &Args) -> Result<i32, String> {
+    let (out, device_path) = (args.str("out"), args.str("device"));
+    let (seed, scale): (u64, f64) = (args.get("seed"), args.get("scale"));
 
     let data = Dataset::generate(MarketConfig::scaled(seed, scale));
     let records: Vec<CaptureRecord> = data
@@ -884,26 +778,24 @@ pub fn market(args: &Args) -> Result<(), String> {
             packet: p.packet.clone(),
         })
         .collect();
-    capture::write_file(out, &records).map_err(|e| e.to_string())?;
-    devicefile::write_file(device_path, &data.model.device).map_err(|e| e.to_string())?;
+    capture::write_file(out, &records)?;
+    devicefile::write_file(device_path, &data.model.device)?;
     println!(
         "wrote {} packets from {} apps to {out}; device identity to {device_path}",
         records.len(),
         data.model.apps.len()
     );
-    Ok(())
+    Ok(0)
 }
 
 fn load_check(device_path: &str) -> Result<PayloadCheck<SensitiveKind>, String> {
-    let device = devicefile::read_file(device_path).map_err(|e| e.to_string())?;
-    Ok(PayloadCheck::new(device.all_values()))
+    devicefile::read_file(device_path).map(|device| PayloadCheck::new(device.all_values()))
 }
 
 /// `check`: payload check over a capture, with per-kind counts.
-pub fn check(args: &Args) -> Result<(), String> {
-    let records = capture::read_file(args.required("capture").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let check = load_check(args.required("device").map_err(|e| e.to_string())?)?;
+pub fn check(args: &Args) -> Result<i32, String> {
+    let records = capture::read_file(args.str("capture"))?;
+    let check = load_check(args.str("device"))?;
 
     let mut suspicious = 0usize;
     let mut per_kind: std::collections::BTreeMap<SensitiveKind, usize> = Default::default();
@@ -925,24 +817,16 @@ pub fn check(args: &Args) -> Result<(), String> {
     for (kind, count) in per_kind {
         println!("  {:<22} {count}", kind.label());
     }
-    Ok(())
+    Ok(0)
 }
 
 /// `generate`: payload check → sample → cluster → signatures → wire file.
-pub fn generate(args: &Args) -> Result<(), String> {
-    let records = capture::read_file(args.required("capture").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let check = load_check(args.required("device").map_err(|e| e.to_string())?)?;
-    let out = args.required("out").map_err(|e| e.to_string())?;
-    let n: usize = args.parsed_or("n", 300).map_err(|e| e.to_string())?;
-    let seed: u64 = args
-        .parsed_or("seed", 0xC0FFEE)
-        .map_err(|e| e.to_string())?;
-    let deploy_gate = match args.optional("gate").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--gate must be on|off, got {other:?}")),
-    };
+pub fn generate(args: &Args) -> Result<i32, String> {
+    let records = capture::read_file(args.str("capture"))?;
+    let check = load_check(args.str("device"))?;
+    let out = args.str("out");
+    let (n, seed): (usize, u64) = (args.get("n"), args.get("seed"));
+    let deploy_gate = args.str("gate") == "on";
 
     let packets: Vec<&leaksig_http::HttpPacket> = records.iter().map(|r| &r.packet).collect();
     let labels: Vec<bool> = packets.iter().map(|p| check.is_suspicious(p)).collect();
@@ -972,7 +856,7 @@ pub fn generate(args: &Args) -> Result<(), String> {
         100.0 * outcome.rates.false_positive
     );
     println!("{}", outcome.timings.event_line());
-    Ok(())
+    Ok(0)
 }
 
 fn load_sigs(path: &str) -> Result<SignatureSet, String> {
@@ -982,10 +866,9 @@ fn load_sigs(path: &str) -> Result<SignatureSet, String> {
 
 /// `detect`: scan a capture with a signature file; evaluate when a device
 /// file supplies ground truth.
-pub fn detect(args: &Args) -> Result<(), String> {
-    let records = capture::read_file(args.required("capture").map_err(|e| e.to_string())?)
-        .map_err(|e| e.to_string())?;
-    let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
+pub fn detect(args: &Args) -> Result<i32, String> {
+    let records = capture::read_file(args.str("capture"))?;
+    let set = load_sigs(args.str("sigs"))?;
     let detector = Detector::new(set);
 
     let mut hits = 0usize;
@@ -1010,7 +893,7 @@ pub fn detect(args: &Args) -> Result<(), String> {
         println!("  {app:<36} {count}");
     }
 
-    if let Some(device_path) = args.optional("device") {
+    if let Some(device_path) = args.opt("device") {
         let check = load_check(device_path)?;
         let labels: Vec<bool> = records
             .iter()
@@ -1028,7 +911,7 @@ pub fn detect(args: &Args) -> Result<(), String> {
             counts.recall()
         );
     }
-    Ok(())
+    Ok(0)
 }
 
 /// `lint`: audit a signature file for §VI false-positive hazards,
@@ -1036,24 +919,19 @@ pub fn detect(args: &Args) -> Result<(), String> {
 /// defects. Returns the process exit code:
 /// 1 when any Error-level diagnostic was found, 0 otherwise.
 pub fn lint(args: &Args) -> Result<i32, String> {
-    let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
+    let set = load_sigs(args.str("sigs"))?;
     let linter = leaksig_lint::Linter::new();
     let diags = linter.lint(&set);
-    match args.optional("format").unwrap_or("text") {
-        "text" => print!("{}", leaksig_lint::render_text(&diags)),
+    match args.str("format") {
         "json" => println!("{}", leaksig_lint::render_json(&diags)),
-        other => return Err(format!("--format must be text|json, got {other:?}")),
+        _ => print!("{}", leaksig_lint::render_text(&diags)),
     }
-    Ok(if leaksig_lint::has_errors(&diags) {
-        1
-    } else {
-        0
-    })
+    Ok(leaksig_lint::has_errors(&diags) as i32)
 }
 
 /// `inspect`: human-readable dump of a signature file.
-pub fn inspect(args: &Args) -> Result<(), String> {
-    let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
+pub fn inspect(args: &Args) -> Result<i32, String> {
+    let set = load_sigs(args.str("sigs"))?;
     println!("{} signatures, {} tokens", set.len(), set.token_count());
     for sig in &set.signatures {
         println!(
@@ -1070,7 +948,7 @@ pub fn inspect(args: &Args) -> Result<(), String> {
             );
         }
     }
-    Ok(())
+    Ok(0)
 }
 
 /// `analyze`: whole-set semantic analysis (proved subsumption lattice,
@@ -1079,14 +957,7 @@ pub fn inspect(args: &Args) -> Result<(), String> {
 /// NEW` — the semantic diff between two generations. Exit code 1 on any
 /// Error-level finding (the same errors `lint` reports), 0 otherwise.
 pub fn analyze(args: &Args) -> Result<i32, String> {
-    if let Some(old_path) = args.optional("diff") {
-        let old = load_sigs(old_path)?;
-        let new = load_sigs(args.required("new").map_err(|e| e.to_string())?)?;
-        print_diff(&diff_generations(&old, &new), &old, &new);
-        return Ok(0);
-    }
-
-    let set = load_sigs(args.required("sigs").map_err(|e| e.to_string())?)?;
+    let set = load_sigs(args.str("sigs"))?;
     let report = leaksig_core::analyze::analyze_set(&set);
     let mut diags = leaksig_lint::Linter::new().lint(&set);
     diags.extend(leaksig_core::audit::cost_findings(
@@ -1095,9 +966,9 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
     ));
     leaksig_lint::sort_findings(&mut diags);
 
-    match args.optional("format").unwrap_or("text") {
+    match args.str("format") {
         "json" => println!("{}", leaksig_lint::render_json(&diags)),
-        "text" => {
+        _ => {
             println!(
                 "{} signatures under Conjunction: {} dominance edge{}, {} proved dead, \
                  {} overlap{}",
@@ -1133,13 +1004,16 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
             }
             print!("{}", leaksig_lint::render_text(&diags));
         }
-        other => return Err(format!("--format must be text|json, got {other:?}")),
     }
-    Ok(if leaksig_lint::has_errors(&diags) {
-        1
-    } else {
-        0
-    })
+    Ok(leaksig_lint::has_errors(&diags) as i32)
+}
+
+/// `analyze --diff OLD --new NEW`: the semantic diff between two
+/// generations. A report, not a gate: exit 0.
+pub fn analyze_diff(args: &Args) -> Result<i32, String> {
+    let (old, new) = (load_sigs(args.str("diff"))?, load_sigs(args.str("new"))?);
+    print_diff(&diff_generations(&old, &new), &old, &new);
+    Ok(0)
 }
 
 fn print_diff(

@@ -14,18 +14,6 @@ use leaksig_netsim::{Carrier, DeviceProfile};
 
 const MAGIC: &str = "LEAKDEV/1";
 
-/// Device-file error with a user-facing message.
-#[derive(Debug)]
-pub struct DeviceFileError(pub String);
-
-impl std::fmt::Display for DeviceFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for DeviceFileError {}
-
 /// Serialize a device profile.
 pub fn encode(device: &DeviceProfile) -> String {
     format!(
@@ -39,10 +27,10 @@ pub fn encode(device: &DeviceProfile) -> String {
 }
 
 /// Parse a device file.
-pub fn decode(text: &str) -> Result<DeviceProfile, DeviceFileError> {
+pub fn decode(text: &str) -> Result<DeviceProfile, String> {
     let mut lines = text.lines();
     if lines.next().map(str::trim) != Some(MAGIC) {
-        return Err(DeviceFileError(format!("missing {MAGIC} header")));
+        return Err(format!("missing {MAGIC} header"));
     }
     let mut imei = None;
     let mut imsi = None;
@@ -56,7 +44,7 @@ pub fn decode(text: &str) -> Result<DeviceProfile, DeviceFileError> {
         }
         let (key, value) = line
             .split_once(' ')
-            .ok_or_else(|| DeviceFileError(format!("malformed line: {line:?}")))?;
+            .ok_or_else(|| format!("malformed line: {line:?}"))?;
         match key {
             "imei" => imei = Some(value.to_string()),
             "imsi" => imsi = Some(value.to_string()),
@@ -67,33 +55,30 @@ pub fn decode(text: &str) -> Result<DeviceProfile, DeviceFileError> {
                     "NTT DOCOMO" => Carrier::NttDocomo,
                     "KDDI" => Carrier::Kddi,
                     "SoftBank" => Carrier::SoftBank,
-                    other => return Err(DeviceFileError(format!("unknown carrier {other:?}"))),
+                    other => return Err(format!("unknown carrier {other:?}")),
                 })
             }
-            other => return Err(DeviceFileError(format!("unknown key {other:?}"))),
+            other => return Err(format!("unknown key {other:?}")),
         }
     }
-    let need =
-        |v: Option<String>, k: &str| v.ok_or_else(|| DeviceFileError(format!("missing key {k:?}")));
+    let need = |v: Option<String>, k: &str| v.ok_or_else(|| format!("missing key {k:?}"));
     Ok(DeviceProfile {
         imei: need(imei, "imei")?,
         imsi: need(imsi, "imsi")?,
         android_id: need(android_id, "android_id")?,
         sim_serial: need(sim_serial, "sim_serial")?,
-        carrier: carrier.ok_or_else(|| DeviceFileError("missing key \"carrier\"".to_string()))?,
+        carrier: carrier.ok_or_else(|| "missing key \"carrier\"".to_string())?,
     })
 }
 
 /// File wrappers.
-pub fn write_file(path: &str, device: &DeviceProfile) -> Result<(), DeviceFileError> {
-    std::fs::write(path, encode(device))
-        .map_err(|e| DeviceFileError(format!("cannot write {path}: {e}")))
+pub fn write_file(path: &str, device: &DeviceProfile) -> Result<(), String> {
+    std::fs::write(path, encode(device)).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Read a device file from disk.
-pub fn read_file(path: &str) -> Result<DeviceProfile, DeviceFileError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| DeviceFileError(format!("cannot read {path}: {e}")))?;
+pub fn read_file(path: &str) -> Result<DeviceProfile, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     decode(&text)
 }
 

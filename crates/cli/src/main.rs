@@ -1,17 +1,8 @@
 //! `leaksig-cli` — drive the leaksig pipeline from the command line.
 //!
-//! ```text
-//! leaksig-cli market   --out capture.lsc --device device.txt [--seed 42] [--scale 0.05]
-//! leaksig-cli check    --capture capture.lsc --device device.txt
-//! leaksig-cli generate --capture capture.lsc --device device.txt --out sigs.txt [--n 300]
-//! leaksig-cli detect   --capture capture.lsc --sigs sigs.txt [--device device.txt]
-//! leaksig-cli inspect  --sigs sigs.txt
-//! leaksig-cli lint     --sigs sigs.txt [--format text|json]
-//! leaksig-cli analyze  --sigs sigs.txt [--format text|json]
-//! leaksig-cli analyze  --diff old.txt --new new.txt
-//! leaksig-cli serve    --device device.txt [--bind 127.0.0.1:7341] [--batches 10]
-//! leaksig-cli send     --addr 127.0.0.1:7341 --capture capture.lsc [--faults all]
-//! ```
+//! Every command form and the flags it reads are declared once, in
+//! [`FORMS`]; `leaksig-cli --help` prints the usage text generated from
+//! it, and a flag a form does not declare is a usage error.
 //!
 //! The `market` command synthesizes a capture (stand-in for a real
 //! capture loop); every other command works on capture/signature files
@@ -23,65 +14,91 @@ mod capture;
 mod commands;
 mod devicefile;
 
-use args::Args;
+use args::Rule::{Addr, Choice, Int, Kinds, Text, Unit};
+use args::{def, kinds, opt, req, Args, Flag, Form};
+use leaksig_faults::{DiskFaultKind, FaultKind, IngestFaultKind, SocketFaultKind};
 
-const USAGE: &str = "\
-usage: leaksig-cli <command> [--flag value]...
+const CAPTURE: Flag = req("capture", "FILE", Text);
+const DEVICE: Flag = req("device", "FILE", Text);
+const SIGS: Flag = req("sigs", "FILE", Text);
+const OUT: Flag = req("out", "FILE", Text);
+const SEED: Flag = def("seed", "N", "42", Int(0));
+const FORMAT: Flag = def("format", "text|json", "text", Choice);
+const SCALE: args::Rule = Unit { open: true };
+const INTENSITY: args::Rule = Unit { open: false };
+const SYNC_FAULTS: &str = "drop,delay,duplicate,truncate,corrupt|all";
+const INGEST_FAULTS: &str = "garbage,oversize,headerbomb,dupflood,slowdrip|all";
+const SOCKET_FAULTS: &str = "chop,stall,reset,garbage,halfframe|all";
+const DISK_FAULTS: &str = "shortwrite,torn,fsyncfail,enospc,crash|all";
 
-commands:
-  market    synthesize a market capture:  --out FILE --device FILE [--seed N] [--scale X]
-  check     run the payload check:        --capture FILE --device FILE
-  generate  generate signatures:          --capture FILE --device FILE --out FILE [--n N] [--seed N] [--gate on|off]
-  detect    apply signatures:             --capture FILE --sigs FILE [--device FILE]
-  gate      replay through the device gate: --capture FILE --sigs FILE [--policy allow|block]
-  inspect   print a signature set:        --sigs FILE
-  lint      audit a signature set:        --sigs FILE [--format text|json]  (exit 1 on errors)
-  analyze   semantic set analysis:        --sigs FILE [--format text|json]  (lint findings + cost; exit 1 on errors)
-            generation diff:              --diff OLD --new NEW
-  chaos     fault-injected sync replay:   [--seed N] [--faults drop,corrupt|all] [--intensity X] [--rounds N]
-            raw-intake frontier:          [--ingest garbage,oversize,headerbomb,dupflood,slowdrip|all] [--deadline MS]  (exit 1 unless converged)
-            socket frontier:              [--net chop,stall,reset,garbage,halfframe|all] [--scale X]  (loopback TCP soak, per-connection log)
-            storage frontier:             [--disk shortwrite,torn,fsyncfail,enospc,crash|all]  (WAL fault soak + full crash-recovery matrix)
-  serve     run the TCP collection server: --device FILE [--bind ADDR] [--batches N] [--regen-every N] [--n N] [--sigs-out FILE]
-                                          [--state-dir DIR] [--durability open|closed]  (WAL-backed durable state + recovery)
-  send      upload a capture over TCP:    --addr ADDR --capture FILE [--batch N] [--faults chop,...|all] [--intensity X] [--sync VER]
-";
+/// The command surface: every usage line with the flags it reads, in the
+/// order `--help` lists them; see [`Form`] for how a line is picked.
+#[rustfmt::skip]
+static FORMS: &[Form] = &[
+    Form { command: "market", about: "synthesize a market capture", run: commands::market,
+        flags: &[OUT, DEVICE, SEED, def("scale", "X", "0.05", SCALE)] },
+    Form { command: "check", about: "run the payload check", run: commands::check,
+        flags: &[CAPTURE, DEVICE] },
+    Form { command: "generate", about: "generate signatures", run: commands::generate,
+        flags: &[CAPTURE, DEVICE, OUT, def("n", "N", "300", Int(0)),
+            def("seed", "N", "12648430", Int(0)), def("gate", "on|off", "on", Choice)] },
+    Form { command: "detect", about: "apply signatures; with --device, evaluate them",
+        run: commands::detect, flags: &[CAPTURE, SIGS, opt("device", "FILE", Text)] },
+    Form { command: "gate", about: "replay through the device gate under a scripted user",
+        run: commands::gate,
+        flags: &[CAPTURE, SIGS, def("policy", "allow|block", "block", Choice)] },
+    Form { command: "inspect", about: "print a signature set", run: commands::inspect,
+        flags: &[SIGS] },
+    Form { command: "lint", about: "audit a signature set (exit 1 on errors)",
+        run: commands::lint, flags: &[SIGS, FORMAT] },
+    Form { command: "analyze", about: "lint findings + semantic analysis (exit 1 on errors)",
+        run: commands::analyze, flags: &[SIGS, FORMAT] },
+    Form { command: "analyze", about: "semantic diff between two signature generations",
+        run: commands::analyze_diff, flags: &[req("diff", "OLD", Text), req("new", "NEW", Text)] },
+    Form { command: "chaos", about: "fault-injected sync replay (exit 1 unless converged)",
+        run: commands::chaos,
+        flags: &[SEED, def("faults", SYNC_FAULTS, "all", Kinds(kinds::<FaultKind>)),
+            def("intensity", "X", "0.5", INTENSITY), def("rounds", "N", "3", Int(1)),
+            opt("ingest", INGEST_FAULTS, Kinds(kinds::<IngestFaultKind>)),
+            def("deadline", "MS", "5000", Int(0))] },
+    Form { command: "chaos", about: "socket frontier: loopback TCP soak, per-connection log",
+        run: commands::chaos_net,
+        flags: &[req("net", SOCKET_FAULTS, Kinds(kinds::<SocketFaultKind>)), SEED,
+            def("intensity", "X", "0.3", INTENSITY), def("scale", "X", "0.02", SCALE)] },
+    Form { command: "chaos", about: "storage frontier: WAL fault soak + crash-recovery matrix",
+        run: commands::chaos_disk,
+        flags: &[req("disk", DISK_FAULTS, Kinds(kinds::<DiskFaultKind>)), SEED,
+            def("intensity", "X", "0.2", INTENSITY)] },
+    Form { command: "serve", about: "run the TCP collection server (WAL-backed with --state-dir)",
+        run: commands::serve,
+        flags: &[DEVICE, def("bind", "ADDR", "127.0.0.1:7341", Text), SEED,
+            def("batches", "N", "0", Int(0)), def("regen-every", "N", "0", Int(0)),
+            def("n", "N", "150", Int(0)), opt("sigs-out", "FILE", Text),
+            opt("state-dir", "DIR", Text), def("durability", "open|closed", "open", Choice)] },
+    Form { command: "send", about: "upload a capture over TCP (--intensity: 0.3 with --faults)",
+        run: commands::send,
+        flags: &[req("addr", "ADDR", Addr), CAPTURE, def("batch", "N", "64", Int(1)), SEED,
+            opt("faults", SOCKET_FAULTS, Kinds(kinds::<SocketFaultKind>)),
+            opt("intensity", "X", INTENSITY), opt("sync", "VER", Int(0))] },
+];
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.is_empty() || argv[0] == "--help" || argv[0] == "help" {
-        print!("{USAGE}");
+        print!("{}", args::usage(FORMS, None));
         return;
     }
-    let exit = match run(argv) {
+    // `Ok(code)` is the process exit status (non-zero for commands like
+    // `lint` that report findings through it); `Err` is a usage or
+    // runtime error, printed with the command's usage lines.
+    let exit = match Args::parse(FORMS, &argv).and_then(|args| (args.form.run)(&args)) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprint!("{USAGE}");
+            eprint!("{}", args::usage(FORMS, Some(&argv[0])));
             1
         }
     };
     std::process::exit(exit);
-}
-
-/// Run a subcommand. `Ok(code)` is the process exit status (non-zero for
-/// commands like `lint` that report findings through it); `Err` is a
-/// usage/runtime error that also prints the usage text.
-fn run(argv: Vec<String>) -> Result<i32, String> {
-    let args = Args::parse(argv).map_err(|e| e.to_string())?;
-    match args.command.as_str() {
-        "market" => commands::market(&args).map(|()| 0),
-        "check" => commands::check(&args).map(|()| 0),
-        "generate" => commands::generate(&args).map(|()| 0),
-        "detect" => commands::detect(&args).map(|()| 0),
-        "gate" => commands::gate(&args).map(|()| 0),
-        "inspect" => commands::inspect(&args).map(|()| 0),
-        "lint" => commands::lint(&args),
-        "analyze" => commands::analyze(&args),
-        "chaos" => commands::chaos(&args),
-        "serve" => commands::serve(&args),
-        "send" => commands::send(&args),
-        other => Err(format!("unknown command {other:?}")),
-    }
 }

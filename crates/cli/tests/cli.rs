@@ -459,3 +459,63 @@ fn chaos_prints_each_publish_diff_against_the_previous_generation() {
     }
     assert!(publishes >= 2, "{out}");
 }
+
+/// A flag the picked command form does not declare is a usage error:
+/// exit 1, the error and that command's usage lines on stderr, nothing on
+/// stdout. This covers flags `analyze` no longer reads, a misspelled
+/// flag, a flag of another `chaos` form, two form-picking flags at once,
+/// and `--sigs` next to `--diff`.
+#[test]
+fn undeclared_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join(format!("leaksig-flags-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sigs = dir.join("sigs.txt").to_string_lossy().into_owned();
+    std::fs::write(&sigs, "LEAKSIG/1\n").unwrap();
+    let cases: [(&[&str], &str, &str); 5] = [
+        (
+            &[
+                "analyze",
+                "--sigs",
+                &sigs,
+                "--mode",
+                "ordered",
+                "--threshold",
+                "0.5",
+            ],
+            "analyze does not take --mode",
+            "--sigs FILE [--format text|json=text]",
+        ),
+        (
+            &["lint", "--sigs", &sigs, "--formt", "json"],
+            "lint does not take --formt",
+            "--sigs FILE [--format text|json=text]",
+        ),
+        (
+            &["chaos", "--disk", "all", "--rounds", "5"],
+            "chaos --disk does not take --rounds",
+            "--disk shortwrite,torn,fsyncfail,enospc,crash|all",
+        ),
+        (
+            &["chaos", "--net", "all", "--disk", "all"],
+            "--net and --disk pick different forms of chaos",
+            "--net chop,stall,reset,garbage,halfframe|all",
+        ),
+        (
+            &["analyze", "--sigs", &sigs, "--diff", &sigs, "--new", &sigs],
+            "analyze --diff does not take --sigs",
+            "--diff OLD --new NEW",
+        ),
+    ];
+    for (args, error, usage_line) in cases {
+        let out = bin().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}\n{stderr}");
+        assert!(stderr.starts_with(&format!("error: {error}\n")), "{stderr}");
+        assert!(
+            stderr.contains(usage_line),
+            "{args:?}: usage missing\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
