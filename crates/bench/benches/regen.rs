@@ -7,9 +7,11 @@
 //! per-pair cost is dominated by re-indexing and re-encoding the row
 //! packet's field); the resumable build snapshots each row packet's
 //! encoder state once and continues it per cell, walking the hash-chain
-//! indexes every field received once at feature extraction. Both rows at the smallest size come from the
-//! same run, so the baseline file itself documents the speedup — and the
-//! harness asserts bit-identical matrices before timing anything.
+//! indexes every field received once at feature extraction, and
+//! compresses each distinct pair of request lines once. Both rows at the
+//! smallest size come from the same run, so the baseline file itself
+//! documents the speedup — and the harness asserts bit-identical matrices
+//! before timing anything.
 //!
 //! Scale knob (smoke mode shrinks it):
 //!

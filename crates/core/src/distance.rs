@@ -283,6 +283,7 @@ impl<C: Compressor> PacketDistance<C> {
             dist: self,
             x,
             rline: c.begin_prefix(&x.rline),
+            rline_c: Vec::new(),
             cookie: c.begin_prefix(&x.cookie),
             body: c.begin_prefix(&x.body),
             host_d: Vec::new(),
@@ -290,17 +291,57 @@ impl<C: Compressor> PacketDistance<C> {
     }
 }
 
-/// A dense id per distinct destination host of `features` (first
-/// appearance first), for [`RowDistance::packet_with_host`].
-pub(crate) fn host_ids(features: &[PacketFeatures]) -> Vec<usize> {
+/// A dense id per distinct key, first appearance first.
+fn dense_ids<K: std::hash::Hash + Eq>(keys: impl Iterator<Item = K>) -> Vec<usize> {
     let mut ids = std::collections::HashMap::new();
-    features
-        .iter()
-        .map(|f| {
-            let next = ids.len();
-            *ids.entry(f.host.as_str()).or_insert(next)
-        })
-        .collect()
+    keys.map(|k| {
+        let next = ids.len();
+        *ids.entry(k).or_insert(next)
+    })
+    .collect()
+}
+
+/// A dense id per distinct destination host of `features`, for
+/// [`RowDistance::packet_with_ids`].
+pub(crate) fn host_ids(features: &[PacketFeatures]) -> Vec<usize> {
+    dense_ids(features.iter().map(|f| f.host.as_str()))
+}
+
+/// A dense id per distinct request line of `features`, for
+/// [`RowDistance::packet_with_ids`].
+pub(crate) fn rline_ids(features: &[PacketFeatures]) -> Vec<usize> {
+    dense_ids(features.iter().map(|f| &f.rline[..]))
+}
+
+/// [`RowDistance`]'s mark for a request-line pair not yet compressed.
+const UNMEASURED: u32 = u32::MAX;
+
+/// One field's NCD term, calling `concat` for `C(x ⊕ y)` only when both
+/// strings are non-empty.
+fn ncd_term(
+    xb: &IndexedBytes,
+    cx: usize,
+    yb: &IndexedBytes,
+    cy: usize,
+    concat: impl FnOnce() -> usize,
+) -> f64 {
+    // Mirrors `ncd_with_lens`'s two-empty-strings convention.
+    if xb.is_empty() && yb.is_empty() {
+        return 0.0;
+    }
+    // One-sided-empty shortcut: the concatenation *is* the other string,
+    // whose count is already cached — `concat_len` would return exactly
+    // `cy` (resp. `cx`), so skipping it cannot change a bit. Cookie and
+    // body are empty for most GET traffic, which makes this the common
+    // case.
+    let cxy = if xb.is_empty() {
+        cy
+    } else if yb.is_empty() {
+        cx
+    } else {
+        concat()
+    };
+    leaksig_compress::ncd_from_lens(cx, cy, cxy)
 }
 
 /// One row of the pairwise distance computation: see
@@ -309,6 +350,13 @@ pub struct RowDistance<'a, C: Compressor> {
     dist: &'a PacketDistance<C>,
     x: &'a PacketFeatures,
     rline: Box<dyn PrefixState + 'a>,
+    /// `C(x.rline ⊕ ·)` by request-line id ([`rline_ids`]),
+    /// [`UNMEASURED`] until first needed. [`RowDistance::rebase`] carries
+    /// it across the rows that share `x`'s request line, so a matrix
+    /// compresses each distinct ordered pair of request lines once.
+    /// `concat_len` is a pure function of the two strings, so caching
+    /// cannot change a bit.
+    rline_c: Vec<u32>,
     cookie: Box<dyn PrefixState + 'a>,
     body: Box<dyn PrefixState + 'a>,
     /// `d_host(x.host, ·)` by host id ([`host_ids`]), NaN until first
@@ -320,68 +368,86 @@ pub struct RowDistance<'a, C: Compressor> {
     host_d: Vec<f64>,
 }
 
-impl<C: Compressor> RowDistance<'_, C> {
+impl<'a, C: Compressor> RowDistance<'a, C> {
     /// `d_header` against the captured row packet — the same three-field
     /// NCD sum as [`PacketDistance::content`], with `C(x ⊕ y)` measured by
     /// resuming the row's encoder snapshots. Term order and arithmetic
     /// mirror `content` exactly so the results are bit-identical.
     pub fn content(&mut self, y: &PacketFeatures) -> f64 {
+        let rline = &mut self.rline;
+        let rline_term = ncd_term(&self.x.rline, self.x.c_rline, &y.rline, y.c_rline, || {
+            rline.concat_len(&y.rline)
+        });
+        self.content_given_rline(y, rline_term)
+    }
+
+    /// The content sum with the request-line term already measured.
+    fn content_given_rline(&mut self, y: &PacketFeatures, rline_term: f64) -> f64 {
         let x = self.x;
-        let term = |p: &mut Box<dyn PrefixState + '_>,
-                    xb: &IndexedBytes,
-                    cx: usize,
-                    yb: &IndexedBytes,
-                    cy: usize| {
-            // Mirrors `ncd_with_lens`'s two-empty-strings convention.
-            if xb.is_empty() && yb.is_empty() {
-                return 0.0;
-            }
-            // One-sided-empty shortcut: the concatenation *is* the other
-            // string, whose count is already cached — `concat_len` would
-            // return exactly `cy` (resp. `cx`), so skipping it cannot
-            // change a bit. Cookie and body are empty for most GET
-            // traffic, which makes this the common case.
-            let cxy = if xb.is_empty() {
-                cy
-            } else if yb.is_empty() {
-                cx
-            } else {
-                p.concat_len(yb)
-            };
-            leaksig_compress::ncd_from_lens(cx, cy, cxy)
-        };
-        term(&mut self.rline, &x.rline, x.c_rline, &y.rline, y.c_rline)
-            + term(
-                &mut self.cookie,
-                &x.cookie,
-                x.c_cookie,
-                &y.cookie,
-                y.c_cookie,
-            )
-            + term(&mut self.body, &x.body, x.c_body, &y.body, y.c_body)
+        rline_term
+            + ncd_term(&x.cookie, x.c_cookie, &y.cookie, y.c_cookie, || {
+                self.cookie.concat_len(&y.cookie)
+            })
+            + ncd_term(&x.body, x.c_body, &y.body, y.c_body, || {
+                self.body.concat_len(&y.body)
+            })
     }
 
     /// `d_pkt(x, y)` — bit-identical to [`PacketDistance::packet`].
     pub fn packet(&mut self, y: &PacketFeatures) -> f64 {
-        let host = d_host(&self.x.host, &y.host);
-        self.packet_given_host(y, host)
+        let content = self.content(y);
+        self.packet_given(y, d_host(&self.x.host, &y.host), content)
     }
 
     /// [`RowDistance::packet`] with `d_host` cached by `y`'s host id from
-    /// [`host_ids`] over the features this row is compared against.
-    pub(crate) fn packet_with_host(&mut self, y: &PacketFeatures, host_id: usize) -> f64 {
+    /// [`host_ids`] and `C(x.rline ⊕ y.rline)` by `y`'s request-line id
+    /// from [`rline_ids`], both numbered over the features this row is
+    /// compared against.
+    pub(crate) fn packet_with_ids(
+        &mut self,
+        y: &PacketFeatures,
+        host_id: usize,
+        rline_id: usize,
+    ) -> f64 {
         if host_id >= self.host_d.len() {
             self.host_d.resize(host_id + 1, f64::NAN);
         }
         if self.host_d[host_id].is_nan() {
             self.host_d[host_id] = d_host(&self.x.host, &y.host);
         }
-        let host = self.host_d[host_id];
-        self.packet_given_host(y, host)
+        if rline_id >= self.rline_c.len() {
+            self.rline_c.resize(rline_id + 1, UNMEASURED);
+        }
+        let (rline, cxy) = (&mut self.rline, &mut self.rline_c[rline_id]);
+        let rline_term = ncd_term(&self.x.rline, self.x.c_rline, &y.rline, y.c_rline, || {
+            if *cxy == UNMEASURED {
+                *cxy = u32::try_from(rline.concat_len(&y.rline)).expect("C(x ⊕ y) fits in u32");
+            }
+            *cxy as usize
+        });
+        let content = self.content_given_rline(y, rline_term);
+        self.packet_given(y, self.host_d[host_id], content)
     }
 
-    fn packet_given_host(&mut self, y: &PacketFeatures, host: f64) -> f64 {
-        let content = self.content(y);
+    /// Move the row to `x`, which has the row's request line: the
+    /// request-line prefix and its `C(x.rline ⊕ ·)` cache carry over, the
+    /// cookie and body prefixes are captured afresh, and the `d_host`
+    /// cache survives when the host does.
+    pub(crate) fn rebase(&mut self, x: &'a PacketFeatures) {
+        assert!(
+            x.rline[..] == self.x.rline[..],
+            "rebase across request lines"
+        );
+        let c = &self.dist.compressor;
+        self.cookie = c.begin_prefix(&x.cookie);
+        self.body = c.begin_prefix(&x.body);
+        if x.host != self.x.host {
+            self.host_d.clear();
+        }
+        self.x = x;
+    }
+
+    fn packet_given(&self, y: &PacketFeatures, host: f64, content: f64) -> f64 {
         let destination = self.dist.destination_sans_host(self.x, y) + host;
         self.dist.config.destination_weight * destination
             + self.dist.config.content_weight * content
@@ -592,13 +658,13 @@ mod tests {
                 .build(),
         );
         let feats: Vec<_> = packets.iter().map(|p| d.features(p)).collect();
-        let ids = host_ids(&feats);
+        let (hosts, rlines) = (host_ids(&feats), rline_ids(&feats));
         for x in &feats {
             let mut row = d.row(x);
-            for (y, &id) in feats.iter().zip(&ids) {
+            for (y, (&host, &rline)) in feats.iter().zip(hosts.iter().zip(&rlines)) {
                 assert_eq!(row.content(y), d.content(x, y));
                 assert_eq!(row.packet(y), d.packet(x, y));
-                assert_eq!(row.packet_with_host(y, id), d.packet(x, y));
+                assert_eq!(row.packet_with_ids(y, host, rline), d.packet(x, y));
             }
         }
     }

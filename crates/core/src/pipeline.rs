@@ -687,6 +687,16 @@ mod tests {
     use leaksig_http::RequestBuilder;
     use std::net::Ipv4Addr;
 
+    /// Held by every test here that runs [`regeneration_pass`]: the pass
+    /// parks its timings in the process-global `LAST_TIMINGS`, so a
+    /// concurrent pass would refill the slot between another test's take
+    /// and its drain check.
+    static PASS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn pass_lock() -> std::sync::MutexGuard<'static, ()> {
+        PASS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Hand-built mini market: two leaking ad modules + benign traffic.
     fn mini_dataset() -> (Vec<HttpPacket>, Vec<bool>) {
         let mut packets = Vec::new();
@@ -842,6 +852,7 @@ mod tests {
     /// pass's dominated-signature removal then strips.
     #[test]
     fn default_generation_passes_the_deploy_gate() {
+        let _pass = pass_lock();
         let (packets, sensitive) = mini_dataset();
         let sample: Vec<&HttpPacket> = packets[..60].iter().collect();
         let normal: Vec<&HttpPacket> = packets
@@ -860,6 +871,7 @@ mod tests {
     /// including dominators the syntactic dominance test skips.
     #[test]
     fn regeneration_output_has_no_proved_dead_signatures() {
+        let _pass = pass_lock();
         let (packets, sensitive) = mini_dataset();
         let sample: Vec<&HttpPacket> = packets[..60].iter().collect();
         let normal: Vec<&HttpPacket> = packets
@@ -1030,6 +1042,7 @@ mod tests {
     /// `take_last_timings` drains them exactly once.
     #[test]
     fn regeneration_pass_records_stage_timings() {
+        let _pass = pass_lock();
         let (packets, labels) = mini_dataset();
         let sample: Vec<&HttpPacket> = packets
             .iter()
