@@ -8,7 +8,9 @@
 //! packet's field); the resumable build snapshots each row packet's
 //! encoder state once and continues it per cell, walking the hash-chain
 //! indexes every field received once at feature extraction, and
-//! compresses each distinct pair of request lines once. Both rows at the
+//! compresses each distinct pair of request lines once, in byte order, so
+//! each continuation resumes the previous one's encode inside the prefix
+//! the two share. Both rows at the
 //! smallest size come from the same run, so the baseline file itself
 //! documents the speedup — and the harness asserts bit-identical matrices
 //! before timing anything.

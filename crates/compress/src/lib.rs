@@ -91,8 +91,8 @@ pub trait Compressor {
     /// [`Compressor::compressed_len`] of the concatenation *exactly* —
     /// callers cache and compare these counts. The default re-compresses
     /// the concatenation per call (reusing one buffer and reading only the
-    /// bytes); [`Lzss`] overrides it with a true encoder-state snapshot
-    /// that walks both operands' indexes.
+    /// bytes); [`Lzss`] overrides it with a journaled encoder state that
+    /// walks both operands' indexes.
     fn begin_prefix<'a>(&'a self, x: &'a IndexedBytes) -> Box<dyn PrefixState + 'a>
     where
         Self: Sized,
@@ -109,8 +109,11 @@ pub trait Compressor {
 /// `C(x ⊕ y)` queries.
 pub trait PrefixState {
     /// `C(x ⊕ y)` — exactly [`Compressor::compressed_len`] of the
-    /// concatenation. `&mut self` only for internal scratch reuse; calls
-    /// are independent and repeatable.
+    /// concatenation. `&mut self` only for internal state: the answer
+    /// never depends on earlier calls, so any call order is exact. It may
+    /// be faster, though: [`LzssPrefix`] resumes from the previous call's
+    /// encode where the two continuations part, so continuations taken in
+    /// byte order, which share the longest prefixes, are measured fastest.
     fn concat_len(&mut self, y: &IndexedBytes) -> usize;
 }
 

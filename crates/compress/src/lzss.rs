@@ -23,6 +23,15 @@
 //! Only the middle segment depends on the pair, which is what lets
 //! [`LzssPrefix`] measure `C(x ⊕ y)` for many `y` from indexes built once
 //! per string.
+//!
+//! Every search also reports its *reach*: the end of the bytes it read,
+//! just past the mismatch that ended its longest comparison. A token is
+//! a function of the bytes below its reach, so [`LzssPrefix`] journals
+//! its last encode with each token's running reach and, for the next
+//! `y`, keeps every token that read only `x` and the prefix `y` shares
+//! with the previous continuation. One rule covers both the snapshot of
+//! `x` (the previous continuation empty) and the resume inside a shared
+//! prefix.
 
 use crate::{Compressor, DecodeError};
 use std::cell::RefCell;
@@ -212,11 +221,11 @@ struct Search<'d> {
     data: &'d [u8],
     i: usize,
     max_len: usize,
-    end_limited: bool,
     probes: usize,
     best_len: usize,
     best_off: usize,
-    capped: bool,
+    /// Longest comparison so far, rejected candidates included.
+    longest: usize,
 }
 
 impl Search<'_> {
@@ -232,10 +241,8 @@ impl Search<'_> {
         if data[j + self.best_len] != data[i + self.best_len] {
             return true;
         }
-        let l = common_len(data, j, i, self.max_len);
-        if l == self.max_len && self.end_limited {
-            self.capped = true;
-        }
+        let l = common_prefix(&data[j..j + self.max_len], &data[i..i + self.max_len]);
+        self.longest = self.longest.max(l);
         if l > self.best_len {
             self.best_len = l;
             self.best_off = i - j;
@@ -246,16 +253,18 @@ impl Search<'_> {
         true
     }
 
-    fn result(&self) -> (Option<(usize, usize)>, bool) {
+    /// The match, if any, and the search's reach: see
+    /// [`Lzss::find_match`].
+    fn result(&self) -> (Option<(usize, usize)>, usize) {
         let m = (self.best_len >= MIN_MATCH).then_some((self.best_off, self.best_len));
-        (m, self.capped)
+        let read = (self.longest + 1).clamp(MIN_MATCH, MAX_MATCH);
+        (m, self.i + read)
     }
 }
 
-/// Length of the common prefix of `data[j..]` and `data[i..]`, at most
-/// `max_len` (`j < i`, `i + max_len ≤ data.len()`), eight bytes a step.
-fn common_len(data: &[u8], j: usize, i: usize, max_len: usize) -> usize {
-    let (a, b) = (&data[j..j + max_len], &data[i..i + max_len]);
+/// Length of the common prefix of `a` and `b`, eight bytes a step.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let max_len = a.len().min(b.len());
     let word = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
     let mut l = 0;
     while l + 8 <= max_len {
@@ -294,13 +303,15 @@ impl Lzss {
     }
 
     /// Longest match for position `i` of `data = x ⊕ y` (`i + 3 ≤
-    /// data.len()`), returning `(offset, len)`, and whether the search was
-    /// *end-capped*: some candidate comparison ran into the end of `data`
-    /// before [`MAX_MATCH`], so appending more bytes could change the
-    /// outcome. A non-capped result is final under any extension of `data`
-    /// — every comparison stopped at a byte mismatch strictly inside
-    /// `data` (or at the extension-independent [`MAX_MATCH`] cap), which is
-    /// the invariant the resumable [`LzssPrefix`] snapshot rests on.
+    /// data.len()`), returning `(offset, len)`, and the search's exclusive
+    /// *reach*: `i + max(3, min(l + 1, MAX_MATCH))`, where `l` is the
+    /// longest comparison it made. Every byte the search read lies below
+    /// its reach — the hashed window, each candidate's bytes and the
+    /// mismatching byte that ended the longest comparison — so the result
+    /// is the same for every `data` that agrees below the reach. A
+    /// comparison that ran into the end of `data` before [`MAX_MATCH`]
+    /// reaches `data.len() + 1`: it read that the data ends there. This is
+    /// the invariant the resumable [`LzssPrefix`] journal rests on.
     ///
     /// The candidates are `i`'s hash chain: every earlier position with
     /// the same hash and a full 3-byte window, newest first — `y`'s part,
@@ -310,16 +321,15 @@ impl Lzss {
         data: &[u8],
         i: usize,
         ops: &Operands<'_>,
-    ) -> (Option<(usize, usize)>, bool) {
+    ) -> (Option<(usize, usize)>, usize) {
         let mut s = Search {
             data,
             i,
             max_len: MAX_MATCH.min(data.len() - i),
-            end_limited: data.len() - i < MAX_MATCH,
             probes: self.max_chain,
             best_len: MIN_MATCH - 1,
             best_off: 0,
-            capped: false,
+            longest: 0,
         };
         let x_len = ops.x_len;
         let (h, x_first) = if i >= x_len {
@@ -350,30 +360,25 @@ impl Lzss {
     }
 
     /// The one encode loop: tokens for `data[from..]` into `sink`, where
-    /// `data` is `ops`'s `x ⊕ y`. With `freeze`, it stops before the first
-    /// position whose token is not final under extension of `data` (an
-    /// end-capped search, or fewer than 3 bytes left). Returns the
-    /// position it stopped at.
+    /// `data` is `ops`'s `x ⊕ y`, each announced to the sink with its
+    /// start and its search's reach ([`Lzss::find_match`]).
     fn encode_from<S: TokenSink>(
         &self,
         data: &[u8],
         from: usize,
         ops: &Operands<'_>,
         sink: &mut S,
-        freeze: bool,
-    ) -> usize {
+    ) {
         let mut i = from;
         while i < data.len() {
-            let (m, capped) = if i + MIN_MATCH > data.len() {
-                // Too close to the end to match now, but an extension
-                // could make this position matchable: capped.
-                (None, true)
+            let (m, reach) = if i + MIN_MATCH > data.len() {
+                // Too close to the end to match: that the data ends here
+                // is what this literal read.
+                (None, i + MIN_MATCH)
             } else {
                 self.find_match(data, i, ops)
             };
-            if freeze && capped {
-                break;
-            }
+            sink.token_at(i, reach);
             match m {
                 Some((off, len)) => {
                     sink.back_ref(off, len);
@@ -385,14 +390,13 @@ impl Lzss {
                 }
             }
         }
-        i
     }
 
     /// Encode `data` from scratch: [`Compressor::compress`] materializes,
     /// [`Compressor::compressed_len`] counts.
     fn encode<S: TokenSink>(&self, data: &[u8], sink: &mut S) {
         let chains = Chains::build(data);
-        self.encode_from(data, 0, &Operands::alone(&chains), sink, false);
+        self.encode_from(data, 0, &Operands::alone(&chains), sink);
     }
 }
 
@@ -400,6 +404,8 @@ impl Lzss {
 /// a running byte count ([`TokenCounter`]). One encode loop serves both,
 /// so the size-only path can never drift from the real stream layout.
 trait TokenSink {
+    /// A token starts at `at`; its search read nothing at or past `reach`.
+    fn token_at(&mut self, _at: usize, _reach: usize) {}
     fn literal(&mut self, b: u8);
     fn back_ref(&mut self, offset: usize, len: usize);
 }
@@ -501,54 +507,115 @@ impl TokenSink for TokenCounter {
     }
 }
 
+/// One token of an [`LzssPrefix`]'s last encode.
+#[derive(Clone, Copy)]
+struct Logged {
+    /// Position the token starts at.
+    at: usize,
+    /// Byte count and control-byte phase before the token.
+    count: usize,
+    ctrl_used: u8,
+    /// Largest reach of this token's search and every earlier one's.
+    reach: usize,
+}
+
+/// A [`TokenCounter`] that logs every token as it starts.
+#[derive(Default)]
+struct Journal {
+    counter: TokenCounter,
+    tokens: Vec<Logged>,
+}
+
+impl Journal {
+    /// Drop the tokens from the first one whose running reach passes
+    /// `bound` (everything before it read only bytes below `bound`),
+    /// restore the counter to the state before that token, and return
+    /// where to re-encode from: its start, or `end` when every token is
+    /// kept.
+    fn rewind(&mut self, bound: usize, end: usize) -> usize {
+        let k = self.tokens.partition_point(|t| t.reach <= bound);
+        let Some(&t) = self.tokens.get(k) else {
+            return end;
+        };
+        self.tokens.truncate(k);
+        self.counter = TokenCounter {
+            len: t.count,
+            ctrl_used: t.ctrl_used,
+        };
+        t.at
+    }
+}
+
+impl TokenSink for Journal {
+    fn token_at(&mut self, at: usize, reach: usize) {
+        let reach = self.tokens.last().map_or(reach, |t| t.reach.max(reach));
+        self.tokens.push(Logged {
+            at,
+            count: self.counter.len,
+            ctrl_used: self.counter.ctrl_used,
+            reach,
+        });
+    }
+
+    fn literal(&mut self, b: u8) {
+        self.counter.literal(b);
+    }
+
+    fn back_ref(&mut self, offset: usize, len: usize) {
+        self.counter.back_ref(offset, len);
+    }
+}
+
 /// Resumable count-only encoder state: `x` compressed once, then
-/// `C(x ⊕ y)` for any number of `y` continuations without re-encoding
-/// the prefix.
+/// `C(x ⊕ y)` for any number of `y` continuations, each resuming the
+/// previous encode where the two continuations part.
 ///
-/// The snapshot stops at the first position whose token is *not* final
-/// under extension: a token emitted for `x` alone survives into the
-/// encoding of `x ⊕ y` exactly when its match search never ran into the
-/// end of `x`. Everything before that point —
-/// token count and control-byte phase — is frozen;
-/// [`LzssPrefix::concat_len`] re-encodes only the unsafe tail of `x` plus
-/// `y`, walking chains from `x`'s and `y`'s prebuilt indexes, so it writes
-/// no table and the result is byte-for-byte equal to
-/// [`Compressor::compressed_len`]`(x ⊕ y)` (proven by proptest against
-/// the insertion-based encoder).
+/// The state journals the last encode of `x ⊕ y` token by token: where
+/// each token starts, the byte count and control-byte phase before it,
+/// and the running maximum of its search's *reach*: the end of the bytes
+/// the search read, one past the mismatch that ended its longest
+/// comparison, 3 to 8192 bytes past the token's start. A search reads
+/// nothing at or past its reach, so when the next `y'` shares its first
+/// `lcp` bytes with `y`, every journaled token whose running reach is at
+/// most `|x| + lcp` is also a token of `x ⊕ y'`, with the same count and
+/// phase before it. [`LzssPrefix::concat_len`] keeps
+/// those and re-encodes from the first one that is not, walking chains
+/// from `x`'s and `y'`'s prebuilt indexes. [`Lzss::prefix`] journals `x`
+/// alone, the case of an empty previous `y`: what survives every call is
+/// `x`'s tokens whose searches never ran into its end. The encode writes
+/// no table, so the result is byte-for-byte equal to
+/// [`Compressor::compressed_len`]`(x ⊕ y)` in any call order (proven by
+/// proptest against the insertion-based encoder); continuations taken in
+/// byte order share the longest prefixes, so they re-encode the least.
 pub struct LzssPrefix<'a> {
     cfg: Lzss,
     x: &'a IndexedBytes,
     /// Newest position of `x` per hash.
     x_heads: Heads,
-    /// `x` followed by the current `y` (truncated back to `x` between calls).
+    /// `x` followed by the last `y` (just `x` before the first call).
     buf: Vec<u8>,
-    /// First position not covered by a frozen token.
-    resume_at: usize,
-    /// Byte count of the frozen tokens.
-    count: usize,
-    /// Control-byte phase after the frozen tokens.
-    ctrl_used: u8,
+    /// The encode of `buf`, token by token.
+    journal: Journal,
+    /// Where the last call resumed encoding.
+    resumed_at: usize,
 }
 
 impl std::fmt::Debug for LzssPrefix<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LzssPrefix")
             .field("x_len", &self.x.len())
-            .field("resume_at", &self.resume_at)
-            .field("count", &self.count)
+            .field("tokens", &self.journal.tokens.len())
+            .field("resumed_at", &self.resumed_at)
             .finish()
     }
 }
 
 impl Lzss {
-    /// Snapshot the count-only encoder after compressing `x`, for
-    /// repeated [`LzssPrefix::concat_len`] queries.
+    /// Journal the count-only encode of `x` alone, for repeated
+    /// [`LzssPrefix::concat_len`] queries.
     pub fn prefix<'a>(&self, x: &'a IndexedBytes) -> LzssPrefix<'a> {
-        let mut counter = TokenCounter::default();
-        // Freeze tokens while they are final under extension. (For
-        // `x.len() < MIN_MATCH` nothing freezes and `concat_len`
-        // re-encodes from position 0.)
-        let resume_at = self.encode_from(x, 0, &Operands::alone(&x.chains), &mut counter, true);
+        let mut journal = Journal::default();
+        self.encode_from(x, 0, &Operands::alone(&x.chains), &mut journal);
         let mut x_heads = Heads::new();
         x_heads.reset(x.chains.hash.len());
         for (p, &h) in x.chains.hash.iter().enumerate() {
@@ -561,21 +628,23 @@ impl Lzss {
             x,
             x_heads,
             buf,
-            resume_at,
-            count: counter.len,
-            ctrl_used: counter.ctrl_used,
+            journal,
+            resumed_at: 0,
         }
     }
 }
 
 impl LzssPrefix<'_> {
     /// `C(x ⊕ y)`: byte-for-byte what [`Compressor::compressed_len`]
-    /// returns for the concatenation, re-encoding only from the snapshot's
-    /// resume point.
+    /// returns for the concatenation, re-encoding only from the first
+    /// journaled token that read past the prefix `y` shares with the last
+    /// continuation.
     pub fn concat_len(&mut self, y: &IndexedBytes) -> usize {
         let x_len = self.x.len();
-        self.buf.truncate(x_len);
-        self.buf.extend_from_slice(y);
+        let lcp = common_prefix(&self.buf[x_len..], y);
+        self.resumed_at = self.journal.rewind(x_len + lcp, self.buf.len());
+        self.buf.truncate(x_len + lcp);
+        self.buf.extend_from_slice(&y[lcp..]);
         let total = self.buf.len();
         let buf = &self.buf;
         let cross = [1, 2].map(|back| {
@@ -591,13 +660,9 @@ impl LzssPrefix<'_> {
             y: &y.chains,
             cross,
         };
-        let mut counter = TokenCounter {
-            len: self.count,
-            ctrl_used: self.ctrl_used,
-        };
         self.cfg
-            .encode_from(buf, self.resume_at, &ops, &mut counter, false);
-        counter.len
+            .encode_from(buf, self.resumed_at, &ops, &mut self.journal);
+        self.journal.counter.len
     }
 }
 
@@ -622,8 +687,8 @@ impl Compressor for Lzss {
         c.len
     }
 
-    /// Resumable prefix: snapshot the encoder state after `x` instead of
-    /// re-compressing the concatenation per query.
+    /// Resumable prefix: journal the encode of `x` and resume it per
+    /// query instead of re-compressing the concatenation.
     fn begin_prefix<'a>(&'a self, x: &'a IndexedBytes) -> Box<dyn crate::PrefixState + 'a> {
         Box::new(self.prefix(x))
     }
@@ -829,6 +894,34 @@ mod tests {
             let y = IndexedBytes::new(y);
             assert_eq!(p.concat_len(&y), c.compressed_len(&xy), "i={i}");
         }
+    }
+
+    #[test]
+    fn continuation_resumes_inside_the_shared_prefix() {
+        let c = Lzss::default();
+        let x = IndexedBytes::new(
+            &b"GET /getad?androidid=f3a9c1d200b14e77&carrier=NTTDOCOMO HTTP/1.1"[..],
+        );
+        let head = "GET /sdk/v2/banner?app=com.example.game&size=320x50&carrier=KDDI&slot=";
+        let (y1, y2) = (format!("{head}1 HTTP/1.1"), format!("{head}2 HTTP/1.1"));
+        let mut p = c.prefix(&x);
+        p.concat_len(&IndexedBytes::new(y1));
+        let fresh = p.resumed_at;
+        assert!(
+            fresh <= x.len(),
+            "a first call resumes inside x, at {fresh}"
+        );
+        let len = p.concat_len(&IndexedBytes::new(y2.clone()));
+        assert_eq!(len, c.compressed_len(&[&x[..], y2.as_bytes()].concat()));
+        // Only the journaled tokens whose searches read the bytes after
+        // the shared head are encoded again.
+        assert!(
+            p.resumed_at > x.len() + head.len() - 16,
+            "resumed at {} of a {}-byte shared prefix",
+            p.resumed_at,
+            x.len() + head.len()
+        );
+        assert!(p.resumed_at <= x.len() + head.len());
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! finder must reproduce it exactly — the same `compress` bytes, the same
 //! `compressed_len`, and the same `prefix(x).concat_len(y)` — for every
 //! chain depth, on inputs longer than the 4096-byte window, on runs longer
-//! than the 8192-byte match cap, and on operands shorter than a 3-byte
-//! hash window.
+//! than the 8192-byte match cap, on operands shorter than a 3-byte hash
+//! window, and on runs of continuations that share long prefixes, where
+//! each `concat_len` resumes the previous one's encode.
 
 mod reference;
 
@@ -78,6 +79,34 @@ fn pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
     ]
 }
 
+/// An `x` and continuations cut from one base string — a prefix of the
+/// base plus a short tail — so that consecutive ones share long prefixes
+/// and part at a byte the base may or may not repeat. `x` is another cut
+/// of the base or an independent payload.
+fn prefix_family() -> impl Strategy<Value = (Vec<u8>, Vec<Vec<u8>>)> {
+    let tail = prop_oneof![
+        "[a-c=&]{0,6}".prop_map(String::into_bytes),
+        proptest::collection::vec(any::<u8>(), 0..4),
+    ];
+    (
+        payload(),
+        prop_oneof![(0usize..2048).prop_map(Some), Just(None)],
+        payload(),
+        proptest::collection::vec((0usize..9000, tail), 1..12),
+    )
+        .prop_map(|(base, x_cut, other, cuts)| {
+            let x = match x_cut {
+                Some(cut) => base[..cut.min(base.len())].to_vec(),
+                None => other,
+            };
+            let ys = cuts
+                .into_iter()
+                .map(|(cut, tail)| concat(&base[..cut.min(base.len())], &tail))
+                .collect();
+            (x, ys)
+        })
+}
+
 fn concat(x: &[u8], y: &[u8]) -> Vec<u8> {
     let mut xy = x.to_vec();
     xy.extend_from_slice(y);
@@ -126,6 +155,29 @@ proptest! {
         // The reverse pair, through the same indexes.
         let want = theirs.compressed_len(&concat(&y, &x));
         prop_assert_eq!(ours.prefix(&indexed_y).concat_len(&indexed_x), want);
+    }
+
+    /// Continuations sharing prefixes, in the order drawn and in byte
+    /// order, each through one prefix: every answer resumes the previous
+    /// encode and must equal the journaled reference's.
+    #[test]
+    fn shared_prefix_continuations_match_reference(
+        family in prefix_family(),
+        chain in 1usize..64,
+    ) {
+        let (x, mut ys) = family;
+        let (ours, theirs) = (Lzss::with_max_chain(chain), reference::Lzss::with_max_chain(chain));
+        let indexed_x = IndexedBytes::new(x.clone());
+        for sorted in [false, true] {
+            if sorted {
+                ys.sort();
+            }
+            let mut p = ours.prefix(&indexed_x);
+            let mut q = theirs.prefix(&x);
+            for y in &ys {
+                prop_assert_eq!(p.concat_len(&IndexedBytes::new(y.clone())), q.concat_len(y));
+            }
+        }
     }
 
     /// Operands shorter than a hash window on either side, where the only

@@ -293,6 +293,13 @@ fn replay_greedy_order(n: usize, raw: Vec<Merge>) -> Vec<Merge> {
 
 /// [`agglomerate`] under an explicit linkage criterion (NN-chain).
 pub fn agglomerate_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogram {
+    agglomerate_owned(matrix.clone(), linkage)
+}
+
+/// [`agglomerate_with`] on a matrix the caller no longer needs: the
+/// clustering updates it in place as its working copy instead of cloning
+/// it (16 MB at N = 2000).
+pub fn agglomerate_owned(matrix: CondensedMatrix, linkage: Linkage) -> Dendrogram {
     let n = matrix.len();
     if n < 2 {
         return Dendrogram {
@@ -302,7 +309,7 @@ pub fn agglomerate_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogra
     }
 
     // Working cluster distances, updated in place on condensed storage.
-    let mut w = matrix.clone();
+    let mut w = matrix;
     let mut active: Vec<bool> = vec![true; n];
     let mut size: Vec<usize> = vec![1; n];
     // Dendrogram node id (creation order) of working slot `i`.

@@ -313,7 +313,7 @@ pub(crate) fn rline_ids(features: &[PacketFeatures]) -> Vec<usize> {
     dense_ids(features.iter().map(|f| &f.rline[..]))
 }
 
-/// [`RowDistance`]'s mark for a request-line pair not yet compressed.
+/// [`RowDistance`]'s mark for a request-line pair not measured.
 const UNMEASURED: u32 = u32::MAX;
 
 /// One field's NCD term, calling `concat` for `C(x ⊕ y)` only when both
@@ -350,12 +350,12 @@ pub struct RowDistance<'a, C: Compressor> {
     dist: &'a PacketDistance<C>,
     x: &'a PacketFeatures,
     rline: Box<dyn PrefixState + 'a>,
-    /// `C(x.rline ⊕ ·)` by request-line id ([`rline_ids`]),
-    /// [`UNMEASURED`] until first needed. [`RowDistance::rebase`] carries
-    /// it across the rows that share `x`'s request line, so a matrix
-    /// compresses each distinct ordered pair of request lines once.
-    /// `concat_len` is a pure function of the two strings, so caching
-    /// cannot change a bit.
+    /// `C(x.rline ⊕ ·)` by request-line id ([`rline_ids`]), filled by
+    /// [`RowDistance::measure_rlines`], [`UNMEASURED`] elsewhere.
+    /// [`RowDistance::rebase`] carries it across the rows that share
+    /// `x`'s request line, so a matrix compresses each distinct ordered
+    /// pair of request lines once. `concat_len` is a pure function of the
+    /// two strings, so caching cannot change a bit.
     rline_c: Vec<u32>,
     cookie: Box<dyn PrefixState + 'a>,
     body: Box<dyn PrefixState + 'a>,
@@ -399,10 +399,38 @@ impl<'a, C: Compressor> RowDistance<'a, C> {
         self.packet_given(y, d_host(&self.x.host, &y.host), content)
     }
 
+    /// Measure `C(x.rline ⊕ line)` for every `(id, line)` of `lines`,
+    /// in the order given, into the cache
+    /// [`RowDistance::packet_with_ids`] reads, `id` being the line's
+    /// [`rline_ids`] number. Any order gives the same counts; byte order
+    /// is fastest, since [`LzssPrefix`](leaksig_compress::LzssPrefix)
+    /// resumes each continuation where it parts from the previous one.
+    /// Pairs with an empty side are skipped: their NCD term never reads
+    /// the concatenation.
+    pub(crate) fn measure_rlines<'l>(
+        &mut self,
+        lines: impl IntoIterator<Item = (usize, &'l IndexedBytes)>,
+    ) {
+        if self.x.rline.is_empty() {
+            return;
+        }
+        for (id, line) in lines {
+            if line.is_empty() {
+                continue;
+            }
+            if id >= self.rline_c.len() {
+                self.rline_c.resize(id + 1, UNMEASURED);
+            }
+            self.rline_c[id] =
+                u32::try_from(self.rline.concat_len(line)).expect("C(x ⊕ y) fits in u32");
+        }
+    }
+
     /// [`RowDistance::packet`] with `d_host` cached by `y`'s host id from
-    /// [`host_ids`] and `C(x.rline ⊕ y.rline)` by `y`'s request-line id
-    /// from [`rline_ids`], both numbered over the features this row is
-    /// compared against.
+    /// [`host_ids`] and `C(x.rline ⊕ y.rline)` read from the cache
+    /// [`RowDistance::measure_rlines`] filled, by `y`'s request-line id
+    /// from [`rline_ids`]; both are numbered over the features this row
+    /// is compared against.
     pub(crate) fn packet_with_ids(
         &mut self,
         y: &PacketFeatures,
@@ -415,15 +443,11 @@ impl<'a, C: Compressor> RowDistance<'a, C> {
         if self.host_d[host_id].is_nan() {
             self.host_d[host_id] = d_host(&self.x.host, &y.host);
         }
-        if rline_id >= self.rline_c.len() {
-            self.rline_c.resize(rline_id + 1, UNMEASURED);
-        }
-        let (rline, cxy) = (&mut self.rline, &mut self.rline_c[rline_id]);
+        let rline_c = &self.rline_c;
         let rline_term = ncd_term(&self.x.rline, self.x.c_rline, &y.rline, y.c_rline, || {
-            if *cxy == UNMEASURED {
-                *cxy = u32::try_from(rline.concat_len(&y.rline)).expect("C(x ⊕ y) fits in u32");
-            }
-            *cxy as usize
+            let cxy = rline_c[rline_id];
+            debug_assert_ne!(cxy, UNMEASURED, "request line {rline_id} not measured");
+            cxy as usize
         });
         let content = self.content_given_rline(y, rline_term);
         self.packet_given(y, self.host_d[host_id], content)
@@ -661,6 +685,7 @@ mod tests {
         let (hosts, rlines) = (host_ids(&feats), rline_ids(&feats));
         for x in &feats {
             let mut row = d.row(x);
+            row.measure_rlines(rlines.iter().zip(&feats).map(|(&id, y)| (id, &y.rline)));
             for (y, (&host, &rline)) in feats.iter().zip(hosts.iter().zip(&rlines)) {
                 assert_eq!(row.content(y), d.content(x, y));
                 assert_eq!(row.packet(y), d.packet(x, y));

@@ -83,7 +83,9 @@ pub mod prelude {
     };
     pub use crate::audit::{deploy_check, AuditConfig, Code, Diagnostic, Severity};
     pub use crate::bayes::{BayesConfig, BayesSignature};
-    pub use crate::cluster::{agglomerate, agglomerate_with, Dendrogram, Linkage, Merge};
+    pub use crate::cluster::{
+        agglomerate, agglomerate_owned, agglomerate_with, Dendrogram, Linkage, Merge,
+    };
     pub use crate::detect::{
         Detection, Detector, Explanation, MatchMode, PacketScanner, RawPacket, ScanVerdict,
     };

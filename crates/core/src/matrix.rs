@@ -1,6 +1,6 @@
 //! Condensed pairwise distance matrices, computed in parallel.
 
-use crate::distance::{host_ids, rline_ids, PacketDistance, PacketFeatures, RowDistance};
+use crate::distance::{host_ids, rline_ids, PacketDistance, PacketFeatures};
 use leaksig_compress::Compressor;
 
 /// A symmetric zero-diagonal matrix stored as the strict upper triangle.
@@ -38,7 +38,16 @@ impl CondensedMatrix {
     }
 
     /// Distance between points `i` and `j` (0 when `i == j`).
+    ///
+    /// # Panics
+    ///
+    /// When either point is out of range.
     pub fn get(&self, i: usize, j: usize) -> f64 {
+        assert!(
+            i.max(j) < self.n,
+            "CondensedMatrix::get({i}, {j}): out of range for {} points",
+            self.n
+        );
         match i.cmp(&j) {
             std::cmp::Ordering::Less => self.data[self.index(i, j)],
             std::cmp::Ordering::Equal => 0.0,
@@ -165,6 +174,24 @@ fn rline_groups(rlines: &[usize]) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The distinct request lines of `features` in byte order, each as
+/// `(id, first row, last row)` with `id` from [`rline_ids`] (`rlines`).
+fn rlines_in_byte_order(
+    features: &[PacketFeatures],
+    rlines: &[usize],
+) -> Vec<(usize, usize, usize)> {
+    let mut spans: Vec<(usize, usize, usize)> = Vec::new();
+    for (i, &id) in rlines.iter().enumerate() {
+        if id == spans.len() {
+            spans.push((id, i, i));
+        } else {
+            spans[id].2 = i;
+        }
+    }
+    spans.sort_unstable_by_key(|&(_, first, _)| &features[first].rline[..]);
+    spans
+}
+
 /// Compute the pairwise packet-distance matrix over `features`,
 /// parallelised across all available cores with scoped threads.
 ///
@@ -175,10 +202,13 @@ fn rline_groups(rlines: &[usize]) -> Vec<Vec<usize>> {
 /// and every cell resumes those snapshots with packet `j`'s indexed fields
 /// — O(n) prefix compressions instead of O(n²), with the per-pair cost
 /// reduced to the `y`-side continuation. Destination hosts and request
-/// lines are numbered once per call; the group caches `d_host` by host id
-/// and `C(rline_i ⊕ rline_j)` by request-line id, so each distinct ordered
-/// pair of request lines is compressed once per call, however often the
-/// sample repeats them. Each cache is one vector per group, O(distinct).
+/// lines are numbered once per call. The group caches `d_host` by host id,
+/// and before its first row it measures `C(rline_i ⊕ rline_j)` for every
+/// request line that occurs after that row, once each and in byte order,
+/// so consecutive continuations share long prefixes the LZSS prefix
+/// state resumes from. Each distinct ordered pair of request lines is thus
+/// compressed once per call, however often the sample repeats them. Each
+/// cache is one vector per group, O(distinct).
 pub fn pairwise<C: Compressor + Sync>(
     dist: &PacketDistance<C>,
     features: &[PacketFeatures],
@@ -189,17 +219,21 @@ pub fn pairwise<C: Compressor + Sync>(
     }
     let mut matrix = CondensedMatrix::zeros(n);
     let (hosts, rlines) = (host_ids(features), rline_ids(features));
+    let sorted = rlines_in_byte_order(features, &rlines);
     let groups = rline_groups(&rlines);
     for_each_group_dynamic(&mut matrix, groups, |rows| {
-        let mut rd: Option<RowDistance<C>> = None;
+        let first = rows[0].0;
+        let mut rd = dist.row(&features[first]);
+        rd.measure_rlines(
+            sorted
+                .iter()
+                .filter(|&&(_, _, last)| last > first)
+                .map(|&(id, at, _)| (id, &features[at].rline)),
+        );
         for (i, row) in rows {
-            let rd = match &mut rd {
-                Some(rd) => {
-                    rd.rebase(&features[i]);
-                    rd
-                }
-                None => rd.insert(dist.row(&features[i])),
-            };
+            if i != first {
+                rd.rebase(&features[i]);
+            }
             for (off, cell) in row.iter_mut().enumerate() {
                 let j = i + 1 + off;
                 *cell = rd.packet_with_ids(&features[j], hosts[j], rlines[j]);
@@ -299,6 +333,15 @@ mod tests {
     #[should_panic(expected = "out of range for 5 points")]
     fn set_out_of_range_panics() {
         CondensedMatrix::zeros(5).set(0, 5, 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 5 points")]
+    fn get_out_of_range_panics() {
+        // Unchecked, (0, 5) read the cell of (1, 2).
+        let mut m = CondensedMatrix::zeros(5);
+        m.set(1, 2, 7.0);
+        m.get(0, 5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The end-to-end pipeline of Fig. 3a: payload check → sample → cluster →
 //! signature generation → detection → evaluation.
 
-use crate::cluster::{agglomerate, Dendrogram};
+use crate::cluster::{agglomerate_owned, Dendrogram, Linkage};
 use crate::detect::Detector;
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
@@ -272,7 +272,7 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
     let matrix = pairwise(&dist, &features);
     timings.matrix_ms = ms_since(t);
     let t = Instant::now();
-    let dendrogram = agglomerate(&matrix);
+    let dendrogram = agglomerate_owned(matrix, Linkage::GroupAverage);
     timings.cluster_ms = ms_since(t);
     let t = Instant::now();
     // Candidate nodes in emission order. The diagnostic cluster count is
@@ -684,6 +684,7 @@ pub fn run_experiment_with<C: leaksig_compress::Compressor + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::agglomerate;
     use leaksig_http::RequestBuilder;
     use std::net::Ipv4Addr;
 
