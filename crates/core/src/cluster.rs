@@ -1,7 +1,7 @@
 //! Group-average agglomerative clustering (§IV-D).
 //!
 //! The paper assigns each packet its own cluster, then repeatedly merges
-//! the closest pair under the group-average (UPGMA) criterion until one
+//! the closest pair under the group-average (UPGMA) rule until one
 //! cluster remains, producing a dendrogram. We implement exactly that,
 //! with the Lance–Williams update for group-average linkage:
 //!
@@ -28,7 +28,7 @@
 
 use crate::matrix::CondensedMatrix;
 
-/// Linkage criterion: how the distance between clusters is derived from
+/// Linkage rule: how the distance between clusters is derived from
 /// point distances. The paper prescribes group average (§IV-D); single
 /// and complete linkage are provided for comparison — single linkage
 /// chains through near-duplicates (useful to see why the paper avoided
@@ -291,7 +291,7 @@ fn replay_greedy_order(n: usize, raw: Vec<Merge>) -> Vec<Merge> {
         .collect()
 }
 
-/// [`agglomerate`] under an explicit linkage criterion (NN-chain).
+/// [`agglomerate`] under an explicit linkage rule (NN-chain).
 pub fn agglomerate_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogram {
     agglomerate_owned(matrix.clone(), linkage)
 }

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use crate::distance::{DistanceConfig, DistanceConvention, PacketDistance, PacketFeatures};
     pub use crate::engine::{CompiledDetector, FieldBytes, ScanScratch};
     pub use crate::eval::{tally, Counts, Rates};
-    pub use crate::matrix::{pairwise, pairwise_naive, CondensedMatrix};
+    pub use crate::matrix::{pairwise, CondensedMatrix};
     pub use crate::payload::PayloadCheck;
     pub use crate::pipeline::{
         drop_dominated, generate_signatures, generate_signatures_counted, prune_against_normal,

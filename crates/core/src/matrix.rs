@@ -243,35 +243,6 @@ pub fn pairwise<C: Compressor + Sync>(
     matrix
 }
 
-/// [`pairwise`] from scratch: every cell compresses its concatenations
-/// anew via [`PacketDistance::packet`] — no resumable compressor state,
-/// no request-line or host cache — one row per claimed job under the same
-/// parallel skeleton. It is the oracle [`pairwise`] must equal bit for
-/// bit (the prefix contract demands exact counts, and every cache holds a
-/// pure function of two strings), asserted by tests and by the bench
-/// harness before timing; timing the two measures every reuse
-/// [`pairwise`] makes together.
-pub fn pairwise_naive<C: Compressor + Sync>(
-    dist: &PacketDistance<C>,
-    features: &[PacketFeatures],
-) -> CondensedMatrix {
-    let n = features.len();
-    if n < 2 {
-        return CondensedMatrix::zeros(n);
-    }
-    let mut matrix = CondensedMatrix::zeros(n);
-    let rows = (0..n - 1).map(|i| vec![i]).collect();
-    for_each_group_dynamic(&mut matrix, rows, |rows| {
-        for (i, row) in rows {
-            for (off, cell) in row.iter_mut().enumerate() {
-                let j = i + 1 + off;
-                *cell = dist.packet(&features[i], &features[j]);
-            }
-        }
-    });
-    matrix
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,6 +253,33 @@ mod tests {
     use std::net::Ipv4Addr;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    /// `pairwise` from scratch: every cell compresses its concatenations
+    /// anew via `PacketDistance::packet` — no resumable compressor state,
+    /// no request-line or host cache — one row per claimed job under the same
+    /// parallel skeleton. It is the oracle `pairwise` must equal bit for
+    /// bit (the prefix contract demands exact counts, and every cache holds a
+    /// pure function of two strings).
+    fn pairwise_naive<C: Compressor + Sync>(
+        dist: &PacketDistance<C>,
+        features: &[PacketFeatures],
+    ) -> CondensedMatrix {
+        let n = features.len();
+        if n < 2 {
+            return CondensedMatrix::zeros(n);
+        }
+        let mut matrix = CondensedMatrix::zeros(n);
+        let rows = (0..n - 1).map(|i| vec![i]).collect();
+        for_each_group_dynamic(&mut matrix, rows, |rows| {
+            for (i, row) in rows {
+                for (off, cell) in row.iter_mut().enumerate() {
+                    let j = i + 1 + off;
+                    *cell = dist.packet(&features[i], &features[j]);
+                }
+            }
+        });
+        matrix
+    }
 
     fn feats(n: usize) -> Vec<PacketFeatures> {
         let d: PacketDistance = PacketDistance::default();

@@ -7,7 +7,7 @@ use leaksig_lint::{contains_code, count_at, has_errors, render_json, render_text
 use leaksig_netsim::{Dataset, MarketConfig};
 
 /// Signatures generated by the default pipeline from the default netsim
-/// scenario carry zero Error-level findings (acceptance criterion: the
+/// scenario carry zero Error-level findings (acceptance condition: the
 /// gate admits paper-parameter sets).
 #[test]
 fn default_scenario_set_lints_clean_of_errors() {

@@ -83,7 +83,10 @@ for mode in ingest disk; do
   diff -u "$ANALYZE_DIR/replay-$mode-1.txt" "$ANALYZE_DIR/replay-$mode-2.txt"
 done
 
-echo "==> bench smoke"
-scripts/bench.sh --smoke
+# Timing ratio gates, in release: zero-copy parse + scan >= 1.5x the
+# owned path, durable ingest <= 2x in-memory ingest. One test at a time,
+# so neither times the other's load; `--nocapture` prints the medians.
+echo "==> ratio gates (crates/bench/tests/ratio_gates.rs)"
+cargo test --release -p leaksig-bench --test ratio_gates -- --ignored --test-threads 1 --nocapture
 
 echo "All checks passed."
