@@ -170,7 +170,10 @@ fn zero_copy_parse_scan_beats_owned_by_1_5x() {
             verdicts.iter().filter(|v| v.matched.is_some()).count()
         },
     );
-    assert!(owned_hits.iter().chain(&zero_copy_hits).all(|&h| h == hits));
+    assert!(
+        owned_hits.iter().chain(&zero_copy_hits).all(|&h| h == hits),
+        "a timed run's hit count differs from the precheck's {hits}"
+    );
 
     println!(
         "raw bytes to verdict, {SIGNATURES} signatures x {PACKETS} packets: \
@@ -200,6 +203,7 @@ fn wire_images(n: usize) -> Vec<(Vec<u8>, Ipv4Addr, u16)> {
         .collect()
 }
 
+/// The payload check and intake settings both collectors share.
 fn intake(queue_capacity: usize) -> (PayloadCheck<SensitiveKind>, IngestConfig) {
     let market = Dataset::generate(MarketConfig::scaled(77, 0.02));
     let check = PayloadCheck::new(market.model.device.all_values());
@@ -260,6 +264,7 @@ fn durable_ingest_costs_at_most_2x_memory() {
         },
     );
 
+    // Declared before the durable servers, so it is dropped after them.
     let root =
         TempDir(std::env::temp_dir().join(format!("leaksig-ratio-gates-{}", std::process::id())));
     let _ = std::fs::remove_dir_all(&root.0);
@@ -279,9 +284,6 @@ fn durable_ingest_costs_at_most_2x_memory() {
     for srv in memory_servers.iter().chain(&durable_servers) {
         assert_eq!(srv.stats().raw_seen, RECORDS as u64);
     }
-    // The servers hold their WAL files open until dropped.
-    drop(durable_servers);
-    drop(root);
 
     println!(
         "durable ingest, {RECORDS} clean records: memory {memory_ns} ns, \
