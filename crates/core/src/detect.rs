@@ -3,11 +3,13 @@
 //! Matching runs on the compiled engine ([`crate::engine`]): construction
 //! compiles the set's tokens into per-field multi-pattern automata once,
 //! and every `match_*` call is a linear pass over the packet's bytes
-//! regardless of signature count. [`Detector::scan`] additionally fans a
-//! large batch out across cores with scoped threads (mirroring
-//! [`crate::matrix::pairwise`]), one scratch per worker.
+//! regardless of signature count. [`Detector::scan`] and
+//! [`Detector::scan_batch`] additionally fan a large batch out across
+//! cores in 256-item chunks, one scanner per worker, through the same
+//! worker fan-out as [`crate::matrix::pairwise`].
 
 use crate::engine::{CompiledDetector, FieldBytes, ScanScratch};
+use crate::par;
 use crate::signature::{ConjunctionSignature, SignatureSet};
 use leaksig_http::{HttpPacket, PacketView, ParseArena, ParseLimits};
 use std::net::Ipv4Addr;
@@ -23,6 +25,10 @@ pub enum MatchMode {
     /// equivalent to [`MatchMode::Conjunction`].
     Fraction(f64),
 }
+
+/// Records (or packets) per batch-scan job: below this, spawning a
+/// worker costs more than it saves.
+const SCAN_CHUNK: usize = 256;
 
 /// A compiled signature set ready for high-volume matching.
 #[derive(Debug)]
@@ -214,52 +220,22 @@ impl Detector {
     }
 
     /// Batch-scan raw records on the zero-copy path, fanning large
-    /// batches out across cores (contiguous chunks, one scanner per
-    /// worker — the verdict vector is deterministic whatever the thread
-    /// count).
+    /// batches out across cores in chunks of 256 records, one scanner per
+    /// worker (the verdict vector is deterministic whatever the worker
+    /// count; a batch of one chunk or less runs serially).
     pub fn scan_batch(&self, records: &[RawPacket<'_>], limits: &ParseLimits) -> Vec<ScanVerdict> {
-        self.chunked(records, ScanVerdict::PARSE_FAILED, |scanner, r| {
-            scanner.scan_raw(r.raw, r.ip, r.port, limits)
-        })
-    }
-
-    /// Map `scan` over `items` with one [`PacketScanner`] per worker:
-    /// serially for small inputs or a single core, otherwise in
-    /// contiguous chunks across all available cores (results in input
-    /// order whatever the thread count).
-    fn chunked<T: Sync, R: Copy + Send>(
-        &self,
-        items: &[T],
-        fill: R,
-        scan: impl Fn(&mut PacketScanner<'_>, &T) -> R + Sync,
-    ) -> Vec<R> {
-        /// Below this, thread spawn overhead beats the win.
-        const PAR_THRESHOLD: usize = 256;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if items.len() < PAR_THRESHOLD || threads < 2 {
-            let mut scanner = self.scanner();
-            return items.iter().map(|it| scan(&mut scanner, it)).collect();
-        }
-        let mut out = vec![fill; items.len()];
-        let chunk = items.len().div_ceil(threads);
-        let scan = &scan;
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for (in_chunk, out_chunk) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                handles.push(scope.spawn(move |_| {
-                    let mut scanner = self.scanner();
-                    for (it, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = scan(&mut scanner, it);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("scan worker panicked");
-            }
-        })
-        .expect("crossbeam scope");
+        let mut out = vec![ScanVerdict::PARSE_FAILED; records.len()];
+        let jobs = records
+            .chunks(SCAN_CHUNK)
+            .zip(out.chunks_mut(SCAN_CHUNK))
+            .collect();
+        par::for_each_claimed(
+            jobs,
+            || self.scanner(),
+            |scanner, (records, out)| {
+                out.copy_from_slice(scanner.scan_batch(records.iter().copied(), limits));
+            },
+        );
         out
     }
 
@@ -313,8 +289,8 @@ impl Detector {
     }
 
     /// Detection mask over a packet slice. Large batches are fanned out
-    /// across all available cores in contiguous chunks (deterministic
-    /// mask, whatever the thread count).
+    /// across all available cores in chunks of 256 packets (deterministic
+    /// mask, whatever the worker count).
     pub fn scan<'a, I>(&self, packets: I) -> Vec<bool>
     where
         I: IntoIterator<Item = &'a HttpPacket>,
@@ -325,9 +301,21 @@ impl Detector {
 
     /// [`Detector::scan`] over an already-collected slice.
     pub fn scan_refs(&self, packets: &[&HttpPacket]) -> Vec<bool> {
-        self.chunked(packets, false, |scanner, p| {
-            scanner.scan_packet(p).matched.is_some()
-        })
+        let mut out = vec![false; packets.len()];
+        let jobs = packets
+            .chunks(SCAN_CHUNK)
+            .zip(out.chunks_mut(SCAN_CHUNK))
+            .collect();
+        par::for_each_claimed(
+            jobs,
+            || self.scanner(),
+            |scanner, (packets, out)| {
+                for (p, hit) in packets.iter().zip(out) {
+                    *hit = scanner.scan_packet(p).matched.is_some();
+                }
+            },
+        );
+        out
     }
 }
 

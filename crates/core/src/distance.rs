@@ -272,12 +272,12 @@ impl<C: Compressor> PacketDistance<C> {
 
     /// Row-major distance computer: captures `x`'s three content fields as
     /// resumable compressor prefixes ([`Compressor::begin_prefix`]) so each
-    /// subsequent [`RowDistance::packet`] call only compresses the `y`-side
-    /// continuation instead of the full concatenation. Equal to
+    /// subsequent [`RowDistance::packet_with_ids`] call only compresses the
+    /// `y`-side continuation instead of the full concatenation. Equal to
     /// [`PacketDistance::packet`] bit-for-bit (the prefix contract demands
     /// exact concatenation counts); the matrix builder computes each row
     /// of the O(n²) matrix through one of these.
-    pub fn row<'a>(&'a self, x: &'a PacketFeatures) -> RowDistance<'a, C> {
+    pub(crate) fn row<'a>(&'a self, x: &'a PacketFeatures) -> RowDistance<'a, C> {
         let c = &self.compressor;
         RowDistance {
             dist: self,
@@ -346,7 +346,7 @@ fn ncd_term(
 
 /// One row of the pairwise distance computation: see
 /// [`PacketDistance::row`].
-pub struct RowDistance<'a, C: Compressor> {
+pub(crate) struct RowDistance<'a, C: Compressor> {
     dist: &'a PacketDistance<C>,
     x: &'a PacketFeatures,
     rline: Box<dyn PrefixState + 'a>,
@@ -369,19 +369,12 @@ pub struct RowDistance<'a, C: Compressor> {
 }
 
 impl<'a, C: Compressor> RowDistance<'a, C> {
-    /// `d_header` against the captured row packet — the same three-field
-    /// NCD sum as [`PacketDistance::content`], with `C(x ⊕ y)` measured by
-    /// resuming the row's encoder snapshots. Term order and arithmetic
-    /// mirror `content` exactly so the results are bit-identical.
-    pub fn content(&mut self, y: &PacketFeatures) -> f64 {
-        let rline = &mut self.rline;
-        let rline_term = ncd_term(&self.x.rline, self.x.c_rline, &y.rline, y.c_rline, || {
-            rline.concat_len(&y.rline)
-        });
-        self.content_given_rline(y, rline_term)
-    }
-
-    /// The content sum with the request-line term already measured.
+    /// `d_header` against the captured row packet, the request-line term
+    /// already measured — the same three-field NCD sum as
+    /// [`PacketDistance::content`], with the cookie and body `C(x ⊕ y)`
+    /// measured by resuming the row's encoder snapshots. Term order and
+    /// arithmetic mirror `content` exactly so the results are
+    /// bit-identical.
     fn content_given_rline(&mut self, y: &PacketFeatures, rline_term: f64) -> f64 {
         let x = self.x;
         rline_term
@@ -391,12 +384,6 @@ impl<'a, C: Compressor> RowDistance<'a, C> {
             + ncd_term(&x.body, x.c_body, &y.body, y.c_body, || {
                 self.body.concat_len(&y.body)
             })
-    }
-
-    /// `d_pkt(x, y)` — bit-identical to [`PacketDistance::packet`].
-    pub fn packet(&mut self, y: &PacketFeatures) -> f64 {
-        let content = self.content(y);
-        self.packet_given(y, d_host(&self.x.host, &y.host), content)
     }
 
     /// Measure `C(x.rline ⊕ line)` for every `(id, line)` of `lines`,
@@ -426,8 +413,9 @@ impl<'a, C: Compressor> RowDistance<'a, C> {
         }
     }
 
-    /// [`RowDistance::packet`] with `d_host` cached by `y`'s host id from
-    /// [`host_ids`] and `C(x.rline ⊕ y.rline)` read from the cache
+    /// `d_pkt(x, y)`, bit-identical to [`PacketDistance::packet`], with
+    /// `d_host` cached by `y`'s host id from [`host_ids`] and
+    /// `C(x.rline ⊕ y.rline)` read from the cache
     /// [`RowDistance::measure_rlines`] filled, by `y`'s request-line id
     /// from [`rline_ids`]; both are numbered over the features this row
     /// is compared against.
@@ -687,8 +675,6 @@ mod tests {
             let mut row = d.row(x);
             row.measure_rlines(rlines.iter().zip(&feats).map(|(&id, y)| (id, &y.rline)));
             for (y, (&host, &rline)) in feats.iter().zip(hosts.iter().zip(&rlines)) {
-                assert_eq!(row.content(y), d.content(x, y));
-                assert_eq!(row.packet(y), d.packet(x, y));
                 assert_eq!(row.packet_with_ids(y, host, rline), d.packet(x, y));
             }
         }

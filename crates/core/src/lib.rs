@@ -68,6 +68,7 @@ pub mod distance;
 pub mod engine;
 pub mod eval;
 pub mod matrix;
+mod par;
 pub mod payload;
 pub mod pipeline;
 pub mod quality;

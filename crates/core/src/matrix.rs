@@ -1,6 +1,7 @@
 //! Condensed pairwise distance matrices, computed in parallel.
 
 use crate::distance::{host_ids, rline_ids, PacketDistance, PacketFeatures};
+use crate::par;
 use leaksig_compress::Compressor;
 
 /// A symmetric zero-diagonal matrix stored as the strict upper triangle.
@@ -80,8 +81,9 @@ impl CondensedMatrix {
     }
 }
 
-/// Split a condensed buffer into per-row mutable slices so worker threads
-/// can write their claimed rows without locks or aliasing.
+/// Split the condensed buffer of an `n`-point matrix into its `n − 1`
+/// rows, so workers can write their claimed rows without locks or
+/// aliasing.
 fn row_slices(n: usize, data: &mut [f64]) -> Vec<&mut [f64]> {
     let mut rows: Vec<&mut [f64]> = Vec::with_capacity(n - 1);
     let mut rest: &mut [f64] = data;
@@ -93,84 +95,35 @@ fn row_slices(n: usize, data: &mut [f64]) -> Vec<&mut [f64]> {
     rows
 }
 
-/// Run `per_group(rows)` over `groups` of `matrix`'s condensed rows on
-/// scoped workers, one per core, groups claimed one at a time from a
-/// shared atomic index. Each row index below `n − 1` must sit in exactly
-/// one group; `rows` pairs each index with its row slice, in the group's
-/// order.
+/// `rows` — the condensed rows `0..n − 1` of an `n`-point matrix —
+/// grouped by request-line id ([`rline_ids`], `n` ids), each row paired
+/// with its index, costliest group first (ties: earliest first row), each
+/// group's rows in order.
 ///
 /// Row `i` costs `n − i − 1` cells, so a static deal (round-robin or
 /// chunks) leaves the worker that drew the long early rows straggling
-/// while the rest sit idle. Dynamic claiming hands out the groups in the
-/// order given — callers list the costliest first — and keeps every
-/// worker busy until the tail of cheap groups drains: the classic
-/// longest-processing-time heuristic.
-fn for_each_group_dynamic<F>(matrix: &mut CondensedMatrix, groups: Vec<Vec<usize>>, per_group: F)
-where
-    F: Fn(Vec<(usize, &mut [f64])>) + Sync,
-{
-    let n = matrix.n;
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n - 1);
-    let mut rows: Vec<Option<&mut [f64]>> = row_slices(n, &mut matrix.data)
-        .into_iter()
-        .map(Some)
-        .collect();
-    // Slots are `Mutex<Option<…>>` only to move each group's `&mut` rows
-    // out to exactly one worker; the atomic counter guarantees a slot is
-    // claimed once, so the locks never contend.
-    type GroupSlot<'a> = std::sync::Mutex<Option<Vec<(usize, &'a mut [f64])>>>;
-    let slots: Vec<GroupSlot<'_>> = groups
-        .into_iter()
-        .map(|group| {
-            let job = group
-                .into_iter()
-                .map(|i| (i, rows[i].take().expect("row in two groups")))
-                .collect();
-            std::sync::Mutex::new(Some(job))
-        })
-        .collect();
-    debug_assert!(rows.iter().all(Option::is_none), "row in no group");
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (slots, next, per_group) = (&slots, &next, &per_group);
-                scope.spawn(move |_| loop {
-                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= slots.len() {
-                        break;
-                    }
-                    let job = slots[k].lock().unwrap().take();
-                    per_group(job.expect("group claimed twice"));
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("distance worker panicked");
-        }
-    })
-    .expect("crossbeam scope");
-}
-
-/// The rows `0..n − 1` grouped by request-line id ([`rline_ids`], `n`
-/// ids), costliest group first (ties: earliest first row), each group's
-/// rows in order.
-fn rline_groups(rlines: &[usize]) -> Vec<Vec<usize>> {
-    let n = rlines.len();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
+/// while the rest sit idle. Handing the groups out costliest first to
+/// workers that claim them one at a time keeps every worker busy until
+/// the tail of cheap groups drains: the classic longest-processing-time
+/// heuristic.
+fn rline_groups<'m>(
+    rlines: &[usize],
+    rows: Vec<&'m mut [f64]>,
+) -> Vec<Vec<(usize, &'m mut [f64])>> {
+    let mut groups: Vec<Vec<(usize, &mut [f64])>> = Vec::new();
     // Ids are numbered in order of first appearance, so each id met here
     // is either known or the next one.
-    for (i, &id) in rlines[..n - 1].iter().enumerate() {
+    for (i, row) in rows.into_iter().enumerate() {
+        let id = rlines[i];
         if id == groups.len() {
             groups.push(Vec::new());
         }
-        groups[id].push(i);
+        groups[id].push((i, row));
     }
-    let cells = |g: &Vec<usize>| g.iter().map(|&i| n - i - 1).sum::<usize>();
-    groups.sort_by_key(|g| (std::cmp::Reverse(cells(g)), g[0]));
+    groups.sort_by_key(|g| {
+        let cells = g.iter().map(|(_, row)| row.len()).sum::<usize>();
+        (std::cmp::Reverse(cells), g[0].0)
+    });
     groups
 }
 
@@ -193,11 +146,11 @@ fn rlines_in_byte_order(
 }
 
 /// Compute the pairwise packet-distance matrix over `features`,
-/// parallelised across all available cores with scoped threads.
+/// parallelised across all available cores.
 ///
-/// Rows are grouped by request line, and each worker claims whole groups
-/// from a shared atomic queue. A group computes its rows through one
-/// [`PacketDistance::row`], rebased from row to row: the row packet's
+/// Rows are grouped by request line, and each worker claims whole groups,
+/// costliest first, from one shared queue. A group computes its rows
+/// through one row distance, rebased from row to row: the row packet's
 /// content fields are compressed once into resumable encoder snapshots,
 /// and every cell resumes those snapshots with packet `j`'s indexed fields
 /// — O(n) prefix compressions instead of O(n²), with the per-pair cost
@@ -220,26 +173,30 @@ pub fn pairwise<C: Compressor + Sync>(
     let mut matrix = CondensedMatrix::zeros(n);
     let (hosts, rlines) = (host_ids(features), rline_ids(features));
     let sorted = rlines_in_byte_order(features, &rlines);
-    let groups = rline_groups(&rlines);
-    for_each_group_dynamic(&mut matrix, groups, |rows| {
-        let first = rows[0].0;
-        let mut rd = dist.row(&features[first]);
-        rd.measure_rlines(
-            sorted
-                .iter()
-                .filter(|&&(_, _, last)| last > first)
-                .map(|&(id, at, _)| (id, &features[at].rline)),
-        );
-        for (i, row) in rows {
-            if i != first {
-                rd.rebase(&features[i]);
+    let groups = rline_groups(&rlines, row_slices(n, &mut matrix.data));
+    par::for_each_claimed(
+        groups,
+        || (),
+        |_, rows| {
+            let first = rows[0].0;
+            let mut rd = dist.row(&features[first]);
+            rd.measure_rlines(
+                sorted
+                    .iter()
+                    .filter(|&&(_, _, last)| last > first)
+                    .map(|&(id, at, _)| (id, &features[at].rline)),
+            );
+            for (i, row) in rows {
+                if i != first {
+                    rd.rebase(&features[i]);
+                }
+                for (off, cell) in row.iter_mut().enumerate() {
+                    let j = i + 1 + off;
+                    *cell = rd.packet_with_ids(&features[j], hosts[j], rlines[j]);
+                }
             }
-            for (off, cell) in row.iter_mut().enumerate() {
-                let j = i + 1 + off;
-                *cell = rd.packet_with_ids(&features[j], hosts[j], rlines[j]);
-            }
-        }
-    });
+        },
+    );
     matrix
 }
 
@@ -257,7 +214,7 @@ mod tests {
     /// `pairwise` from scratch: every cell compresses its concatenations
     /// anew via `PacketDistance::packet` — no resumable compressor state,
     /// no request-line or host cache — one row per claimed job under the same
-    /// parallel skeleton. It is the oracle `pairwise` must equal bit for
+    /// fan-out. It is the oracle `pairwise` must equal bit for
     /// bit (the prefix contract demands exact counts, and every cache holds a
     /// pure function of two strings).
     fn pairwise_naive<C: Compressor + Sync>(
@@ -269,15 +226,20 @@ mod tests {
             return CondensedMatrix::zeros(n);
         }
         let mut matrix = CondensedMatrix::zeros(n);
-        let rows = (0..n - 1).map(|i| vec![i]).collect();
-        for_each_group_dynamic(&mut matrix, rows, |rows| {
-            for (i, row) in rows {
+        let rows = row_slices(n, &mut matrix.data)
+            .into_iter()
+            .enumerate()
+            .collect();
+        par::for_each_claimed(
+            rows,
+            || (),
+            |_, (i, row): (usize, &mut [f64])| {
                 for (off, cell) in row.iter_mut().enumerate() {
                     let j = i + 1 + off;
                     *cell = dist.packet(&features[i], &features[j]);
                 }
-            }
-        });
+            },
+        );
         matrix
     }
 

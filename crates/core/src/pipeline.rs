@@ -6,6 +6,7 @@ use crate::detect::Detector;
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
 use crate::matrix::pairwise;
+use crate::par;
 use crate::signature::{
     assemble_signature, field_views, rline_view, ConjunctionSignature, Field, SignatureConfig,
     SignatureSet,
@@ -87,35 +88,37 @@ pub fn take_last_timings() -> Option<StageTimings> {
 /// embarrassingly parallel, and before this ran serially it was the
 /// second-largest slice of a pass after the matrix. Each field is indexed
 /// here once ([`leaksig_compress::IndexedBytes`]) and every matrix cell
-/// walks those indexes. Contiguous chunks keep cache locality and
-/// the join re-assembles in order, so output order (and therefore every
-/// downstream id) is identical to the serial map.
+/// walks those indexes. Workers claim contiguous chunks of
+/// [`FEATURE_CHUNK`] packets, each with its own output slice, so output
+/// order (and therefore every downstream id) is identical to the serial
+/// map; a sample of one chunk or less runs serially.
 fn extract_features<C: leaksig_compress::Compressor + Sync>(
     dist: &PacketDistance<C>,
     packets: &[&HttpPacket],
 ) -> Vec<PacketFeatures> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    if threads <= 1 || packets.len() < 64 {
-        return packets.iter().map(|p| dist.features(p)).collect();
-    }
-    let chunk = packets.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = packets
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| part.iter().map(|p| dist.features(p)).collect::<Vec<_>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(packets.len());
-        for h in handles {
-            out.extend(h.join().expect("feature worker panicked"));
-        }
-        out
-    })
-    .expect("crossbeam scope")
+    let mut features = vec![None; packets.len()];
+    let jobs = packets
+        .chunks(FEATURE_CHUNK)
+        .zip(features.chunks_mut(FEATURE_CHUNK))
+        .collect();
+    par::for_each_claimed(
+        jobs,
+        || (),
+        |_, (chunk, out)| {
+            for (p, f) in chunk.iter().zip(out) {
+                *f = Some(dist.features(p));
+            }
+        },
+    );
+    features
+        .into_iter()
+        .map(|f| f.expect("every packet is extracted"))
+        .collect()
 }
+
+/// Packets per feature-extraction job: below this, spawning a worker
+/// costs more than it saves.
+const FEATURE_CHUNK: usize = 64;
 
 /// Which dendrogram nodes become signature candidates.
 #[derive(Debug, Clone, Copy, PartialEq)]

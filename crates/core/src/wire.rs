@@ -325,6 +325,61 @@ pub enum BytesProgress<'a> {
 /// bytes that can never become a frame (`Err`) so corruption is
 /// distinguished from a clean tear.
 pub fn unframe_bytes_partial(data: &[u8]) -> Result<BytesProgress<'_>, FrameError> {
+    let Some(header) = frame_header(data)? else {
+        return Ok(BytesProgress::Incomplete { need: None });
+    };
+    let total = header.body + header.len;
+    if data.len() < total {
+        return Ok(BytesProgress::Incomplete { need: Some(total) });
+    }
+    let payload = &data[header.body..total];
+    if !leaksig_hash::verify_sha1_hex(payload, header.digest) {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    Ok(BytesProgress::Complete {
+        payload,
+        consumed: total,
+    })
+}
+
+/// Verify and strip a transport envelope, returning the trusted payload.
+///
+/// The whole buffer must be exactly one frame: `unframe(data)` is
+/// `Ok(payload)` precisely when [`unframe_partial`] reads one complete
+/// frame that consumes every byte of `data`. Never panics on arbitrary
+/// input; every mangling of a valid frame maps to a [`FrameError`] — a
+/// missing header line to `BadHeader`, a truncated or extended payload to
+/// `LengthMismatch`. Verification order is length first (cheap), digest
+/// second, UTF-8 last.
+pub fn unframe(data: &[u8]) -> Result<&str, FrameError> {
+    let header = frame_header(data)?.ok_or(FrameError::BadHeader)?;
+    let payload = &data[header.body..];
+    if payload.len() != header.len {
+        return Err(FrameError::LengthMismatch {
+            expected: header.len,
+            actual: payload.len(),
+        });
+    }
+    if !leaksig_hash::verify_sha1_hex(payload, header.digest) {
+        return Err(FrameError::ChecksumMismatch);
+    }
+    std::str::from_utf8(payload).map_err(|_| FrameError::BadUtf8)
+}
+
+/// A parsed `LEAKFRAME/1 <len> <sha1>` header line.
+struct FrameHeader<'a> {
+    /// Offset of the payload: the header line's length, newline included.
+    body: usize,
+    /// Declared payload length.
+    len: usize,
+    /// Declared SHA-1 digest of the payload, in hex.
+    digest: &'a str,
+}
+
+/// The header line at the start of `data`, the one grammar both decoders
+/// read: `Ok(None)` while the line is still arriving as a valid prefix of
+/// a header, `Err` as soon as no continuation can become one.
+fn frame_header(data: &[u8]) -> Result<Option<FrameHeader<'_>>, FrameError> {
     let magic = FRAME_MAGIC.as_bytes();
     // Reject divergence from the magic immediately, even mid-prefix:
     // the header must open with `LEAKFRAME/1 ` byte for byte.
@@ -338,14 +393,14 @@ pub fn unframe_bytes_partial(data: &[u8]) -> Result<BytesProgress<'_>, FrameErro
         if data.len() > MAX_FRAME_HEADER {
             return Err(FrameError::BadHeader);
         }
-        return Ok(BytesProgress::Incomplete { need: None });
+        return Ok(None);
     };
     let header = std::str::from_utf8(&data[..newline]).map_err(|_| FrameError::BadHeader)?;
     let mut parts = header.split_whitespace();
     if parts.next() != Some(FRAME_MAGIC) {
         return Err(FrameError::BadHeader);
     }
-    let expected: usize = parts
+    let len: usize = parts
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or(FrameError::BadHeader)?;
@@ -353,58 +408,11 @@ pub fn unframe_bytes_partial(data: &[u8]) -> Result<BytesProgress<'_>, FrameErro
     if parts.next().is_some() {
         return Err(FrameError::BadHeader);
     }
-
-    let body = newline + 1;
-    let total = body + expected;
-    if data.len() < total {
-        return Ok(BytesProgress::Incomplete { need: Some(total) });
-    }
-    let payload = &data[body..total];
-    if !leaksig_hash::verify_sha1_hex(payload, digest) {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    Ok(BytesProgress::Complete {
-        payload,
-        consumed: total,
-    })
-}
-
-/// Verify and strip a transport envelope, returning the trusted payload.
-///
-/// Never panics on arbitrary input; every mangling of a valid frame maps
-/// to a [`FrameError`]. Verification order is length first (cheap),
-/// digest second, UTF-8 last.
-pub fn unframe(data: &[u8]) -> Result<&str, FrameError> {
-    let newline = data
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or(FrameError::BadHeader)?;
-    let header = std::str::from_utf8(&data[..newline]).map_err(|_| FrameError::BadHeader)?;
-    let payload = &data[newline + 1..];
-
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some(FRAME_MAGIC) {
-        return Err(FrameError::BadHeader);
-    }
-    let expected: usize = parts
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or(FrameError::BadHeader)?;
-    let digest = parts.next().ok_or(FrameError::BadHeader)?;
-    if parts.next().is_some() {
-        return Err(FrameError::BadHeader);
-    }
-
-    if payload.len() != expected {
-        return Err(FrameError::LengthMismatch {
-            expected,
-            actual: payload.len(),
-        });
-    }
-    if !leaksig_hash::verify_sha1_hex(payload, digest) {
-        return Err(FrameError::ChecksumMismatch);
-    }
-    std::str::from_utf8(payload).map_err(|_| FrameError::BadUtf8)
+    Ok(Some(FrameHeader {
+        body: newline + 1,
+        len,
+        digest,
+    }))
 }
 
 #[cfg(test)]
@@ -412,6 +420,7 @@ mod tests {
     use super::*;
     use crate::signature::{signature_from_cluster, SignatureConfig};
     use leaksig_http::RequestBuilder;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
 
     fn sample_set() -> SignatureSet {
@@ -688,6 +697,100 @@ mod tests {
             unframe_bytes_partial(&rotted[first..]),
             Err(FrameError::ChecksumMismatch)
         ));
+    }
+
+    /// Whitespace a forgiving header parser would skip.
+    const WS: [&str; 5] = ["", " ", "\t", "  ", "\r"];
+
+    /// The draws [`near_frame`] builds a frame from.
+    type NearFrame = (
+        Vec<u8>,
+        (usize, usize, usize, usize),
+        usize,
+        bool,
+        usize,
+        Vec<u8>,
+    );
+
+    /// A frame of `payload` (ASCII) whose header may carry stray
+    /// whitespace (`ws`: before the magic, after it, after the length and
+    /// at the end, each an index into [`WS`]), a declared length off by
+    /// `len_skew − 1` and another payload's digest, and whose payload may
+    /// be cut short by `cut` bytes or run on by `extra`.
+    fn near_frame((payload, ws, len_skew, wrong_digest, cut, extra): NearFrame) -> Vec<u8> {
+        let len = (payload.len() + len_skew).saturating_sub(1);
+        let digest = if wrong_digest {
+            leaksig_hash::sha1_hex(b"another payload")
+        } else {
+            leaksig_hash::sha1_hex(&payload)
+        };
+        let (lead, sep1, sep2, tail) = (WS[ws.0], WS[ws.1], WS[ws.2], WS[ws.3]);
+        let mut out = format!("{lead}{FRAME_MAGIC}{sep1}{len}{sep2}{digest}{tail}\n").into_bytes();
+        out.extend_from_slice(&payload[..payload.len().saturating_sub(cut)]);
+        out.extend_from_slice(&extra);
+        out
+    }
+
+    /// `unframe` succeeds exactly when the streaming decoder reads one
+    /// complete frame that uses every byte, with the same payload, and
+    /// refuses a header exactly when the streaming decoder does (or is
+    /// still waiting for the header line).
+    fn assert_unframe_is_one_whole_frame(data: &[u8]) {
+        let partial = unframe_partial(data);
+        let whole = match partial {
+            Ok(FrameProgress::Complete { payload, consumed }) if consumed == data.len() => {
+                Some(payload)
+            }
+            _ => None,
+        };
+        let got = unframe(data);
+        assert_eq!(got.as_ref().ok().copied(), whole, "{data:?}: {partial:?}");
+        let bad_header = matches!(
+            partial,
+            Err(FrameError::BadHeader) | Ok(FrameProgress::Incomplete { need: None })
+        );
+        assert_eq!(
+            got == Err(FrameError::BadHeader),
+            bad_header,
+            "{data:?}: {partial:?}"
+        );
+    }
+
+    #[test]
+    fn unframe_reads_the_streaming_header_grammar() {
+        let good = frame("hello");
+        // A leading space or a tab after the magic: the streaming decoder
+        // refuses both on the first divergent byte, so `unframe` must too.
+        let lead = [b" ".as_slice(), &good].concat();
+        let tab = [b"LEAKFRAME/1\t".as_slice(), &good[12..]].concat();
+        for data in [&lead, &tab] {
+            assert_eq!(unframe(data), Err(FrameError::BadHeader));
+            assert_unframe_is_one_whole_frame(data);
+        }
+        assert_unframe_is_one_whole_frame(&good);
+        assert_eq!(unframe(&good), Ok("hello"));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn unframe_is_the_streaming_decoder_on_the_whole_buffer(
+            data in prop_oneof![
+                (
+                    proptest::collection::vec(0u8..128, 0..12),
+                    (0usize..5, 0usize..5, 0usize..5, 0usize..5),
+                    0usize..3,
+                    any::<bool>(),
+                    0usize..3,
+                    proptest::collection::vec(any::<u8>(), 0..3),
+                )
+                    .prop_map(near_frame),
+                proptest::collection::vec(any::<u8>(), 0..40),
+            ],
+        ) {
+            assert_unframe_is_one_whole_frame(&data);
+        }
     }
 
     #[test]

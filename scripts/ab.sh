@@ -7,11 +7,20 @@
 # PARENT is any commit-ish. WORKLOADs default to every workload in
 # BENCHMARK.json. It always runs 10 pairs, the fewest the rule accepts.
 #
-# The parent's committed files are exported (`git archive`) into a
-# temporary directory under ${TMPDIR:-/tmp}, removed on exit; an export
-# needs no worktree registered in .git, so an interrupted run leaves
-# nothing behind in the repository. Each side's benchmark binary is built
-# once. Pair k runs both sides with `--seed k --seconds 20 --trace 0`, the
+# Both sides are built, one after the other, in one fixed directory,
+# ${TMPDIR:-/tmp}/leaksig-ab-build, removed on exit: first the parent's
+# committed files (`git archive`), then the working tree's files as they
+# are on disk (`git ls-files`: tracked, plus untracked ones not ignored),
+# each from a clean target directory, each binary copied out to a
+# temporary directory and run from there. Cargo hashes every path
+# package's location into its symbols (`-C metadata`), so the same
+# sources built at two paths give different machine code; at one path, a
+# change that leaves the benchmark's code alone yields an identical
+# `.text`, in this run and in every later one. An export needs no
+# worktree registered in .git, so an interrupted run leaves nothing
+# behind in the repository; a killed one can leave the build directory,
+# which the next run refuses to reuse until it is removed.
+# Pair k runs both sides with `--seed k --seconds 20 --trace 0`, the
 # order alternating from pair to pair so slow host spells fall on both.
 #
 # For each workload and end-to-end metric it prints each side's median
@@ -41,7 +50,6 @@ PARENT="$1"
 shift
 PAIRS=10
 SECONDS_PER_RUN=20
-HERE="$(pwd)"
 
 # Section `$1` of BENCHMARK.json as `name better bound` lines (workloads
 # have neither of the last two).
@@ -64,22 +72,45 @@ fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/leaksig-ab.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
-mkdir "$WORK/parent"
-git archive "$PARENT" | tar -x -C "$WORK/parent"
+BUILD="${TMPDIR:-/tmp}/leaksig-ab-build"
+if ! mkdir "$BUILD" 2>/dev/null; then
+    echo "$BUILD exists: another scripts/ab.sh is building there, or a killed one left it behind" >&2
+    exit 1
+fi
+trap 'rm -rf "$WORK" "$BUILD"' EXIT
 
-build() {
-    echo "==> building the benchmark in $1" >&2
-    cargo build --release --offline --quiet --manifest-path "$1/benchmark/Cargo.toml"
+# The working tree's files as they are on disk, as a tar stream.
+working_tree() {
+    git ls-files -z --cached --others --exclude-standard |
+        while IFS= read -r -d '' f; do
+            if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi
+        done |
+        tar --null -T - -cf -
 }
-build "$WORK/parent"
-build "$HERE"
 
-# run <side> <dir> <workload> <pair>: one benchmark run; appends
+# build <side> <command...>: unpack the tar stream the command writes into
+# the emptied $BUILD, build the benchmark there and keep the binary as
+# $WORK/<side>/leaksig-benchmark.
+build() {
+    local side="$1"
+    shift
+    echo "==> building the $side benchmark" >&2
+    find "$BUILD" -mindepth 1 -delete
+    mkdir "$WORK/$side"
+    "$@" | tar -x -C "$BUILD"
+    cargo build --release --offline --quiet --manifest-path "$BUILD/benchmark/Cargo.toml"
+    cp "$BUILD/benchmark/target/release/leaksig-benchmark" "$WORK/$side/"
+}
+build parent git archive "$PARENT"
+build change working_tree
+rm -rf "$BUILD"
+
+# run <side> <workload> <pair>: one benchmark run; appends
 # `workload pair side metric value` lines to the results file, with the
 # result line's `attempted` and `failed` counts as two more metrics.
 run() {
-    local side="$1" dir="$2" workload="$3" pair="$4" last
-    last="$(cd "$dir" && ./benchmark/target/release/leaksig-benchmark \
+    local side="$1" workload="$2" pair="$3" last
+    last="$(cd "$WORK/$side" && ./leaksig-benchmark \
         --workload "$workload" --seed "$pair" --seconds "$SECONDS_PER_RUN" --trace 0 \
         2>/dev/null | tail -n 1)" || true
     if [[ "$last" != *'"correct": true'* ]]; then
@@ -99,11 +130,11 @@ for workload in "${WORKLOADS[@]}"; do
     for ((k = 1; k <= PAIRS; k++)); do
         echo "==> $workload pair $k/$PAIRS" >&2
         if ((k % 2)); then
-            run parent "$WORK/parent" "$workload" "$k"
-            run change "$HERE" "$workload" "$k"
+            run parent "$workload" "$k"
+            run change "$workload" "$k"
         else
-            run change "$HERE" "$workload" "$k"
-            run parent "$WORK/parent" "$workload" "$k"
+            run change "$workload" "$k"
+            run parent "$workload" "$k"
         fi
     done
 done
