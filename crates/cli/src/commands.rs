@@ -63,22 +63,22 @@ fn served_set(publisher: &leaksig_device::SignatureServer) -> SignatureSet {
         .unwrap_or_default()
 }
 
-/// Run one regeneration and print its outcome the same way everywhere. A
-/// publish also prints its semantic diff against the generation
-/// `publisher` served before it, for the operator to review.
+/// Print a regeneration's `outcome` the same way everywhere. A publish
+/// also prints its semantic diff against `before`, the generation
+/// `publisher` served before the regeneration, for the operator to review.
 fn report_regen(
     publisher: &leaksig_device::SignatureServer,
-    regenerate: impl FnOnce() -> leaksig_device::RegenerateOutcome,
+    before: &SignatureSet,
+    outcome: leaksig_device::RegenerateOutcome,
 ) {
     use leaksig_device::RegenerateOutcome;
-    let prev = served_set(publisher);
-    match regenerate() {
+    match outcome {
         RegenerateOutcome::Published {
             version,
             signatures,
         } => {
             println!("published v{version} ({signatures} signatures)");
-            let diff = diff_generations(&prev, &served_set(publisher));
+            let diff = diff_generations(before, &served_set(publisher));
             println!("  generation diff: {}", diff.summary());
         }
         RegenerateOutcome::NoTraffic => println!("no suspicious traffic yet"),
@@ -174,7 +174,8 @@ pub fn serve(args: &Args) -> Result<i32, String> {
         if regen_every > 0 && s.batches.saturating_sub(last_regen) >= regen_every {
             last_regen = s.batches;
             print!("regeneration at {} batches: ", s.batches);
-            report_regen(&publisher, || collector.regenerate(n, &publisher));
+            let before = served_set(&publisher);
+            report_regen(&publisher, &before, collector.regenerate(n, &publisher));
         }
         if batches > 0 && s.batches >= batches {
             break;
@@ -182,7 +183,8 @@ pub fn serve(args: &Args) -> Result<i32, String> {
     }
     let net = server.shutdown();
     print!("final regeneration: ");
-    report_regen(&publisher, || collector.regenerate(n, &publisher));
+    let before = served_set(&publisher);
+    report_regen(&publisher, &before, collector.regenerate(n, &publisher));
     if let Some(out) = args.opt("sigs-out") {
         match publisher.fetch(0) {
             Some((version, text)) => {
@@ -373,7 +375,8 @@ pub fn chaos_net(args: &Args) -> Result<i32, String> {
     }
 
     print!("\nregeneration: ");
-    report_regen(&publisher, || collector.regenerate(150, &publisher));
+    let before = served_set(&publisher);
+    report_regen(&publisher, &before, collector.regenerate(150, &publisher));
     let store = SignatureStore::new();
     let mut sync = SyncClient::with_default_policy(TcpTransport::new(server.addr()));
     let report = sync.sync(&store);
@@ -573,9 +576,9 @@ pub fn chaos_disk(args: &Args) -> Result<i32, String> {
 /// state store's I/O frontier ([`chaos_disk`]).
 pub fn chaos(args: &Args) -> Result<i32, String> {
     use leaksig_device::{
-        FaultyTransport, InProcessTransport, IngestConfig, MemoryStore, RateLimit,
-        RegenerationSupervisor, RetryPolicy, SignatureServer, SignatureStore, SnapshotVault,
-        SupervisorConfig, SyncClient, SyncEventKind,
+        DefaultRunner, FaultyTransport, InProcessTransport, IngestConfig, MemoryStore, RateLimit,
+        RetryPolicy, SignatureServer, SignatureStore, SnapshotVault, SupervisorConfig, SyncClient,
+        SyncEventKind,
     };
     use leaksig_faults::{
         apply_ingest_fault, CrashFlavor, FaultKind, FaultPlan, FaultyDisk, IngestFaultKind,
@@ -609,11 +612,12 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         }),
         ..IngestConfig::default()
     };
-    let collector = collector(check, seed, intake, Box::new(MemoryStore::new()));
-    let supervisor = RegenerationSupervisor::new(SupervisorConfig {
+    let supervisor = SupervisorConfig {
         deadline_ms,
         ..SupervisorConfig::default()
-    });
+    };
+    let collector = collector(check, seed, intake, Box::new(MemoryStore::new()))
+        .with_supervisor(supervisor, std::sync::Arc::new(DefaultRunner));
     let publisher = SignatureServer::new();
     let store = SignatureStore::new();
     let mut client = SyncClient::new(
@@ -663,9 +667,8 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
             );
         }
         print!("\nround {round}: ");
-        report_regen(&publisher, || {
-            supervisor.regenerate(&collector, 150, &publisher)
-        });
+        let before = served_set(&publisher);
+        report_regen(&publisher, &before, collector.regenerate(150, &publisher));
         if let Some(t) = take_last_timings() {
             println!("  {}", t.event_line());
         }

@@ -34,10 +34,11 @@
 //!   with a hardened raw-bytes intake ([`CollectionServer::ingest_raw`]):
 //!   per-source token buckets, hard parse limits, a bounded admission
 //!   queue with an explicit [`Shed`] policy, and a reason-tagged
-//!   quarantine ledger;
-//! * [`RegenerationSupervisor`] — deadline- and panic-guarded §IV
-//!   regeneration with delta-debugging bisection that quarantines poison
-//!   packets and retries on the cleaned reservoir.
+//!   quarantine ledger, and one regeneration path,
+//!   [`CollectionServer::regenerate`]: deadline- and panic-guarded §IV
+//!   passes with delta-debugging bisection that quarantines poison
+//!   packets and retries on the cleaned reservoir ([`SupervisorConfig`],
+//!   with a [`PipelineRunner`] seam for planted test runners).
 //!
 //! What is *not* simulated is the Android plumbing itself (a VPN-service
 //! or local-proxy capture loop); the gate takes packets as values, which
@@ -68,7 +69,7 @@ pub use server::{
 };
 pub use state::{ApplyOutcome, Durability, DurableState, MemoryStore, StateOp, StateStore};
 pub use store::{InstallError, SignatureServer, SignatureStore, StoreHealth};
-pub use supervise::{DefaultRunner, PipelineRunner, RegenerationSupervisor, SupervisorConfig};
+pub use supervise::{DefaultRunner, PipelineRunner, SupervisorConfig};
 pub use transport::{
     FaultyTransport, Fetched, InProcessTransport, RetryPolicy, SyncClient, SyncEvent,
     SyncEventKind, SyncOutcome, SyncReport, Transport, TransportError,

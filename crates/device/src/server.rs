@@ -29,6 +29,7 @@
 
 use crate::state::{ApplyOutcome, Durability, MemoryStore, StateOp, StateStore};
 use crate::store::SignatureServer;
+use crate::supervise::{Packets, PipelineRunner, Supervisor, SupervisorConfig};
 use leaksig_core::payload::PayloadCheck;
 use leaksig_core::prelude::*;
 use leaksig_http::{parse_request_view, HttpPacket, ParseArena, ParseError, ParseLimits};
@@ -38,6 +39,7 @@ use rand::{RngExt, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Ingest/regeneration statistics.
 ///
@@ -63,7 +65,7 @@ pub struct ServerStats {
     pub raw_seen: u64,
     /// Raw images the limited parser refused.
     pub parse_rejects: u64,
-    /// Total quarantine ledger admissions: parse rejects, supervisor
+    /// Total quarantine ledger admissions: parse rejects, regeneration
     /// poison verdicts, and poison re-ingests. Always ≥ `parse_rejects`.
     pub quarantined: u64,
     /// Raw images refused by the per-source token bucket.
@@ -88,9 +90,8 @@ pub struct ServerStats {
 /// Distinguishes "no suspicious traffic yet" from "the pipeline ran but
 /// the deploy gate refused the result" — operationally opposite
 /// conditions (wait vs. investigate) that the old `Option<u64>` return
-/// collapsed into one. The supervised variants
-/// ([`crate::RegenerationSupervisor`]) add two more terminal states for
-/// runs the supervisor had to kill.
+/// collapsed into one. `TimedOut` and `Panicked` are the runs the
+/// supervised pass had to abandon.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegenerateOutcome {
     /// A gated set was published at this version.
@@ -106,14 +107,14 @@ pub enum RegenerateOutcome {
     /// (possible only under a loosened `PipelineConfig`); devices keep
     /// their current set.
     Rejected(Vec<Diagnostic>),
-    /// The supervised run exceeded its deadline on every attempt and
+    /// The pass exceeded its deadline on every attempt and
     /// bisection could not pin the slowdown on a quarantinable subset;
     /// server state is untouched and devices keep their current set.
     TimedOut {
         /// The per-attempt deadline that was exceeded, in milliseconds.
         deadline_ms: u64,
     },
-    /// The supervised pipeline panicked on every attempt and bisection
+    /// The pipeline panicked on every attempt and bisection
     /// could not isolate the poison; the panic was contained — server
     /// state is untouched and devices keep their current set.
     Panicked {
@@ -202,7 +203,7 @@ impl Default for IngestConfig {
 pub enum QuarantineReason {
     /// The raw bytes failed the limited parse.
     Malformed(ParseError),
-    /// The regeneration supervisor's bisection identified this packet as
+    /// Regeneration's bisection identified this packet as
     /// poisoning the pipeline (panic or deadline blowout).
     Poison,
     /// The packet matched an earlier poison verdict on arrival and was
@@ -275,6 +276,7 @@ pub struct CollectionServer<T: Copy + Eq + Send> {
     config: PipelineConfig,
     intake: IngestConfig,
     capacity: usize,
+    supervisor: Supervisor,
     state: Mutex<ServerState>,
 }
 
@@ -302,7 +304,7 @@ struct ServerState {
     /// uploader identity would swap the key only).
     buckets: HashMap<Ipv4Addr, TokenBucket>,
     /// Hashes of packets with a poison verdict: re-ingests are refused.
-    /// Volatile: the supervisor re-derives verdicts after a restart.
+    /// Volatile: regeneration re-derives verdicts after a restart.
     poisoned: HashSet<u64>,
     /// Logical intake clock in milliseconds; `ingest_raw` and
     /// `ingest_batch` advance it by one per record, `ingest_raw_at` pins
@@ -386,6 +388,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
             config,
             intake,
             capacity,
+            supervisor: Supervisor::default(),
             state: Mutex::new(ServerState {
                 store,
                 normal_ring: Vec::with_capacity(2048),
@@ -399,6 +402,20 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
                 wire: Vec::new(),
             }),
         }
+    }
+
+    /// This server with [`CollectionServer::regenerate`] guarded by
+    /// `config` and running `runner`, in place of
+    /// [`SupervisorConfig::default`] and
+    /// [`DefaultRunner`](crate::DefaultRunner). A planted runner lets a
+    /// test make the pass panic or stall on chosen packets.
+    pub fn with_supervisor(
+        mut self,
+        config: SupervisorConfig,
+        runner: Arc<dyn PipelineRunner>,
+    ) -> Self {
+        self.supervisor = Supervisor { config, runner };
+        self
     }
 
     /// Ingest one captured packet; returns whether it was suspicious.
@@ -576,8 +593,8 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
 
     /// Drain up to `max` packets from the admission queue into the
     /// reservoir / normal ring, recorded as one op slice. Returns how
-    /// many were processed. [`CollectionServer::regenerate`] (and the
-    /// supervisor) drain the whole queue before sampling, so calling this
+    /// many were processed. [`CollectionServer::regenerate`] drains the
+    /// whole queue before sampling, so calling this
     /// explicitly is only needed to smooth latency or to observe
     /// mid-flood state.
     pub fn pump(&self, max: usize) -> usize {
@@ -618,7 +635,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// Quarantine specific packets: remove every reservoir entry equal
     /// to one of `packets`, record each under `reason`, and remember the
     /// verdict so re-ingests of the same packet are refused at
-    /// admission. Used by the regeneration supervisor's bisection; also
+    /// admission. Used by [`CollectionServer::regenerate`]'s bisection; also
     /// callable by an operator who identified a bad packet manually.
     pub fn quarantine_packets(&self, packets: &[HttpPacket], reason: QuarantineReason) {
         let mut st = self.state.lock();
@@ -654,19 +671,54 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
         st.store.apply(&ops);
     }
 
-    /// Pipeline configuration (for the regeneration supervisor).
-    pub(crate) fn pipeline_config(&self) -> &PipelineConfig {
-        &self.config
+    /// Run the §IV pipeline over (up to) `n` reservoir packets, validate
+    /// against the normal ring, and publish to `publisher` — the one
+    /// regeneration path, supervised (see `crate::supervise`).
+    ///
+    /// Each attempt samples the reservoir and runs the pass on a worker
+    /// thread under [`SupervisorConfig::deadline_ms`], with panics
+    /// contained. A failed attempt bisects its sample for poison
+    /// packets, quarantines any it pins down, and retries on the cleaned
+    /// reservoir, up to [`SupervisorConfig::max_attempts`] attempts. A
+    /// failure it cannot pin on a small subset ends the retries as
+    /// [`RegenerateOutcome::TimedOut`] or [`RegenerateOutcome::Panicked`].
+    /// Failures never poison server state: counters, reservoir (minus
+    /// quarantined packets), and the published set all stay valid.
+    ///
+    /// The state mutex is held only while *sampling* (cloning the chosen
+    /// packets out) and while bumping counters afterwards; the expensive
+    /// §IV run — clustering, signature generation, FP pruning — happens
+    /// outside the lock, so `ingest` keeps flowing during regeneration.
+    pub fn regenerate(&self, n: usize, publisher: &SignatureServer) -> RegenerateOutcome {
+        let mut attempts = self.supervisor.config.max_attempts.max(1);
+        loop {
+            let Some((sample, normal)) = self.sample(n) else {
+                return RegenerateOutcome::NoTraffic;
+            };
+            let failure = match self.supervisor.run_guarded(&sample, &normal, &self.config) {
+                Ok(set) => return self.account_publish(publisher.publish(&set), &set),
+                Err(failure) => failure,
+            };
+            attempts -= 1;
+            // A failure bisection cannot pin on a small enough subset is
+            // systemic, not poison: stop retrying.
+            let poison = if attempts > 0 {
+                self.supervisor.isolate(&sample, &normal, &self.config)
+            } else {
+                None
+            };
+            match poison {
+                Some(poison) => self.quarantine_packets(&poison, QuarantineReason::Poison),
+                None => return failure,
+            }
+        }
     }
 
-    /// Phase 1 of a regeneration: drain the admission queue, then — under
-    /// the lock — sample `n` reservoir packets (uniform; prefix of a
-    /// shuffle for sub-sampling determinism) and clone out the normal
-    /// slice the pipeline needs. `None` when the reservoir is empty.
-    pub(crate) fn sample_for_regenerate(
-        &self,
-        n: usize,
-    ) -> Option<(Vec<HttpPacket>, Vec<HttpPacket>)> {
+    /// Drain the admission queue, then — under the lock — sample `n`
+    /// reservoir packets (uniform; prefix of a shuffle for sub-sampling
+    /// determinism) and clone out the normal slice the pipeline needs.
+    /// `None` when the reservoir is empty.
+    fn sample(&self, n: usize) -> Option<(Packets, Packets)> {
         self.pump_all();
         let mut st = self.state.lock();
         let len = st.store.state().reservoir.len();
@@ -686,18 +738,18 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
             st.store.apply(&[StateOp::Rng { state: words }]);
         }
         let reservoir = &st.store.state().reservoir;
-        let sample: Vec<HttpPacket> = idx.iter().map(|&i| reservoir[i].clone()).collect();
-        let normal: Vec<HttpPacket> = match self.config.fp_validation {
+        let sample = idx.iter().map(|&i| reservoir[i].clone()).collect();
+        let normal = match self.config.fp_validation {
             Some(v) => st.normal_ring.iter().take(v.sample).cloned().collect(),
-            None => Vec::new(),
+            None => Packets::default(),
         };
         Some((sample, normal))
     }
 
-    /// Phase 3 of a regeneration: account for a finished pipeline run.
-    /// A successful publish is recorded durably (version + wire text) so
-    /// a restarted server can republish the exact generation.
-    pub(crate) fn account_publish(
+    /// Account for a finished pipeline run. A successful publish is
+    /// recorded durably (version + wire text) so a restarted server can
+    /// republish the exact generation.
+    fn account_publish(
         &self,
         publish: Result<u64, Vec<Diagnostic>>,
         set: &SignatureSet,
@@ -721,28 +773,6 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
         }
     }
 
-    /// Run the §IV pipeline over (up to) `n` reservoir packets, validate
-    /// against the normal ring, and publish to `server`.
-    ///
-    /// The state mutex is held only while *sampling* (cloning the chosen
-    /// packets out) and while bumping counters afterwards; the expensive
-    /// §IV run — clustering, signature generation, FP pruning — happens
-    /// outside the lock, so `ingest` keeps flowing during regeneration.
-    ///
-    /// This inline variant has **no deadline and no panic isolation**;
-    /// production loops should prefer
-    /// [`crate::RegenerationSupervisor::regenerate`], which wraps the
-    /// same three phases in a supervised worker.
-    pub fn regenerate(&self, n: usize, server: &SignatureServer) -> RegenerateOutcome {
-        let Some((sample, normal)) = self.sample_for_regenerate(n) else {
-            return RegenerateOutcome::NoTraffic;
-        };
-        let sample_refs: Vec<&HttpPacket> = sample.iter().collect();
-        let normal_refs: Vec<&HttpPacket> = normal.iter().collect();
-        let set = regeneration_pass(&sample_refs, &normal_refs, &self.config);
-        self.account_publish(server.publish(&set), &set)
-    }
-
     /// Counter snapshot.
     ///
     /// Counter lifecycle: all counters start at zero, only ever
@@ -756,7 +786,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// `ingested`/`suspicious`/`normal` bump when a packet enters
     /// classification: immediately for trusted [`CollectionServer::ingest`],
     /// at queue-drain time (`pump`/`regenerate`) for raw intake.
-    /// `quarantined` also bumps for supervisor poison verdicts, which do
+    /// `quarantined` also bumps for regeneration's poison verdicts, which do
     /// not originate from a raw offer.
     ///
     /// Restart lifecycle (durable backends): **every** `ServerStats`

@@ -1,17 +1,17 @@
-//! Supervised regeneration: deadlines, panic isolation, and
-//! poison-packet bisection around the §IV pipeline.
+//! The guard around one §IV pass: a deadline, panic isolation, and
+//! poison-packet bisection.
 //!
-//! [`CollectionServer::regenerate`] runs the pipeline inline: a panic
-//! unwinds into the caller and a pathological input can stall the
-//! server's regeneration loop forever. The [`RegenerationSupervisor`]
-//! wraps the same three phases (sample → run → publish) in a worker
-//! thread guarded by a deadline and [`std::panic::catch_unwind`], so a
-//! poisoned reservoir costs one bounded attempt instead of the server.
+//! [`CollectionServer::regenerate`] runs every pass through a
+//! `Supervisor`: the pass runs on a worker thread guarded by a deadline
+//! and [`std::panic::catch_unwind`], so a poisoned reservoir costs one
+//! bounded attempt instead of the server. The sample and the normal slice
+//! move into the worker as shared slices, so the guard copies no packet
+//! on the success path.
 //!
-//! When a guarded run fails, the supervisor does not merely report it:
-//! it **bisects** the sampled reservoir (classic delta debugging —
-//! re-running the pipeline on halves of the known-failing set) to find
-//! the packet(s) that break it, quarantines them via
+//! When a guarded run fails, `regenerate` does not merely report it: it
+//! **bisects** the sample (classic delta debugging — re-running the
+//! pipeline on halves of the known-failing set) to find the packet(s)
+//! that break it, quarantines them via
 //! [`CollectionServer::quarantine_packets`] — which also bars them from
 //! re-entering through raw intake — and retries on the cleaned
 //! reservoir. Isolation is deliberately conservative: if bisection
@@ -19,20 +19,21 @@
 //! quarantined (a systemic failure should page an operator, not silently
 //! eat the reservoir) and the failure is surfaced as
 //! [`RegenerateOutcome::TimedOut`] or [`RegenerateOutcome::Panicked`].
+//!
+//! [`CollectionServer::regenerate`]: crate::CollectionServer::regenerate
+//! [`CollectionServer::quarantine_packets`]: crate::CollectionServer::quarantine_packets
 
-use crate::server::{CollectionServer, QuarantineReason, RegenerateOutcome};
-use crate::store::SignatureServer;
+use crate::server::RegenerateOutcome;
 use leaksig_core::prelude::*;
 use leaksig_http::HttpPacket;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-/// The pipeline the supervisor guards.
+/// The pipeline a regeneration pass runs.
 ///
 /// Abstracted so tests can plant runners that panic or stall on chosen
-/// packets; production uses [`DefaultRunner`], which is exactly the
-/// inline `regenerate` path.
+/// packets; production uses [`DefaultRunner`].
 pub trait PipelineRunner: Send + Sync + 'static {
     /// Cluster `sample`, generate signatures, and validate them against
     /// `normal` under `config`.
@@ -61,7 +62,9 @@ impl PipelineRunner for DefaultRunner {
     }
 }
 
-/// Supervisor tuning.
+/// How [`CollectionServer::regenerate`] guards its passes.
+///
+/// [`CollectionServer::regenerate`]: crate::CollectionServer::regenerate
 #[derive(Debug, Clone, Copy)]
 pub struct SupervisorConfig {
     /// Wall-clock budget per guarded pipeline run, in milliseconds.
@@ -87,11 +90,8 @@ impl Default for SupervisorConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Failure {
-    Timeout,
-    Panic(String),
-}
+/// A packet slice a pass's worker shares with `regenerate`.
+pub(crate) type Packets = Arc<[HttpPacket]>;
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -103,148 +103,93 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Deadline- and panic-guarded driver for [`CollectionServer`]
-/// regeneration. See the module docs for the failure-handling policy.
-pub struct RegenerationSupervisor {
-    config: SupervisorConfig,
-    runner: Arc<dyn PipelineRunner>,
+/// A [`SupervisorConfig`] and the runner it guards.
+pub(crate) struct Supervisor {
+    pub(crate) config: SupervisorConfig,
+    pub(crate) runner: Arc<dyn PipelineRunner>,
 }
 
-impl RegenerationSupervisor {
-    /// A supervisor over the production pipeline.
-    pub fn new(config: SupervisorConfig) -> Self {
-        Self::with_runner(config, Arc::new(DefaultRunner))
-    }
-
-    /// A supervisor over a custom pipeline runner (fault-injection
-    /// tests, instrumented builds).
-    pub fn with_runner(config: SupervisorConfig, runner: Arc<dyn PipelineRunner>) -> Self {
-        RegenerationSupervisor { config, runner }
-    }
-
-    /// Supervised counterpart of [`CollectionServer::regenerate`]: run
-    /// the §IV pipeline over (up to) `n` reservoir packets under the
-    /// configured deadline and publish to `publisher`.
-    ///
-    /// On a panic or deadline blowout, bisects for poison packets,
-    /// quarantines any it can pin down, and retries on the cleaned
-    /// reservoir (up to `max_attempts` total attempts). Failures never
-    /// poison server state: counters, reservoir (minus quarantined
-    /// packets), and the published set all stay valid, and the inline
-    /// `regenerate` keeps working afterwards.
-    pub fn regenerate<T: Copy + Eq + Send>(
-        &self,
-        server: &CollectionServer<T>,
-        n: usize,
-        publisher: &SignatureServer,
-    ) -> RegenerateOutcome {
-        let attempts = self.config.max_attempts.max(1);
-        let mut last_failure = None;
-        for attempt in 0..attempts {
-            let Some((sample, normal)) = server.sample_for_regenerate(n) else {
-                return RegenerateOutcome::NoTraffic;
-            };
-            let config = server.pipeline_config();
-            match self.run_guarded(&sample, &normal, config) {
-                Ok(set) => return server.account_publish(publisher.publish(&set), &set),
-                Err(failure) => {
-                    last_failure = Some(failure);
-                    if attempt + 1 == attempts {
-                        break;
-                    }
-                    match self.isolate(&sample, &normal, config) {
-                        Some(poison) => {
-                            server.quarantine_packets(&poison, QuarantineReason::Poison)
-                        }
-                        // Couldn't pin the failure on a small enough
-                        // subset: systemic, not poison. Stop retrying.
-                        None => break,
-                    }
-                }
-            }
-        }
-        match last_failure {
-            Some(Failure::Timeout) => RegenerateOutcome::TimedOut {
-                deadline_ms: self.config.deadline_ms,
-            },
-            Some(Failure::Panic(message)) => RegenerateOutcome::Panicked { message },
-            // `attempts >= 1`, so reaching here without a failure is
-            // impossible; keep a sane value rather than panicking in
-            // the component whose job is not to panic.
-            None => RegenerateOutcome::NoTraffic,
+impl Default for Supervisor {
+    fn default() -> Self {
+        Supervisor {
+            config: SupervisorConfig::default(),
+            runner: Arc::new(DefaultRunner),
         }
     }
+}
 
+impl Supervisor {
     /// Run the pipeline on a detached worker under the deadline. A
-    /// worker that overruns is abandoned (it holds only clones of the
-    /// sample, so the cost is its own CPU until it finishes or dies);
-    /// a worker that panics is contained by `catch_unwind`.
-    fn run_guarded(
+    /// worker that overruns is abandoned (it holds only shared handles
+    /// on the sample, so the cost is its own CPU until it finishes or
+    /// dies); a worker that panics is contained by `catch_unwind`. The
+    /// error is the attempt's [`RegenerateOutcome::TimedOut`] or
+    /// [`RegenerateOutcome::Panicked`].
+    pub(crate) fn run_guarded(
         &self,
-        sample: &[HttpPacket],
-        normal: &[HttpPacket],
+        sample: &Packets,
+        normal: &Packets,
         config: &PipelineConfig,
-    ) -> Result<SignatureSet, Failure> {
+    ) -> Result<SignatureSet, RegenerateOutcome> {
         let (tx, rx) = mpsc::channel();
         let runner = Arc::clone(&self.runner);
-        let sample = sample.to_vec();
-        let normal = normal.to_vec();
+        let (sample, normal) = (Arc::clone(sample), Arc::clone(normal));
         let config = config.clone();
         std::thread::spawn(move || {
             let result = catch_unwind(AssertUnwindSafe(|| runner.run(&sample, &normal, &config)));
             let _ = tx.send(result.map_err(panic_message));
         });
-        match rx.recv_timeout(Duration::from_millis(self.config.deadline_ms)) {
+        let deadline_ms = self.config.deadline_ms;
+        match rx.recv_timeout(Duration::from_millis(deadline_ms)) {
             Ok(Ok(set)) => Ok(set),
-            Ok(Err(message)) => Err(Failure::Panic(message)),
-            Err(_) => Err(Failure::Timeout),
+            Ok(Err(message)) => Err(RegenerateOutcome::Panicked { message }),
+            Err(_) => Err(RegenerateOutcome::TimedOut { deadline_ms }),
         }
     }
 
     /// Delta-debug a failing sample down to its poison subset.
     ///
-    /// Repeatedly splits the known-failing set and keeps whichever half
+    /// Repeatedly splits the known-failing range and keeps whichever half
     /// still fails alone; stops when a single packet remains, the probe
     /// budget runs out, or neither half reproduces the failure (an
     /// interaction effect). Returns `None` — quarantine nothing — when
     /// the narrowed set is still more than a quarter of the sample.
-    fn isolate(
+    pub(crate) fn isolate(
         &self,
         sample: &[HttpPacket],
-        normal: &[HttpPacket],
+        normal: &Packets,
         config: &PipelineConfig,
     ) -> Option<Vec<HttpPacket>> {
-        let mut failing = sample.to_vec();
+        let fails = |part: &[HttpPacket]| self.run_guarded(&part.into(), normal, config).is_err();
+        let (mut lo, mut hi) = (0, sample.len());
         let mut probes = 0u32;
-        while failing.len() > 1 && probes < self.config.max_probes {
-            let mid = failing.len() / 2;
+        while hi - lo > 1 && probes < self.config.max_probes {
+            let mid = lo + (hi - lo) / 2;
             probes += 1;
-            if self.run_guarded(&failing[..mid], normal, config).is_err() {
-                failing.truncate(mid);
+            if fails(&sample[lo..mid]) {
+                hi = mid;
                 continue;
             }
             if probes >= self.config.max_probes {
                 break;
             }
             probes += 1;
-            if self.run_guarded(&failing[mid..], normal, config).is_err() {
-                failing.drain(..mid);
+            if fails(&sample[mid..hi]) {
+                lo = mid;
                 continue;
             }
             break;
         }
-        if failing.len() == 1 || failing.len() * 4 <= sample.len() {
-            Some(failing)
-        } else {
-            None
-        }
+        let failing = &sample[lo..hi];
+        (failing.len() == 1 || failing.len() * 4 <= sample.len()).then(|| failing.to_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{IngestOutcome, ServerStats};
+    use crate::server::{CollectionServer, IngestOutcome, QuarantineReason, ServerStats};
+    use crate::store::SignatureServer;
     use leaksig_core::payload::PayloadCheck;
     use leaksig_http::RequestBuilder;
     use std::net::Ipv4Addr;
@@ -277,6 +222,14 @@ mod tests {
         )
     }
 
+    /// `server()` whose passes run `runner` under `config`.
+    fn planted(
+        config: SupervisorConfig,
+        runner: impl PipelineRunner,
+    ) -> CollectionServer<&'static str> {
+        server().with_supervisor(config, Arc::new(runner))
+    }
+
     /// Panics — as the real clustering path would on a hypothetical
     /// malformed invariant — whenever the poison marker is sampled.
     struct TrippingRunner;
@@ -307,14 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn happy_path_matches_inline_regenerate() {
+    fn happy_path_publishes_without_quarantine() {
         let srv = server();
         for i in 0..50 {
             srv.ingest(&leak(i));
         }
         let publisher = SignatureServer::new();
-        let sup = RegenerationSupervisor::new(SupervisorConfig::default());
-        let outcome = sup.regenerate(&srv, 20, &publisher);
+        let outcome = srv.regenerate(20, &publisher);
         assert!(
             matches!(outcome, RegenerateOutcome::Published { version: 1, .. }),
             "got {outcome:?}"
@@ -324,17 +276,22 @@ mod tests {
 
     #[test]
     fn empty_reservoir_is_no_traffic() {
-        let srv = server();
-        let sup = RegenerationSupervisor::new(SupervisorConfig::default());
         assert_eq!(
-            sup.regenerate(&srv, 20, &SignatureServer::new()),
+            server().regenerate(20, &SignatureServer::new()),
             RegenerateOutcome::NoTraffic
         );
     }
 
     #[test]
     fn poison_packet_is_bisected_quarantined_and_regenerate_succeeds() {
-        let srv = server();
+        let srv = planted(
+            SupervisorConfig {
+                deadline_ms: 30_000,
+                max_attempts: 3,
+                max_probes: 16,
+            },
+            TrippingRunner,
+        );
         for i in 0..30 {
             srv.ingest(&leak(i));
         }
@@ -342,16 +299,8 @@ mod tests {
         assert_eq!(srv.reservoir_len(), 31);
 
         let publisher = SignatureServer::new();
-        let sup = RegenerationSupervisor::with_runner(
-            SupervisorConfig {
-                deadline_ms: 30_000,
-                max_attempts: 3,
-                max_probes: 16,
-            },
-            Arc::new(TrippingRunner),
-        );
         // Sample the whole reservoir so the poison is guaranteed in.
-        let outcome = sup.regenerate(&srv, 64, &publisher);
+        let outcome = srv.regenerate(64, &publisher);
         assert!(
             matches!(outcome, RegenerateOutcome::Published { version: 1, .. }),
             "retry after quarantine must publish, got {outcome:?}"
@@ -386,62 +335,62 @@ mod tests {
     fn panic_message_surfaces_when_isolation_is_refused() {
         // Every packet is poison ⇒ bisection narrows to one packet per
         // attempt but the failure persists; after max_attempts the
-        // supervisor reports the panic instead of eating the reservoir.
+        // server reports the panic instead of eating the reservoir.
         struct AlwaysPanics;
         impl PipelineRunner for AlwaysPanics {
             fn run(&self, _: &[HttpPacket], _: &[HttpPacket], _: &PipelineConfig) -> SignatureSet {
                 panic!("synthetic pipeline defect");
             }
         }
-        let srv = server();
-        for i in 0..20 {
-            srv.ingest(&leak(i));
-        }
-        let sup = RegenerationSupervisor::with_runner(
+        let srv = planted(
             SupervisorConfig {
                 deadline_ms: 30_000,
                 max_attempts: 2,
                 max_probes: 8,
             },
-            Arc::new(AlwaysPanics),
+            AlwaysPanics,
         );
+        for i in 0..20 {
+            srv.ingest(&leak(i));
+        }
         let publisher = SignatureServer::new();
-        let outcome = sup.regenerate(&srv, 20, &publisher);
+        let outcome = srv.regenerate(20, &publisher);
         let RegenerateOutcome::Panicked { message } = outcome else {
             panic!("expected Panicked, got {outcome:?}");
         };
         assert!(message.contains("synthetic pipeline defect"));
         assert_eq!(publisher.version(), 0);
         // At most (max_attempts - 1) quarantine rounds happened; the
-        // reservoir survives essentially intact and inline regeneration
-        // still works.
+        // reservoir survives essentially intact and the same server,
+        // back on the production runner, still publishes.
         assert!(srv.reservoir_len() >= 19, "len {}", srv.reservoir_len());
+        let srv = srv.with_supervisor(SupervisorConfig::default(), Arc::new(DefaultRunner));
         assert!(srv.regenerate(20, &publisher).published().is_some());
     }
 
     #[test]
     fn deadline_blowout_reports_timed_out_without_poisoning_state() {
-        let srv = server();
-        for i in 0..20 {
-            srv.ingest(&leak(i));
-        }
-        let sup = RegenerationSupervisor::with_runner(
+        let srv = planted(
             SupervisorConfig {
                 deadline_ms: 20,
                 max_attempts: 1, // no bisection: a single guarded run
                 max_probes: 0,
             },
-            Arc::new(StallingRunner),
+            StallingRunner,
         );
+        for i in 0..20 {
+            srv.ingest(&leak(i));
+        }
         let publisher = SignatureServer::new();
         assert_eq!(
-            sup.regenerate(&srv, 20, &publisher),
+            srv.regenerate(20, &publisher),
             RegenerateOutcome::TimedOut { deadline_ms: 20 }
         );
         assert_eq!(publisher.version(), 0);
         assert_eq!(srv.reservoir_len(), 20, "reservoir untouched");
         // The abandoned worker finishes in the background; meanwhile the
-        // server keeps working inline.
+        // same server, back on the production runner, keeps working.
+        let srv = srv.with_supervisor(SupervisorConfig::default(), Arc::new(DefaultRunner));
         assert!(srv.regenerate(20, &publisher).published().is_some());
         let ServerStats { regenerations, .. } = srv.stats();
         assert_eq!(regenerations, 1, "timed-out runs never count as runs");

@@ -17,8 +17,7 @@
 use leaksig::core::prelude::*;
 use leaksig::device::{
     CollectionServer, DefaultRunner, IngestConfig, IngestOutcome, PipelineRunner, QuarantineReason,
-    RateLimit, RegenerateOutcome, RegenerationSupervisor, SignatureServer, SignatureStore,
-    SupervisorConfig,
+    RateLimit, RegenerateOutcome, SignatureServer, SignatureStore, SupervisorConfig,
 };
 use leaksig::faults::{apply_ingest_fault, IngestFault, IngestFaultPlan};
 use leaksig::http::{HttpPacket, RequestBuilder};
@@ -70,20 +69,21 @@ fn ingest_chaos_soak_across_seeds() {
     for seed in seeds() {
         let data = Dataset::generate(MarketConfig::scaled(seed, 0.04));
         let check: PayloadCheck<SensitiveKind> = PayloadCheck::new(data.model.device.all_values());
+        let deadline_ms = 30_000;
+        let supervisor = SupervisorConfig {
+            deadline_ms,
+            ..SupervisorConfig::default()
+        };
         let collector = CollectionServer::with_intake(
             check,
             PipelineConfig::default(),
             400,
             seed,
             IngestConfig::default(),
-        );
+        )
+        .with_supervisor(supervisor, Arc::new(DefaultRunner));
         let publisher = SignatureServer::new();
         let store = SignatureStore::new();
-        let deadline_ms = 30_000;
-        let supervisor = RegenerationSupervisor::new(SupervisorConfig {
-            deadline_ms,
-            ..SupervisorConfig::default()
-        });
 
         // Epoch 1: first half of the capture arrives as raw bytes, 30%
         // of the wire images mangled by the seeded fault plan.
@@ -123,7 +123,7 @@ fn ingest_chaos_soak_across_seeds() {
 
         // Supervised regeneration publishes v1 within its deadline.
         let t0 = Instant::now();
-        let outcome = supervisor.regenerate(&collector, 150, &publisher);
+        let outcome = collector.regenerate(150, &publisher);
         let elapsed = t0.elapsed();
         assert!(
             matches!(outcome, RegenerateOutcome::Published { version: 1, .. }),
@@ -167,7 +167,7 @@ fn ingest_chaos_soak_across_seeds() {
         for p in &data.packets[half..] {
             collector.ingest(&p.packet);
         }
-        let outcome = supervisor.regenerate(&collector, 150, &publisher);
+        let outcome = collector.regenerate(150, &publisher);
         assert!(
             matches!(outcome, RegenerateOutcome::Published { version: 2, .. }),
             "seed {seed}: {outcome:?}"
@@ -275,7 +275,7 @@ fn duplicate_flood_is_absorbed_by_the_token_bucket() {
 
 /// The acceptance scenario for poison isolation, end to end through the
 /// public API: a packet that makes the clustering path panic is planted
-/// in the reservoir; the supervisor must bisect it out, quarantine it,
+/// in the reservoir; `regenerate` must bisect it out, quarantine it,
 /// and then publish from the cleaned reservoir — and raw re-ingests of
 /// the same packet must be refused at admission.
 #[test]
@@ -296,7 +296,14 @@ fn poison_packet_is_bisected_quarantined_and_blocked_from_reentry() {
         }
     }
 
-    let srv = small_server(IngestConfig::default());
+    let srv = small_server(IngestConfig::default()).with_supervisor(
+        SupervisorConfig {
+            deadline_ms: 30_000,
+            max_attempts: 3,
+            max_probes: 16,
+        },
+        Arc::new(TrippingRunner),
+    );
     for i in 0..24 {
         srv.ingest(&module_packet(i));
     }
@@ -309,15 +316,7 @@ fn poison_packet_is_bisected_quarantined_and_blocked_from_reentry() {
     assert_eq!(srv.reservoir_len(), 25);
 
     let publisher = SignatureServer::new();
-    let supervisor = RegenerationSupervisor::with_runner(
-        SupervisorConfig {
-            deadline_ms: 30_000,
-            max_attempts: 3,
-            max_probes: 16,
-        },
-        Arc::new(TrippingRunner),
-    );
-    let outcome = supervisor.regenerate(&srv, 64, &publisher);
+    let outcome = srv.regenerate(64, &publisher);
     assert!(
         matches!(outcome, RegenerateOutcome::Published { version: 1, .. }),
         "publish after isolation, got {outcome:?}"
