@@ -40,40 +40,34 @@ const SIGNATURES: usize = 8;
 /// Wire images ingested per run of the ingest gate.
 const RECORDS: usize = 200;
 
-/// One side of a gate: how to set up a run's input and run it.
-struct Side<S, F> {
-    setup: S,
-    run: F,
+/// Runs `run` on `input`, appending its output to `outputs`; returns its
+/// nanoseconds. The caller makes `input` and drops the outputs, both
+/// outside the timed region.
+fn timed<I, R>(input: I, run: &mut impl FnMut(I) -> R, outputs: &mut Vec<R>) -> u128 {
+    let start = Instant::now();
+    let out = black_box(run(input));
+    let elapsed = start.elapsed().as_nanos();
+    outputs.push(out);
+    elapsed
 }
 
-impl<I, R, S: FnMut() -> I, F: FnMut(I) -> R> Side<S, F> {
-    /// One run on a fresh `setup()` output, appended to `outputs`; returns
-    /// its nanoseconds. Setup and dropping the output stay outside the
-    /// timed region.
-    fn timed(&mut self, outputs: &mut Vec<R>) -> u128 {
-        let input = (self.setup)();
-        let start = Instant::now();
-        let out = black_box((self.run)(input));
-        let elapsed = start.elapsed().as_nanos();
-        outputs.push(out);
-        elapsed
-    }
-}
-
-/// Runs each side once untimed, then [`SAMPLES`] times each, alternating
-/// `a`, `b`, `a`, `b`, ... Returns each side's minimum in nanoseconds and
-/// every one of its run's outputs, warm-up first.
+/// Runs side `a` (`run_a` on a fresh `setup_a()`) and side `b` once each
+/// untimed, then [`SAMPLES`] times each, alternating `a`, `b`, `a`, `b`,
+/// ... Returns each side's minimum in nanoseconds and every one of its
+/// runs' outputs, warm-up first.
 fn min_ns_interleaved<IA, RA, IB, RB>(
-    mut a: Side<impl FnMut() -> IA, impl FnMut(IA) -> RA>,
-    mut b: Side<impl FnMut() -> IB, impl FnMut(IB) -> RB>,
+    mut setup_a: impl FnMut() -> IA,
+    mut run_a: impl FnMut(IA) -> RA,
+    mut setup_b: impl FnMut() -> IB,
+    mut run_b: impl FnMut(IB) -> RB,
 ) -> ((u128, Vec<RA>), (u128, Vec<RB>)) {
     let (mut outputs_a, mut outputs_b) = (Vec::new(), Vec::new());
-    a.timed(&mut outputs_a);
-    b.timed(&mut outputs_b);
+    timed(setup_a(), &mut run_a, &mut outputs_a);
+    timed(setup_b(), &mut run_b, &mut outputs_b);
     let (mut min_a, mut min_b) = (u128::MAX, u128::MAX);
     for _ in 0..SAMPLES {
-        min_a = min_a.min(a.timed(&mut outputs_a));
-        min_b = min_b.min(b.timed(&mut outputs_b));
+        min_a = min_a.min(timed(setup_a(), &mut run_a, &mut outputs_a));
+        min_b = min_b.min(timed(setup_b(), &mut run_b, &mut outputs_b));
     }
     ((min_a, outputs_a), (min_b, outputs_b))
 }
@@ -170,26 +164,22 @@ fn zero_copy_parse_scan_beats_owned_by_1_5x() {
     assert!(hits > 0, "no hits: the gate would time rejects only");
 
     let ((owned_ns, owned_hits), (zero_copy_ns, zero_copy_hits)) = min_ns_interleaved(
-        Side {
-            setup: || (),
-            run: |()| {
-                let mut hits = 0usize;
-                for r in &records {
-                    let packet = parse_request_limited(r.raw, r.ip, r.port, &limits)
-                        .expect("builder wire images must parse");
-                    if engine.match_first(&mut scratch, &packet).is_some() {
-                        hits += 1;
-                    }
+        || (),
+        |()| {
+            let mut hits = 0usize;
+            for r in &records {
+                let packet = parse_request_limited(r.raw, r.ip, r.port, &limits)
+                    .expect("builder wire images must parse");
+                if engine.match_first(&mut scratch, &packet).is_some() {
+                    hits += 1;
                 }
-                hits
-            },
+            }
+            hits
         },
-        Side {
-            setup: || (),
-            run: |()| {
-                let verdicts = scanner.scan_batch(records.iter().copied(), &limits);
-                verdicts.iter().filter(|v| v.matched.is_some()).count()
-            },
+        || (),
+        |()| {
+            let verdicts = scanner.scan_batch(records.iter().copied(), &limits);
+            verdicts.iter().filter(|v| v.matched.is_some()).count()
         },
     );
     assert!(
@@ -284,23 +274,19 @@ fn durable_ingest_costs_at_most_2x_memory() {
     let _ = std::fs::remove_dir_all(&root.0);
     let mut runs = 0usize;
     let ((memory_ns, memory_servers), (durable_ns, durable_servers)) = min_ns_interleaved(
-        Side {
-            setup: || server(RECORDS + 1),
-            run: |srv| {
-                ingest(&srv);
-                srv
-            },
+        || server(RECORDS + 1),
+        |srv| {
+            ingest(&srv);
+            srv
         },
-        Side {
-            setup: || {
-                runs += 1;
-                durable_server(RECORDS + 1, &root.0.join(format!("wal-{runs}")))
-            },
-            run: |srv| {
-                ingest(&srv);
-                srv.flush_state();
-                srv
-            },
+        || {
+            runs += 1;
+            durable_server(RECORDS + 1, &root.0.join(format!("wal-{runs}")))
+        },
+        |srv| {
+            ingest(&srv);
+            srv.flush_state();
+            srv
         },
     );
 

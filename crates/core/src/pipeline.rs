@@ -65,8 +65,8 @@ fn ms_since(t: Instant) -> f64 {
 
 /// Timings of the most recent [`regeneration_pass`], on any thread.
 ///
-/// The pass runs deep inside the collection server (often on a supervised
-/// worker thread) where its return type — the signature set — has no room
+/// The pass runs deep inside the collection server (on the worker thread
+/// of its supervised `regenerate`) where its return type — the signature set — has no room
 /// for diagnostics, so the timings are parked here for whoever reports on
 /// the pass afterwards.
 static LAST_TIMINGS: std::sync::Mutex<Option<StageTimings>> = std::sync::Mutex::new(None);
@@ -488,10 +488,11 @@ impl<'p> NodeFold<'p> {
 /// One complete regeneration pass: §IV generation over `sample`,
 /// benign-traffic pruning against `normal` (when the config enables
 /// validation), and dominated-signature removal — the exact sequence the
-/// collection server runs outside its state lock. Factored out so a
-/// regeneration supervisor can run the identical pass on a worker thread
-/// (and on bisected sub-samples) without duplicating the ordering, which
-/// is load-bearing: pruning must precede [`drop_dominated`].
+/// collection server runs outside its state lock. Factored out so the
+/// server's supervised `regenerate` can run the identical pass on a
+/// worker thread (and on bisected sub-samples) without duplicating the
+/// ordering, which is load-bearing: pruning must precede
+/// [`drop_dominated`].
 pub fn regeneration_pass(
     sample: &[&HttpPacket],
     normal: &[&HttpPacket],
