@@ -708,7 +708,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
                 None
             };
             match poison {
-                Some(poison) => self.quarantine_packets(&poison, QuarantineReason::Poison),
+                Some(poison) => self.quarantine_packets(poison, QuarantineReason::Poison),
                 None => return failure,
             }
         }

@@ -154,12 +154,12 @@ impl Supervisor {
     /// budget runs out, or neither half reproduces the failure (an
     /// interaction effect). Returns `None` — quarantine nothing — when
     /// the narrowed set is still more than a quarter of the sample.
-    pub(crate) fn isolate(
+    pub(crate) fn isolate<'s>(
         &self,
-        sample: &[HttpPacket],
+        sample: &'s [HttpPacket],
         normal: &Packets,
         config: &PipelineConfig,
-    ) -> Option<Vec<HttpPacket>> {
+    ) -> Option<&'s [HttpPacket]> {
         let fails = |part: &[HttpPacket]| self.run_guarded(&part.into(), normal, config).is_err();
         let (mut lo, mut hi) = (0, sample.len());
         let mut probes = 0u32;
@@ -181,7 +181,7 @@ impl Supervisor {
             break;
         }
         let failing = &sample[lo..hi];
-        (failing.len() == 1 || failing.len() * 4 <= sample.len()).then(|| failing.to_vec())
+        (failing.len() == 1 || failing.len() * 4 <= sample.len()).then_some(failing)
     }
 }
 
