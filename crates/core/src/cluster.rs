@@ -300,32 +300,43 @@ pub fn agglomerate_with(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogra
 /// clustering updates it in place as its working copy instead of cloning
 /// it (16 MB at N = 2000).
 pub fn agglomerate_owned(matrix: CondensedMatrix, linkage: Linkage) -> Dendrogram {
+    agglomerate_until(matrix, linkage, crate::par::NEVER)
+        .expect("clustering with no deadline completes")
+}
+
+/// [`agglomerate_owned`] that checks `expired()` before every merge and
+/// gives up (`None`) once it is true.
+pub(crate) fn agglomerate_until(
+    matrix: CondensedMatrix,
+    linkage: Linkage,
+    expired: crate::par::Expired<'_>,
+) -> Option<Dendrogram> {
     let n = matrix.len();
     if n < 2 {
-        return Dendrogram {
+        return Some(Dendrogram {
             n,
             merges: Vec::new(),
-        };
+        });
     }
 
     // Working cluster distances, updated in place on condensed storage.
     let mut w = matrix;
-    let mut active: Vec<bool> = vec![true; n];
+    // Live working slots, ascending: each scan below visits them in the
+    // order a scan of all `n` slots would, skipping the dead ones free.
+    let mut live: Vec<usize> = (0..n).collect();
     let mut size: Vec<usize> = vec![1; n];
     // Dendrogram node id (creation order) of working slot `i`.
     let mut node: Vec<usize> = (0..n).collect();
 
     let mut chain: Vec<usize> = Vec::with_capacity(n);
     let mut raw: Vec<Merge> = Vec::with_capacity(n - 1);
-    // Smallest slot a fresh chain may start from (only ever advances).
-    let mut start = 0usize;
 
     while raw.len() < n - 1 {
+        if expired() {
+            return None;
+        }
         if chain.is_empty() {
-            while !active[start] {
-                start += 1;
-            }
-            chain.push(start);
+            chain.push(live[0]);
         }
         // Extend the chain by nearest neighbours until it folds back.
         loop {
@@ -337,9 +348,9 @@ pub fn agglomerate_owned(matrix: CondensedMatrix, linkage: Linkage) -> Dendrogra
             };
             let mut best = f64::INFINITY;
             let mut best_j = usize::MAX;
-            for (j, &alive) in active.iter().enumerate() {
-                if j != a && alive {
-                    let d = w.get(a, j);
+            for &j in &live {
+                if j != a {
+                    let d = w.cell(a, j);
                     if d < best {
                         best = d;
                         best_j = j;
@@ -368,14 +379,16 @@ pub fn agglomerate_owned(matrix: CondensedMatrix, linkage: Linkage) -> Dendrogra
                 size: size[i] + size[j],
             });
             let (si, sj) = (size[i] as f64, size[j] as f64);
-            for (k, &alive) in active.iter().enumerate() {
-                if k != i && k != j && alive {
-                    let v = lance_williams(linkage, si, sj, w.get(i, k), w.get(j, k));
-                    w.set(i, k, v);
+            for &k in &live {
+                if k != i && k != j {
+                    let djk = w.cell(j, k);
+                    let cell = w.cell_mut(i, k);
+                    *cell = lance_williams(linkage, si, sj, *cell, djk);
                 }
             }
             size[i] += size[j];
-            active[j] = false;
+            let dead = live.binary_search(&j).expect("merged slot is live");
+            live.remove(dead);
             node[i] = n + raw.len() - 1;
             // Reducibility keeps the surviving chain's NN links valid, so
             // the next iteration continues from the current chain top.
@@ -383,10 +396,10 @@ pub fn agglomerate_owned(matrix: CondensedMatrix, linkage: Linkage) -> Dendrogra
         }
     }
 
-    Dendrogram {
+    Some(Dendrogram {
         n,
         merges: replay_greedy_order(n, raw),
-    }
+    })
 }
 
 /// The pre-NN-chain agglomeration: greedy closest-pair selection with a
@@ -707,6 +720,36 @@ mod tests {
                 "{linkage:?}"
             );
         }
+    }
+
+    /// The NN-chain checks its deadline once before every merge and stops
+    /// at the first check that finds it passed; a check that never fires
+    /// changes nothing.
+    #[test]
+    fn nn_chain_stops_between_merges_once_expired() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pts = [5.0f64, 1.0, 9.0, 2.5, 7.25, 0.125, 3.875, 6.5];
+        let mut m = CondensedMatrix::zeros(pts.len());
+        for i in 0..pts.len() {
+            for j in i + 1..pts.len() {
+                m.set(i, j, (pts[i] - pts[j]).abs());
+            }
+        }
+        let checks = AtomicUsize::new(0);
+        let count = || checks.fetch_add(1, Ordering::Relaxed) + 1;
+        let never = || count() == 0;
+        let whole =
+            agglomerate_until(m.clone(), Linkage::GroupAverage, &never).expect("never expires");
+        assert_eq!(
+            checks.swap(0, Ordering::Relaxed),
+            pts.len() - 1,
+            "one check per merge"
+        );
+        assert_eq!(whole.merges(), agglomerate(&m).merges());
+
+        // Expire at the fourth check: three merges done, the fourth never starts.
+        assert!(agglomerate_until(m, Linkage::GroupAverage, &|| count() >= 4).is_none());
+        assert_eq!(checks.into_inner(), 4);
     }
 
     proptest! {

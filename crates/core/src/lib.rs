@@ -97,9 +97,9 @@ pub mod prelude {
     pub use crate::payload::PayloadCheck;
     pub use crate::pipeline::{
         drop_dominated, generate_signatures, generate_signatures_counted, prune_against_normal,
-        regeneration_pass, run_experiment, run_experiment_refs, run_experiment_with,
-        take_last_timings, ClusterSelection, ExperimentOutcome, FpValidation, GeneratedSignatures,
-        PipelineConfig, StageTimings,
+        regeneration_pass, regeneration_pass_until, run_experiment, run_experiment_refs,
+        run_experiment_with, take_last_timings, ClusterSelection, ExperimentOutcome, FpValidation,
+        GeneratedSignatures, PipelineConfig, StageTimings,
     };
     pub use crate::signature::{
         signature_from_cluster, ConjunctionSignature, Field, FieldToken, SignatureConfig,

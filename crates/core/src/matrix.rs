@@ -56,6 +56,30 @@ impl CondensedMatrix {
         }
     }
 
+    /// The cell of distinct points `i` and `j`, for hot loops that index
+    /// only points they know are in range: no range assertion beyond the
+    /// slice's own bounds check.
+    #[inline]
+    pub(crate) fn cell_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+        let idx = if i < j {
+            self.index(i, j)
+        } else {
+            self.index(j, i)
+        };
+        &mut self.data[idx]
+    }
+
+    /// [`CondensedMatrix::cell_mut`], read-only.
+    #[inline]
+    pub(crate) fn cell(&self, i: usize, j: usize) -> f64 {
+        let idx = if i < j {
+            self.index(i, j)
+        } else {
+            self.index(j, i)
+        };
+        self.data[idx]
+    }
+
     /// Set the distance between distinct points `i` and `j`.
     ///
     /// # Panics
@@ -166,15 +190,26 @@ pub fn pairwise<C: Compressor + Sync>(
     dist: &PacketDistance<C>,
     features: &[PacketFeatures],
 ) -> CondensedMatrix {
+    pairwise_until(dist, features, par::NEVER).expect("a matrix with no deadline completes")
+}
+
+/// [`pairwise`] that gives up once `expired()` turns true: each
+/// request-line group checks it before its first row, and `None` means
+/// some group never ran.
+pub(crate) fn pairwise_until<C: Compressor + Sync>(
+    dist: &PacketDistance<C>,
+    features: &[PacketFeatures],
+    expired: par::Expired<'_>,
+) -> Option<CondensedMatrix> {
     let n = features.len();
     if n < 2 {
-        return CondensedMatrix::zeros(n);
+        return Some(CondensedMatrix::zeros(n));
     }
     let mut matrix = CondensedMatrix::zeros(n);
     let (hosts, rlines) = (host_ids(features), rline_ids(features));
     let sorted = rlines_in_byte_order(features, &rlines);
     let groups = rline_groups(&rlines, row_slices(n, &mut matrix.data));
-    par::for_each_claimed(
+    let finished = par::for_each_claimed_until(
         groups,
         || (),
         |_, rows| {
@@ -196,12 +231,13 @@ pub fn pairwise<C: Compressor + Sync>(
                 }
             }
         },
+        expired,
     );
-    matrix
+    finished.then_some(matrix)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::distance::{DistanceConfig, PacketDistance};
     use leaksig_compress::{DecodeError, IndexedBytes, Lzss, Lzw, PrefixState};
@@ -404,9 +440,9 @@ mod tests {
 
     /// [`Lzss`] with every [`PrefixState::concat_len`] call counted.
     #[derive(Default)]
-    struct CountingLzss {
+    pub(crate) struct CountingLzss {
         inner: Lzss,
-        calls: Arc<AtomicUsize>,
+        pub(crate) calls: Arc<AtomicUsize>,
     }
 
     struct CountingPrefix<'a> {
@@ -473,5 +509,43 @@ mod tests {
             calls.load(Ordering::Relaxed),
             rline_pairs.len() + cookie + body
         );
+    }
+
+    /// Once `expired()` turns true no further request-line group starts:
+    /// with the check flipping at the first concatenation, each worker
+    /// finishes at most the group it held. Every request line here is
+    /// distinct, so a group is one row, and a row costs at most one
+    /// concatenation per later request line plus a cookie and a body one
+    /// per cell.
+    #[test]
+    fn expiry_stops_the_matrix_within_one_group_per_worker() {
+        let n = 60;
+        let packets: Vec<HttpPacket> = (0..n)
+            .map(|i| {
+                RequestBuilder::post(&format!("/r{i}"))
+                    .cookie("sid=1")
+                    .body(format!("imei=355195000000017&n={i}"))
+                    .destination(Ipv4Addr::new(10, 0, 0, 1), 80, "a.jp")
+                    .build()
+            })
+            .collect();
+        let counting = CountingLzss::default();
+        let calls = Arc::clone(&counting.calls);
+        let d = PacketDistance::new(counting, DistanceConfig::default());
+        let f: Vec<_> = packets.iter().map(|p| d.features(p)).collect();
+        let full = {
+            pairwise(&d, &f);
+            calls.swap(0, Ordering::Relaxed)
+        };
+
+        let expired = || calls.load(Ordering::Relaxed) > 0;
+        assert!(pairwise_until(&d, &f, &expired).is_none());
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let spent = calls.load(Ordering::Relaxed);
+        assert!(
+            spent <= cores * 3 * (n - 1),
+            "{spent} concatenations on {cores} cores"
+        );
+        assert!(spent * 4 < full, "{spent} of {full}: the matrix ran on");
     }
 }

@@ -1,7 +1,16 @@
 //! The crate's one worker fan-out: the distance matrix, feature
 //! extraction and batch scans all spread their jobs over cores here.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
+
+/// A pass's cancellation check: true once the pass should give up (its
+/// deadline has passed). Checked between jobs and between merges, never
+/// inside one.
+pub(crate) type Expired<'a> = &'a (dyn Fn() -> bool + Sync);
+
+/// The [`Expired`] of a run with no deadline.
+pub(crate) const NEVER: Expired<'static> = &|| false;
 
 /// Run `run(&mut state, job)` once for every job of `jobs`, on scoped
 /// workers, one per available core at most.
@@ -23,6 +32,30 @@ pub(crate) fn for_each_claimed<J, S>(
 {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     for_each_claimed_on(cores, jobs, init, run);
+}
+
+/// [`for_each_claimed`] that stops once `expired()` turns true: every job
+/// checks it before it starts, and a job claimed after that returns at
+/// once, so each worker stops within the job it was running. Returns
+/// `false` when any job was skipped (the outputs are then partial).
+pub(crate) fn for_each_claimed_until<J, S>(
+    jobs: Vec<J>,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, J) + Sync,
+    expired: Expired<'_>,
+) -> bool
+where
+    J: Send,
+{
+    let skipped = AtomicBool::new(false);
+    for_each_claimed(jobs, init, |state, job| {
+        if skipped.load(Ordering::Relaxed) || expired() {
+            skipped.store(true, Ordering::Relaxed);
+            return;
+        }
+        run(state, job);
+    });
+    !skipped.into_inner()
 }
 
 /// [`for_each_claimed`] on at most `workers` workers.
@@ -129,6 +162,36 @@ mod tests {
             || (),
             |_, ()| assert_eq!(std::thread::current().id(), caller),
         );
+    }
+
+    /// Once `expired()` turns true no further job starts: with the check
+    /// flipping after the first job begins, each worker finishes at most
+    /// the job it already held.
+    #[test]
+    fn expiry_stops_each_worker_within_one_job() {
+        let ran = AtomicUsize::new(0);
+        let finished = for_each_claimed_until(
+            (0..64).collect(),
+            || (),
+            |_, _: usize| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            },
+            &|| ran.load(Ordering::Relaxed) > 0,
+        );
+        assert!(!finished, "skipped jobs must be reported");
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let ran = ran.into_inner();
+        assert!(
+            (1..=cores).contains(&ran),
+            "{ran} jobs ran on {cores} cores"
+        );
+
+        let all = AtomicUsize::new(0);
+        let add = |_: &mut (), _: usize| {
+            all.fetch_add(1, Ordering::Relaxed);
+        };
+        assert!(for_each_claimed_until((0..64).collect(), || (), add, NEVER));
+        assert_eq!(all.into_inner(), 64);
     }
 
     fn panics_at_job_7(workers: usize) {

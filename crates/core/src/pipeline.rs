@@ -1,11 +1,11 @@
 //! The end-to-end pipeline of Fig. 3a: payload check → sample → cluster →
 //! signature generation → detection → evaluation.
 
-use crate::cluster::{agglomerate_owned, Dendrogram, Linkage};
+use crate::cluster::{agglomerate_until, Dendrogram, Linkage};
 use crate::detect::Detector;
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
-use crate::matrix::pairwise;
+use crate::matrix::pairwise_until;
 use crate::par;
 use crate::signature::{
     assemble_signature, field_views, rline_view, ConjunctionSignature, Field, SignatureConfig,
@@ -65,10 +65,10 @@ fn ms_since(t: Instant) -> f64 {
 
 /// Timings of the most recent [`regeneration_pass`], on any thread.
 ///
-/// The pass runs deep inside the collection server (on the worker thread
-/// of its supervised `regenerate`) where its return type — the signature set — has no room
-/// for diagnostics, so the timings are parked here for whoever reports on
-/// the pass afterwards.
+/// The pass runs deep inside the collection server (inside its supervised
+/// `regenerate`, behind a pluggable runner) where its return type — the
+/// signature set — has no room for diagnostics, so the timings are parked
+/// here for whoever reports on the pass afterwards.
 static LAST_TIMINGS: std::sync::Mutex<Option<StageTimings>> = std::sync::Mutex::new(None);
 
 /// Take (and clear) the timings recorded by the most recent completed
@@ -92,16 +92,19 @@ pub fn take_last_timings() -> Option<StageTimings> {
 /// [`FEATURE_CHUNK`] packets, each with its own output slice, so output
 /// order (and therefore every downstream id) is identical to the serial
 /// map; a sample of one chunk or less runs serially.
+///
+/// `None` once `expired()` turns true before every chunk has run.
 fn extract_features<C: leaksig_compress::Compressor + Sync>(
     dist: &PacketDistance<C>,
     packets: &[&HttpPacket],
-) -> Vec<PacketFeatures> {
+    expired: par::Expired<'_>,
+) -> Option<Vec<PacketFeatures>> {
     let mut features = vec![None; packets.len()];
     let jobs = packets
         .chunks(FEATURE_CHUNK)
         .zip(features.chunks_mut(FEATURE_CHUNK))
         .collect();
-    par::for_each_claimed(
+    let finished = par::for_each_claimed_until(
         jobs,
         || (),
         |_, (chunk, out)| {
@@ -109,11 +112,14 @@ fn extract_features<C: leaksig_compress::Compressor + Sync>(
                 *f = Some(dist.features(p));
             }
         },
+        expired,
     );
-    features
-        .into_iter()
-        .map(|f| f.expect("every packet is extracted"))
-        .collect()
+    finished.then(|| {
+        features
+            .into_iter()
+            .map(|f| f.expect("every packet is extracted"))
+            .collect()
+    })
 }
 
 /// Packets per feature-extraction job: below this, spawning a worker
@@ -217,15 +223,30 @@ pub fn prune_against_normal(
     }
     let engine =
         crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
+    let mut keep = vec![true; set.len()];
+    mark_benign_hits(&engine, normal_sample, max_hits, &mut keep);
+    retain_marked(set, &keep);
+}
+
+/// The benign scan of [`prune_against_normal`] over `engine`: clears the
+/// `keep` mark of every signature matching more than `max_hits` of
+/// `normal_sample`.
+fn mark_benign_hits(
+    engine: &crate::engine::CompiledDetector,
+    normal_sample: &[&HttpPacket],
+    max_hits: usize,
+    keep: &mut [bool],
+) {
     let mut scratch = engine.scratch();
-    let mut hits = vec![0usize; set.len()];
+    let mut hits = vec![0usize; keep.len()];
     for p in normal_sample {
         for idx in engine.matched_indices(&mut scratch, p) {
             hits[idx] += 1;
         }
     }
-    let mut hits = hits.iter();
-    set.signatures.retain(|_| *hits.next().unwrap() <= max_hits);
+    for (k, h) in keep.iter_mut().zip(hits) {
+        *k &= h <= max_hits;
+    }
 }
 
 /// A generated signature set plus the clustering diagnostics the
@@ -259,23 +280,37 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
     packets: &[&HttpPacket],
     config: &PipelineConfig,
 ) -> GeneratedSignatures {
+    generate(compressor, packets, config, par::NEVER)
+        .expect("generation with no deadline completes")
+}
+
+/// [`generate_signatures_counted`] that gives up once `expired()` turns
+/// true: feature extraction and the matrix check it before each job, the
+/// clustering between merges, and token extraction once it is done. A
+/// stage that gave up hands nothing on.
+fn generate<C: leaksig_compress::Compressor + Sync>(
+    compressor: C,
+    packets: &[&HttpPacket],
+    config: &PipelineConfig,
+    expired: par::Expired<'_>,
+) -> Option<GeneratedSignatures> {
     if packets.is_empty() {
-        return GeneratedSignatures {
+        return Some(GeneratedSignatures {
             set: SignatureSet::default(),
             clusters: 0,
             timings: StageTimings::default(),
-        };
+        });
     }
     let mut timings = StageTimings::default();
     let dist = PacketDistance::new(compressor, config.distance);
     let t = Instant::now();
-    let features = extract_features(&dist, packets);
+    let features = extract_features(&dist, packets, expired)?;
     timings.features_ms = ms_since(t);
     let t = Instant::now();
-    let matrix = pairwise(&dist, &features);
+    let matrix = pairwise_until(&dist, &features, expired)?;
     timings.matrix_ms = ms_since(t);
     let t = Instant::now();
-    let dendrogram = agglomerate_owned(matrix, Linkage::GroupAverage);
+    let dendrogram = agglomerate_until(matrix, Linkage::GroupAverage, expired)?;
     timings.cluster_ms = ms_since(t);
     let t = Instant::now();
     // Candidate nodes in emission order. The diagnostic cluster count is
@@ -357,11 +392,11 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
         crate::analyze::drop_dead(&mut set);
     }
     timings.signatures_ms = ms_since(t);
-    GeneratedSignatures {
+    (!expired()).then_some(GeneratedSignatures {
         set,
         clusters: cluster_count,
         timings,
-    }
+    })
 }
 
 /// One method partition of a dendrogram node: what signature extraction
@@ -489,65 +524,111 @@ impl<'p> NodeFold<'p> {
 /// benign-traffic pruning against `normal` (when the config enables
 /// validation), and dominated-signature removal — the exact sequence the
 /// collection server runs outside its state lock. Factored out so the
-/// server's supervised `regenerate` can run the identical pass on a
-/// worker thread (and on bisected sub-samples) without duplicating the
-/// ordering, which is load-bearing: pruning must precede
-/// [`drop_dominated`].
+/// server's supervised `regenerate` runs the identical pass (and the
+/// same pass on bisected sub-samples) without duplicating the ordering,
+/// which is load-bearing: pruning must precede dominance removal.
+///
+/// Runs to completion; [`regeneration_pass_until`] is the same pass under
+/// a deadline.
 pub fn regeneration_pass(
     sample: &[&HttpPacket],
     normal: &[&HttpPacket],
     config: &PipelineConfig,
 ) -> SignatureSet {
-    let generated = pass(Lzss::default(), sample, normal, config);
+    recorded_pass(sample, normal, config, par::NEVER).expect("a pass with no deadline completes")
+}
+
+/// [`regeneration_pass`] that gives up at `deadline`: `None` once the
+/// deadline has passed, whether the pass noticed it mid-stage or only on
+/// finishing. Every parallel job of the feature and matrix stages checks
+/// the deadline before it starts, and the clustering checks it between
+/// merges, so the pass stops within one job of the deadline and leaves
+/// no worker running; no partial stage output reaches the next stage.
+pub fn regeneration_pass_until(
+    sample: &[&HttpPacket],
+    normal: &[&HttpPacket],
+    config: &PipelineConfig,
+    deadline: Instant,
+) -> Option<SignatureSet> {
+    recorded_pass(sample, normal, config, &|| Instant::now() >= deadline)
+}
+
+/// [`pass`] under the production compressor, its timings parked for
+/// [`take_last_timings`] when it completes.
+fn recorded_pass(
+    sample: &[&HttpPacket],
+    normal: &[&HttpPacket],
+    config: &PipelineConfig,
+    expired: par::Expired<'_>,
+) -> Option<SignatureSet> {
+    let generated = pass(Lzss::default(), sample, normal, config, expired)?;
     *LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()) = Some(generated.timings);
-    generated.set
+    Some(generated.set)
 }
 
 /// The §IV pass every published or evaluated set goes through: generate
 /// (gate deferred) → [`prune_against_normal`] → structural gate →
 /// [`drop_dominated`] → dead-signature removal. Returns the set with
-/// `clusters` and `timings.prune_ms` filled in.
+/// `clusters` and `timings.prune_ms` filled in, or `None` once
+/// `expired()` turns true.
 fn pass<C: leaksig_compress::Compressor + Sync>(
     compressor: C,
     sample: &[&HttpPacket],
     normal: &[&HttpPacket],
     config: &PipelineConfig,
-) -> GeneratedSignatures {
+    expired: par::Expired<'_>,
+) -> Option<GeneratedSignatures> {
     // Defer the deploy gate past benign pruning: gate-time dead-signature
     // removal must not let a general signature swallow its specific
     // children before validation has had a chance to reject it.
     let mut gen_config = config.clone();
     gen_config.deploy_gate = false;
-    let mut generated = generate_signatures_counted(compressor, sample, &gen_config);
+    let mut generated = generate(compressor, sample, &gen_config, expired)?;
     let set = &mut generated.set;
     let t = Instant::now();
+    // One engine serves benign pruning and dominance: a survivor mask
+    // carries the pruning and gate verdicts into the dominance scan.
+    let engine =
+        crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
+    let mut keep = vec![true; set.len()];
     if let Some(v) = config.fp_validation {
-        prune_against_normal(set, normal, v.max_hits);
+        mark_benign_hits(&engine, normal, v.max_hits, &mut keep);
     }
     if config.deploy_gate {
-        retain_structurally_clean(set);
+        for (k, sig) in keep.iter_mut().zip(&set.signatures) {
+            *k &= structurally_clean(sig);
+        }
     }
-    drop_dominated(set);
+    mark_dominated(&engine, &set.signatures, &mut keep);
+    retain_marked(set, &keep);
     // The syntactic dominance test above skips dominators with more
     // tokens than the dominated signature; the analyzer's proved verdicts
     // catch the remainder, so the published artifact clears the A001/A002
     // gate.
     crate::analyze::drop_dead(set);
     generated.timings.prune_ms = ms_since(t);
-    generated
+    (!expired()).then_some(generated)
 }
 
-/// The deploy gate's structural half: drop every signature carrying an
-/// Error-level per-signature audit finding under the *default* policy
-/// (see the gate comment in `generate_signatures_counted` for why the
-/// caller's loosened `config.signature` is deliberately not consulted).
+/// Keep the signatures whose `keep` entry is set.
+fn retain_marked(set: &mut SignatureSet, keep: &[bool]) {
+    let mut keep = keep.iter();
+    set.signatures.retain(|_| *keep.next().unwrap());
+}
+
+/// Whether `sig` carries no Error-level per-signature audit finding
+/// under the *default* policy: the deploy gate's structural half (see the
+/// gate comment in `generate_signatures_counted` for why the caller's
+/// loosened `config.signature` is deliberately not consulted).
+fn structurally_clean(sig: &ConjunctionSignature) -> bool {
+    !crate::audit::signature_structure(sig, &crate::audit::AuditConfig::default())
+        .iter()
+        .any(|d| d.severity == crate::audit::Severity::Error)
+}
+
+/// Drop every signature that fails [`structurally_clean`].
 fn retain_structurally_clean(set: &mut SignatureSet) {
-    let audit_cfg = crate::audit::AuditConfig::default();
-    set.signatures.retain(|sig| {
-        !crate::audit::signature_structure(sig, &audit_cfg)
-            .iter()
-            .any(|d| d.severity == crate::audit::Severity::Error)
-    });
+    set.signatures.retain(structurally_clean);
 }
 
 /// Remove signatures whose token set is a superset of another signature's
@@ -569,27 +650,47 @@ fn retain_structurally_clean(set: &mut SignatureSet) {
 pub fn drop_dominated(set: &mut SignatureSet) {
     let engine =
         crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
+    let mut keep = vec![true; set.len()];
+    mark_dominated(&engine, &set.signatures, &mut keep);
+    retain_marked(set, &keep);
+}
+
+/// The dominance test of [`drop_dominated`] among the signatures `keep`
+/// marks, over `engine` compiled from all of `signatures`: clears the
+/// mark of every marked signature a marked other dominates. A conjunction
+/// match depends on the signature's own tokens alone, so an engine over a
+/// superset reports the marked signatures exactly as one compiled from
+/// them would.
+fn mark_dominated(
+    engine: &crate::engine::CompiledDetector,
+    signatures: &[ConjunctionSignature],
+    keep: &mut [bool],
+) {
     let mut scratch = engine.scratch();
     let mut hits: Vec<u32> = Vec::new();
     fn token_list(s: &ConjunctionSignature) -> impl Iterator<Item = (Field, &[u8])> {
         s.tokens.iter().map(|t| (t.field, t.bytes()))
     }
-    let signatures = &set.signatures;
     let dominated: Vec<bool> = signatures
         .iter()
         .enumerate()
         .map(|(b, sig_b)| {
+            if !keep[b] {
+                return false;
+            }
             engine.matched_segments_into(&mut scratch, token_list(sig_b), &mut hits);
             hits.iter().any(|&a| {
-                let sig_a = &signatures[a as usize];
-                a as usize != b
+                let (a, sig_a) = (a as usize, &signatures[a as usize]);
+                keep[a]
+                    && a != b
                     && sig_a.tokens.len() <= sig_b.tokens.len()
                     && token_list(sig_a).ne(token_list(sig_b))
             })
         })
         .collect();
-    let mut keep = dominated.iter().map(|d| !d);
-    set.signatures.retain(|_| keep.next().unwrap());
+    for (k, d) in keep.iter_mut().zip(dominated) {
+        *k &= !d;
+    }
 }
 
 /// Outcome of one experiment run.
@@ -666,7 +767,8 @@ pub fn run_experiment_with<C: leaksig_compress::Compressor + Sync>(
         sampled[i] = true;
     }
 
-    let generated = pass(compressor, &sample, &normal, config);
+    let generated = pass(compressor, &sample, &normal, config, par::NEVER)
+        .expect("a pass with no deadline completes");
 
     // Detect over the full dataset.
     let detector = Detector::new(generated.set);
@@ -689,6 +791,7 @@ pub fn run_experiment_with<C: leaksig_compress::Compressor + Sync>(
 mod tests {
     use super::*;
     use crate::cluster::agglomerate;
+    use crate::matrix::pairwise;
     use leaksig_http::RequestBuilder;
     use std::net::Ipv4Addr;
 
@@ -1027,7 +1130,7 @@ mod tests {
             .collect();
         let refs: Vec<&HttpPacket> = packets.iter().collect();
         let dist: PacketDistance = PacketDistance::default();
-        let par = extract_features(&dist, &refs);
+        let par = extract_features(&dist, &refs, par::NEVER).unwrap();
         let ser: Vec<_> = refs.iter().map(|p| dist.features(p)).collect();
         assert_eq!(par.len(), ser.len());
         for (p, s) in par.iter().zip(&ser) {
@@ -1069,6 +1172,44 @@ mod tests {
         let line = t.event_line();
         assert!(line.contains("matrix") && line.contains("prune"), "{line}");
         assert!(take_last_timings().is_none(), "take must drain");
+    }
+
+    /// A pass whose deadline has already passed returns no set, records
+    /// no timings, and starts no matrix job: every job checks the
+    /// deadline first, so the counting compressor sees no concatenation.
+    #[test]
+    fn a_pass_past_its_deadline_returns_no_set() {
+        let _pass = pass_lock();
+        let (packets, labels) = mini_dataset();
+        let (sample, normal): (Vec<&HttpPacket>, Vec<&HttpPacket>) = {
+            let (s, n): (Vec<_>, Vec<_>) = packets.iter().zip(&labels).partition(|&(_, &l)| l);
+            (
+                s.into_iter().map(|(p, _)| p).collect(),
+                n.into_iter().map(|(p, _)| p).collect(),
+            )
+        };
+        let cfg = PipelineConfig::default();
+        let _ = take_last_timings();
+        let deadline = Instant::now();
+        assert!(regeneration_pass_until(&sample, &normal, &cfg, deadline).is_none());
+        assert!(
+            take_last_timings().is_none(),
+            "a cancelled pass records nothing"
+        );
+
+        let counting = crate::matrix::tests::CountingLzss::default();
+        let calls = std::sync::Arc::clone(&counting.calls);
+        let past = || Instant::now() >= deadline;
+        assert!(pass(counting, &sample, &normal, &cfg, &past).is_none());
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 0);
+
+        // The same pass with a deadline far off publishes what the
+        // untimed pass does.
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let timed = regeneration_pass_until(&sample, &normal, &cfg, far).expect("in time");
+        let untimed = regeneration_pass(&sample, &normal, &cfg);
+        assert_eq!(crate::wire::encode(&timed), crate::wire::encode(&untimed));
+        let _ = take_last_timings();
     }
 
     #[test]

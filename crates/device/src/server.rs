@@ -29,7 +29,7 @@
 
 use crate::state::{ApplyOutcome, Durability, MemoryStore, StateOp, StateStore};
 use crate::store::SignatureServer;
-use crate::supervise::{Packets, PipelineRunner, Supervisor, SupervisorConfig};
+use crate::supervise::{PipelineRunner, Supervisor, SupervisorConfig};
 use leaksig_core::payload::PayloadCheck;
 use leaksig_core::prelude::*;
 use leaksig_http::{parse_request_view, HttpPacket, ParseArena, ParseError, ParseLimits};
@@ -90,8 +90,8 @@ pub struct ServerStats {
 /// Distinguishes "no suspicious traffic yet" from "the pipeline ran but
 /// the deploy gate refused the result" — operationally opposite
 /// conditions (wait vs. investigate) that the old `Option<u64>` return
-/// collapsed into one. `TimedOut` and `Panicked` are the runs the
-/// supervised pass had to abandon.
+/// collapsed into one. `TimedOut` and `Panicked` are the passes that
+/// overran their deadline or panicked, on every attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegenerateOutcome {
     /// A gated set was published at this version.
@@ -675,9 +675,9 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// against the normal ring, and publish to `publisher` — the one
     /// regeneration path, supervised (see `crate::supervise`).
     ///
-    /// Each attempt samples the reservoir and runs the pass on a worker
-    /// thread under [`SupervisorConfig::deadline_ms`], with panics
-    /// contained. A failed attempt bisects its sample for poison
+    /// Each attempt samples the reservoir and runs the pass on the
+    /// calling thread under [`SupervisorConfig::deadline_ms`], which the
+    /// pass checks itself, with panics contained. A failed attempt bisects its sample for poison
     /// packets, quarantines any it pins down, and retries on the cleaned
     /// reservoir, up to [`SupervisorConfig::max_attempts`] attempts. A
     /// failure it cannot pin on a small subset ends the retries as
@@ -718,7 +718,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// reservoir packets (uniform; prefix of a shuffle for sub-sampling
     /// determinism) and clone out the normal slice the pipeline needs.
     /// `None` when the reservoir is empty.
-    fn sample(&self, n: usize) -> Option<(Packets, Packets)> {
+    fn sample(&self, n: usize) -> Option<(Vec<HttpPacket>, Vec<HttpPacket>)> {
         self.pump_all();
         let mut st = self.state.lock();
         let len = st.store.state().reservoir.len();
@@ -741,7 +741,7 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
         let sample = idx.iter().map(|&i| reservoir[i].clone()).collect();
         let normal = match self.config.fp_validation {
             Some(v) => st.normal_ring.iter().take(v.sample).cloned().collect(),
-            None => Packets::default(),
+            None => Vec::new(),
         };
         Some((sample, normal))
     }

@@ -2,11 +2,13 @@
 //! poison-packet bisection.
 //!
 //! [`CollectionServer::regenerate`] runs every pass through a
-//! `Supervisor`: the pass runs on a worker thread guarded by a deadline
-//! and [`std::panic::catch_unwind`], so a poisoned reservoir costs one
-//! bounded attempt instead of the server. The sample and the normal slice
-//! move into the worker as shared slices, so the guard copies no packet
-//! on the success path.
+//! `Supervisor`: the pass runs on the calling thread under
+//! [`std::panic::catch_unwind`] and carries its own deadline, which it
+//! checks between parallel jobs and between clustering merges, so an
+//! overrunning pass stops itself within one job instead of running on in
+//! the background; a poisoned reservoir costs one bounded attempt instead
+//! of the server. The pass and every bisection probe borrow their slice
+//! of the sample, so the guard copies no packet.
 //!
 //! When a guarded run fails, `regenerate` does not merely report it: it
 //! **bisects** the sample (classic delta debugging — re-running the
@@ -14,10 +16,12 @@
 //! that break it, quarantines them via
 //! [`CollectionServer::quarantine_packets`] — which also bars them from
 //! re-entering through raw intake — and retries on the cleaned
-//! reservoir. Isolation is deliberately conservative: if bisection
-//! cannot narrow the failure below a quarter of the sample, nothing is
-//! quarantined (a systemic failure should page an operator, not silently
-//! eat the reservoir) and the failure is surfaced as
+//! reservoir. Isolation is deliberately conservative: a half whose probe
+//! only timed out is blamed only when its sibling half completes (on a
+//! slow host both halves overrun, and no packet is to blame), and if
+//! bisection cannot narrow the failure below a quarter of the sample,
+//! nothing is quarantined (a systemic failure should page an operator,
+//! not silently eat the reservoir) and the failure is surfaced as
 //! [`RegenerateOutcome::TimedOut`] or [`RegenerateOutcome::Panicked`].
 //!
 //! [`CollectionServer::regenerate`]: crate::CollectionServer::regenerate
@@ -27,8 +31,8 @@ use crate::server::RegenerateOutcome;
 use leaksig_core::prelude::*;
 use leaksig_http::HttpPacket;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The pipeline a regeneration pass runs.
 ///
@@ -36,16 +40,20 @@ use std::time::Duration;
 /// packets; production uses [`DefaultRunner`].
 pub trait PipelineRunner: Send + Sync + 'static {
     /// Cluster `sample`, generate signatures, and validate them against
-    /// `normal` under `config`.
+    /// `normal` under `config`; `None` when the run gave up at
+    /// `deadline`. A run that returns after `deadline` counts as timed
+    /// out whatever it returns, so a runner that never checks the
+    /// deadline still times out, only later.
     fn run(
         &self,
         sample: &[HttpPacket],
         normal: &[HttpPacket],
         config: &PipelineConfig,
-    ) -> SignatureSet;
+        deadline: Instant,
+    ) -> Option<SignatureSet>;
 }
 
-/// The production pipeline: `leaksig_core`'s `regeneration_pass`.
+/// The production pipeline: `leaksig_core`'s `regeneration_pass_until`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DefaultRunner;
 
@@ -55,10 +63,11 @@ impl PipelineRunner for DefaultRunner {
         sample: &[HttpPacket],
         normal: &[HttpPacket],
         config: &PipelineConfig,
-    ) -> SignatureSet {
+        deadline: Instant,
+    ) -> Option<SignatureSet> {
         let sample_refs: Vec<&HttpPacket> = sample.iter().collect();
         let normal_refs: Vec<&HttpPacket> = normal.iter().collect();
-        regeneration_pass(&sample_refs, &normal_refs, config)
+        regeneration_pass_until(&sample_refs, &normal_refs, config, deadline)
     }
 }
 
@@ -90,9 +99,6 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// A packet slice a pass's worker shares with `regenerate`.
-pub(crate) type Packets = Arc<[HttpPacket]>;
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -119,54 +125,59 @@ impl Default for Supervisor {
 }
 
 impl Supervisor {
-    /// Run the pipeline on a detached worker under the deadline. A
-    /// worker that overruns is abandoned (it holds only shared handles
-    /// on the sample, so the cost is its own CPU until it finishes or
-    /// dies); a worker that panics is contained by `catch_unwind`. The
-    /// error is the attempt's [`RegenerateOutcome::TimedOut`] or
+    /// Run the pipeline on the calling thread, due by `deadline_ms` from
+    /// now. A panic is contained by `catch_unwind`; a run that gives up,
+    /// or returns once the deadline has passed, timed out. The error is
+    /// the attempt's [`RegenerateOutcome::TimedOut`] or
     /// [`RegenerateOutcome::Panicked`].
     pub(crate) fn run_guarded(
         &self,
-        sample: &Packets,
-        normal: &Packets,
+        sample: &[HttpPacket],
+        normal: &[HttpPacket],
         config: &PipelineConfig,
     ) -> Result<SignatureSet, RegenerateOutcome> {
-        let (tx, rx) = mpsc::channel();
-        let runner = Arc::clone(&self.runner);
-        let (sample, normal) = (Arc::clone(sample), Arc::clone(normal));
-        let config = config.clone();
-        std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| runner.run(&sample, &normal, &config)));
-            let _ = tx.send(result.map_err(panic_message));
-        });
         let deadline_ms = self.config.deadline_ms;
-        match rx.recv_timeout(Duration::from_millis(deadline_ms)) {
-            Ok(Ok(set)) => Ok(set),
-            Ok(Err(message)) => Err(RegenerateOutcome::Panicked { message }),
-            Err(_) => Err(RegenerateOutcome::TimedOut { deadline_ms }),
+        let start = Instant::now();
+        // A budget past what `Instant` can hold is no deadline at all;
+        // a century stands in for it.
+        let deadline = start
+            .checked_add(Duration::from_millis(deadline_ms))
+            .unwrap_or_else(|| start + Duration::from_secs(100 * 365 * 86_400));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            self.runner.run(sample, normal, config, deadline)
+        }));
+        match run {
+            Err(payload) => Err(RegenerateOutcome::Panicked {
+                message: panic_message(payload),
+            }),
+            Ok(Some(set)) if Instant::now() < deadline => Ok(set),
+            Ok(_) => Err(RegenerateOutcome::TimedOut { deadline_ms }),
         }
     }
 
     /// Delta-debug a failing sample down to its poison subset.
     ///
-    /// Repeatedly splits the known-failing range and keeps whichever half
-    /// still fails alone; stops when a single packet remains, the probe
-    /// budget runs out, or neither half reproduces the failure (an
-    /// interaction effect). Returns `None` — quarantine nothing — when
-    /// the narrowed set is still more than a quarter of the sample.
+    /// Repeatedly splits the known-failing range and keeps the half that
+    /// fails alone: a half that panics is kept at once; a half that only
+    /// timed out is kept when its sibling completes. Stops when a single
+    /// packet remains, the probe budget runs out, both halves complete (an
+    /// interaction effect) or both time out (the host is slow, not the
+    /// packets). Returns `None` — quarantine nothing — when the narrowed
+    /// set is still more than a quarter of the sample.
     pub(crate) fn isolate<'s>(
         &self,
         sample: &'s [HttpPacket],
-        normal: &Packets,
+        normal: &[HttpPacket],
         config: &PipelineConfig,
     ) -> Option<&'s [HttpPacket]> {
-        let fails = |part: &[HttpPacket]| self.run_guarded(&part.into(), normal, config).is_err();
+        let probe = |part: &[HttpPacket]| self.run_guarded(part, normal, config).err();
         let (mut lo, mut hi) = (0, sample.len());
         let mut probes = 0u32;
         while hi - lo > 1 && probes < self.config.max_probes {
             let mid = lo + (hi - lo) / 2;
             probes += 1;
-            if fails(&sample[lo..mid]) {
+            let first = probe(&sample[lo..mid]);
+            if matches!(first, Some(RegenerateOutcome::Panicked { .. })) {
                 hi = mid;
                 continue;
             }
@@ -174,11 +185,11 @@ impl Supervisor {
                 break;
             }
             probes += 1;
-            if fails(&sample[mid..hi]) {
-                lo = mid;
-                continue;
+            match (first, probe(&sample[mid..hi])) {
+                (_, Some(RegenerateOutcome::Panicked { .. })) | (None, Some(_)) => lo = mid,
+                (Some(_), None) => hi = mid,
+                _ => break,
             }
-            break;
         }
         let failing = &sample[lo..hi];
         (failing.len() == 1 || failing.len() * 4 <= sample.len()).then_some(failing)
@@ -240,22 +251,51 @@ mod tests {
             sample: &[HttpPacket],
             normal: &[HttpPacket],
             config: &PipelineConfig,
-        ) -> SignatureSet {
+            deadline: Instant,
+        ) -> Option<SignatureSet> {
             assert!(
                 !sample.iter().any(|p| p.request_line.path() == "/poison"),
                 "clustering choked on a poison packet"
             );
-            DefaultRunner.run(sample, normal, config)
+            DefaultRunner.run(sample, normal, config, deadline)
         }
     }
 
-    /// Stalls past any test deadline, unconditionally.
+    /// Stalls past any test deadline, unconditionally, without ever
+    /// looking at it: an uncooperative runner.
     struct StallingRunner;
 
     impl PipelineRunner for StallingRunner {
-        fn run(&self, _: &[HttpPacket], _: &[HttpPacket], _: &PipelineConfig) -> SignatureSet {
+        fn run(
+            &self,
+            _: &[HttpPacket],
+            _: &[HttpPacket],
+            _: &PipelineConfig,
+            _: Instant,
+        ) -> Option<SignatureSet> {
             std::thread::sleep(Duration::from_millis(250));
-            SignatureSet::default()
+            Some(SignatureSet::default())
+        }
+    }
+
+    /// A cooperative runner on a host too slow for any pass: every run
+    /// works until its deadline, then gives up. Counts its runs.
+    #[derive(Default)]
+    struct OverrunningRunner {
+        runs: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl PipelineRunner for OverrunningRunner {
+        fn run(
+            &self,
+            _: &[HttpPacket],
+            _: &[HttpPacket],
+            _: &PipelineConfig,
+            deadline: Instant,
+        ) -> Option<SignatureSet> {
+            self.runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+            None
         }
     }
 
@@ -338,7 +378,13 @@ mod tests {
         // server reports the panic instead of eating the reservoir.
         struct AlwaysPanics;
         impl PipelineRunner for AlwaysPanics {
-            fn run(&self, _: &[HttpPacket], _: &[HttpPacket], _: &PipelineConfig) -> SignatureSet {
+            fn run(
+                &self,
+                _: &[HttpPacket],
+                _: &[HttpPacket],
+                _: &PipelineConfig,
+                _: Instant,
+            ) -> Option<SignatureSet> {
                 panic!("synthetic pipeline defect");
             }
         }
@@ -388,11 +434,120 @@ mod tests {
         );
         assert_eq!(publisher.version(), 0);
         assert_eq!(srv.reservoir_len(), 20, "reservoir untouched");
-        // The abandoned worker finishes in the background; meanwhile the
-        // same server, back on the production runner, keeps working.
+        // The stalling runner ignored its deadline, so `regenerate`
+        // returned only once it did; the late result still counts as
+        // timed out. The same server, back on the production runner,
+        // keeps working.
         let srv = srv.with_supervisor(SupervisorConfig::default(), Arc::new(DefaultRunner));
         assert!(srv.regenerate(20, &publisher).published().is_some());
         let ServerStats { regenerations, .. } = srv.stats();
         assert_eq!(regenerations, 1, "timed-out runs never count as runs");
+    }
+
+    /// On a host too slow for any pass every probe overruns too, so a
+    /// timeout proves nothing about the packets: bisection blames no half,
+    /// nothing is quarantined, and the reservoir survives whole.
+    #[test]
+    fn slow_host_quarantines_nothing() {
+        let runner = OverrunningRunner::default();
+        let runs = Arc::clone(&runner.runs);
+        let srv = planted(
+            SupervisorConfig {
+                deadline_ms: 5,
+                max_attempts: 3,
+                max_probes: 12,
+            },
+            runner,
+        );
+        for i in 0..40 {
+            srv.ingest(&leak(i));
+        }
+        let publisher = SignatureServer::new();
+        assert_eq!(
+            srv.regenerate(40, &publisher),
+            RegenerateOutcome::TimedOut { deadline_ms: 5 }
+        );
+        assert_eq!(srv.stats().quarantined, 0);
+        assert!(srv.quarantine_ledger().is_empty());
+        assert_eq!(srv.reservoir_len(), 40, "reservoir intact");
+        assert_eq!(publisher.version(), 0);
+        // The attempt, then one probe of each half: both overran, so
+        // bisection stopped there and no retry followed.
+        assert_eq!(runs.load(std::sync::atomic::Ordering::Relaxed), 3);
+    }
+
+    /// A packet that makes every pass containing it overrun, while passes
+    /// without it finish: the timed-out half is blamed because its sibling
+    /// completes, and the packet is bisected out.
+    #[test]
+    fn stalling_packet_is_blamed_when_its_sibling_half_completes() {
+        struct StallsOnPoison;
+        impl PipelineRunner for StallsOnPoison {
+            fn run(
+                &self,
+                sample: &[HttpPacket],
+                normal: &[HttpPacket],
+                config: &PipelineConfig,
+                deadline: Instant,
+            ) -> Option<SignatureSet> {
+                // Gives up at once, as a pass that noticed its overrun.
+                if sample.iter().any(|p| p.request_line.path() == "/poison") {
+                    return None;
+                }
+                DefaultRunner.run(sample, normal, config, deadline)
+            }
+        }
+        let srv = planted(
+            SupervisorConfig {
+                deadline_ms: 30_000,
+                max_attempts: 3,
+                max_probes: 16,
+            },
+            StallsOnPoison,
+        );
+        for i in 0..30 {
+            srv.ingest(&leak(i));
+        }
+        srv.ingest(&marker());
+        let publisher = SignatureServer::new();
+        let outcome = srv.regenerate(64, &publisher);
+        assert!(
+            matches!(outcome, RegenerateOutcome::Published { version: 1, .. }),
+            "got {outcome:?}"
+        );
+        assert_eq!(srv.stats().quarantined, 1);
+        assert_eq!(srv.reservoir_len(), 30);
+        let ledger = srv.quarantine_ledger();
+        assert!(ledger.last().unwrap().summary.contains("/poison"));
+    }
+
+    /// The pass runs on the thread that calls `regenerate`: no handoff
+    /// to a worker thread.
+    #[test]
+    fn the_pass_runs_on_the_calling_thread() {
+        struct RecordsThread(Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+        impl PipelineRunner for RecordsThread {
+            fn run(
+                &self,
+                sample: &[HttpPacket],
+                normal: &[HttpPacket],
+                config: &PipelineConfig,
+                deadline: Instant,
+            ) -> Option<SignatureSet> {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                DefaultRunner.run(sample, normal, config, deadline)
+            }
+        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let srv = planted(
+            SupervisorConfig::default(),
+            RecordsThread(Arc::clone(&seen)),
+        );
+        for i in 0..20 {
+            srv.ingest(&leak(i));
+        }
+        let outcome = srv.regenerate(20, &SignatureServer::new());
+        assert!(outcome.published().is_some(), "got {outcome:?}");
+        assert_eq!(*seen.lock().unwrap(), vec![std::thread::current().id()]);
     }
 }

@@ -21,6 +21,14 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
+# `--workspace` never reaches the benchmark's own workspace either: lint
+# and format-check it on its own manifest.
+echo "==> cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
+echo "==> cargo fmt --manifest-path benchmark/Cargo.toml --all --check"
+cargo fmt --manifest-path benchmark/Cargo.toml --all --check
+
 echo "==> cargo doc --workspace --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

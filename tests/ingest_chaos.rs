@@ -287,12 +287,13 @@ fn poison_packet_is_bisected_quarantined_and_blocked_from_reentry() {
             sample: &[HttpPacket],
             normal: &[HttpPacket],
             config: &PipelineConfig,
-        ) -> SignatureSet {
+            deadline: Instant,
+        ) -> Option<SignatureSet> {
             assert!(
                 !sample.iter().any(|p| p.request_line.path() == "/poison"),
                 "clustering choked on the poison packet"
             );
-            DefaultRunner.run(sample, normal, config)
+            DefaultRunner.run(sample, normal, config, deadline)
         }
     }
 
