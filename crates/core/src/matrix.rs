@@ -49,35 +49,36 @@ impl CondensedMatrix {
             "CondensedMatrix::get({i}, {j}): out of range for {} points",
             self.n
         );
-        match i.cmp(&j) {
-            std::cmp::Ordering::Less => self.data[self.index(i, j)],
-            std::cmp::Ordering::Equal => 0.0,
-            std::cmp::Ordering::Greater => self.data[self.index(j, i)],
+        if i == j {
+            0.0
+        } else {
+            self.cell(i, j)
         }
     }
 
-    /// The cell of distinct points `i` and `j`, for hot loops that index
-    /// only points they know are in range: no range assertion beyond the
-    /// slice's own bounds check.
+    /// Condensed offset of distinct points `i` and `j`, in either order.
     #[inline]
-    pub(crate) fn cell_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        let idx = if i < j {
+    fn slot(&self, i: usize, j: usize) -> usize {
+        if i < j {
             self.index(i, j)
         } else {
             self.index(j, i)
-        };
-        &mut self.data[idx]
+        }
     }
 
-    /// [`CondensedMatrix::cell_mut`], read-only.
+    /// The distance of distinct points `i` and `j`, for hot loops that
+    /// only index points they know are live: no range assertion beyond
+    /// the slice's own bounds check.
     #[inline]
     pub(crate) fn cell(&self, i: usize, j: usize) -> f64 {
-        let idx = if i < j {
-            self.index(i, j)
-        } else {
-            self.index(j, i)
-        };
-        self.data[idx]
+        self.data[self.slot(i, j)]
+    }
+
+    /// [`CondensedMatrix::cell`], writable.
+    #[inline]
+    pub(crate) fn cell_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+        let slot = self.slot(i, j);
+        &mut self.data[slot]
     }
 
     /// Set the distance between distinct points `i` and `j`.
@@ -96,12 +97,7 @@ impl CondensedMatrix {
             "CondensedMatrix::set({i}, {j}): out of range for {} points",
             self.n
         );
-        let idx = if i < j {
-            self.index(i, j)
-        } else {
-            self.index(j, i)
-        };
-        self.data[idx] = v;
+        *self.cell_mut(i, j) = v;
     }
 }
 

@@ -35,10 +35,11 @@
 //!   per-source token buckets, hard parse limits, a bounded admission
 //!   queue with an explicit [`Shed`] policy, and a reason-tagged
 //!   quarantine ledger, and one regeneration path,
-//!   [`CollectionServer::regenerate`]: deadline- and panic-guarded §IV
-//!   passes with delta-debugging bisection that quarantines poison
-//!   packets and retries on the cleaned reservoir ([`SupervisorConfig`],
-//!   with a [`PipelineRunner`] seam for planted test runners).
+//!   [`CollectionServer::regenerate`]: panic-guarded §IV passes on the
+//!   calling thread, each under a deadline it checks itself, with
+//!   delta-debugging bisection that quarantines poison packets and
+//!   retries on the cleaned reservoir ([`SupervisorConfig`], with a
+//!   [`PipelineRunner`] seam for planted test runners).
 //!
 //! What is *not* simulated is the Android plumbing itself (a VPN-service
 //! or local-proxy capture loop); the gate takes packets as values, which
